@@ -7,6 +7,7 @@ import logging
 
 import numpy as np
 
+from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
 from .linmodel import mvls_fit
@@ -82,6 +83,7 @@ def kmeans(points: np.ndarray, n_clusters: int, seed: int = 0,
     return best_labels + 1
 
 
+@_blas.single_thread
 def kmlr_fit(dataset: Dataset, basis: BasisSystem, n_groups: int,
              config: SemConfig = None) -> FitResult:
     """K-means labels alternated with the shared M-step.
@@ -90,7 +92,8 @@ def kmlr_fit(dataset: Dataset, basis: BasisSystem, n_groups: int,
     stage-1 regression does not depend on labels, so the residualized
     outcomes are fixed), k-means clusters those residuals, and the label /
     M-step alternation continues with nearest-centroid reassignment until
-    the labels are stable. Responsibilities are the hard 0/1 labels.
+    the labels are stable. Responsibilities are the hard 0/1 labels. Runs
+    with BLAS pinned to one thread, as `fit_sem` does.
     """
     config = config or SemConfig()
     ytilde = project(dataset.images, basis)

@@ -4,7 +4,7 @@ Subcommands: basis, simulate, fit, select, infer, metrics, validate,
 reproduce. Every option can come from a ``--config`` key-value file, with
 explicit flags taking precedence, and every run that writes artifacts also
 writes a ``.manifest`` recording the resolved options, seed, config hash,
-and library versions needed to re-run it bit-identically.
+library versions and BLAS thread environment of the run.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
@@ -20,7 +20,7 @@ import time
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, _blas
 from .basis import KernelParams, build_basis, select_h
 from .baselines import kmlr_fit
 from .bundles import load_basis, load_fit, load_truth, save_basis, save_fit, save_truth
@@ -81,6 +81,12 @@ def _write_manifest(primary_out, command, resolved):
         ("numpy_version", np.__version__),
         ("scipy_version", scipy.__version__),
         ("python_version", platform.python_version()),
+    ]
+    # the caller's pools: fits pin them to one thread and restore them on return
+    entries += [(f"openblas_threads_{package}", size)
+                for package, size in _blas.pool_sizes().items()]
+    entries += [
+        ("openblas_num_threads_env", os.environ.get("OPENBLAS_NUM_THREADS", "unset")),
         ("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S")),
     ]
     write_kv(str(primary_out) + ".manifest", entries)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
 from .linmodel import mvls_fit
@@ -115,6 +116,7 @@ def _svcm_predict(train_rows, test_rows, dataset, ytilde, lambda_floor=1e-10):
     return design_te[:, keep] @ fit1.coef + dataset.exposures[test_rows] @ fit2.coef
 
 
+@_blas.single_thread
 def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
                         mode: str, n_splits: int = 50, holdout_frac: float = 0.05,
                         seed: int = 0) -> ValidationResult:
@@ -132,6 +134,13 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
 
     A holdout individual whose subgroup is unseen in training falls back to
     the without-subgroup fit; occurrences are counted in the result.
+
+    Like `fit_sem`, the whole validation, projection included, runs with the
+    bundled OpenBLAS pools pinned to one thread, so the MSEs are bit-identical
+    whatever OPENBLAS_NUM_THREADS; the caller's pool sizes are restored on
+    return. The pools are process-wide: other threads' BLAS calls meanwhile
+    run single-threaded too. `build_basis`, `infer_maps` and a bare `project`
+    keep the caller's pool.
     """
     if mode not in ("within", "without", "shuffled"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
 from .linmodel import (LAMBDA_FLOOR, MNLOGIT_RIDGE, augment, gating_probs,
@@ -83,7 +84,10 @@ class SemConfig:
     seed : master seed; replicate streams are spawned deterministically.
     lambda_floor : lower bound for the noise variances.
     min_group : minimum group size for the M-step (default p+2).
-    threads : worker threads for replicates (results do not depend on it).
+    threads : worker threads for replicates (>= 1). `fit_sem` pins the
+        process-wide BLAS pools to one thread, so these threads are the fit's
+        only parallelism and results do not depend on them or on
+        OPENBLAS_NUM_THREADS.
     init_labels : optional explicit initial labels (1..K), e.g. for warm
         starts or equivariance experiments; replaces the random draw in
         every replicate.
@@ -99,6 +103,16 @@ class SemConfig:
     threads: int = 1
     ridge: float = MNLOGIT_RIDGE
     init_labels: np.ndarray = None
+
+    def __post_init__(self):
+        for name in ("restarts", "threads", "window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"SemConfig.{name} must be >= 1, got {getattr(self, name)}")
+        if self.window > self.max_iter:
+            raise ValueError(f"SemConfig.window must be <= max_iter={self.max_iter}, "
+                             f"got {self.window}")
+        if not self.tol > 0:
+            raise ValueError(f"SemConfig.tol must be > 0, got {self.tol}")
 
 
 @dataclass
@@ -271,6 +285,7 @@ def _run_replicate(ytilde, dataset, n_groups, config, seed_seq):
                      seed=config.seed, iterations=len(trace))
 
 
+@_blas.single_thread
 def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
             config: SemConfig = None) -> FitResult:
     """Fit the latent-subgroup model by stochastic EM with restarts.
@@ -290,7 +305,15 @@ def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
         The replicate with the highest final Q. Labels come from that
         replicate's final S-step draw; responsibilities from the E-step at
         the returned parameters. Reruns with the same seed and config are
-        bit-identical.
+        bit-identical, whatever `config.threads` and OPENBLAS_NUM_THREADS.
+
+    Notes
+    -----
+    The whole fit, projection included, runs with the bundled OpenBLAS pools
+    pinned to one thread; the caller's pool sizes are restored on return.
+    The pools are process-wide, so BLAS calls made by other threads during
+    the fit also run single-threaded. `build_basis`, `infer_maps` and a bare
+    `project` keep the caller's pool.
     """
     config = config or SemConfig()
     if n_groups < 1:

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from lasir import _blas
 from lasir.cli import main
 from lasir.io import read_kv
 
@@ -50,6 +53,12 @@ def test_simulate_writes_bundles_and_manifest(workdir):
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == "3"
     assert "config_hash" in manifest and "numpy_version" in manifest
+    sizes = _blas.pool_sizes()
+    assert sizes
+    for package, size in sizes.items():
+        assert manifest[f"openblas_threads_{package}"] == str(size)
+    assert manifest["openblas_num_threads_env"] == os.environ.get("OPENBLAS_NUM_THREADS",
+                                                                  "unset")
 
 
 def test_fit_writes_bundle(workdir):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import lasir
 from lasir import (Dataset, KernelParams, SemConfig, SimConfig, e_step, fit_sem,
                    m_step, nmi, q_value, s_step, simulate_cube, svcm_fit)
 from lasir.basis import BasisSystem
@@ -247,6 +253,51 @@ class TestQValue:
         q_old = q_value(ytilde, dataset, labels_new, params_old)
         q_new = q_value(ytilde, dataset, labels_new, params_new)
         assert q_new >= q_old - 1e-6 * abs(q_old)
+
+
+class TestSemConfig:
+    @pytest.mark.parametrize("field, kwargs", [
+        ("restarts", {"restarts": 0}),
+        ("threads", {"threads": 0}),
+        ("threads", {"threads": -2}),
+        ("window", {"window": 0}),
+        ("window", {"window": 6, "max_iter": 5}),
+        ("tol", {"tol": 0.0}),
+        ("tol", {"tol": -1e-4}),
+    ])
+    def test_bad_values_name_the_field(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"SemConfig.{field} "):
+            SemConfig(**kwargs)
+
+
+_BLAS_HASH_SCRIPT = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from lasir import SemConfig, SimConfig, fit_sem, simulate_cube, validate_projection
+    dataset, truth, lattice, basis = simulate_cube(
+        SimConfig(dims=(10, 10, 10), n=200, n_groups=2, sigma=1.0, seed=2))
+    fit = fit_sem(dataset, basis, 2, SemConfig(restarts=2, seed=21))
+    val = validate_projection(dataset, basis, fit, "within", n_splits=2, seed=1)
+    digest = hashlib.sha256()
+    for part in (fit.params.theta_alpha, fit.params.lam, fit.params.w,
+                 fit.responsibilities, fit.labels, fit.q_trace, val.mse):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    print(digest.hexdigest())
+""")
+
+
+def test_fit_and_validation_bit_identical_across_blas_pool_sizes():
+    # at 10^3 and n=200 a bare projection already differs between pool sizes
+    src = os.path.dirname(os.path.dirname(lasir.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_HASH_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestFitSem:

@@ -10,10 +10,10 @@ import numpy as np
 from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
-from .linmodel import mvls_fit
+from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
 from .projection import project
 from .sem import (DegenerateGroupError, FitResult, ModelParams, SemConfig,
-                  m_step, q_value)
+                  fit_sem, m_step, prepare, q_value)
 
 logger = logging.getLogger(__name__)
 
@@ -88,17 +88,16 @@ def kmlr_fit(dataset: Dataset, basis: BasisSystem, n_groups: int,
              config: SemConfig = None) -> FitResult:
     """K-means labels alternated with the shared M-step.
 
-    Site and control effects are removed from the projected outcomes (the
-    stage-1 regression does not depend on labels, so the residualized
-    outcomes are fixed), k-means clusters those residuals, and the label /
-    M-step alternation continues with nearest-centroid reassignment until
-    the labels are stable. Responsibilities are the hard 0/1 labels. Runs
-    with BLAS pinned to one thread, as `fit_sem` does.
+    k-means clusters the stage-1 residuals of the prepared problem (site and
+    control effects removed; stage 1 does not depend on labels, so they are
+    fixed), and the label / M-step alternation continues with
+    nearest-centroid reassignment until the labels are stable.
+    Responsibilities are the hard 0/1 labels. Runs with BLAS pinned to one
+    thread, as `fit_sem` does.
     """
     config = config or SemConfig()
-    ytilde = project(dataset.images, basis)
-    stage1 = np.hstack([dataset.sites, dataset.controls])
-    resid = ytilde - stage1 @ mvls_fit(stage1, ytilde, config.lambda_floor).coef
+    problem = prepare(project(dataset.images, basis), dataset)
+    resid = problem.resid
 
     labels = None
     for attempt in range(10):
@@ -115,11 +114,11 @@ def kmlr_fit(dataset: Dataset, basis: BasisSystem, n_groups: int,
     params = None
     for it in range(config.max_iter):
         try:
-            params = m_step(ytilde, dataset, labels, n_groups,
-                            config.lambda_floor, config.min_group, config.ridge)
+            params = m_step(problem, None, labels, n_groups, config.lambda_floor,
+                            config.min_group, config.ridge, None if params is None else params.w)
         except DegenerateGroupError as exc:
             raise RuntimeError(f"no viable fit: {exc}") from exc
-        trace.append(q_value(ytilde, dataset, labels, params))
+        trace.append(q_value(problem, None, labels, params))
         centroids = np.stack([resid[labels == k].mean(axis=0)
                               for k in range(1, n_groups + 1)])
         d2 = ((resid[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -137,7 +136,6 @@ def kmlr_fit(dataset: Dataset, basis: BasisSystem, n_groups: int,
 
 def svcm_fit(dataset: Dataset, basis: BasisSystem,
              lambda_floor: float = 1e-10) -> ModelParams:
-    """No-subgroup fit: one M-step with every individual in a single group."""
-    ytilde = project(dataset.images, basis)
-    labels = np.ones(dataset.n, dtype=int)
-    return m_step(ytilde, dataset, labels, 1, lambda_floor)
+    """No-subgroup fit: the K=1 reduction of `fit_sem`, one M-step with
+    every individual in a single group."""
+    return fit_sem(dataset, basis, 1, SemConfig(lambda_floor=lambda_floor)).params

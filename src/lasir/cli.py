@@ -93,8 +93,9 @@ def _write_manifest(primary_out, command, resolved):
 
 
 def _sem_config(res):
-    return SemConfig(max_iter=res["max_iter"], tol=res["tol"],
-                     restarts=res["restarts"], seed=res["seed"],
+    # the convergence window has no option; a short --max-iter shortens it
+    return SemConfig(max_iter=res["max_iter"], window=min(SemConfig.window, res["max_iter"]),
+                     tol=res["tol"], restarts=res["restarts"], seed=res["seed"],
                      lambda_floor=res["lambda_floor"], threads=res["threads"])
 
 

@@ -70,14 +70,32 @@ def coef_covariance(fit: FitResult, dataset: Dataset) -> CoefCovariance:
     return CoefCovariance(gram_inv=gram_inv, lam=fit.params.lam.copy())
 
 
+FIELD_BLOCK = 1 << 20  # basis entries squared at a time by `_variance_field`
+
+
+def _variance_field(basis: BasisSystem, lam: np.ndarray) -> np.ndarray:
+    """sum_l lam_l psi_l(v)^2 for every voxel (d,), in row blocks of about
+    `FIELD_BLOCK` basis entries so that no d x L temporary is allocated.
+
+    Blocks are whole multiples of 64 rows, so a one-thread BLAS groups the
+    rows as in the unblocked product and the field matches it bit for bit.
+    """
+    psi = basis.psi
+    rows = max(64, FIELD_BLOCK // psi.shape[1] // 64 * 64)
+    field = np.empty(psi.shape[0])
+    for start in range(0, psi.shape[0], rows):
+        block = psi[start:start + rows]
+        field[start:start + rows] = (block * block) @ lam
+    return field
+
+
 def svc_variance(cov: CoefCovariance, basis: BasisSystem, group: int,
                  exposure: int) -> np.ndarray:
     """Voxelwise variance of the (group, exposure) coefficient map (d,).
 
     Invariant to basis column sign flips since only psi^2 enters.
     """
-    g_jj = cov.gram_inv[group - 1, exposure, exposure]
-    return g_jj * ((basis.psi ** 2) @ cov.lam)
+    return cov.gram_inv[group - 1, exposure, exposure] * _variance_field(basis, cov.lam)
 
 
 def wald_map(fit: FitResult, dataset: Dataset, basis: BasisSystem,
@@ -85,8 +103,12 @@ def wald_map(fit: FitResult, dataset: Dataset, basis: BasisSystem,
     """Effect, standard error, Wald statistic, and two-sided p-value maps."""
     if cov is None:
         cov = coef_covariance(fit, dataset)
+    return _wald(fit, basis, group, exposure, svc_variance(cov, basis, group, exposure))
+
+
+def _wald(fit, basis, group, exposure, variance) -> InferenceMap:
     effect = backproject(fit.params.theta_alpha[group - 1, exposure], basis)[0]
-    se = np.sqrt(svc_variance(cov, basis, group, exposure))
+    se = np.sqrt(variance)
     wald = np.abs(effect) / se
     pval = 2.0 * norm.sf(wald)
     return InferenceMap(group=group, exposure=exposure, effect=effect,
@@ -120,14 +142,17 @@ def infer_maps(fit: FitResult, dataset: Dataset, basis: BasisSystem,
                alpha: float = 0.05):
     """All (group, exposure) inference maps with BH decisions at `alpha`.
 
-    Each (group, exposure) p-value image is corrected on its own. Returns a
-    list of InferenceMap ordered by group then exposure.
+    Each (group, exposure) p-value image is corrected on its own. The voxel
+    variance field sum_l lam_l psi_l^2 is computed once and scaled by each
+    pair's [(X_k^T X_k)^-1]_jj. Returns a list of InferenceMap ordered by
+    group then exposure.
     """
     cov = coef_covariance(fit, dataset)
+    field = _variance_field(basis, cov.lam)
     maps = []
     for k in range(1, fit.params.n_groups + 1):
         for j in range(dataset.exposures.shape[1]):
-            m = wald_map(fit, dataset, basis, k, j, cov)
+            m = _wald(fit, basis, k, j, cov.gram_inv[k - 1, j, j] * field)
             m.reject = fdr_bh(m.pval, alpha)
             maps.append(m)
     return maps

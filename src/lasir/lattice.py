@@ -21,6 +21,7 @@ prefixed ``z_``.
 
 from __future__ import annotations
 
+import csv
 import os
 from dataclasses import dataclass, field
 
@@ -267,21 +268,26 @@ def load_volume_map(base, lattice: VoxelLattice = None):
 
 
 def save_dataset(dataset: Dataset, lattice: VoxelLattice, volume_base, covariate_path) -> None:
-    """Write a Dataset as a volume bundle plus a covariate table."""
+    """Write a Dataset as a volume bundle plus a CSV covariate table; ids and
+    site codes that contain commas or quotes are quoted."""
     save_volume_map(dataset.images, lattice, volume_base)
     x_names = dataset.exposure_names or [f"x_{j}" for j in range(1, dataset.p + 1)]
     z_names = dataset.control_names or [f"z_{r}" for r in range(1, dataset.q + 1)]
     site_col = np.asarray(dataset.site_codes)[np.argmax(dataset.sites, axis=1)]
-    with open(covariate_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["id", "site"] + list(x_names) + list(z_names)) + "\n")
+    with open(covariate_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "site"] + list(x_names) + list(z_names))
         for i in range(dataset.n):
             vals = [f"{v:.17g}" for v in dataset.exposures[i, 1:]]
             vals += [f"{v:.17g}" for v in dataset.controls[i]]
-            fh.write(",".join([str(dataset.ids[i]), str(site_col[i])] + vals) + "\n")
+            writer.writerow([str(dataset.ids[i]), str(site_col[i])] + vals)
 
 
 def load_dataset(volume_base, covariate_path, lattice: VoxelLattice) -> Dataset:
     """Load a Dataset from a volume bundle and a covariate table.
+
+    The table is read as CSV (the `csv` module's default dialect), so a
+    quoted field may contain commas.
 
     Site one-hot columns are ordered by sorted distinct site code. Raises
     ValueError naming the offending record on dimension mismatches,
@@ -293,17 +299,17 @@ def load_dataset(volume_base, covariate_path, lattice: VoxelLattice) -> Dataset:
         i = int(np.argwhere(bad.any(axis=1))[0, 0])
         raise ValueError(f"non-finite image value for individual index {i}")
 
-    with open(covariate_path, "r", encoding="utf-8") as fh:
-        rows = [line.rstrip("\n") for line in fh if line.strip()]
+    with open(covariate_path, "r", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError(f"{covariate_path}: empty covariate table")
-    names = [c.strip() for c in rows[0].split(",")]
+    names = [c.strip() for c in rows[0]]
     for required in ("id", "site"):
         if required not in names:
             raise ValueError(f"{covariate_path}: missing required column {required!r}")
     x_names = [c for c in names if c.startswith("x_")]
     z_names = [c for c in names if c.startswith("z_")]
-    records = [r.split(",") for r in rows[1:]]
+    records = rows[1:]
     if len(records) != images.shape[0]:
         raise ValueError(f"row count mismatch: covariate table has {len(records)} rows, "
                          f"volume has {images.shape[0]} individuals")

@@ -1,12 +1,12 @@
 """Regression primitives used by the EM engine and the baselines.
 
-Two fitting routines cover every M-step sub-problem:
-
 * `mvls_fit` -- multivariate least squares with a shared design and many
   target columns, plus per-column residual variances (a diagonal Gaussian
-  model).
+  model); the label-free stage 1 of the M-step.
+* `check_design` -- the size and rank test that `mvls_fit` and the M-step's
+  per-group stage 2 apply to a design before solving.
 * `mnlogit_fit` -- maximum-likelihood multinomial logit with the last class
-  pinned to zero weights for identification.
+  pinned to zero weights for identification; the gating fit.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 LAMBDA_FLOOR = 1e-10
 RANK_TOL = 1e-10
@@ -24,10 +23,12 @@ MNLOGIT_RIDGE = 1e-6
 
 @dataclass
 class DiagGaussianFit:
-    """Least-squares coefficients (c, L) and per-column noise variances (L,)."""
+    """Least-squares coefficients (c, L), per-column noise variances (L,)
+    and the residuals (n, L) they were computed from."""
 
     coef: np.ndarray
     lam: np.ndarray
+    resid: np.ndarray
 
 
 def mvls_fit(design: np.ndarray, targets: np.ndarray,
@@ -47,17 +48,23 @@ def mvls_fit(design: np.ndarray, targets: np.ndarray,
     """
     design = np.atleast_2d(np.asarray(design, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    check_design(design)
+    Q, R = np.linalg.qr(design)
+    coef = solve_triangular(R, Q.T @ targets, lower=False)
+    resid = targets - design @ coef
+    lam = np.maximum(np.mean(resid ** 2, axis=0), lambda_floor)
+    return DiagGaussianFit(coef=coef, lam=lam, resid=resid)
+
+
+def check_design(design: np.ndarray) -> None:
+    """Raise ValueError unless the design (n, c) has n >= c and full column
+    rank (relative smallest singular value above `RANK_TOL`)."""
     n, c = design.shape
     if n < c:
         raise ValueError(f"under-determined least squares: n={n} < c={c}")
     s = np.linalg.svd(design, compute_uv=False)
     if s[-1] <= RANK_TOL * s[0]:
         raise ValueError(f"rank-deficient design: smallest singular value {s[-1]:.3e}")
-    Q, R = np.linalg.qr(design)
-    coef = solve_triangular(R, Q.T @ targets, lower=False)
-    resid = targets - design @ coef
-    lam = np.maximum(np.mean(resid ** 2, axis=0), lambda_floor)
-    return DiagGaussianFit(coef=coef, lam=lam)
 
 
 def augment(z: np.ndarray) -> np.ndarray:
@@ -90,55 +97,70 @@ def gating_probs(w: np.ndarray, z_aug: np.ndarray) -> np.ndarray:
     return probs[0] if single else probs
 
 
-def _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol):
+def _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol, init=None):
     """Newton iterations on the (K-1)(q+1) free weights of the penalized
-    multinomial-logit likelihood. Returns (w, objective trace)."""
+    multinomial-logit likelihood, from `init` (K-1, q+1) or zero. Returns
+    (w, objective trace).
+
+    A step is accepted when it does not lower the objective, judged by the
+    change itself rather than by two rounded totals: each row's
+    log-sum-exp moves by log(sum_k p_k exp(f . s_k)) = log1p(sum_k p_k
+    expm1(f . s_k)), which keeps its relative precision for steps far below
+    the objective's rounding level, so the iteration reaches `tol`.
+    """
     n, m = features.shape
     free = n_classes - 1
-    W = np.zeros((free, m))
+    W = np.zeros((free, m)) if init is None else np.array(init, dtype=np.float64)
+    # sum_i logit_{i, label_i} = sum(W * class_sums): the likelihood's linear part
+    class_sums = onehot[:, :free].T @ features
+    outer = (features[:, :, None] * features[:, None, :]).reshape(n, m * m)
+    eye = np.eye(free)
+    logits = np.zeros((n, n_classes))  # the reference class keeps logit 0
 
-    def objective(Wf):
-        logits = np.hstack([features @ Wf.T, np.zeros((n, 1))])
-        lse = logsumexp(logits, axis=1)
-        ll = logits[np.arange(n), labels0] - lse
-        return ll.sum() - 0.5 * ridge * np.sum(Wf ** 2)
+    def probabilities(Wf):
+        """Class probabilities (n, K) at Wf and the rows' max logits and
+        exponential sums, whose logs add up to the rows' log-sum-exp."""
+        logits[:, :free] = features @ Wf.T
+        top = logits.max(axis=1, keepdims=True)
+        P = np.exp(logits - top)
+        total = P.sum(axis=1, keepdims=True)
+        P /= total
+        return P, top, total
 
-    labels0 = onehot.argmax(axis=1)
-    trace = [objective(W)]
+    def gain(Pf, grad_lin, step):
+        """Objective change of W + step, given the probabilities Pf at W."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            lse = np.sum(np.log1p(np.sum(Pf * np.expm1(features @ step.T), axis=1)))
+        return np.sum(step * (grad_lin - 0.5 * ridge * step)) - lse
+
+    P, top, total = probabilities(W)
+    lse = np.sum(top) + np.sum(np.log(total))
+    trace = [np.sum(W * class_sums) - lse - 0.5 * ridge * np.sum(W * W)]
     for _ in range(max_iter):
-        logits = np.hstack([features @ W.T, np.zeros((n, 1))])
-        logits -= logits.max(axis=1, keepdims=True)
-        P = np.exp(logits)
-        P /= P.sum(axis=1, keepdims=True)
-        resid = onehot[:, :free] - P[:, :free]
-        grad = (resid.T @ features).ravel() - ridge * W.ravel()
+        Pf = P[:, :free]
+        grad_lin = class_sums - ridge * W
+        grad = grad_lin - Pf.T @ features
         if not np.all(np.isfinite(grad)):
             raise ValueError("separation or bad scaling")
         if np.max(np.abs(grad)) < tol:
             break
-        # Negative Hessian blocks: sum_i p_ik (delta_kc - p_ic) f_i f_i^T.
-        H = np.zeros((free * m, free * m))
-        for k in range(free):
-            for c in range(k, free):
-                wts = P[:, k] * ((1.0 if k == c else 0.0) - P[:, c])
-                block = (features * wts[:, None]).T @ features
-                H[k * m:(k + 1) * m, c * m:(c + 1) * m] = block
-                if c != k:
-                    H[c * m:(c + 1) * m, k * m:(k + 1) * m] = block
-        H[np.diag_indices_from(H)] += ridge
-        step = np.linalg.solve(H, grad).reshape(free, m)
-        scale = 1.0
-        current = trace[-1]
-        for _ in range(30):
-            cand = W + scale * step
-            val = objective(cand)
-            if np.isfinite(val) and val >= current:
+        # Negative Hessian block (k, c): sum_i p_ik (delta_kc - p_ic) f_i f_i^T,
+        # all blocks from one product with the per-individual outer products.
+        wts = (Pf[:, :, None] * (eye - Pf[:, None, :])).reshape(n, free * free)
+        H = (wts.T @ outer).reshape(free, free, m, m).transpose(0, 2, 1, 3)
+        H = H.reshape(free * m, free * m)
+        H.flat[::free * m + 1] += ridge
+        step = np.linalg.solve(H, grad.ravel()).reshape(free, m)
+        for _ in range(30):  # step halving until the objective does not fall
+            change = gain(Pf, grad_lin, step)
+            if np.isfinite(change) and change >= 0.0:
                 break
-            scale *= 0.5
+            step = 0.5 * step
         else:
             break
-        W = cand
-        trace.append(val)
+        W = W + step
+        P = probabilities(W)[0]
+        trace.append(trace[-1] + change)
     if not np.isfinite(trace[-1]):
         raise ValueError("separation or bad scaling")
     return W, trace
@@ -146,7 +168,7 @@ def _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol):
 
 def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
                 ridge: float = MNLOGIT_RIDGE, max_iter: int = 50,
-                tol: float = 1e-8) -> np.ndarray:
+                tol: float = 1e-8, init: np.ndarray = None) -> np.ndarray:
     """Fit gating weights by penalized maximum likelihood.
 
     Parameters
@@ -160,6 +182,10 @@ def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     ridge : float
         L2 penalty added to the objective and the Hessian diagonal; keeps
         the optimum finite under separation.
+    init : ndarray, shape (K, q+1), optional
+        Starting weights, e.g. the previous EM iteration's (warm start); the
+        default starts from zero. The optimum reached is the same to within
+        `tol` on the gradient.
 
     Returns
     -------
@@ -180,5 +206,6 @@ def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
         return np.zeros((1, m))
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels - 1] = 1.0
-    W, _ = _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol)
+    start = None if init is None else np.asarray(init, dtype=np.float64)[:-1]
+    W, _ = _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol, start)
     return np.vstack([W, np.zeros((1, m))])

@@ -12,9 +12,9 @@ from scipy.optimize import linear_sum_assignment
 from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
-from .linmodel import mvls_fit
-from .projection import backproject, project
-from .sem import FitResult
+from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
+from .projection import project
+from .sem import FitResult, prepare, stage2
 
 logger = logging.getLogger(__name__)
 
@@ -103,17 +103,22 @@ class ValidationResult:
     unseen_fallbacks: int = 0
 
 
-def _svcm_predict(train_rows, test_rows, dataset, ytilde, lambda_floor=1e-10):
+def _holdout_mse(sq_norms, ytilde, pred, d) -> float:
+    """Mean squared voxel error of predicted coefficient rows `pred` (m, L)
+    for images with squared norms `sq_norms` (m,) and projections `ytilde`
+    (m, L), by Parseval (orthonormal basis, `d` voxels)."""
+    sq_err = np.sum(sq_norms) - 2.0 * np.sum(ytilde * pred) + np.sum(pred * pred)
+    return float(sq_err / (pred.shape[0] * d))
+
+
+def _predict(train_rows, test_rows, dataset, ytilde):
     """Fit the no-subgroup model on `train_rows` and predict coefficient-space
     outcomes for `test_rows`. Site columns absent from the training rows are
     dropped from the fit and contribute zero to predictions."""
-    design_tr = np.hstack([dataset.sites[train_rows], dataset.controls[train_rows]])
-    keep = design_tr.any(axis=0)
-    fit1 = mvls_fit(design_tr[:, keep], ytilde[train_rows], lambda_floor)
-    resid = ytilde[train_rows] - design_tr[:, keep] @ fit1.coef
-    fit2 = mvls_fit(dataset.exposures[train_rows], resid, lambda_floor)
-    design_te = np.hstack([dataset.sites[test_rows], dataset.controls[test_rows]])
-    return design_te[:, keep] @ fit1.coef + dataset.exposures[test_rows] @ fit2.coef
+    problem = prepare(ytilde, dataset, train_rows)
+    theta, _ = stage2(problem, np.ones(problem.n, dtype=int), 1, dataset.exposures.shape[1] + 1)
+    design = np.hstack([dataset.sites[test_rows][:, problem.site_cols], dataset.controls[test_rows]])
+    return design @ problem.coef + dataset.exposures[test_rows] @ theta[0]
 
 
 @_blas.single_thread
@@ -124,7 +129,16 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
 
     Each split holds out ~`holdout_frac` of the individuals within every
     fitted subgroup and reports the voxel-space mean squared prediction
-    error over the holdout.
+    error over the holdout. The error is taken in coefficient space by
+    Parseval: for an image y_i with projection ytilde_i = Psi^T y_i and a
+    predicted coefficient row theta_i,
+
+        ||y_i - Psi theta_i||^2 = ||y_i||^2 - 2 ytilde_i . theta_i + ||theta_i||^2,
+
+    which relies on the basis being orthonormal (Psi^T Psi = I); the image
+    norms are computed once and no prediction is back-projected. Each
+    prediction is the no-subgroup fit -- the shared stage 1 and a
+    single-group stage 2 -- on the training rows.
 
     mode "within"   : one no-subgroup fit per fitted subgroup on its training
                       members; holdouts are predicted by their subgroup's fit.
@@ -146,6 +160,7 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ytilde = project(dataset.images, basis)
+    sq_norms = np.square(dataset.images, dtype=np.float64).sum(axis=1)
     labels = np.asarray(fit.labels, dtype=int)
     groups = np.unique(labels)
     mses = np.empty(n_splits)
@@ -158,7 +173,7 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
             holdout[rng.permutation(members)[:n_hold]] = True
         train = ~holdout
         if mode == "without":
-            pred = _svcm_predict(train, holdout, dataset, ytilde)
+            pred = _predict(train, holdout, dataset, ytilde)
         else:
             fit_labels = labels.copy()
             if mode == "shuffled":
@@ -176,13 +191,12 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
                 rows = [pos[i] for i in np.nonzero(test_g)[0]]
                 if train_g.sum() < dataset.exposures.shape[1] + 1:
                     if without_pred is None:
-                        without_pred = _svcm_predict(train, holdout, dataset, ytilde)
+                        without_pred = _predict(train, holdout, dataset, ytilde)
                     pred[rows] = without_pred[rows]
                     fallbacks += int(test_g.sum())
                     continue
-                pred[rows] = _svcm_predict(train_g, test_g, dataset, ytilde)
-        resid = dataset.images[holdout].astype(np.float64) - backproject(pred, basis)
-        mses[rep] = float(np.mean(resid ** 2))
+                pred[rows] = _predict(train_g, test_g, dataset, ytilde)
+        mses[rep] = _holdout_mse(sq_norms[holdout], ytilde[holdout], pred, basis.d)
     if fallbacks:
         logger.info("validate_projection mode=%s: %d holdout individuals fell "
                     "back to the without-subgroup fit", mode, fallbacks)

@@ -6,9 +6,11 @@ import logging
 import math
 from dataclasses import dataclass, replace
 
+from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
-from .sem import SemConfig, fit_sem
+from .projection import project
+from .sem import SemConfig, fit_problem, prepare
 
 logger = logging.getLogger(__name__)
 
@@ -43,14 +45,17 @@ def _choose(records):
     return best
 
 
+@_blas.single_thread
 def select_k(dataset: Dataset, basis: BasisSystem, k_candidates,
              config: SemConfig = None):
     """Fit every candidate group count and pick the BIC minimizer.
 
-    Each candidate runs `fit_sem` with its own deterministic seed derived
-    from the config seed, and BIC(K) = M log(nL) - 2Q uses the winning
-    replicate's final Q. Candidates whose replicates all fail are excluded
-    with a warning; ties break toward smaller K.
+    The images are projected and stage 1 solved once; each candidate then
+    runs the `fit_sem` loop on that prepared problem with its own
+    deterministic seed derived from the config seed, and BIC(K) =
+    M log(nL) - 2Q uses the winning replicate's final Q. Candidates whose
+    replicates all fail are excluded with a warning; ties break toward
+    smaller K. BLAS is pinned to one thread, as in `fit_sem`.
 
     Returns
     -------
@@ -60,11 +65,12 @@ def select_k(dataset: Dataset, basis: BasisSystem, k_candidates,
     k_candidates = list(k_candidates)
     if not k_candidates:
         raise ValueError("no candidate group counts")
+    problem = prepare(project(dataset.images, basis), dataset)
     records, fits = [], {}
     for K in k_candidates:
         cand_config = replace(config, seed=config.seed * 1000 + K)
         try:
-            fit = fit_sem(dataset, basis, K, cand_config)
+            fit = fit_problem(problem, K, cand_config)
         except RuntimeError as exc:
             logger.warning("candidate K=%d excluded: %s", K, exc)
             continue

@@ -158,3 +158,14 @@ def test_fit_deterministic_across_runs(workdir, tmp_path):
     d1 = (out1.parent / (out1.name + ".dat")).read_bytes()
     d2 = (out2.parent / (out2.name + ".dat")).read_bytes()
     assert d1 == d2
+
+
+@pytest.mark.parametrize("command", ["fit", "select"])
+def test_short_max_iter_runs(workdir, tmp_path, command):
+    # the convergence window (5 by default) shrinks to a --max-iter below it
+    extra = ["--k", "2"] if command == "fit" else ["--k-min", "1", "--k-max", "2"]
+    out = tmp_path / command
+    assert main([command] + _data_flags(workdir) + extra
+                + ["--max-iter", "3", "--restarts", "2", "--seed", "4", "--threads", "1",
+                   "--out", str(out)]) == 0
+    assert read_kv(str(out) + ".manifest")["max_iter"] == "3"

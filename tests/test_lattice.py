@@ -116,6 +116,37 @@ class TestDatasetIO:
         assert np.array_equal(ds2.controls, ds.controls)
         assert np.array_equal(ds2.sites, ds.sites)
 
+    def test_round_trip_quoted_site_code_with_comma(self, tmp_path):
+        lat = build_lattice((2, 2, 1))
+        ds = _toy_dataset(lattice=lat)
+        ds = Dataset(images=ds.images, exposures=ds.exposures, controls=ds.controls,
+                     sites=ds.sites, ids=np.array([f"subj {i}, visit 1" for i in range(ds.n)]),
+                     site_codes=np.array(["Boston, MA", "Paris", 'Rome "RM"']))
+        save_dataset(ds, lat, tmp_path / "img", tmp_path / "cov.csv")
+        assert '"Boston, MA"' in (tmp_path / "cov.csv").read_text()
+        ds2 = load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+        assert list(ds2.site_codes) == list(ds.site_codes)
+        assert list(ds2.ids) == list(ds.ids)
+        assert np.array_equal(ds2.sites, ds.sites)
+        assert np.array_equal(ds2.exposures, ds.exposures)
+        assert np.array_equal(ds2.controls, ds.controls)
+
+    def test_unquoted_comma_is_a_field_count_error(self, tmp_path):
+        lat = build_lattice((2, 2, 1))
+        save_volume_map(np.zeros((2, lat.d), dtype=np.float32), lat, tmp_path / "img")
+        with open(tmp_path / "cov.csv", "w") as fh:
+            fh.write('id,site,x_1\na,"North, 1",0.5\nb,North, 1,0.5\n')
+        with pytest.raises(ValueError, match="row 2 has 4 fields, expected 3"):
+            load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+
+    def test_unparseable_value_names_record(self, tmp_path):
+        lat = build_lattice((2, 2, 1))
+        save_volume_map(np.zeros((2, lat.d), dtype=np.float32), lat, tmp_path / "img")
+        with open(tmp_path / "cov.csv", "w") as fh:
+            fh.write('id,site,x_1\na,"S, 1",0.5\nb,"S, 1",high\n')
+        with pytest.raises(ValueError, match="unparseable value in record id='b'"):
+            load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+
     def test_row_count_mismatch(self, tmp_path):
         lat = build_lattice((3, 3, 3))
         ds = _toy_dataset(lattice=lat)

@@ -1,8 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lasir import (SemConfig, SimConfig, fit_sem, match_groups, mse_svc, nmi,
-                   power_type1, simulate_cube, validate_projection)
+from lasir import (KernelParams, SemConfig, SimConfig, backproject, build_basis,
+                   build_lattice, fit_sem, match_groups, mse_svc, nmi, power_type1, project,
+                   simulate_cube, validate_projection)
+from lasir.metrics import _holdout_mse
 
 
 class TestNmi:
@@ -129,3 +135,28 @@ class TestValidateProjection:
         dataset, basis, fit = fitted
         with pytest.raises(ValueError, match="unknown mode"):
             validate_projection(dataset, basis, fit, "nope")
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(masked):
+    dims = (8, 7, 6)
+    mask = "full"
+    if masked:  # an ellipsoid, as brain masks are
+        grid = np.stack(np.meshgrid(*[np.linspace(-1.2, 1.2, n) for n in dims], indexing="ij"))
+        mask = (grid ** 2).sum(axis=0) <= 1.0
+    return build_basis(build_lattice(dims, mask), KernelParams(0.01, 2.0), 3)
+
+
+class TestParsevalMse:
+    @given(seed=st.integers(0, 2**32 - 1), masked=st.booleans(), m=st.integers(1, 12),
+           noise=st.sampled_from([0.1, 1.0, 10.0]), miss=st.sampled_from([0.0, 0.3, 3.0]))
+    def test_matches_backprojected_mse(self, seed, masked, m, noise, miss):
+        basis = _basis(masked)
+        rng = np.random.default_rng(seed)
+        signal = rng.standard_normal((m, basis.L)) @ basis.psi.T
+        images = (signal + noise * rng.standard_normal((m, basis.d))).astype(np.float32)
+        ytilde = project(images, basis)
+        pred = ytilde + miss * rng.standard_normal(ytilde.shape)
+        sq_norms = np.square(images, dtype=np.float64).sum(axis=1)
+        direct = np.mean((images.astype(np.float64) - backproject(pred, basis)) ** 2)
+        assert _holdout_mse(sq_norms, ytilde, pred, basis.d) == pytest.approx(direct, rel=1e-10)

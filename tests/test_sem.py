@@ -5,13 +5,16 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lasir
-from lasir import (Dataset, KernelParams, SemConfig, SimConfig, e_step, fit_sem,
-                   m_step, nmi, q_value, s_step, simulate_cube, svcm_fit)
+from lasir import (Dataset, KernelParams, SemConfig, SimConfig, augment, e_step, fit_sem,
+                   gating_probs, m_step, nmi, q_value, s_step, simulate_cube, svcm_fit)
 from lasir.basis import BasisSystem
+from lasir.linmodel import LAMBDA_FLOOR, MNLOGIT_RIDGE, _mnlogit_newton, mnlogit_fit
 from lasir.projection import project
-from lasir.sem import ModelParams
+from lasir.sem import ModelParams, _log_density, prepare, stage2
 
 
 def _identity_basis(d):
@@ -352,3 +355,118 @@ class TestFitSem:
         fit = fit_sem(dataset, basis, 2, SemConfig(restarts=2, seed=3, lambda_floor=1e-8))
         assert np.all(fit.params.lam >= 1e-8)
         assert np.allclose(fit.responsibilities.sum(axis=1), 1.0, atol=1e-12)
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _grouped_problem(seed, n_groups, p, q, n_sites, L, extra):
+    """Random outcomes, design and labels with every group big enough for
+    stage 2 (p + 2 + extra members)."""
+    rng = np.random.default_rng(seed)
+    size = p + 2 + extra
+    n = n_groups * size + n_sites
+    dataset = _plain_dataset(n, L, rng, n_sites=n_sites, q=q, p=p)
+    site_idx = rng.permutation(np.arange(n) % n_sites)  # no empty site column
+    dataset.sites[:] = np.eye(n_sites)[site_idx]
+    labels = rng.permutation(np.concatenate([np.repeat(np.arange(1, n_groups + 1), size),
+                                             rng.integers(1, n_groups + 1, size=n_sites)]))
+    ytilde = rng.standard_normal((n, L)) * rng.uniform(0.1, 10.0)
+    return ytilde, dataset, labels
+
+
+shapes = dict(seed=seeds, n_groups=st.integers(1, 4), p=st.integers(0, 2), q=st.integers(0, 2),
+              n_sites=st.integers(1, 3), L=st.integers(1, 8), extra=st.integers(0, 6))
+
+
+class TestPreparedProblemKernels:
+    @given(**shapes)
+    def test_stage2_matches_per_group_lstsq(self, seed, n_groups, p, q, n_sites, L, extra):
+        ytilde, dataset, labels = _grouped_problem(seed, n_groups, p, q, n_sites, L, extra)
+        problem = prepare(ytilde, dataset)
+        theta, rss = stage2(problem, labels, n_groups, p + 2)
+        X, resid = dataset.exposures, problem.resid.copy()
+        for k in range(1, n_groups + 1):
+            rows = labels == k
+            coef = np.linalg.lstsq(X[rows], problem.resid[rows], rcond=None)[0]
+            # normal equations lose up to cond(X_k)^2 digits against lstsq
+            tol = 1e-13 * np.linalg.cond(X[rows]) ** 2 * (1.0 + np.abs(coef).max())
+            assert np.abs(theta[k - 1] - coef).max() <= tol
+            resid[rows] -= X[rows] @ coef
+        assert np.allclose(rss, (resid ** 2).sum(axis=0), rtol=1e-9, atol=0.0)
+
+    @given(seed=seeds, n_groups=st.integers(1, 4), p=st.integers(0, 2), L=st.integers(1, 8),
+           lam_scale=st.sampled_from([LAMBDA_FLOOR, 1e-3, 1.0, 1e3]))
+    def test_expanded_log_density_matches_direct_sum(self, seed, n_groups, p, L, lam_scale):
+        rng = np.random.default_rng(seed)
+        n = 12
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, p))])
+        theta = rng.standard_normal((n_groups, p + 1, L))
+        # residuals close to group 1's mean: the expansion's terms cancel most there
+        resid = X @ theta[0] + np.sqrt(lam_scale) * rng.standard_normal((n, L))
+        lam = lam_scale * rng.uniform(1.0, 2.0, size=L)
+        params = ModelParams(theta_alpha=theta, theta_eta=np.zeros((0, L)),
+                             theta_gamma=np.zeros((0, L)), lam=lam, w=np.zeros((n_groups, 1)))
+        got = _log_density(resid, resid * resid, X, params)
+        const = -0.5 * np.sum(np.log(2.0 * np.pi * lam))
+        for k in range(n_groups):
+            direct = const - 0.5 * (((resid - X @ theta[k]) ** 2) / lam).sum(axis=1)
+            # the rounding of the expanded terms, sum (R^2 + (X theta_k)^2) / lam
+            scale = ((resid ** 2 + (X @ theta[k]) ** 2) / lam).sum(axis=1) + abs(const)
+            assert np.all(np.abs(got[:, k] - direct) <= 1e-13 * scale)
+
+    @given(**shapes)
+    def test_e_step_on_problem_matches_projected_outcomes(self, seed, n_groups, p, q, n_sites,
+                                                          L, extra):
+        ytilde, dataset, labels = _grouped_problem(seed, n_groups, p, q, n_sites, L, extra)
+        problem = prepare(ytilde, dataset)
+        params = m_step(problem, None, labels, n_groups)
+        assert np.allclose(e_step(problem, None, params), e_step(ytilde, dataset, params),
+                           rtol=0.0, atol=1e-10)
+
+    @given(**shapes)
+    def test_q_from_rss_matches_direct_residuals(self, seed, n_groups, p, q, n_sites, L, extra):
+        ytilde, dataset, labels = _grouped_problem(seed, n_groups, p, q, n_sites, L, extra)
+        problem = prepare(ytilde, dataset)
+        params = m_step(problem, None, labels, n_groups)
+        mean = dataset.controls @ params.theta_eta + dataset.sites @ params.theta_gamma
+        mean += np.einsum("ij,ijl->il", dataset.exposures, params.theta_alpha[labels - 1])
+        n = ytilde.shape[0]
+        gauss = -0.5 * (n * np.sum(np.log(2.0 * np.pi * params.lam))
+                        + ((ytilde - mean) ** 2 / params.lam).sum())
+        probs = gating_probs(params.w, augment(dataset.controls))
+        gate = np.log(probs[np.arange(n), labels - 1]).sum()
+        direct = gauss + gate
+        assert q_value(problem, None, labels, params) == pytest.approx(direct, rel=1e-10)
+        assert q_value(ytilde, dataset, labels, params) == pytest.approx(direct, rel=1e-10)
+
+    @given(seed=seeds, n_classes=st.integers(2, 4), q=st.integers(0, 2), n=st.integers(20, 300))
+    def test_warm_and_cold_gating_fits_reach_the_same_optimum(self, seed, n_classes, q, n):
+        rng = np.random.default_rng(seed)
+        features = augment(rng.standard_normal((n, q)) * rng.uniform(0.2, 3.0))
+        w_true = np.vstack([rng.standard_normal((n_classes - 1, q + 1)), np.zeros(q + 1)])
+        cdf = gating_probs(w_true, features).cumsum(axis=1)
+        labels = np.minimum(1 + (rng.random(n)[:, None] > cdf).sum(axis=1), n_classes)
+        onehot = np.eye(n_classes)[labels - 1]
+        # warm start from the optimum of a perturbed labelling, as in the EM loop
+        moved = labels.copy()
+        flip = rng.random(n) < 0.2
+        moved[flip] = rng.integers(1, n_classes + 1, size=int(flip.sum()))
+        init = mnlogit_fit(features, moved, n_classes)
+        fits = [_mnlogit_newton(features, onehot, n_classes, MNLOGIT_RIDGE, 50, 1e-8),
+                _mnlogit_newton(features, onehot, n_classes, MNLOGIT_RIDGE, 50, 1e-8,
+                                init=init[:-1])]
+        objectives = []
+        for W, trace in fits:
+            w = np.vstack([W, np.zeros(q + 1)])
+            probs = gating_probs(w, features)
+            grad = (onehot - probs)[:, :-1].T @ features - MNLOGIT_RIDGE * W
+            assert np.abs(grad).max() <= 1e-8
+            assert all(b >= a for a, b in zip(trace, trace[1:]))
+            objectives.append(np.log(probs[np.arange(n), labels - 1]).sum()
+                              - 0.5 * MNLOGIT_RIDGE * np.sum(W ** 2))
+            # the trace accumulates the accepted steps' gains from the start value
+            assert trace[-1] == pytest.approx(objectives[-1], rel=1e-9, abs=1e-9)
+        assert objectives[1] == pytest.approx(objectives[0], rel=1e-12, abs=1e-12)
+        assert np.array_equal(mnlogit_fit(features, labels, n_classes, init=init),
+                              np.vstack([fits[1][0], np.zeros(q + 1)]))

@@ -115,7 +115,7 @@ def kmlr_fit(dataset: Dataset, basis: BasisSystem, n_groups: int,
     for it in range(config.max_iter):
         try:
             params = m_step(problem, None, labels, n_groups, config.lambda_floor,
-                            config.min_group, config.ridge, None if params is None else params.w)
+                            w_init=None if params is None else params.w)
         except DegenerateGroupError as exc:
             raise RuntimeError(f"no viable fit: {exc}") from exc
         trace.append(q_value(problem, None, labels, params))

@@ -1,10 +1,15 @@
 """Command-line frontend.
 
 Subcommands: basis, simulate, fit, select, infer, metrics, validate,
-reproduce. Every option can come from a ``--config`` key-value file, with
-explicit flags taking precedence, and every run that writes artifacts also
-writes a ``.manifest`` recording the resolved options, seed, config hash,
-library versions and BLAS thread environment of the run.
+reproduce. The option table ``COMMANDS`` is the single place an option is
+declared: each subcommand lists its options there once, and the flags
+(``--`` plus the name with ``-`` for ``_``), the config-file keys (the
+names), the defaults, the required checks and the manifest entries all come
+from that list. Every option can come from a ``--config`` key-value file,
+with explicit flags taking precedence, and every run that writes artifacts
+also writes a ``.manifest`` recording the resolved options, seed, config
+hash, library versions and BLAS thread environment of the run. A manifest
+is itself a valid ``--config`` file for the subcommand that wrote it.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
@@ -16,6 +21,7 @@ import os
 import platform
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -53,30 +59,60 @@ def _parse_dims(text):
 def _parse_bool(value):
     if isinstance(value, bool):
         return value
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
+    text = str(value).strip().lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean (1/true/yes/on or 0/false/no/off), got {value!r}")
 
 
-def _resolve(args, specs):
-    """Merge hard defaults, config-file values, and explicit flags."""
-    conf = read_config(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for dest, typ, default in specs:
-        value = getattr(args, dest, None)
-        if value is None and dest in conf:
-            value = conf[dest]
+class Option(NamedTuple):
+    """One option: flag ``--<dest with - for _>``, config key ``<dest>``.
+
+    `type` converts a flag, config or default value; `_parse_bool` options
+    are bare flags and `_parse_dims` options stay text until resolved.
+    """
+
+    dest: str
+    type: Callable = str
+    default: object = None
+    required: bool = False
+    choices: tuple = None
+    help: str = None
+
+    @property
+    def flag(self):
+        return "--" + self.dest.replace("_", "-")
+
+
+def _resolve(args, options):
+    """Each option's value: its flag, else its config key, else its default."""
+    conf = read_config(args.config) if args.config else {}
+    res = {}
+    for opt in options:
+        value = getattr(args, opt.dest)
         if value is None:
-            value = default
-        if value is not None and typ is not None:
-            value = typ(value)
-        out[dest] = value
-    return out
+            value = conf.get(opt.dest, opt.default)
+        if value is not None:
+            value = opt.type(value)
+        if opt.choices and value not in opt.choices:
+            raise ValueError(f"{opt.flag} must be one of {', '.join(opt.choices)}, "
+                             f"got {value!r}")
+        res[opt.dest] = value
+    missing = [opt.flag for opt in options if opt.required and res[opt.dest] is None]
+    if missing:
+        raise UsageError(f"{missing[0]} is required")
+    return res
 
 
 def _write_manifest(primary_out, command, resolved):
-    entries = [("command", command)]
-    entries += [(k, v) for k, v in sorted(resolved.items()) if v is not None]
+    # tuples (dims) as space-separated text, so the manifest reads back as a config
+    options = {k: " ".join(map(str, v)) if isinstance(v, tuple) else v
+               for k, v in sorted(resolved.items()) if v is not None}
+    entries = [("command", command), *options.items()]
     entries += [
-        ("config_hash", config_hash({k: v for k, v in resolved.items() if v is not None})),
+        ("config_hash", config_hash(options)),
         ("lasir_version", __version__),
         ("numpy_version", np.__version__),
         ("scipy_version", scipy.__version__),
@@ -90,6 +126,15 @@ def _write_manifest(primary_out, command, resolved):
         ("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S")),
     ]
     write_kv(str(primary_out) + ".manifest", entries)
+
+
+def _emit(table, res, command):
+    """Print a result table; with --out, also write it and its manifest."""
+    print(table)
+    if res["out"]:
+        with open(res["out"], "w", encoding="utf-8") as fh:
+            fh.write(table + "\n")
+        _write_manifest(res["out"], command, res)
 
 
 def _sem_config(res):
@@ -108,22 +153,7 @@ def _load_inputs(res):
     return lattice, dataset, basis
 
 
-FIT_SPECS = [
-    ("images", str, None), ("covariates", str, None), ("basis", str, None),
-    ("out", str, None), ("k", int, 3), ("method", str, "lasir"),
-    ("restarts", int, 10), ("seed", int, 0), ("tol", float, 1e-4),
-    ("max_iter", int, 200), ("lambda_floor", float, 1e-10),
-    ("threads", int, None),
-]
-
-
-def cmd_basis(args):
-    specs = [("a", float, 0.01), ("b", float, 2.0), ("h", int, None),
-             ("h_ref", int, None), ("r0", float, None), ("dims", _parse_dims, None),
-             ("lattice", str, None), ("out", str, None)]
-    res = _resolve(args, specs)
-    if res["out"] is None:
-        raise UsageError("--out is required")
+def cmd_basis(res):
     if res["lattice"]:
         lattice = lattice_from_volume(res["lattice"])
     elif res["dims"]:
@@ -140,17 +170,9 @@ def cmd_basis(args):
     save_basis(basis, res["out"])
     _write_manifest(res["out"], "basis", {**res, "h": h})
     print(f"basis: L={basis.L} (h={h}) on d={lattice.d} voxels -> {res['out']}")
-    return 0
 
 
-def cmd_simulate(args):
-    specs = [("out_dir", str, None), ("n", int, 500), ("dims", _parse_dims, (15, 15, 15)),
-             ("sigma", float, 1.0), ("k", int, 3), ("seed", int, 0),
-             ("sites", int, 21), ("null_exposure", _parse_bool, False),
-             ("shared_intercept", _parse_bool, False), ("basis_degree", int, None)]
-    res = _resolve(args, specs)
-    if res["out_dir"] is None:
-        raise UsageError("--out-dir is required")
+def cmd_simulate(res):
     cfg = SimConfig(dims=res["dims"], n=res["n"], n_groups=res["k"],
                     sigma=res["sigma"], seed=res["seed"], n_sites=res["sites"],
                     null_exposure=res["null_exposure"],
@@ -165,16 +187,9 @@ def cmd_simulate(args):
     save_basis(basis, os.path.join(out, "simbasis"))
     _write_manifest(os.path.join(out, "run"), "simulate", res)
     print(f"simulated n={dataset.n} individuals on d={lattice.d} voxels -> {out}/")
-    return 0
 
 
-def cmd_fit(args):
-    res = _resolve(args, FIT_SPECS)
-    for key in ("images", "covariates", "basis", "out"):
-        if res[key] is None:
-            raise UsageError(f"--{key} is required")
-    if res["threads"] is None:
-        res["threads"] = os.cpu_count() or 1
+def cmd_fit(res):
     lattice, dataset, basis = _load_inputs(res)
     config = _sem_config(res)
     method = res["method"]
@@ -182,49 +197,28 @@ def cmd_fit(args):
         fit = fit_sem(dataset, basis, res["k"], config)
     elif method == "kmlr":
         fit = kmlr_fit(dataset, basis, res["k"], config)
-    elif method == "svcm":
-        fit = fit_sem(dataset, basis, 1, config)  # the K=1 reduction
-        fit.method = "svcm"
     else:
-        raise ValueError(f"unknown method {method!r}")
+        fit = fit_sem(dataset, basis, 1, config)  # svcm: the K=1 reduction
+        fit.method = "svcm"
     save_fit(fit, res["out"])
     _write_manifest(res["out"], "fit", res)
     print(f"fit method={method} K={fit.params.n_groups} iterations={fit.iterations} "
           f"converged={fit.converged} -> {res['out']}")
-    return 0
 
 
-def cmd_select(args):
-    specs = FIT_SPECS + [("k_min", int, 1), ("k_max", int, 4)]
-    res = _resolve(args, specs)
-    for key in ("images", "covariates", "basis"):
-        if res[key] is None:
-            raise UsageError(f"--{key} is required")
-    if res["threads"] is None:
-        res["threads"] = os.cpu_count() or 1
+def cmd_select(res):
     lattice, dataset, basis = _load_inputs(res)
     candidates = range(res["k_min"], res["k_max"] + 1)
     best, records, fits = select_k(dataset, basis, candidates, _sem_config(res))
     lines = ["K,M,Q,BIC"]
     lines += [f"{r.n_groups},{r.n_params},{r.q:.6f},{r.bic:.6f}" for r in records]
     lines.append(f"chosen,{best},,")
-    table = "\n".join(lines)
-    print(table)
+    _emit("\n".join(lines), res, "select")
     if res["out"]:
-        with open(res["out"], "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
         save_fit(fits[best], res["out"] + ".bestfit")
-        _write_manifest(res["out"], "select", res)
-    return 0
 
 
-def cmd_infer(args):
-    specs = [("fit", str, None), ("images", str, None), ("covariates", str, None),
-             ("basis", str, None), ("alpha", float, 0.05), ("out_prefix", str, None)]
-    res = _resolve(args, specs)
-    for key in ("fit", "images", "covariates", "basis", "out_prefix"):
-        if res[key] is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required")
+def cmd_infer(res):
     lattice, dataset, basis = _load_inputs(res)
     fit = load_fit(res["fit"])
     maps = infer_maps(fit, dataset, basis, alpha=res["alpha"])
@@ -235,17 +229,9 @@ def cmd_infer(args):
         save_volume_map(m.reject.astype(float), lattice, f"{base}_reject")
     _write_manifest(res["out_prefix"], "infer", res)
     print(f"wrote {len(maps)} (group, exposure) map sets under {res['out_prefix']}_*")
-    return 0
 
 
-def cmd_metrics(args):
-    specs = [("fit", str, None), ("truth", str, None), ("images", str, None),
-             ("covariates", str, None), ("basis", str, None),
-             ("alpha", float, 0.05), ("out", str, None)]
-    res = _resolve(args, specs)
-    for key in ("fit", "truth", "images", "covariates", "basis"):
-        if res[key] is None:
-            raise UsageError(f"--{key} is required")
+def cmd_metrics(res):
     lattice, dataset, basis = _load_inputs(res)
     fit = load_fit(res["fit"])
     truth = load_truth(res["truth"])
@@ -267,23 +253,10 @@ def cmd_metrics(args):
         rows.append(("type1", m.group, m.exposure, type1))
     lines = ["metric,group,exposure,value"]
     lines += [f"{a},{b},{c},{'' if v is None else f'{v:.6f}'}" for a, b, c, v in rows]
-    table = "\n".join(lines)
-    print(table)
-    if res["out"]:
-        with open(res["out"], "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        _write_manifest(res["out"], "metrics", res)
-    return 0
+    _emit("\n".join(lines), res, "metrics")
 
 
-def cmd_validate(args):
-    specs = [("fit", str, None), ("images", str, None), ("covariates", str, None),
-             ("basis", str, None), ("mode", str, "all"), ("splits", int, 50),
-             ("holdout", float, 0.05), ("seed", int, 0), ("out", str, None)]
-    res = _resolve(args, specs)
-    for key in ("fit", "images", "covariates", "basis"):
-        if res[key] is None:
-            raise UsageError(f"--{key} is required")
+def cmd_validate(res):
     lattice, dataset, basis = _load_inputs(res)
     fit = load_fit(res["fit"])
     modes = ("within", "without", "shuffled") if res["mode"] == "all" else (res["mode"],)
@@ -294,24 +267,10 @@ def cmd_validate(args):
         lines += [f"{i},{mode},{v:.8f}" for i, v in enumerate(result.mse)]
         if result.unseen_fallbacks:
             lines.append(f"#,{mode},fallbacks={result.unseen_fallbacks}")
-    table = "\n".join(lines)
-    print(table)
-    if res["out"]:
-        with open(res["out"], "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        _write_manifest(res["out"], "validate", res)
-    return 0
+    _emit("\n".join(lines), res, "validate")
 
 
-def cmd_reproduce(args):
-    if args.what != "table2":
-        raise ValueError(f"unknown study {args.what!r} (supported: table2)")
-    specs = [("n", int, 500), ("dims", _parse_dims, (15, 15, 15)),
-             ("sigma", float, 1.0), ("reps", int, 10), ("seed", int, 0),
-             ("restarts", int, 6), ("threads", int, None), ("out", str, None)]
-    res = _resolve(args, specs)
-    if res["threads"] is None:
-        res["threads"] = os.cpu_count() or 1
+def cmd_reproduce(res):
     rows, summary = run_table2(n=res["n"], dims=res["dims"], sigma=res["sigma"],
                                reps=res["reps"], seed=res["seed"],
                                restarts=res["restarts"], threads=res["threads"])
@@ -320,17 +279,52 @@ def cmd_reproduce(args):
     lines += [",".join(f"{row[k]:.6g}" if k != "rep" else str(row[k]) for k in header)
               for row in rows]
     lines.append(",".join(["mean"] + [f"{summary[k]:.6g}" for k in header[1:]]))
-    table = "\n".join(lines)
-    print(table)
+    _emit("\n".join(lines), res, "reproduce")
     print()
     print(f"mean NMI: lasir={summary['nmi_lasir']:.3f} kmlr={summary['nmi_kmlr']:.3f}")
     print(f"mean beta-MSE: lasir={summary['beta_mse_lasir']:.4g} "
           f"kmlr={summary['beta_mse_kmlr']:.4g} svcm={summary['beta_mse_svcm']:.4g}")
-    if res["out"]:
-        with open(res["out"], "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        _write_manifest(res["out"], "reproduce", res)
-    return 0
+
+
+DATA = [Option("images", required=True), Option("covariates", required=True),
+        Option("basis", required=True)]
+THREADS = Option("threads", int, os.cpu_count() or 1)
+SEM = [Option("restarts", int, 10), Option("seed", int, 0), Option("tol", float, 1e-4),
+       Option("max_iter", int, 200), Option("lambda_floor", float, 1e-10), THREADS]
+CUBE = [Option("n", int, 500), Option("dims", _parse_dims, (15, 15, 15)),
+        Option("sigma", float, 1.0)]
+FIT = Option("fit", required=True)
+
+# subcommand -> (handler, help, options); options are listed in --help order
+COMMANDS = {
+    "basis": (cmd_basis, "build an orthonormal spatial basis", [
+        Option("a", float, 0.01), Option("b", float, 2.0), Option("h", int),
+        Option("h_ref", int), Option("r0", float), Option("dims", _parse_dims),
+        Option("lattice", help="volume bundle supplying dims and mask"),
+        Option("out", required=True)]),
+    "simulate": (cmd_simulate, "generate a synthetic dataset", [
+        Option("out_dir", required=True), *CUBE, Option("k", int, 3),
+        Option("seed", int, 0), Option("sites", int, 21), Option("basis_degree", int),
+        Option("null_exposure", _parse_bool, False),
+        Option("shared_intercept", _parse_bool, False)]),
+    "fit": (cmd_fit, "fit the model (lasir, kmlr, or svcm)", [
+        *DATA, Option("out", required=True), *SEM, Option("k", int, 3),
+        Option("method", default="lasir", choices=("lasir", "kmlr", "svcm"))]),
+    "select": (cmd_select, "choose the number of subgroups by BIC", [
+        *DATA, Option("out"), *SEM, Option("k_min", int, 1), Option("k_max", int, 4)]),
+    "infer": (cmd_infer, "voxelwise Wald maps with FDR decisions", [
+        FIT, *DATA, Option("alpha", float, 0.05), Option("out_prefix", required=True)]),
+    "metrics": (cmd_metrics, "evaluate a fit against simulation truth", [
+        FIT, Option("truth", required=True), *DATA, Option("out"),
+        Option("alpha", float, 0.05)]),
+    "validate": (cmd_validate, "projected-prediction validation", [
+        FIT, *DATA, Option("out"),
+        Option("mode", default="all", choices=("within", "without", "shuffled", "all")),
+        Option("splits", int, 50), Option("holdout", float, 0.05), Option("seed", int, 0)]),
+    "reproduce": (cmd_reproduce, "run a packaged desk-scale study", [
+        *CUBE, Option("reps", int, 10), Option("seed", int, 0), Option("restarts", int, 6),
+        THREADS, Option("out")]),
+}
 
 
 def build_parser():
@@ -338,90 +332,18 @@ def build_parser():
                                      description="Latent-subgroup image-on-scalar regression")
     parser.add_argument("--version", action="version", version=f"lasir {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, helptext):
+    for name, (_, helptext, options) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key-value config file; flags override")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("basis", cmd_basis, "build an orthonormal spatial basis")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--h", type=int)
-    p.add_argument("--h-ref", dest="h_ref", type=int)
-    p.add_argument("--r0", type=float)
-    p.add_argument("--dims")
-    p.add_argument("--lattice", help="volume bundle supplying dims and mask")
-    p.add_argument("--out")
-
-    p = add("simulate", cmd_simulate, "generate a synthetic dataset")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--n", type=int)
-    p.add_argument("--dims")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sites", type=int)
-    p.add_argument("--basis-degree", dest="basis_degree", type=int)
-    p.add_argument("--null-exposure", dest="null_exposure", action="store_const", const=True)
-    p.add_argument("--shared-intercept", dest="shared_intercept", action="store_const", const=True)
-
-    def add_fit_flags(p, with_method=True):
-        p.add_argument("--images")
-        p.add_argument("--covariates")
-        p.add_argument("--basis")
-        p.add_argument("--out")
-        p.add_argument("--restarts", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--lambda-floor", dest="lambda_floor", type=float)
-        p.add_argument("--threads", type=int)
-        if with_method:
-            p.add_argument("--k", type=int)
-            p.add_argument("--method", choices=["lasir", "kmlr", "svcm"])
-
-    p = add("fit", cmd_fit, "fit the model (lasir, kmlr, or svcm)")
-    add_fit_flags(p)
-
-    p = add("select", cmd_select, "choose the number of subgroups by BIC")
-    add_fit_flags(p, with_method=False)
-    p.add_argument("--k-min", dest="k_min", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
-
-    p = add("infer", cmd_infer, "voxelwise Wald maps with FDR decisions")
-    p.add_argument("--fit")
-    p.add_argument("--images")
-    p.add_argument("--covariates")
-    p.add_argument("--basis")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--out-prefix", dest="out_prefix")
-
-    p = add("metrics", cmd_metrics, "evaluate a fit against simulation truth")
-    for flag in ("--fit", "--truth", "--images", "--covariates", "--basis", "--out"):
-        p.add_argument(flag)
-    p.add_argument("--alpha", type=float)
-
-    p = add("validate", cmd_validate, "projected-prediction validation")
-    for flag in ("--fit", "--images", "--covariates", "--basis", "--out"):
-        p.add_argument(flag)
-    p.add_argument("--mode", choices=["within", "without", "shuffled", "all"])
-    p.add_argument("--splits", type=int)
-    p.add_argument("--holdout", type=float)
-    p.add_argument("--seed", type=int)
-
-    p = add("reproduce", cmd_reproduce, "run a packaged desk-scale study")
-    p.add_argument("what", choices=["table2"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--dims")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out")
-
+        for opt in options:
+            if opt.type is _parse_bool:
+                p.add_argument(opt.flag, dest=opt.dest, action="store_const", const=True,
+                               help=opt.help)
+            else:
+                p.add_argument(opt.flag, dest=opt.dest, choices=opt.choices, help=opt.help,
+                               type=opt.type if opt.type in (int, float) else None)
+        if name == "reproduce":
+            p.add_argument("what", choices=["table2"])  # the only study, so no handler reads it
     return parser
 
 
@@ -431,8 +353,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
+    handler, _, options = COMMANDS[args.command]
     try:
-        return args.handler(args)
+        handler(_resolve(args, options))
     except UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"usage error: {exc}", file=sys.stderr)
@@ -440,6 +363,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

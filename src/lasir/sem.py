@@ -98,7 +98,6 @@ class SemConfig:
     restarts : number of independent replicates; the highest final Q wins.
     seed : master seed; replicate streams are spawned deterministically.
     lambda_floor : lower bound for the noise variances.
-    min_group : minimum group size for the M-step (default p+2).
     threads : worker threads for replicates (>= 1). `fit_sem` pins the
         process-wide BLAS pools to one thread, so these threads are the fit's
         only parallelism and results do not depend on them or on
@@ -114,9 +113,7 @@ class SemConfig:
     restarts: int = 10
     seed: int = 0
     lambda_floor: float = LAMBDA_FLOOR
-    min_group: int = None
     threads: int = 1
-    ridge: float = MNLOGIT_RIDGE
     init_labels: np.ndarray = None
 
     def __post_init__(self):
@@ -372,7 +369,7 @@ def _run_replicate(problem, n_groups, config, seed_seq):
         for attempt in range(MAX_REDRAWS + 1):
             try:
                 params = m_step(problem, None, labels, n_groups, config.lambda_floor,
-                                config.min_group, config.ridge, w_prev)
+                                w_init=w_prev)
                 break
             except DegenerateGroupError as exc:
                 if attempt == MAX_REDRAWS:
@@ -432,8 +429,7 @@ def fit_problem(problem: Problem, n_groups: int, config: SemConfig) -> FitResult
         raise ValueError(f"n_groups must be >= 1, got {n_groups}")
     if n_groups == 1:
         labels = np.ones(problem.n, dtype=int)
-        params = m_step(problem, None, labels, 1,
-                        config.lambda_floor, config.min_group, config.ridge)
+        params = m_step(problem, None, labels, 1, config.lambda_floor)
         q = q_value(problem, None, labels, params)
         return FitResult(params=params, responsibilities=np.ones((problem.n, 1)),
                          labels=labels, q_trace=np.array([q]), converged=True,

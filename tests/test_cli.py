@@ -3,7 +3,7 @@ import os
 import pytest
 
 from lasir import _blas
-from lasir.cli import main
+from lasir.cli import _parse_bool, main
 from lasir.io import read_kv
 
 
@@ -169,3 +169,66 @@ def test_short_max_iter_runs(workdir, tmp_path, command):
                 + ["--max-iter", "3", "--restarts", "2", "--seed", "4", "--threads", "1",
                    "--out", str(out)]) == 0
     assert read_kv(str(out) + ".manifest")["max_iter"] == "3"
+
+
+@pytest.mark.parametrize("command, manifest, out_flag, made, remade", [
+    ("simulate", "sim/run.manifest", "--out-dir", "sim/images.dat", "again/images.dat"),
+    ("basis", "basis.manifest", "--out", "basis.dat", "again.dat"),
+    ("fit", "fit.manifest", "--out", "fit.dat", "again.dat"),
+])
+def test_manifest_reruns_as_config(workdir, tmp_path, command, manifest, out_flag, made,
+                                   remade):
+    # a run's manifest is a config file that re-makes the run bit-identically
+    assert main([command, "--config", str(workdir / manifest),
+                 out_flag, str(tmp_path / "again")]) == 0
+    assert (tmp_path / remade).read_bytes() == (workdir / made).read_bytes()
+
+
+@pytest.mark.parametrize("text, value", [("1", True), ("TRUE", True), (" yes", True),
+                                         ("On", True), ("0", False), ("false", False),
+                                         ("No", False), ("off", False)])
+def test_config_booleans(text, value):
+    assert _parse_bool(text) is value
+
+
+@pytest.mark.parametrize("command, line", [("simulate", "null_exposure: maybe"),
+                                           ("fit", "method: maybe"),
+                                           ("validate", "mode: maybe")])
+def test_bad_config_value_exit_1(tmp_path, capsys, command, line):
+    # config values get the checks argparse gives flags, before any work is done
+    conf = tmp_path / "bad.conf"
+    conf.write_text(line + "\n")
+    assert main([command, "--config", str(conf)]) == 1
+    assert "'maybe'" in capsys.readouterr().err
+
+
+def test_select_manifest_records_only_select_options(workdir, tmp_path):
+    out = tmp_path / "sel.csv"
+    assert main(["select"] + _data_flags(workdir)
+                + ["--k-min", "1", "--k-max", "2", "--restarts", "2", "--seed", "2",
+                   "--threads", "1", "--out", str(out)]) == 0
+    manifest = read_kv(str(out) + ".manifest")
+    assert "k" not in manifest and "method" not in manifest
+    assert manifest["k_min"] == "1" and manifest["k_max"] == "2"
+
+
+def test_fit_options_from_config(workdir, tmp_path):
+    conf = tmp_path / "fit.conf"
+    conf.write_text(f"images: {workdir / 'sim' / 'images'}\n"
+                    f"covariates: {workdir / 'sim' / 'covariates.csv'}\n"
+                    f"basis: {workdir / 'basis'}\n"
+                    f"k: 2\nrestarts: 2\nseed: 6\nthreads: 1\nmax_iter: 7\n"
+                    f"out: {tmp_path / 'from_conf'}\n")
+    assert main(["fit", "--config", str(conf)]) == 0
+    manifest = read_kv(tmp_path / "from_conf.manifest")
+    assert (manifest["k"], manifest["seed"], manifest["max_iter"]) == ("2", "6", "7")
+    assert main(["fit"] + _data_flags(workdir)
+                + ["--k", "2", "--restarts", "2", "--seed", "6", "--threads", "1",
+                   "--max-iter", "7", "--out", str(tmp_path / "from_flags")]) == 0
+    assert ((tmp_path / "from_conf.dat").read_bytes()
+            == (tmp_path / "from_flags.dat").read_bytes())
+
+
+def test_infer_requires_out_prefix(workdir, capsys):
+    assert main(["infer", "--fit", str(workdir / "fit")] + _data_flags(workdir)) == 2
+    assert "--out-prefix is required" in capsys.readouterr().err

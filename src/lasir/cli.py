@@ -71,7 +71,9 @@ class Option(NamedTuple):
     """One option: flag ``--<dest with - for _>``, config key ``<dest>``.
 
     `type` converts a flag, config or default value; `_parse_bool` options
-    are bare flags and `_parse_dims` options stay text until resolved.
+    are bare flags and `_parse_dims` options stay text until resolved. A
+    `positional` option is a positional argument named ``<dest>``, optional
+    on the command line so that a config file (a manifest) can supply it.
     """
 
     dest: str
@@ -80,10 +82,11 @@ class Option(NamedTuple):
     required: bool = False
     choices: tuple = None
     help: str = None
+    positional: bool = False
 
     @property
     def flag(self):
-        return "--" + self.dest.replace("_", "-")
+        return self.dest if self.positional else "--" + self.dest.replace("_", "-")
 
 
 def _resolve(args, options):
@@ -96,7 +99,7 @@ def _resolve(args, options):
             value = conf.get(opt.dest, opt.default)
         if value is not None:
             value = opt.type(value)
-        if opt.choices and value not in opt.choices:
+        if opt.choices and value is not None and value not in opt.choices:
             raise ValueError(f"{opt.flag} must be one of {', '.join(opt.choices)}, "
                              f"got {value!r}")
         res[opt.dest] = value
@@ -322,6 +325,7 @@ COMMANDS = {
         Option("mode", default="all", choices=("within", "without", "shuffled", "all")),
         Option("splits", int, 50), Option("holdout", float, 0.05), Option("seed", int, 0)]),
     "reproduce": (cmd_reproduce, "run a packaged desk-scale study", [
+        Option("what", required=True, choices=("table2",), positional=True),
         *CUBE, Option("reps", int, 10), Option("seed", int, 0), Option("restarts", int, 6),
         THREADS, Option("out")]),
 }
@@ -335,15 +339,16 @@ def build_parser():
     for name, (_, helptext, options) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key-value config file; flags override")
+        p.set_defaults(subparser=p)
         for opt in options:
-            if opt.type is _parse_bool:
+            if opt.positional:  # optional here, so that a config file can supply it
+                p.add_argument(opt.dest, nargs="?", choices=opt.choices, help=opt.help)
+            elif opt.type is _parse_bool:
                 p.add_argument(opt.flag, dest=opt.dest, action="store_const", const=True,
                                help=opt.help)
             else:
                 p.add_argument(opt.flag, dest=opt.dest, choices=opt.choices, help=opt.help,
                                type=opt.type if opt.type in (int, float) else None)
-        if name == "reproduce":
-            p.add_argument("what", choices=["table2"])  # the only study, so no handler reads it
     return parser
 
 
@@ -357,7 +362,7 @@ def main(argv=None) -> int:
     try:
         handler(_resolve(args, options))
     except UsageError as exc:
-        parser.print_usage(sys.stderr)
+        args.subparser.print_usage(sys.stderr)
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RuntimeError) as exc:

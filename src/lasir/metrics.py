@@ -14,7 +14,7 @@ from .basis import BasisSystem
 from .lattice import Dataset
 from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
 from .projection import project
-from .sem import FitResult, prepare, stage2
+from .sem import FitResult, predict_from_sums
 
 logger = logging.getLogger(__name__)
 
@@ -111,16 +111,6 @@ def _holdout_mse(sq_norms, ytilde, pred, d) -> float:
     return float(sq_err / (pred.shape[0] * d))
 
 
-def _predict(train_rows, test_rows, dataset, ytilde):
-    """Fit the no-subgroup model on `train_rows` and predict coefficient-space
-    outcomes for `test_rows`. Site columns absent from the training rows are
-    dropped from the fit and contribute zero to predictions."""
-    problem = prepare(ytilde, dataset, train_rows)
-    theta, _ = stage2(problem, np.ones(problem.n, dtype=int), 1, dataset.exposures.shape[1] + 1)
-    design = np.hstack([dataset.sites[test_rows][:, problem.site_cols], dataset.controls[test_rows]])
-    return design @ problem.coef + dataset.exposures[test_rows] @ theta[0]
-
-
 @_blas.single_thread
 def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
                         mode: str, n_splits: int = 50, holdout_frac: float = 0.05,
@@ -129,16 +119,8 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
 
     Each split holds out ~`holdout_frac` of the individuals within every
     fitted subgroup and reports the voxel-space mean squared prediction
-    error over the holdout. The error is taken in coefficient space by
-    Parseval: for an image y_i with projection ytilde_i = Psi^T y_i and a
-    predicted coefficient row theta_i,
-
-        ||y_i - Psi theta_i||^2 = ||y_i||^2 - 2 ytilde_i . theta_i + ||theta_i||^2,
-
-    which relies on the basis being orthonormal (Psi^T Psi = I); the image
-    norms are computed once and no prediction is back-projected. Each
-    prediction is the no-subgroup fit -- the shared stage 1 and a
-    single-group stage 2 -- on the training rows.
+    error over the holdout. Each prediction is the no-subgroup fit -- the
+    shared stage 1 and a single-group stage 2 -- on the training rows.
 
     mode "within"   : one no-subgroup fit per fitted subgroup on its training
                       members; holdouts are predicted by their subgroup's fit.
@@ -146,8 +128,26 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     mode "shuffled" : training labels are permuted across individuals before
                       the per-subgroup fits.
 
-    A holdout individual whose subgroup is unseen in training falls back to
-    the without-subgroup fit; occurrences are counted in the result.
+    A holdout individual whose subgroup has fewer than p+2 training members
+    falls back to the without-subgroup fit; occurrences are counted in the
+    result.
+
+    The fits are solved from sufficient statistics of the design rows
+    Z = [sites | controls | exposures] and the projections ytilde. The Gram
+    Z^T Z and the cross sums Z^T ytilde are formed once per call over all
+    individuals and, in "within" mode, once per fitted subgroup. A split's
+    training sums are these totals minus the sums of its held-out rows (in
+    "shuffled" mode, the sums of each relabelled training group, taken
+    directly), and `sem.predict_from_sums` turns them into holdout
+    predictions with solves of the size of the design, checking each
+    training design as `prepare` and `stage2` would. The error is taken in
+    coefficient space by Parseval: for an image y_i with projection
+    ytilde_i = Psi^T y_i and a predicted coefficient row theta_i,
+
+        ||y_i - Psi theta_i||^2 = ||y_i||^2 - 2 ytilde_i . theta_i + ||theta_i||^2,
+
+    which relies on the basis being orthonormal (Psi^T Psi = I); the image
+    norms are computed once and no prediction is back-projected.
 
     Like `fit_sem`, the whole validation, projection included, runs with the
     bundled OpenBLAS pools pinned to one thread, so the MSEs are bit-identical
@@ -161,9 +161,27 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ytilde = project(dataset.images, basis)
     sq_norms = np.square(dataset.images, dtype=np.float64).sum(axis=1)
+    z = np.hstack([dataset.sites, dataset.controls, dataset.exposures])
+    n_sites, p1 = dataset.sites.shape[1], dataset.exposures.shape[1]
+
+    def sums(rows):
+        zr = z[rows]
+        return zr.T @ zr, zr.T @ ytilde[rows]
+
+    def predict(gram, cross, train, test, group=1):
+        return predict_from_sums(gram, cross, z[train], z[test], n_sites, p1, group)
+
+    def downdated(totals, rows):
+        gram, cross = sums(rows)
+        return totals[0] - gram, totals[1] - cross
+
     labels = np.asarray(fit.labels, dtype=int)
     groups = np.unique(labels)
+    total = sums(slice(None))
+    if mode == "within":  # a subgroup of everyone shares the totals
+        group_totals = {g: total if groups.size == 1 else sums(labels == g) for g in groups}
     mses = np.empty(n_splits)
+    pred = np.empty_like(ytilde)  # each split fills its holdout rows
     fallbacks = 0
     for rep in range(n_splits):
         holdout = np.zeros(dataset.n, dtype=bool)
@@ -173,30 +191,30 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
             holdout[rng.permutation(members)[:n_hold]] = True
         train = ~holdout
         if mode == "without":
-            pred = _predict(train, holdout, dataset, ytilde)
+            pred[holdout] = predict(*downdated(total, holdout), train, holdout)
         else:
             fit_labels = labels.copy()
             if mode == "shuffled":
                 tr_idx = np.nonzero(train)[0]
                 fit_labels[tr_idx] = fit_labels[rng.permutation(tr_idx)]
-            pred = np.empty((int(holdout.sum()), ytilde.shape[1]))
-            hold_idx = np.nonzero(holdout)[0]
-            pos = {i: j for j, i in enumerate(hold_idx)}
-            without_pred = None
+            without = None
             for g in groups:
                 test_g = holdout & (labels == g)
                 if not test_g.any():
                     continue
                 train_g = train & (fit_labels == g)
-                rows = [pos[i] for i in np.nonzero(test_g)[0]]
-                if train_g.sum() < dataset.exposures.shape[1] + 1:
-                    if without_pred is None:
-                        without_pred = _predict(train, holdout, dataset, ytilde)
-                    pred[rows] = without_pred[rows]
+                if train_g.sum() < p1 + 1:
+                    if without is None:
+                        without = predict(*downdated(total, holdout), train, holdout)
+                    pred[test_g] = without[test_g[holdout]]
                     fallbacks += int(test_g.sum())
                     continue
-                pred[rows] = _predict(train_g, test_g, dataset, ytilde)
-        mses[rep] = _holdout_mse(sq_norms[holdout], ytilde[holdout], pred, basis.d)
+                # within: the subgroup's training rows are its members minus
+                # its holdout; shuffled relabels them, so they are summed afresh
+                g_sums = (downdated(group_totals[g], test_g) if mode == "within"
+                          else sums(train_g))
+                pred[test_g] = predict(*g_sums, train_g, test_g, g)
+        mses[rep] = _holdout_mse(sq_norms[holdout], ytilde[holdout], pred[holdout], basis.d)
     if fallbacks:
         logger.info("validate_projection mode=%s: %d holdout individuals fell "
                     "back to the without-subgroup fit", mode, fallbacks)

@@ -32,6 +32,10 @@ read from the M-step's RSS. Convergence is declared when the relative range
 of Q over a trailing window falls below a tolerance. Runs restart from
 independent random label initializations and the replicate with the highest
 final Q wins.
+
+`predict_from_sums` solves the same two stages, without subgroups, from the
+Gram and cross sums of the design rows: the holdout validation's fits, whose
+training sums are totals downdated by the held-out rows.
 """
 
 from __future__ import annotations
@@ -159,7 +163,6 @@ class Problem:
     resid_sq  : (n, L) R ** 2, computed on first use (by the E-step)
     exposures : (n, p+1) exposure design X
     gating    : (n, q+1) augmented controls F of the gating model
-    site_cols : (S,) bool, dataset site columns present in the stage-1 design
     """
 
     ytilde: np.ndarray
@@ -167,7 +170,6 @@ class Problem:
     resid: np.ndarray
     exposures: np.ndarray
     gating: np.ndarray
-    site_cols: np.ndarray
 
     @property
     def n(self) -> int:
@@ -178,24 +180,12 @@ class Problem:
         return self.resid * self.resid
 
 
-def prepare(ytilde: np.ndarray, dataset: Dataset, rows=None) -> Problem:
-    """Solve stage 1 for the projected outcomes of `dataset`.
-
-    `rows` optionally restricts the problem to a subset of individuals (the
-    training rows of a holdout split); site columns with no member among
-    them are then left out of the stage-1 design. Raises ValueError when the
-    stage-1 design is rank deficient.
-    """
-    sites, controls, exposures = dataset.sites, dataset.controls, dataset.exposures
-    site_cols = np.ones(sites.shape[1], dtype=bool)
-    if rows is not None:
-        ytilde, sites, controls, exposures = (ytilde[rows], sites[rows], controls[rows],
-                                              exposures[rows])
-        site_cols = sites.any(axis=0)
-        sites = sites[:, site_cols]
-    fit = mvls_fit(np.hstack([sites, controls]), ytilde)
-    return Problem(ytilde=ytilde, coef=fit.coef, resid=fit.resid, exposures=exposures,
-                   gating=augment(controls), site_cols=site_cols)
+def prepare(ytilde: np.ndarray, dataset: Dataset) -> Problem:
+    """Solve stage 1 for the projected outcomes of `dataset`. Raises
+    ValueError when the stage-1 design is rank deficient."""
+    fit = mvls_fit(np.hstack([dataset.sites, dataset.controls]), ytilde)
+    return Problem(ytilde=ytilde, coef=fit.coef, resid=fit.resid,
+                   exposures=dataset.exposures, gating=augment(dataset.controls))
 
 
 def stage2(problem: Problem, labels: np.ndarray, n_groups: int, min_group: int):
@@ -225,6 +215,45 @@ def stage2(problem: Problem, labels: np.ndarray, n_groups: int, min_group: int):
         theta[k - 1] = np.linalg.solve(Xk.T @ Xk, Xk.T @ Rk)
         resid[rows] = Rk - Xk @ theta[k - 1]
     return theta, (resid * resid).sum(axis=0)
+
+
+def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
+    """Predictions of the no-subgroup two-stage fit, from sufficient statistics.
+
+    The design rows are Z = [sites | controls | exposures] (S, q and p+1
+    columns). `train` (t, S+q+p+1) holds the fitted rows, which are read only
+    for the sites they contain and the checks below; `gram` = Z^T Z and
+    `cross` = Z^T ytilde (S+q+p+1, L) are their sums, e.g. totals downdated by
+    the held-out rows. Stage 1 regresses ytilde on D = [sites present in
+    `train` | controls], stage 2 the stage-1 residuals on the exposures X;
+    the predictions for the rows `test` (m, S+q+p+1) are
+
+        [(D_t - X_t G_XX^-1 G_XD) G_DD^-1,  X_t G_XX^-1] [C_D; C_X]
+
+    with G and C split into the D and X blocks: solves of the size of the
+    design, no residual matrix. Returns (m, L).
+
+    Raises ValueError when the stage-1 training design is rank deficient (as
+    `prepare` does), and DegenerateGroupError naming `group` when `train`
+    has fewer than p+2 rows or a rank-deficient exposure design (as `stage2`
+    does).
+    """
+    width = gram.shape[0]
+    x_cols = slice(width - n_exposures, width)
+    d_cols = np.concatenate([np.flatnonzero(train[:, :n_sites].any(axis=0)),
+                             np.arange(n_sites, width - n_exposures)])
+    check_design(train[:, d_cols])
+    count, min_group = train.shape[0], n_exposures + 1
+    if count < min_group:
+        raise DegenerateGroupError(group, f"{count} members < {min_group}")
+    try:
+        check_design(train[:, x_cols])
+    except ValueError as exc:
+        raise DegenerateGroupError(group, str(exc)) from exc
+    x_part = np.linalg.solve(gram[x_cols, x_cols], test[:, x_cols].T).T
+    d_part = test[:, d_cols] - x_part @ gram[x_cols, d_cols]
+    d_part = np.linalg.solve(gram[np.ix_(d_cols, d_cols)], d_part.T).T
+    return d_part @ cross[d_cols] + x_part @ cross[x_cols]
 
 
 def _log_gating(w: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -319,7 +348,7 @@ def m_step(ytilde, dataset: Dataset, labels: np.ndarray, n_groups: int,
     theta_alpha, rss = stage2(problem, labels, n_groups, min_group)
     lam = np.maximum(rss / problem.n, lambda_floor)
     w = mnlogit_fit(problem.gating, labels, n_groups, ridge, init=w_init)
-    S = int(problem.site_cols.sum())
+    S = problem.coef.shape[0] - (problem.gating.shape[1] - 1)
     return ModelParams(theta_alpha=theta_alpha, theta_eta=problem.coef[S:],
                        theta_gamma=problem.coef[:S], lam=lam, w=w, rss=rss)
 

@@ -232,3 +232,27 @@ def test_fit_options_from_config(workdir, tmp_path):
 def test_infer_requires_out_prefix(workdir, capsys):
     assert main(["infer", "--fit", str(workdir / "fit")] + _data_flags(workdir)) == 2
     assert "--out-prefix is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["infer", "--fit", "f", "--images", "i", "--covariates", "c", "--basis", "b"],
+     ["--out-prefix", "--alpha", "--fit"]),
+    (["basis", "--dims", "5"], ["--out", "--h-ref", "--lattice"]),
+    (["reproduce", "--n", "5"], ["--reps", "{table2}"]),
+])
+def test_usage_error_prints_subcommand_usage(capsys, argv, flags):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"usage: lasir {argv[0]} " in err
+    assert all(flag in err for flag in flags)
+    assert "{basis,simulate" not in err
+
+
+def test_reproduce_manifest_reruns_without_naming_the_study(tmp_path):
+    flags = ["--n", "90", "--dims", "6", "--reps", "1", "--seed", "1", "--restarts", "2",
+             "--threads", "1"]
+    assert main(["reproduce", "table2", *flags, "--out", str(tmp_path / "t2.csv")]) == 0
+    manifest = tmp_path / "t2.csv.manifest"
+    assert read_kv(manifest)["what"] == "table2"
+    assert main(["reproduce", "--config", str(manifest), "--out", str(tmp_path / "new.csv")]) == 0
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()

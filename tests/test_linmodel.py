@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lasir import augment, gating_probs, mnlogit_fit, mvls_fit
-from lasir.linmodel import _mnlogit_newton
+from lasir.linmodel import LAMBDA_FLOOR, _mnlogit_newton
 
 
 class TestMvls:
@@ -48,6 +50,35 @@ class TestMvls:
         fit = mvls_fit(design, targets)
         resid = targets - targets.mean(axis=0)
         assert np.allclose(fit.lam, np.mean(resid ** 2, axis=0), rtol=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 6), extra=st.integers(0, 30),
+           L=st.integers(1, 8), spread=st.sampled_from([0.0, 1.0, 3.0]))
+    def test_matches_lstsq(self, seed, c, extra, L, spread):
+        rng = np.random.default_rng(seed)
+        n = c + extra
+        # columns on scales 10^-spread .. 10^spread, as mixed covariate units give
+        design = rng.standard_normal((n, c)) * 10.0 ** rng.uniform(-spread, spread, size=c)
+        targets = rng.standard_normal((n, L)) * rng.uniform(0.1, 10.0)
+        fit = mvls_fit(design, targets)
+        coef = np.linalg.lstsq(design, targets, rcond=None)[0]
+        resid = targets - design @ coef
+        cond = np.linalg.cond(design)
+        tol = 1e-13 * cond ** 2
+        assert np.abs(fit.coef - coef).max() <= tol * (1.0 + np.abs(coef).max())
+        scale = 1.0 + np.abs(targets).max()
+        assert np.abs(fit.resid - resid).max() <= tol * scale
+        assert np.allclose(fit.lam, np.maximum(np.mean(resid ** 2, axis=0), LAMBDA_FLOOR),
+                           rtol=1e-8, atol=tol * scale ** 2)
+
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 6), extra=st.integers(0, 30))
+    def test_rank_deficient_design_raises(self, seed, c, extra):
+        rng = np.random.default_rng(seed)
+        n = c + extra
+        design = rng.standard_normal((n, c))
+        # the last column a combination of the others
+        design[:, -1] = design[:, :-1] @ rng.standard_normal(c - 1)
+        with pytest.raises(ValueError, match="rank-deficient"):
+            mvls_fit(design, rng.standard_normal((n, 3)))
 
 
 class TestGatingProbs:

@@ -160,3 +160,21 @@ class TestParsevalMse:
         sq_norms = np.square(images, dtype=np.float64).sum(axis=1)
         direct = np.mean((images.astype(np.float64) - backproject(pred, basis)) ** 2)
         assert _holdout_mse(sq_norms, ytilde, pred, basis.d) == pytest.approx(direct, rel=1e-10)
+
+
+def test_tiny_subgroups_fall_back_to_the_without_fit():
+    cfg = SimConfig(dims=(5, 5, 5), n=60, n_groups=1, sigma=1.0, seed=2, n_sites=3)
+    dataset, truth, lattice, basis = simulate_cube(cfg)
+    fit = fit_sem(dataset, basis, 1, SemConfig(seed=0))
+    # subgroups of 3 and 2: each split holds out one member of each, leaving
+    # fewer training members than the p+2 = 3 a subgroup fit needs
+    assert dataset.exposures.shape[1] == 2
+    fit.labels = np.ones(dataset.n, dtype=int)
+    fit.labels[[4, 17, 33]] = 2
+    fit.labels[[8, 50]] = 3
+    splits = 6
+    counts = {mode: validate_projection(dataset, basis, fit, mode, n_splits=splits, seed=5)
+              for mode in ("within", "without", "shuffled")}
+    assert {mode: res.unseen_fallbacks for mode, res in counts.items()} == {
+        "within": 2 * splits, "without": 0, "shuffled": 2 * splits}
+    assert all(np.all(np.isfinite(res.mse)) for res in counts.values())

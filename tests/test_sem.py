@@ -14,7 +14,8 @@ from lasir import (Dataset, KernelParams, SemConfig, SimConfig, augment, e_step,
 from lasir.basis import BasisSystem
 from lasir.linmodel import LAMBDA_FLOOR, MNLOGIT_RIDGE, _mnlogit_newton, mnlogit_fit
 from lasir.projection import project
-from lasir.sem import ModelParams, _log_density, prepare, stage2
+from lasir.sem import (DegenerateGroupError, ModelParams, _log_density, predict_from_sums,
+                       prepare, stage2)
 
 
 def _identity_basis(d):
@@ -127,6 +128,20 @@ class TestSStep:
         labels = s_step(resp, np.random.default_rng(11))
         freq = np.bincount(labels, minlength=4)[1:] / labels.size
         assert np.abs(freq - [0.2, 0.3, 0.5]).max() < 0.01
+
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 5), zeros=st.integers(0, 2),
+           concentration=st.sampled_from([0.2, 1.0, 5.0]))
+    def test_marginal_distribution_per_row(self, seed, K, zeros, concentration):
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.full(K, concentration), size=4)
+        rows[:, :min(zeros, K - 1)] = 0.0  # impossible groups, never drawn
+        rows /= rows.sum(axis=1, keepdims=True)
+        draws = 20_000
+        labels = s_step(np.repeat(rows, draws, axis=0), rng).reshape(4, draws)
+        counts = np.stack([np.bincount(row, minlength=K + 1)[1:] for row in labels])
+        # within 5 binomial standard deviations of the responsibility row
+        sd = np.sqrt(draws * rows * (1.0 - rows))
+        assert np.all(np.abs(counts - draws * rows) <= 5.0 * sd + 1e-9)
 
     def test_relabeling_equivariance(self):
         rng = np.random.default_rng(12)
@@ -470,3 +485,94 @@ class TestPreparedProblemKernels:
         assert objectives[1] == pytest.approx(objectives[0], rel=1e-12, abs=1e-12)
         assert np.array_equal(mnlogit_fit(features, labels, n_classes, init=init),
                               np.vstack([fits[1][0], np.zeros(q + 1)]))
+
+
+def _holdout_split(seed, p, q, n_sites, L, n_train, n_test):
+    """Random data with disjoint training and test rows (the rest unused)."""
+    rng = np.random.default_rng(seed)
+    n = n_train + n_test + 3
+    dataset = _plain_dataset(n, L, rng, n_sites=n_sites, q=q, p=p)
+    ytilde = rng.standard_normal((n, L)) * rng.uniform(0.1, 10.0)
+    order = rng.permutation(n)
+    train = np.zeros(n, dtype=bool)
+    test = np.zeros(n, dtype=bool)
+    train[order[:n_train]] = True
+    test[order[n_train:n_train + n_test]] = True
+    return ytilde, dataset, train, test
+
+
+def _two_stage_reference(ytilde, dataset, train, test):
+    """The no-subgroup fit on the rows `train`, solved directly: `prepare` and
+    `stage2` on those rows, site columns absent from them dropped."""
+    kept = dataset.sites[train].any(axis=0)
+    subset = Dataset(images=dataset.images[train], exposures=dataset.exposures[train],
+                     controls=dataset.controls[train], sites=dataset.sites[train][:, kept])
+    problem = prepare(ytilde[train], subset)
+    theta, _ = stage2(problem, np.ones(problem.n, dtype=int), 1, dataset.exposures.shape[1] + 1)
+    design = np.hstack([dataset.sites[test][:, kept], dataset.controls[test]])
+    return design @ problem.coef + dataset.exposures[test] @ theta[0]
+
+
+def _predict_by_downdate(ytilde, dataset, train, test):
+    """`predict_from_sums` on the totals over all rows minus the sums over
+    the rows outside `train`."""
+    z = np.hstack([dataset.sites, dataset.controls, dataset.exposures])
+    out = ~train
+    gram = z.T @ z - z[out].T @ z[out]
+    cross = z.T @ ytilde - z[out].T @ ytilde[out]
+    return predict_from_sums(gram, cross, z[train], z[test], dataset.sites.shape[1],
+                             dataset.exposures.shape[1])
+
+
+split_shapes = dict(seed=seeds, p=st.integers(0, 2), q=st.integers(0, 2),
+                    n_sites=st.integers(1, 4), L=st.integers(1, 8), extra=st.integers(0, 30),
+                    n_test=st.integers(1, 6))
+
+
+class TestPredictFromSums:
+    @given(drop_site=st.booleans(), **split_shapes)
+    def test_matches_two_stage_fit(self, drop_site, seed, p, q, n_sites, L, extra, n_test):
+        ytilde, dataset, train, test = _holdout_split(seed, p, q, n_sites, L,
+                                                      n_sites + q + p + 2 + extra, n_test)
+        if drop_site and n_sites > 1:  # no training member at site 1
+            train &= dataset.sites[:, 0] == 0
+        kept = dataset.sites[train].any(axis=0)
+        stage1 = np.hstack([dataset.sites[train][:, kept], dataset.controls[train]])
+        X = dataset.exposures[train]
+        try:
+            ref = _two_stage_reference(ytilde, dataset, train, test)
+        except (ValueError, DegenerateGroupError) as exc:  # too few rows left at other sites
+            with pytest.raises(type(exc)):
+                _predict_by_downdate(ytilde, dataset, train, test)
+            return
+        got = _predict_by_downdate(ytilde, dataset, train, test)
+        # the sums square the designs' condition numbers
+        cond = max(np.linalg.cond(stage1), np.linalg.cond(X))
+        tol = 1e-10 * cond ** 2 * (1.0 + np.abs(ref).max())
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= tol
+
+    @given(**split_shapes)
+    def test_rank_deficient_stage1_raises_value_error(self, seed, p, q, n_sites, L, extra,
+                                                      n_test):
+        ytilde, dataset, train, test = _holdout_split(seed, p, q + 1, n_sites, L,
+                                                      n_sites + q + p + 3 + extra, n_test)
+        # a control constant on the training rows duplicates the site indicators' sum
+        dataset.controls[train, 0] = 2.5
+        for predict in (_two_stage_reference, _predict_by_downdate):
+            with pytest.raises(ValueError, match="rank-deficient"):
+                predict(ytilde, dataset, train, test)
+
+    @given(collinear=st.booleans(), **split_shapes)
+    def test_degenerate_exposures_raise(self, collinear, seed, p, q, n_sites, L, extra, n_test):
+        if collinear:  # an exposure constant on the training rows, as the intercept is
+            ytilde, dataset, train, test = _holdout_split(seed, p + 1, q, n_sites, L,
+                                                          n_sites + q + p + 3 + extra, n_test)
+            dataset.exposures[train, 1] = -0.5
+            match = "rank-deficient"
+        else:  # fewer training rows than p + 2, but enough for stage 1
+            ytilde, dataset, train, test = _holdout_split(seed, p + 1, 0, 1, L, p + 2, n_test)
+            match = "members"
+        for predict in (_two_stage_reference, _predict_by_downdate):
+            with pytest.raises(DegenerateGroupError, match=match):
+                predict(ytilde, dataset, train, test)

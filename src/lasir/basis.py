@@ -14,26 +14,38 @@ the eigenvalue of degree k is ``sqrt(2a/A) * B**k`` and the eigenfunction is
 ``exp(-(c - a) x^2) * H_k(sqrt(2c) x)`` up to a normalization constant,
 with H_k the k-th physicists' Hermite polynomial. Normalization constants
 are dropped deliberately: the basis is re-orthonormalized on the discrete
-lattice by an SVD, so only the span and the eigenvalue ratios matter.
+lattice, so only the span and the eigenvalue ratios matter.
 
 Three-dimensional basis terms are tensor products with total Hermite degree
 k1 + k2 + k3 <= h, ordered by ascending total degree and lexicographically
 within a degree; there are C(h+3, 3) of them. The 3-D eigenvalue of a term
 is the product of its 1-D eigenvalues, so every term of total degree n has
 a strictly larger eigenvalue than any term of degree n+1.
+
+The basis is kept in factored form, psi = (Phi_x (x) Phi_y (x) Phi_z) T at
+the masked voxels: three per-axis factors of h+1 columns and one L x L
+upper-triangular T, found from the masked L x L Gram matrix of the tensor
+products by CholeskyQR2 (Fukaya et al. 2014). The Gram, projections,
+back-projections and variance fields are contracted one axis at a time
+(Saatci 2012), so no d x L matrix is formed unless `BasisSystem.psi` is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from . import _blas
 from .lattice import VoxelLattice
 
 RANK_TOL = 1e-10
+REFINE_TOL = 1e-11  # first-pass correction above which the second Gram is summed from rows
+PSI_BLOCK = 1 << 20  # basis entries materialised at a time by `BasisSystem.psi`
 
 
 @dataclass
@@ -55,35 +67,144 @@ class KernelParams:
         return c, A, self.b / A
 
 
-@dataclass
+class Layout(NamedTuple):
+    """Where a factored basis's voxels and columns sit in its contractions.
+
+    factors : the three per-axis factors restricted to the grid planes the
+        mask meets, each (m_axis, h+1).
+    voxels : per axis, each voxel's row in that restricted factor, (d,).
+    cells : each voxel's index in the (m_z, m_y, m_x) plane grid, x fastest.
+    slots : each column's index ``(c*(h+1) + b)*(h+1) + a`` in the cube of
+        per-axis degrees (a, b, c).
+    """
+
+    factors: tuple
+    voxels: tuple
+    cells: np.ndarray
+    slots: np.ndarray
+
+
+def _layout(factors, mask: np.ndarray, h: int) -> Layout:
+    present = [np.flatnonzero(mask.any(axis=tuple(o for o in range(3) if o != ax)))
+               for ax in range(3)]
+    flat = np.flatnonzero(mask.ravel(order="F"))
+    nx, ny, _ = mask.shape
+    index = (flat % nx, flat // nx % ny, flat // (nx * ny))
+    voxels = tuple(np.searchsorted(p, i) for p, i in zip(present, index))
+    mx, my = present[0].size, present[1].size
+    H = h + 1
+    a, b, c = tensor_degrees(h).T
+    return Layout(factors=tuple(f[p] for f, p in zip(factors, present)), voxels=voxels,
+                  cells=voxels[0] + mx * (voxels[1] + my * voxels[2]),
+                  slots=(c * H + b) * H + a)
+
+
 class BasisSystem:
-    """An orthonormal spatial basis evaluated on a lattice.
+    """An orthonormal spatial basis psi (d, L) on a lattice.
+
+    A basis from `build_basis` (or a version-2 bundle) is factored: column j
+    of psi at the masked voxel (x, y, z) is
+
+        sum_{i <= j} T[i, j] * phi_x[x, a_i] * phi_y[y, b_i] * phi_z[z, c_i],
+
+    with (a_i, b_i, c_i) = ``tensor_degrees(h)[i]``. `project`, `backproject`
+    and the variance field of `infer_maps` contract the factors axis by axis.
+    Reading `psi` materialises the d x L matrix, in row blocks, on every read.
+    A basis may instead be given as an explicit `psi` (version-1 bundles,
+    tests); it is then used as a dense matrix.
 
     Attributes
     ----------
-    psi : ndarray, shape (d, L)
-        Orthonormal columns (psi.T @ psi = I to 1e-8).
     eigvals : ndarray, shape (L,)
-        Analytic 3-D eigenvalues in the pre-SVD tensor-product order
-        (ascending total degree, lexicographic within degree); they are
-        non-increasing because the decay is geometric in total degree.
+        Analytic 3-D eigenvalues in tensor-degree order (ascending total
+        degree, lexicographic within degree); non-increasing, because the
+        decay is geometric in total degree. For a factored basis, column j
+        of psi has leading tensor degree j, so eigvals[j] belongs to it on
+        every lattice.
     h : int
         Maximum total Hermite degree.
     params : KernelParams
+    factors : tuple of 3 ndarrays (n_axis, h+1), or None
+        Per-axis factors, orthonormal on the grid planes the mask meets and
+        zero on the others.
+    mask : ndarray of bool, shape (nx, ny, nz), or None
+        The lattice mask the basis was built on.
+    T : ndarray (L, L), or None
+        Upper triangular with a positive diagonal; on a grid that is full on
+        the planes it meets, diagonal with entries +-1 (the column signs).
     """
 
-    psi: np.ndarray
-    eigvals: np.ndarray
-    h: int
-    params: KernelParams
+    def __init__(self, eigvals, h, params, psi=None, factors=None, mask=None, T=None):
+        if (psi is None) == (factors is None):
+            raise ValueError("a basis takes either psi or factors, mask and T")
+        self.eigvals = np.asarray(eigvals, dtype=float)
+        self.h = h
+        self.params = params
+        self._psi = psi
+        self.factors = None if factors is None else tuple(factors)
+        self.mask = mask
+        self.T = T
 
     @property
     def L(self) -> int:
-        return self.psi.shape[1]
+        return self.eigvals.shape[0]
 
     @property
     def d(self) -> int:
-        return self.psi.shape[0]
+        return self._psi.shape[0] if self._psi is not None else int(self.mask.sum())
+
+    @cached_property
+    def layout(self) -> Layout:
+        """Contraction layout of a factored basis."""
+        return _layout(self.factors, self.mask, self.h)
+
+    @cached_property
+    def signs(self):
+        """T's diagonal when T is diagonal (a full grid), else None."""
+        diag = np.diag(self.T)
+        return diag if np.array_equal(self.T, np.diag(diag)) else None
+
+    def from_tensor(self, raw: np.ndarray, out=None) -> np.ndarray:
+        """raw @ T for rows of tensor-product values or coefficients."""
+        if self.signs is not None:
+            return np.multiply(raw, self.signs, out=out)
+        return np.matmul(raw, self.T, out=out)
+
+    @property
+    def psi(self) -> np.ndarray:
+        """The d x L matrix; a factored basis materialises it, column-major,
+        on every read."""
+        if self._psi is not None:
+            return self._psi
+        out = np.empty((self.d, self.L), order="F")
+        for rows, raw in self.tensor_blocks():
+            self.from_tensor(raw, out=out[rows])
+        return out
+
+    def tensor_blocks(self):
+        """Yield (rows, tensor products at those voxels) of a factored basis,
+        in row blocks of about `PSI_BLOCK` entries."""
+        (fx, fy, fz), (vx, vy, vz) = self.layout.factors, self.layout.voxels
+        a, b, c = tensor_degrees(self.h).T
+        step = max(64, PSI_BLOCK // self.L // 64 * 64)
+        for start in range(0, self.d, step):
+            rows = slice(start, start + step)
+            yield rows, fx[np.ix_(vx[rows], a)] * fy[np.ix_(vy[rows], b)] * fz[np.ix_(vz[rows], c)]
+
+    def check_lattice(self, lattice: VoxelLattice) -> None:
+        """Raise ValueError naming the mismatch unless the basis fits `lattice`:
+        the same grid and mask, or, for an explicit psi, the same voxel count."""
+        if self.mask is None:
+            if self.d != lattice.d:
+                raise ValueError(f"basis voxel count {self.d} does not match "
+                                 f"lattice d={lattice.d}")
+        elif self.mask.shape != tuple(lattice.dims):
+            raise ValueError(f"basis grid {self.mask.shape} does not match "
+                             f"lattice grid {tuple(lattice.dims)}")
+        elif not np.array_equal(self.mask, lattice.mask):
+            differ = int(np.count_nonzero(self.mask != lattice.mask))
+            raise ValueError(f"basis mask does not match the lattice mask "
+                             f"({differ} grid cells differ)")
 
 
 def kernel_eval(v1, v2, params: KernelParams) -> float:
@@ -169,77 +290,136 @@ def select_h(params: KernelParams, h_ref: int, r0: float) -> int:
     return h_ref
 
 
+@_blas.single_thread
 def build_basis(lattice: VoxelLattice, params: KernelParams, h: int) -> BasisSystem:
     """Evaluate the tensor eigenfunctions on the lattice and orthonormalize.
 
-    The 1-D factors are orthonormalized per axis first -- a triangular
-    change of basis that absorbs the dropped normalization constants and
-    preserves the nested total-degree span. On a full grid their tensor
-    products are orthonormal by construction and keep the tensor-degree
-    column order; on a masked lattice the columns go through the thin SVD,
-    computed via the L x L Gram matrix so cost scales as d*L^2, with one
-    Cholesky refinement pass to hold orthonormality at machine precision.
-    Column signs are fixed so the largest-magnitude entry of each column is
-    non-negative, for reproducibility; downstream results are invariant to
-    column sign flips.
+    The 1-D factors are orthonormalized on each axis's grid planes first, by
+    a QR decomposition -- a triangular change of basis that absorbs the
+    dropped normalization constants and preserves the nested total-degree
+    span. On a grid that is full on the planes it meets, their tensor
+    products are orthonormal already: T is diagonal and only fixes column
+    signs, so that the largest-magnitude entry of each column is
+    non-negative. On any other mask, the L x L Gram matrix G of the tensor
+    products is contracted from the mask one axis at a time, and T = R^-1
+    from CholeskyQR2 in tensor-degree order: G = R1'R1, then the Gram of the
+    once-corrected columns, T1'G T1 = R2'R2, and T = T1 R2^-1 (Gram-Schmidt on
+    the tensor products, so column j has leading tensor degree j and T has a
+    positive diagonal). On an ill-conditioned mask the second Gram is summed
+    from the corrected rows in blocks, which keeps psi'psi = I to about 1e-12
+    where G alone would lose cond(G) times machine precision. Runs with BLAS
+    pinned to one thread.
 
     Raises
     ------
     ValueError
         "basis exceeds lattice rank" when C(h+3,3) > d; "degenerate basis"
-        when the evaluation matrix is numerically rank-deficient (relative
-        singular value below 1e-10), e.g. when the per-axis degree exceeds
-        the number of distinct grid planes.
+        when a per-axis degree exceeds the axis's distinct grid planes or the
+        tensor products are numerically rank-deficient (Cholesky of G fails,
+        or a diagonal entry of R1 falls below 1e-10 of the largest).
     """
     L = basis_size(h)
     if L > lattice.d:
         raise ValueError(f"basis exceeds lattice rank: L={L} > d={lattice.d}")
     eig1, evaluate = eigen_system_1d(params, h)
 
-    # Orthonormalize the 1-D factors on each axis's distinct grid values
-    # before forming tensor products. The QR change of basis is triangular
-    # in degree, so the total-degree-<=h span is untouched, while the raw
-    # matrix becomes well conditioned (exactly orthonormal columns on a
-    # full grid). A per-axis degree that the grid cannot resolve shows up
-    # as a collapsed QR diagonal.
-    per_axis = []
+    # A per-axis degree that the grid cannot resolve shows up as a collapsed
+    # QR diagonal. On a full grid, the QR factors make the tensor products
+    # exactly orthonormal, since the grid inner product factorizes.
+    factors = []
     for ax in range(3):
-        values, index = np.unique(lattice.coords[:, ax], return_inverse=True)
-        fam = evaluate(values)
+        values = np.unique(lattice.coords[:, ax])
         if values.size < h + 1:
             raise ValueError("degenerate basis")
-        Q, R = np.linalg.qr(fam)
+        Q, R = np.linalg.qr(evaluate(values))
         diag = np.abs(np.diag(R))
         if diag.min() <= RANK_TOL * diag.max():
             raise ValueError("degenerate basis")
-        per_axis.append(Q[index])
+        present = lattice.mask.any(axis=tuple(o for o in range(3) if o != ax))
+        factor = np.zeros((lattice.dims[ax], h + 1))
+        factor[present] = Q
+        factors.append(factor)
 
     degrees = tensor_degrees(h)
-    raw = per_axis[0][:, degrees[:, 0]] * per_axis[1][:, degrees[:, 1]] \
-        * per_axis[2][:, degrees[:, 2]]
-
-    if lattice.mask.all():
-        # On a full grid the products of per-axis orthonormal factors are
-        # orthonormal already (the grid inner product factorizes), and they
-        # keep the tensor-degree column order, which aligns psi with the
-        # stored eigenvalues.
-        psi = raw
-    else:
-        gram = raw.T @ raw
-        w, V = np.linalg.eigh(gram)
-        w = w[::-1]
-        V = V[:, ::-1]
-        if w[0] <= 0 or w[-1] <= (RANK_TOL ** 2) * w[0]:
-            raise ValueError("degenerate basis")
-        psi = (raw @ V) / np.sqrt(w)
-        # One refinement pass: the Gram route loses accuracy when cond(raw)^2
-        # approaches 1/eps; psi.T @ psi is then I + E with small E, and a
-        # Cholesky correction removes E.
-        corr = np.linalg.cholesky(psi.T @ psi)
-        psi = solve_triangular(corr, psi.T, lower=True).T
-
-    flip = psi[np.abs(psi).argmax(axis=0), np.arange(L)] < 0
-    psi[:, flip] *= -1.0
-
     eigvals = eig1[degrees[:, 0]] * eig1[degrees[:, 1]] * eig1[degrees[:, 2]]
-    return BasisSystem(psi=psi, eigvals=eigvals, h=h, params=params)
+    basis = BasisSystem(eigvals=eigvals, h=h, params=params, factors=factors,
+                        mask=lattice.mask.copy())
+    layout = basis.layout
+    if lattice.d == math.prod(f.shape[0] for f in layout.factors):
+        basis.T = np.diag(_peak_signs(layout.factors, degrees))
+    else:
+        basis.T = _cholesky_qr2(_masked_gram(layout, h), basis.tensor_blocks)
+    return basis
+
+
+def _peak_signs(factors, degrees) -> np.ndarray:
+    """Signs making each tensor product's largest-magnitude entry (the first
+    one in voxel order on ties) non-negative, on a grid full on its planes.
+
+    Only entries within 1e-12 of their axis maximum can hold a product's
+    rounded maximum, so the products are formed, rounded as in the column,
+    for those few candidates only.
+    """
+    near = [[np.flatnonzero(np.abs(f[:, k]) >= (1.0 - 1e-12) * np.abs(f[:, k]).max())
+             for k in range(f.shape[1])] for f in factors]
+    fx, fy, fz = factors
+    signs = np.ones(len(degrees))
+    for j, (a, b, c) in enumerate(degrees):
+        peak = 0.0
+        for z in near[2][c]:
+            for y in near[1][b]:
+                for x in near[0][a]:
+                    value = fx[x, a] * fy[y, b] * fz[z, c]
+                    if abs(value) > peak:
+                        peak, signs[j] = abs(value), (-1.0 if value < 0 else 1.0)
+    return signs
+
+
+def pair_products(f: np.ndarray) -> np.ndarray:
+    """Products of a factor's columns in pairs, row by row:
+    P[x, a*k + a'] = f[x, a] * f[x, a'] for a factor f (m, k)."""
+    return (f[:, :, None] * f[:, None, :]).reshape(f.shape[0], -1)
+
+
+def _masked_gram(layout: Layout, h: int) -> np.ndarray:
+    """G[i, j] = sum over masked voxels of the tensor products i and j,
+    contracted over x, then y, then z."""
+    H = h + 1
+    fx, fy, fz = layout.factors
+    mx, my, mz = (f.shape[0] for f in layout.factors)
+    weight = np.zeros(mz * my * mx)
+    weight[layout.cells] = 1.0
+    g = weight.reshape(mz * my, mx) @ pair_products(fx)           # (z y, a a')
+    g = pair_products(fy).T @ g.reshape(mz, my, H * H)             # (z, b b', a a')
+    g = pair_products(fz).T @ g.reshape(mz, H ** 4)                # (c c', b b' a a')
+    g = g.reshape((H,) * 6)
+    a, b, c = tensor_degrees(h).T
+    return g[c[:, None], c, b[:, None], b, a[:, None], a]
+
+
+def _cholesky_qr2(gram: np.ndarray, tensor_blocks) -> np.ndarray:
+    """Upper-triangular T with T' G T = I: two Cholesky passes.
+
+    The second pass factors the Gram of the once-corrected columns,
+    T1'G T1. Formed from G, it carries G's rounding amplified by cond(G),
+    about as much as the first pass corrected; so when that correction
+    exceeds `REFINE_TOL`, the second Gram is summed from the corrected rows
+    instead, block by block from `tensor_blocks()`, as in dense CholeskyQR2.
+    """
+    eye = np.eye(gram.shape[0])
+    try:
+        r1 = np.linalg.cholesky(gram).T
+        diag = np.diag(r1)
+        if diag.min() <= RANK_TOL * diag.max():
+            raise ValueError("degenerate basis")
+        t1 = solve_triangular(r1, eye)
+        gram2 = t1.T @ gram @ t1
+        if np.abs(gram2 - eye).max() > REFINE_TOL:
+            gram2 = np.zeros_like(gram)
+            for _, raw in tensor_blocks():
+                q = raw @ t1
+                gram2 += q.T @ q
+        r2 = np.linalg.cholesky(gram2).T
+    except np.linalg.LinAlgError:
+        raise ValueError("degenerate basis") from None
+    return np.triu(t1 @ solve_triangular(r2, eye))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 from collections import OrderedDict
 
 import numpy as np
@@ -13,18 +15,51 @@ from .sem import FitResult, ModelParams
 
 
 def save_basis(basis: BasisSystem, prefix) -> None:
-    write_matrix_bundle(prefix, OrderedDict(psi=basis.psi, eigvals=basis.eigvals),
-                        meta={"kind": "basis", "a": basis.params.a, "b": basis.params.b,
-                              "h": basis.h, "L": basis.L, "d": basis.d})
+    """Write a basis bundle: version 2 for a factored basis, version 1 for an
+    explicit psi.
+
+    Version 2 stores the factors `phi_x`, `phi_y`, `phi_z`, `T` and `eigvals`
+    as matrices and the mask as ``<prefix>.mask``, one byte (0/1) per grid
+    cell, x-fastest, as volume bundles store it; version 1 stores `psi` and
+    `eigvals`.
+    """
+    prefix = str(prefix)
+    meta = {"kind": "basis", "a": basis.params.a, "b": basis.params.b,
+            "h": basis.h, "L": basis.L, "d": basis.d}
+    if basis.factors is None:
+        write_matrix_bundle(prefix, OrderedDict(psi=basis.psi, eigvals=basis.eigvals),
+                            meta=meta)
+        return
+    basis.mask.ravel(order="F").astype(np.uint8).tofile(prefix + ".mask")
+    fx, fy, fz = basis.factors
+    write_matrix_bundle(prefix, OrderedDict(phi_x=fx, phi_y=fy, phi_z=fz, T=basis.T,
+                                            eigvals=basis.eigvals),
+                        meta={**meta, "version": 2,
+                              "dims": " ".join(str(m) for m in basis.mask.shape),
+                              "mask": os.path.basename(prefix) + ".mask"})
 
 
 def load_basis(prefix) -> BasisSystem:
+    """Read a basis bundle of either version."""
+    prefix = str(prefix)
     mats, meta = read_matrix_bundle(prefix)
     if meta.get("kind") != "basis":
         raise ValueError(f"{prefix}: not a basis bundle")
     params = KernelParams(float(meta["a"]), float(meta["b"]))
-    return BasisSystem(psi=mats["psi"], eigvals=mats["eigvals"].ravel(),
-                       h=int(meta["h"]), params=params)
+    eigvals, h = mats["eigvals"].ravel(), int(meta["h"])
+    version = meta.get("version", "1")
+    if version == "1":
+        return BasisSystem(psi=mats["psi"], eigvals=eigvals, h=h, params=params)
+    if version != "2":
+        raise ValueError(f"{prefix}: unsupported basis bundle version {version!r}")
+    dims = tuple(int(t) for t in meta["dims"].split())
+    mask_path = os.path.join(os.path.dirname(prefix) or ".", meta["mask"])
+    flat = np.fromfile(mask_path, dtype=np.uint8)
+    if flat.size != math.prod(dims):
+        raise ValueError(f"{mask_path}: mask size {flat.size} does not match dims {dims}")
+    return BasisSystem(eigvals=eigvals, h=h, params=params,
+                       factors=(mats["phi_x"], mats["phi_y"], mats["phi_z"]),
+                       mask=flat.astype(bool).reshape(dims, order="F"), T=mats["T"])
 
 
 def save_fit(fit: FitResult, prefix) -> None:

@@ -151,8 +151,7 @@ def _load_inputs(res):
     lattice = lattice_from_volume(res["images"])
     dataset = load_dataset(res["images"], res["covariates"], lattice)
     basis = load_basis(res["basis"])
-    if basis.d != lattice.d:
-        raise ValueError(f"basis voxel count {basis.d} does not match lattice d={lattice.d}")
+    basis.check_lattice(lattice)
     return lattice, dataset, basis
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .basis import BasisSystem
+from . import _blas
+from .basis import BasisSystem, pair_products, tensor_degrees
 from .lattice import Dataset
 from .projection import backproject
 from .sem import FitResult
@@ -74,19 +75,38 @@ FIELD_BLOCK = 1 << 20  # basis entries squared at a time by `_variance_field`
 
 
 def _variance_field(basis: BasisSystem, lam: np.ndarray) -> np.ndarray:
-    """sum_l lam_l psi_l(v)^2 for every voxel (d,), in row blocks of about
-    `FIELD_BLOCK` basis entries so that no d x L temporary is allocated.
+    """sum_l lam_l psi_l(v)^2 for every voxel (d,).
 
-    Blocks are whole multiples of 64 rows, so a one-thread BLAS groups the
-    rows as in the unblocked product and the field matches it bit for bit.
+    For a factored basis this is the diagonal of Phi S Phi' with
+    S = T diag(lam) T', contracted over x, then y, then z on the grid of
+    planes the mask meets. An explicit psi is squared in row blocks of about
+    `FIELD_BLOCK` entries, so that no d x L temporary is allocated; blocks are
+    whole multiples of 64 rows, so a one-thread BLAS groups the rows as in
+    the unblocked product and the field matches it bit for bit.
     """
-    psi = basis.psi
-    rows = max(64, FIELD_BLOCK // psi.shape[1] // 64 * 64)
-    field = np.empty(psi.shape[0])
-    for start in range(0, psi.shape[0], rows):
-        block = psi[start:start + rows]
-        field[start:start + rows] = (block * block) @ lam
-    return field
+    if basis.factors is None:
+        psi = basis.psi
+        rows = max(64, FIELD_BLOCK // psi.shape[1] // 64 * 64)
+        field = np.empty(psi.shape[0])
+        for start in range(0, psi.shape[0], rows):
+            block = psi[start:start + rows]
+            field[start:start + rows] = (block * block) @ lam
+        return field
+    layout = basis.layout
+    fx, fy, fz = layout.factors
+    mx, my = fx.shape[0], fy.shape[0]
+    H = basis.h + 1
+    a, b, c = tensor_degrees(basis.h).T
+    cb, pair = np.unique(c * H + b, return_inverse=True)  # (c, b) of each column
+    n = cb.size
+    s = np.zeros((n, n, H, H))
+    s[pair[:, None], pair, a[:, None], a] = basis.T * lam @ basis.T.T
+    t = (s.reshape(n * n, H * H) @ pair_products(fx).T).reshape(n, n, mx)  # (c b, c' b', x)
+    cube = np.zeros((H, H, H, H, mx))
+    cube[cb[:, None] // H, cb // H, cb[:, None] % H, cb % H] = t           # (c, c', b, b', x)
+    t = pair_products(fy) @ cube.reshape(H * H, H * H, mx)                 # (c c', y, x)
+    t = pair_products(fz) @ t.reshape(H * H, my * mx)                      # (z, y x)
+    return t.ravel()[layout.cells]
 
 
 def svc_variance(cov: CoefCovariance, basis: BasisSystem, group: int,
@@ -138,6 +158,7 @@ def fdr_bh(pvals: np.ndarray, alpha: float) -> np.ndarray:
     return pvals <= cutoff
 
 
+@_blas.single_thread
 def infer_maps(fit: FitResult, dataset: Dataset, basis: BasisSystem,
                alpha: float = 0.05):
     """All (group, exposure) inference maps with BH decisions at `alpha`.

@@ -98,7 +98,11 @@ def write_matrix_bundle(prefix, matrices, meta=None) -> None:
 
 
 def read_matrix_bundle(prefix):
-    """Read a matrix bundle; returns (matrices, meta) with meta values as strings."""
+    """Read a matrix bundle; returns (matrices, meta) with meta values as strings.
+
+    Each matrix is read from its own offset, so reading a bundle holds it in
+    memory once.
+    """
     prefix = str(prefix)
     header = read_kv(prefix + ".hdr", multi=("matrix",))
     if header.get("format") != MATRIX_FORMAT:
@@ -107,18 +111,19 @@ def read_matrix_bundle(prefix):
     if header.get("dtype") != "float64-le":
         raise ValueError(f"{prefix}.hdr: unsupported dtype {header.get('dtype')!r}")
     dat_path = os.path.join(os.path.dirname(prefix) or ".", header["payload"])
-    payload = np.fromfile(dat_path, dtype="<f8")
+    size = os.path.getsize(dat_path)
     matrices = OrderedDict()
-    for spec in header.get("matrix", []):
-        try:
-            name, rows, cols, offset = spec.split()
-            rows, cols, offset = int(rows), int(cols), int(offset)
-        except ValueError as exc:
-            raise ValueError(f"{prefix}.hdr: malformed matrix record {spec!r}") from exc
-        start = offset // 8
-        count = rows * cols
-        if start + count > payload.size:
-            raise ValueError(f"{prefix}.hdr: matrix {name!r} extends past payload end")
-        matrices[name] = payload[start:start + count].reshape(rows, cols).copy()
+    with open(dat_path, "rb") as fh:
+        for spec in header.get("matrix", []):
+            try:
+                name, rows, cols, offset = spec.split()
+                rows, cols, offset = int(rows), int(cols), int(offset)
+            except ValueError as exc:
+                raise ValueError(f"{prefix}.hdr: malformed matrix record {spec!r}") from exc
+            count = rows * cols
+            if offset < 0 or offset + 8 * count > size:
+                raise ValueError(f"{prefix}.hdr: matrix {name!r} extends past payload end")
+            fh.seek(offset)
+            matrices[name] = np.fromfile(fh, dtype="<f8", count=count).reshape(rows, cols)
     meta = {k[len("meta."):]: v for k, v in header.items() if k.startswith("meta.")}
     return matrices, meta

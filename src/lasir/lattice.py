@@ -30,6 +30,7 @@ import numpy as np
 from .io import read_kv, write_kv
 
 VOLUME_FORMAT = "volume-bundle-v1"
+CHUNK = 1 << 22  # grid cells read, or image values checked, at a time
 
 
 @dataclass
@@ -251,7 +252,11 @@ def lattice_from_volume(base) -> VoxelLattice:
 
 
 def load_volume_map(base, lattice: VoxelLattice = None):
-    """Read a volume bundle; returns (values, lattice) with values (count, d)."""
+    """Read a volume bundle; returns (values, lattice) with values (count, d).
+
+    The payload is read and masked about `CHUNK` grid cells at a time, so
+    the count x grid-cells array is never held in memory.
+    """
     base = str(base)
     _, dims, count = _read_volume_header(base)
     file_lattice = lattice_from_volume(base)
@@ -259,12 +264,19 @@ def load_volume_map(base, lattice: VoxelLattice = None):
         lattice = file_lattice
     elif lattice.dims != dims or not np.array_equal(lattice.mask, file_lattice.mask):
         raise ValueError(f"{base}: volume dims/mask do not match the given lattice")
-    full = np.fromfile(base + ".dat", dtype="<f4")
-    if full.size != count * lattice.n_cells:
-        raise ValueError(f"{base}.dat: payload size {full.size} does not match "
+    size = os.path.getsize(base + ".dat") // 4
+    if size != count * lattice.n_cells:
+        raise ValueError(f"{base}.dat: payload size {size} does not match "
                          f"count {count} x {lattice.n_cells} cells")
-    values = full.reshape(count, lattice.n_cells)[:, lattice.flat_mask]
-    return np.ascontiguousarray(values), lattice
+    values = np.empty((count, lattice.d), dtype=np.float32)
+    cells = np.flatnonzero(lattice.flat_mask)
+    step = max(1, CHUNK // lattice.n_cells)
+    with open(base + ".dat", "rb") as fh:
+        for start in range(0, count, step):
+            rows = values[start:start + step]
+            grid = np.fromfile(fh, dtype="<f4", count=rows.shape[0] * lattice.n_cells)
+            np.take(grid.reshape(rows.shape[0], -1), cells, axis=1, out=rows)
+    return values, lattice
 
 
 def save_dataset(dataset: Dataset, lattice: VoxelLattice, volume_base, covariate_path) -> None:
@@ -294,10 +306,12 @@ def load_dataset(volume_base, covariate_path, lattice: VoxelLattice) -> Dataset:
     malformed headers, or non-finite values.
     """
     images, lattice = load_volume_map(volume_base, lattice)
-    bad = ~np.isfinite(images)
-    if bad.any():
-        i = int(np.argwhere(bad.any(axis=1))[0, 0])
-        raise ValueError(f"non-finite image value for individual index {i}")
+    step = max(1, CHUNK // lattice.d)
+    for start in range(0, images.shape[0], step):
+        finite = np.isfinite(images[start:start + step]).all(axis=1)
+        if not finite.all():
+            i = start + int(np.argmin(finite))
+            raise ValueError(f"non-finite image value for individual index {i}")
 
     with open(covariate_path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]

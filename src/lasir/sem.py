@@ -444,8 +444,9 @@ def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
     The whole fit, projection included, runs with the bundled OpenBLAS pools
     pinned to one thread; the caller's pool sizes are restored on return.
     The pools are process-wide, so BLAS calls made by other threads during
-    the fit also run single-threaded. `build_basis`, `infer_maps` and a bare
-    `project` keep the caller's pool.
+    the fit also run single-threaded. `build_basis` and `infer_maps` pin the
+    pools the same way; only a bare `project` or `backproject` keeps the
+    caller's pool.
     """
     problem = prepare(project(dataset.images, basis), dataset)
     return fit_problem(problem, n_groups, config or SemConfig())

@@ -93,8 +93,7 @@ def sample_gp(lattice: VoxelLattice, basis: BasisSystem,
     of the analytic eigenvalues and combined over the basis columns, so the
     field's pointwise variance is ``sum_l e_l psi_l(v)^2``.
     """
-    if basis.d != lattice.d:
-        raise ValueError("basis was built for a different lattice")
+    basis.check_lattice(lattice)
     return gp_from_coeffs(basis, rng.standard_normal(basis.L))
 
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from lasir import (KernelParams, basis_size, build_basis, build_lattice,
-                   eigen_system_1d, kernel_eval, select_h, tensor_degrees,
+from lasir import (KernelParams, backproject, basis_size, build_basis, build_lattice,
+                   eigen_system_1d, kernel_eval, project, select_h, tensor_degrees,
                    variance_contribution)
+from lasir.inference import _variance_field
 
 
 class TestKernel:
@@ -170,3 +173,110 @@ class TestBuildBasis:
             low = basis.eigvals[degrees == n].min()
             high = basis.eigvals[degrees == n + 1].max()
             assert low > high
+
+
+def tensor_products(lattice, params, h):
+    """Dense d x L tensor products of the per-axis QR factors, in tensor-degree
+    order, evaluated voxel by voxel."""
+    _, evaluate = eigen_system_1d(params, h)
+    per_axis = []
+    for ax in range(3):
+        values, index = np.unique(lattice.coords[:, ax], return_inverse=True)
+        per_axis.append(np.linalg.qr(evaluate(values))[0][index])
+    deg = tensor_degrees(h)
+    return per_axis[0][:, deg[:, 0]] * per_axis[1][:, deg[:, 1]] * per_axis[2][:, deg[:, 2]]
+
+
+def dense_reference(raw):
+    """The dense Gram/eigh orthonormalization: rotate the tensor products by
+    the eigenvectors of their Gram, scale, and refine with one Cholesky pass."""
+    w, V = np.linalg.eigh(raw.T @ raw)
+    psi = raw @ V / np.sqrt(w)
+    corr = np.linalg.cholesky(psi.T @ psi)
+    return np.linalg.solve(corr, psi.T).T
+
+
+def _relative_gap(got, expected):
+    return np.abs(got - expected).max() / np.abs(expected).max()
+
+
+@st.composite
+def masked_lattices(draw):
+    dims = tuple(draw(st.integers(4, 8)) for _ in range(3))
+    keep = draw(st.floats(0.5, 0.95))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = rng.random(dims) < keep
+    assume(mask.any())
+    return build_lattice(dims, mask), draw(st.integers(1, 3))
+
+
+class TestFactoredBasis:
+    @given(masked_lattices())
+    def test_matches_dense_reference_on_random_masks(self, case):
+        lattice, h = case
+        params = KernelParams(0.05, 1.0)
+        assume(basis_size(h) <= lattice.d
+               and all(np.unique(lattice.coords[:, ax]).size > h for ax in range(3)))
+        raw = tensor_products(lattice, params, h)
+        s = np.linalg.svd(raw, compute_uv=False)
+        assume(s[-1] > 1e-6 * s[0])
+        basis = build_basis(lattice, params, h)
+        psi, ref = basis.psi, dense_reference(raw)
+        assert np.abs(psi @ psi.T - ref @ ref.T).max() <= 1e-10
+        assert np.abs(psi.T @ psi - np.eye(basis.L)).max() <= 1e-8
+
+        rng = np.random.default_rng(0)
+        images = rng.standard_normal((5, lattice.d)).astype(np.float32)
+        assert _relative_gap(project(images, basis), images.astype(float) @ psi) <= 1e-12
+        coefs = rng.standard_normal((3, basis.L))
+        assert _relative_gap(backproject(coefs, basis), coefs @ psi.T) <= 1e-12
+        lam = rng.random(basis.L) + 0.1
+        assert _relative_gap(_variance_field(basis, lam), (psi * psi) @ lam) <= 1e-12
+
+    def test_ill_conditioned_mask_stays_orthonormal(self):
+        # A spherical shell: cond(G) is about 4e8, so the second Cholesky pass
+        # formed from G alone would leave max|psi'psi - I| near 1e-8.
+        dims = (18, 18, 18)
+        grids = np.meshgrid(*[np.linspace(-1, 1, m) for m in dims], indexing="ij")
+        r2 = sum(g ** 2 for g in grids)
+        lattice = build_lattice(dims, (r2 >= 0.6) & (r2 <= 0.9))
+        params = KernelParams(0.01, 2.0)
+        basis = build_basis(lattice, params, 8)
+        psi, ref = basis.psi, dense_reference(tensor_products(lattice, params, 8))
+        assert np.abs(psi.T @ psi - np.eye(basis.L)).max() <= 1e-10
+        assert np.abs(psi @ psi.T - ref @ ref.T).max() <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_masked_column_j_has_leading_tensor_degree_j(self, seed):
+        mask = np.random.default_rng(seed).random((7, 8, 6)) < 0.7
+        lattice = build_lattice((7, 8, 6), mask)
+        params = KernelParams(0.01, 2.0)
+        basis = build_basis(lattice, params, 3)
+        T = basis.T
+        assert np.all(np.tril(T, -1) == 0.0)
+        assert np.all(np.diag(T) > 0.0)
+        # psi = raw @ C with C upper triangular and a positive diagonal: column
+        # j mixes tensor products 0..j only and has a component along product j
+        raw = tensor_products(lattice, params, 3)
+        C = np.linalg.lstsq(raw, basis.psi, rcond=None)[0]
+        assert np.abs(np.tril(C, -1)).max() <= 1e-10
+        assert np.all(np.diag(C) > 1e-3)
+
+    def test_full_grid_keeps_tensor_products(self):
+        lattice = build_lattice((6, 7, 5))
+        params = KernelParams(0.01, 2.0)
+        basis = build_basis(lattice, params, 3)
+        assert np.array_equal(np.abs(basis.T), np.eye(basis.L))
+        assert np.array_equal(np.abs(basis.psi), np.abs(tensor_products(lattice, params, 3)))
+
+    def test_lattice_check_names_the_mismatch(self):
+        mask = np.ones((5, 5, 5), dtype=bool)
+        mask[0, 0, 0] = False
+        other = np.ones((5, 5, 5), dtype=bool)
+        other[4, 4, 4] = False
+        basis = build_basis(build_lattice((5, 5, 5), mask), KernelParams(0.01, 2.0), 2)
+        basis.check_lattice(build_lattice((5, 5, 5), mask))
+        with pytest.raises(ValueError, match="basis mask does not match.*2 grid cells"):
+            basis.check_lattice(build_lattice((5, 5, 5), other))
+        with pytest.raises(ValueError, match="basis grid"):
+            basis.check_lattice(build_lattice((5, 5, 6)))

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from lasir import _blas
@@ -256,3 +257,25 @@ def test_reproduce_manifest_reruns_without_naming_the_study(tmp_path):
     assert read_kv(manifest)["what"] == "table2"
     assert main(["reproduce", "--config", str(manifest), "--out", str(tmp_path / "new.csv")]) == 0
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+def test_fit_rejects_basis_from_another_mask(tmp_path, capsys):
+    # Both masks drop one voxel of the 4^3 grid, so the voxel counts agree
+    # and only the masks tell the lattices apart.
+    from lasir import build_lattice, save_dataset, save_volume_map
+    from test_lattice import _toy_dataset
+
+    masks = [np.ones((4, 4, 4), dtype=bool) for _ in range(2)]
+    masks[0][0, 0, 0] = masks[1][3, 3, 3] = False
+    data_lattice, basis_lattice = (build_lattice((4, 4, 4), m) for m in masks)
+    save_dataset(_toy_dataset(30, lattice=data_lattice), data_lattice, tmp_path / "images",
+                 tmp_path / "covariates.csv")
+    save_volume_map(np.zeros(basis_lattice.d), basis_lattice, tmp_path / "other")
+    assert main(["basis", "--lattice", str(tmp_path / "other"), "--a", "0.01", "--b", "2",
+                 "--h", "2", "--out", str(tmp_path / "basis")]) == 0
+    assert main(["fit", "--images", str(tmp_path / "images"),
+                 "--covariates", str(tmp_path / "covariates.csv"),
+                 "--basis", str(tmp_path / "basis"), "--k", "2",
+                 "--out", str(tmp_path / "fit")]) == 1
+    assert "basis mask does not match the lattice mask (2 grid cells differ)" \
+        in capsys.readouterr().err

@@ -1,7 +1,10 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
-from lasir import SemConfig, SimConfig, fit_sem, simulate_cube
+from lasir import (KernelParams, SemConfig, SimConfig, build_basis, build_lattice, fit_sem,
+                   project, simulate_cube)
 from lasir.bundles import (load_basis, load_fit, load_truth, save_basis,
                            save_fit, save_truth)
 from lasir.io import config_hash, read_kv, read_matrix_bundle, write_kv, write_matrix_bundle
@@ -73,6 +76,35 @@ class TestBundles:
         assert np.array_equal(back.eigvals, basis.eigvals)
         assert back.h == basis.h
         assert back.params.b == basis.params.b
+
+    def test_masked_basis_round_trip_is_version_2(self, tmp_path):
+        mask = np.random.default_rng(5).random((6, 7, 5)) < 0.7
+        basis = build_basis(build_lattice((6, 7, 5), mask), KernelParams(0.01, 2.0), 3)
+        save_basis(basis, tmp_path / "basis")
+        _, meta = read_matrix_bundle(tmp_path / "basis")
+        assert meta["version"] == "2" and meta["dims"] == "6 7 5"
+        assert (tmp_path / "basis.mask").stat().st_size == mask.size
+        back = load_basis(tmp_path / "basis")
+        assert np.array_equal(back.mask, mask)
+        assert np.array_equal(back.T, basis.T)
+        assert back.psi.tobytes() == basis.psi.tobytes()
+
+    def test_version_1_bundle_loads_and_round_trips(self, tmp_path, sim):
+        # the layout written before factored bases: psi and eigvals only
+        dataset, _, _, basis = sim
+        psi = basis.psi
+        write_matrix_bundle(tmp_path / "v1", OrderedDict(psi=psi, eigvals=basis.eigvals),
+                            meta={"kind": "basis", "a": basis.params.a, "b": basis.params.b,
+                                  "h": basis.h, "L": basis.L, "d": basis.d})
+        v1 = load_basis(tmp_path / "v1")
+        assert v1.factors is None
+        assert v1.psi.tobytes() == psi.tobytes()
+        save_basis(v1, tmp_path / "again")
+        again = load_basis(tmp_path / "again")
+        assert again.psi.tobytes() == psi.tobytes()
+        assert np.array_equal(again.eigvals, basis.eigvals)
+        dense, factored = project(dataset.images, v1), project(dataset.images, basis)
+        assert np.abs(dense - factored).max() <= 1e-12 * np.abs(dense).max()
 
     def test_fit_round_trip(self, tmp_path, sim):
         dataset, truth, lattice, basis = sim

@@ -190,6 +190,25 @@ class TestDatasetIO:
             load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
 
 
+    def test_chunked_reads_match_and_name_the_individual(self, tmp_path, monkeypatch):
+        # chunks of one or two images: the masked read and the non-finite
+        # check must not depend on where the chunks fall
+        mask = np.random.default_rng(4).random((3, 4, 5)) < 0.6
+        lat = build_lattice((3, 4, 5), mask)
+        images = np.random.default_rng(5).standard_normal((5, lat.d)).astype(np.float32)
+        save_volume_map(images, lat, tmp_path / "img")
+        for chunk in (lat.n_cells, 2 * lat.n_cells):
+            monkeypatch.setattr("lasir.lattice.CHUNK", chunk)
+            assert np.array_equal(load_volume_map(tmp_path / "img")[0], images)
+        images[3, 7] = np.inf
+        save_volume_map(images, lat, tmp_path / "img")
+        with open(tmp_path / "cov.csv", "w") as fh:
+            fh.write("id,site\n" + "".join(f"i{i},1\n" for i in range(5)))
+        monkeypatch.setattr("lasir.lattice.CHUNK", 2 * lat.d)
+        with pytest.raises(ValueError, match="individual index 3"):
+            load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+
+
 class TestDatasetInvariants:
     def test_sites_must_be_one_hot(self):
         lat = build_lattice((2, 2, 1))

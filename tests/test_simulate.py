@@ -5,6 +5,7 @@ from lasir import (KernelParams, SimConfig, build_basis, build_lattice,
                    draw_labels, make_group_svcs, sample_gp, simulate_cube,
                    smoothed_center_cube, trig_map)
 from lasir.simulate import gp_from_coeffs
+from test_basis import tensor_products
 
 
 class TestSampleGP:
@@ -21,6 +22,24 @@ class TestSampleGP:
         rng = np.random.default_rng(42)
         draws = np.array([sample_gp(lat, basis, rng)[center] for _ in range(2000)])
         assert abs(draws.var() / analytic - 1.0) < 0.10
+
+    def test_masked_variance_pairs_eigenvalues_with_degrees(self):
+        # On a masked lattice the field's pointwise variance is
+        # sum_l e_l psi_l(v)^2 with psi_l the Gram-Schmidt column of tensor
+        # degree l, taken here from a dense QR of the tensor products. A rough
+        # kernel (B = 0.17) makes a mispairing of eigenvalues and columns show.
+        dims = (8, 9, 7)
+        grids = np.meshgrid(*[np.linspace(-1, 1, m) for m in dims], indexing="ij")
+        lattice = build_lattice(dims, sum(g ** 2 for g in grids) <= 1.1)
+        params = KernelParams(0.5, 1.0)
+        basis = build_basis(lattice, params, 4)
+        Q = np.linalg.qr(tensor_products(lattice, params, 4))[0]
+        expected = (Q ** 2) @ basis.eigvals
+        rng = np.random.default_rng(0)
+        n = 4000
+        draws = np.stack([sample_gp(lattice, basis, rng) for _ in range(n)])
+        # per voxel, the mean square over n draws has relative sd sqrt(2/n)
+        assert np.abs((draws ** 2).mean(axis=0) / expected - 1.0).max() < 6 * np.sqrt(2 / n)
 
     def test_seed_controls_field(self):
         lat = build_lattice((5, 5, 5))

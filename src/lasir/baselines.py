@@ -13,9 +13,12 @@ from .lattice import Dataset
 from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
 from .projection import project
 from .sem import (DegenerateGroupError, FitResult, ModelParams, SemConfig,
-                  fit_sem, m_step, prepare, q_value)
+                  fit_at_labels, fit_sem, prepare)
 
 logger = logging.getLogger(__name__)
+
+KMEANS_MAX_ITER = 100  # Lloyd iterations per seeding
+KMEANS_INIT = 10       # k-means++ seedings; the lowest inertia wins
 
 
 def _kmeanspp_seed(points, n_clusters, rng):
@@ -60,13 +63,13 @@ def _lloyd(points, centroids, max_iter):
     return labels, trace
 
 
-def kmeans(points: np.ndarray, n_clusters: int, seed: int = 0,
-           max_iter: int = 100, n_init: int = 10) -> np.ndarray:
+def kmeans(points: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
     """Cluster rows of `points` into 1..n_clusters labels.
 
     k-means++ seeding followed by Lloyd iterations until assignments are
-    stable or `max_iter`; `n_init` independent seedings are run and the
-    lowest within-cluster sum of squares wins. Deterministic given `seed`.
+    stable or `KMEANS_MAX_ITER`; `KMEANS_INIT` independent seedings are run
+    and the lowest within-cluster sum of squares wins. Deterministic given
+    `seed`.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -74,9 +77,9 @@ def kmeans(points: np.ndarray, n_clusters: int, seed: int = 0,
         raise ValueError(f"n_clusters={n_clusters} exceeds point count {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     best_labels, best_inertia = None, np.inf
-    for _ in range(n_init):
+    for _ in range(KMEANS_INIT):
         centroids = _kmeanspp_seed(points, n_clusters, rng)
-        labels, trace = _lloyd(points, centroids, max_iter)
+        labels, trace = _lloyd(points, centroids, KMEANS_MAX_ITER)
         if trace[-1] < best_inertia:
             best_inertia = trace[-1]
             best_labels = labels
@@ -86,56 +89,33 @@ def kmeans(points: np.ndarray, n_clusters: int, seed: int = 0,
 @_blas.single_thread
 def kmlr_fit(dataset: Dataset, basis: BasisSystem, n_groups: int,
              config: SemConfig = None) -> FitResult:
-    """K-means labels alternated with the shared M-step.
+    """K-means on the stage-1 residuals, then one M-step at those labels.
 
     k-means clusters the stage-1 residuals of the prepared problem (site and
-    control effects removed; stage 1 does not depend on labels, so they are
-    fixed), and the label / M-step alternation continues with
-    nearest-centroid reassignment until the labels are stable.
-    Responsibilities are the hard 0/1 labels. Runs with BLAS pinned to one
-    thread, as `fit_sem` does.
+    control effects removed; stage 1 does not depend on labels), retrying
+    with new seeds until every cluster has at least p+2 members, and
+    `fit_at_labels` fits the model at the cluster labels: the M-step does
+    not move them, so there is nothing to alternate. Responsibilities are
+    the hard 0/1 labels. Of `config` only `seed` and `lambda_floor` are
+    read. Runs with BLAS pinned to one thread, as `fit_sem` does.
     """
     config = config or SemConfig()
     problem = prepare(project(dataset.images, basis), dataset)
-    resid = problem.resid
-
-    labels = None
     for attempt in range(10):
-        cand = kmeans(resid, n_groups, seed=config.seed * 100 + attempt)
-        counts = np.bincount(cand, minlength=n_groups + 1)[1:]
-        if counts.min() >= dataset.p + 2:
-            labels = cand
+        labels = kmeans(problem.resid, n_groups, seed=config.seed * 100 + attempt)
+        if np.bincount(labels, minlength=n_groups + 1)[1:].min() >= dataset.p + 2:
             break
-    if labels is None:
+    else:
         raise RuntimeError("no viable fit: k-means produced degenerate groups")
-
-    trace = []
-    converged = False
-    params = None
-    for it in range(config.max_iter):
-        try:
-            params = m_step(problem, None, labels, n_groups, config.lambda_floor,
-                            w_init=None if params is None else params.w)
-        except DegenerateGroupError as exc:
-            raise RuntimeError(f"no viable fit: {exc}") from exc
-        trace.append(q_value(problem, None, labels, params))
-        centroids = np.stack([resid[labels == k].mean(axis=0)
-                              for k in range(1, n_groups + 1)])
-        d2 = ((resid[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1) + 1
-        if np.array_equal(new_labels, labels):
-            converged = True
-            break
-        labels = new_labels
-    resp = np.zeros((dataset.n, n_groups))
-    resp[np.arange(dataset.n), labels - 1] = 1.0
-    return FitResult(params=params, responsibilities=resp, labels=labels,
-                     q_trace=np.array(trace), converged=converged,
-                     seed=config.seed, iterations=len(trace), method="kmlr")
+    try:
+        fit = fit_at_labels(problem, labels, n_groups, config)
+    except DegenerateGroupError as exc:
+        raise RuntimeError(f"no viable fit: {exc}") from exc
+    fit.method = "kmlr"
+    return fit
 
 
-def svcm_fit(dataset: Dataset, basis: BasisSystem,
-             lambda_floor: float = 1e-10) -> ModelParams:
-    """No-subgroup fit: the K=1 reduction of `fit_sem`, one M-step with
-    every individual in a single group."""
-    return fit_sem(dataset, basis, 1, SemConfig(lambda_floor=lambda_floor)).params
+def svcm_fit(dataset: Dataset, basis: BasisSystem) -> ModelParams:
+    """No-subgroup fit: the K=1 reduction of `fit_sem` with the default
+    `SemConfig`, one M-step with every individual in a single group."""
+    return fit_sem(dataset, basis, 1, SemConfig()).params

@@ -173,7 +173,7 @@ class BasisSystem:
     @property
     def psi(self) -> np.ndarray:
         """The d x L matrix; a factored basis materialises it, column-major,
-        on every read."""
+        on every read, with BLAS on the caller's pool."""
         if self._psi is not None:
             return self._psi
         out = np.empty((self.d, self.L), order="F")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import os
 from collections import OrderedDict
 
@@ -10,7 +9,7 @@ import numpy as np
 
 from .basis import BasisSystem, KernelParams
 from .io import read_matrix_bundle, write_matrix_bundle
-from .lattice import GroundTruth
+from .lattice import GroundTruth, read_mask
 from .sem import FitResult, ModelParams
 
 
@@ -53,13 +52,9 @@ def load_basis(prefix) -> BasisSystem:
     if version != "2":
         raise ValueError(f"{prefix}: unsupported basis bundle version {version!r}")
     dims = tuple(int(t) for t in meta["dims"].split())
-    mask_path = os.path.join(os.path.dirname(prefix) or ".", meta["mask"])
-    flat = np.fromfile(mask_path, dtype=np.uint8)
-    if flat.size != math.prod(dims):
-        raise ValueError(f"{mask_path}: mask size {flat.size} does not match dims {dims}")
     return BasisSystem(eigvals=eigvals, h=h, params=params,
                        factors=(mats["phi_x"], mats["phi_y"], mats["phi_z"]),
-                       mask=flat.astype(bool).reshape(dims, order="F"), T=mats["T"])
+                       mask=read_mask(prefix, meta["mask"], dims), T=mats["T"])
 
 
 def save_fit(fit: FitResult, prefix) -> None:

@@ -240,7 +240,7 @@ def cmd_metrics(res):
     rows = [("nmi", "", "", nmi(fit.labels, truth.labels))]
     n_groups = fit.params.n_groups
     if n_groups == truth.alpha.shape[0]:
-        alpha_mse, beta_mse = evaluate_fit(fit.params, fit.labels, truth, basis, n_groups)
+        alpha_mse, beta_mse = evaluate_fit(fit.params, fit.labels, truth, basis)
         rows += [("alpha_mse", "", "", alpha_mse), ("beta_mse", "", "", beta_mse)]
         perm = match_groups(fit.labels, truth.labels, n_groups)
     else:

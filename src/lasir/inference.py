@@ -119,10 +119,10 @@ def svc_variance(cov: CoefCovariance, basis: BasisSystem, group: int,
 
 
 def wald_map(fit: FitResult, dataset: Dataset, basis: BasisSystem,
-             group: int, exposure: int, cov: CoefCovariance = None) -> InferenceMap:
-    """Effect, standard error, Wald statistic, and two-sided p-value maps."""
-    if cov is None:
-        cov = coef_covariance(fit, dataset)
+             group: int, exposure: int) -> InferenceMap:
+    """Effect, standard error, Wald statistic, and two-sided p-value maps of
+    one (group, exposure) pair, with the covariance from `coef_covariance`."""
+    cov = coef_covariance(fit, dataset)
     return _wald(fit, basis, group, exposure, svc_variance(cov, basis, group, exposure))
 
 

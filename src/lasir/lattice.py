@@ -239,30 +239,36 @@ def _read_volume_header(base):
     return header, dims, count
 
 
+def read_mask(base, name, dims) -> np.ndarray:
+    """The mask file `name`, in the directory of `base`, as a boolean volume
+    of shape `dims`: one byte (0/1) per grid cell, x-fastest."""
+    path = os.path.join(os.path.dirname(str(base)) or ".", name)
+    flat = np.fromfile(path, dtype=np.uint8)
+    if flat.size != int(np.prod(dims)):
+        raise ValueError(f"{path}: mask size {flat.size} does not match dims {dims}")
+    return flat.astype(bool).reshape(dims, order="F")
+
+
 def lattice_from_volume(base) -> VoxelLattice:
     """Rebuild the lattice recorded in a volume bundle."""
-    base = str(base)
     header, dims, _ = _read_volume_header(base)
-    mask_path = os.path.join(os.path.dirname(base) or ".", header["mask"])
-    flat = np.fromfile(mask_path, dtype=np.uint8)
-    if flat.size != int(np.prod(dims)):
-        raise ValueError(f"{mask_path}: mask size {flat.size} does not match dims {dims}")
-    mask = flat.astype(bool).reshape(dims, order="F")
-    return build_lattice(dims, mask)
+    return build_lattice(dims, read_mask(base, header["mask"], dims))
 
 
 def load_volume_map(base, lattice: VoxelLattice = None):
     """Read a volume bundle; returns (values, lattice) with values (count, d).
 
-    The payload is read and masked about `CHUNK` grid cells at a time, so
-    the count x grid-cells array is never held in memory.
+    The header and mask are read once; a given `lattice` must have the
+    bundle's dims and mask. The payload is read and masked about `CHUNK`
+    grid cells at a time, so the count x grid-cells array is never held in
+    memory.
     """
     base = str(base)
-    _, dims, count = _read_volume_header(base)
-    file_lattice = lattice_from_volume(base)
+    header, dims, count = _read_volume_header(base)
+    mask = read_mask(base, header["mask"], dims)
     if lattice is None:
-        lattice = file_lattice
-    elif lattice.dims != dims or not np.array_equal(lattice.mask, file_lattice.mask):
+        lattice = build_lattice(dims, mask)
+    elif lattice.dims != dims or not np.array_equal(lattice.mask, mask):
         raise ValueError(f"{base}: volume dims/mask do not match the given lattice")
     size = os.path.getsize(base + ".dat") // 4
     if size != count * lattice.n_cells:

@@ -18,7 +18,9 @@ from scipy.linalg import solve_triangular
 
 LAMBDA_FLOOR = 1e-10
 RANK_TOL = 1e-10
-MNLOGIT_RIDGE = 1e-6
+MNLOGIT_RIDGE = 1e-6     # L2 penalty of the gating fit
+MNLOGIT_MAX_ITER = 50    # Newton steps of the gating fit
+MNLOGIT_TOL = 1e-8       # gradient infinity-norm that stops the gating fit
 
 
 @dataclass
@@ -31,12 +33,11 @@ class DiagGaussianFit:
     resid: np.ndarray
 
 
-def mvls_fit(design: np.ndarray, targets: np.ndarray,
-             lambda_floor: float = LAMBDA_FLOOR) -> DiagGaussianFit:
+def mvls_fit(design: np.ndarray, targets: np.ndarray) -> DiagGaussianFit:
     """Column-wise least squares of targets (n, L) on design (n, c).
 
     Solved through a thin QR factorization. Variances are the mean squared
-    residuals per column (maximum likelihood), floored at `lambda_floor` so
+    residuals per column (maximum likelihood), floored at `LAMBDA_FLOOR` so
     exact fits cannot produce zero-variance coordinates.
 
     Raises
@@ -52,7 +53,7 @@ def mvls_fit(design: np.ndarray, targets: np.ndarray,
     Q, R = np.linalg.qr(design)
     coef = solve_triangular(R, Q.T @ targets, lower=False)
     resid = targets - design @ coef
-    lam = np.maximum(np.mean(resid ** 2, axis=0), lambda_floor)
+    lam = np.maximum(np.mean(resid ** 2, axis=0), LAMBDA_FLOOR)
     return DiagGaussianFit(coef=coef, lam=lam, resid=resid)
 
 
@@ -167,8 +168,7 @@ def _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol, init=None
 
 
 def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
-                ridge: float = MNLOGIT_RIDGE, max_iter: int = 50,
-                tol: float = 1e-8, init: np.ndarray = None) -> np.ndarray:
+                init: np.ndarray = None) -> np.ndarray:
     """Fit gating weights by penalized maximum likelihood.
 
     Parameters
@@ -179,21 +179,20 @@ def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
         Class labels in {1..n_classes}.
     n_classes : int
         Number of classes K; class K is the pinned reference.
-    ridge : float
-        L2 penalty added to the objective and the Hessian diagonal; keeps
-        the optimum finite under separation.
     init : ndarray, shape (K, q+1), optional
         Starting weights, e.g. the previous EM iteration's (warm start); the
         default starts from zero. The optimum reached is the same to within
-        `tol` on the gradient.
+        `MNLOGIT_TOL` on the gradient.
 
     Returns
     -------
     ndarray, shape (K, q+1)
-        Gating weights with the last row identically zero. The penalized
-        objective is non-decreasing across Newton steps (step halving on
-        decrease); iteration stops when the gradient infinity-norm falls
-        below `tol` or after `max_iter` steps.
+        Gating weights with the last row identically zero. The objective is
+        penalized by `MNLOGIT_RIDGE` times half the squared weights, which
+        keeps the optimum finite under separation; it is non-decreasing
+        across Newton steps (step halving on decrease), and iteration stops
+        when the gradient infinity-norm falls below `MNLOGIT_TOL` or after
+        `MNLOGIT_MAX_ITER` steps.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels, dtype=int)
@@ -207,5 +206,6 @@ def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels - 1] = 1.0
     start = None if init is None else np.asarray(init, dtype=np.float64)[:-1]
-    W, _ = _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol, start)
+    W, _ = _mnlogit_newton(features, onehot, n_classes, MNLOGIT_RIDGE, MNLOGIT_MAX_ITER,
+                           MNLOGIT_TOL, start)
     return np.vstack([W, np.zeros((1, m))])

@@ -153,8 +153,9 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     bundled OpenBLAS pools pinned to one thread, so the MSEs are bit-identical
     whatever OPENBLAS_NUM_THREADS; the caller's pool sizes are restored on
     return. The pools are process-wide: other threads' BLAS calls meanwhile
-    run single-threaded too. `build_basis` and `infer_maps` pin the pools the
-    same way; only a bare `project` or `backproject` keeps the caller's pool.
+    run single-threaded too. `build_basis`, `infer_maps` and `simulate_cube`
+    pin the pools the same way; only a bare `project`, `backproject` or read
+    of a factored basis's `.psi` keeps the caller's pool.
     """
     if mode not in ("within", "without", "shuffled"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -50,8 +50,7 @@ import numpy as np
 from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
-from .linmodel import (LAMBDA_FLOOR, MNLOGIT_RIDGE, augment, check_design,
-                       mnlogit_fit, mvls_fit)
+from .linmodel import LAMBDA_FLOOR, augment, check_design, mnlogit_fit, mvls_fit
 from .projection import project
 
 logger = logging.getLogger(__name__)
@@ -102,10 +101,10 @@ class SemConfig:
     restarts : number of independent replicates; the highest final Q wins.
     seed : master seed; replicate streams are spawned deterministically.
     lambda_floor : lower bound for the noise variances.
-    threads : worker threads for replicates (>= 1). `fit_sem` pins the
-        process-wide BLAS pools to one thread, so these threads are the fit's
-        only parallelism and results do not depend on them or on
-        OPENBLAS_NUM_THREADS.
+    threads : size of the worker pool the replicates run on (>= 1).
+        `fit_sem` pins the process-wide BLAS pools to one thread, so these
+        threads are the fit's only parallelism and results do not depend on
+        them or on OPENBLAS_NUM_THREADS.
     init_labels : optional explicit initial labels (1..K), e.g. for warm
         starts or equivariance experiments; replaces the random draw in
         every replicate.
@@ -330,24 +329,20 @@ def s_step(responsibilities: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 
 def m_step(ytilde, dataset: Dataset, labels: np.ndarray, n_groups: int,
-           lambda_floor: float = LAMBDA_FLOOR, min_group: int = None,
-           ridge: float = MNLOGIT_RIDGE, w_init: np.ndarray = None) -> ModelParams:
+           lambda_floor: float = LAMBDA_FLOOR, w_init: np.ndarray = None) -> ModelParams:
     """Maximize the complete-data objective at fixed labels.
 
     `ytilde` is the projected outcomes (n, L), whose stage 1 is then solved
     here, or a prepared `Problem` (then `dataset` is not read). `w_init`
     warm-starts the gating fit. Raises DegenerateGroupError when a group has
-    fewer than `min_group` members (default p+2) or its exposure design is
-    rank deficient, so the driver can redraw the offending S-step.
+    fewer than p+2 members or its exposure design is rank deficient, so the
+    driver can redraw the offending S-step.
     """
     problem = ytilde if isinstance(ytilde, Problem) else prepare(ytilde, dataset)
     labels = np.asarray(labels, dtype=int)
-    p1 = problem.exposures.shape[1]
-    if min_group is None:
-        min_group = p1 + 1
-    theta_alpha, rss = stage2(problem, labels, n_groups, min_group)
+    theta_alpha, rss = stage2(problem, labels, n_groups, problem.exposures.shape[1] + 1)
     lam = np.maximum(rss / problem.n, lambda_floor)
-    w = mnlogit_fit(problem.gating, labels, n_groups, ridge, init=w_init)
+    w = mnlogit_fit(problem.gating, labels, n_groups, init=w_init)
     S = problem.coef.shape[0] - (problem.gating.shape[1] - 1)
     return ModelParams(theta_alpha=theta_alpha, theta_eta=problem.coef[S:],
                        theta_gamma=problem.coef[:S], lam=lam, w=w, rss=rss)
@@ -444,12 +439,26 @@ def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
     The whole fit, projection included, runs with the bundled OpenBLAS pools
     pinned to one thread; the caller's pool sizes are restored on return.
     The pools are process-wide, so BLAS calls made by other threads during
-    the fit also run single-threaded. `build_basis` and `infer_maps` pin the
-    pools the same way; only a bare `project` or `backproject` keeps the
-    caller's pool.
+    the fit also run single-threaded. `build_basis`, `infer_maps` and
+    `simulate_cube` pin the pools the same way; only a bare `project`,
+    `backproject` or read of a factored basis's `.psi` keeps the caller's
+    pool.
     """
     problem = prepare(project(dataset.images, basis), dataset)
     return fit_problem(problem, n_groups, config or SemConfig())
+
+
+def fit_at_labels(problem: Problem, labels: np.ndarray, n_groups: int,
+                  config: SemConfig) -> FitResult:
+    """The fit at fixed hard labels (1..K): one M-step and its Q, with the
+    labels as 0/1 responsibilities. This is the K=1 fit and the k-means
+    baseline's regression. Raises DegenerateGroupError as `m_step` does."""
+    params = m_step(problem, None, labels, n_groups, config.lambda_floor)
+    resp = np.zeros((problem.n, n_groups))
+    resp[np.arange(problem.n), labels - 1] = 1.0
+    return FitResult(params=params, responsibilities=resp, labels=labels,
+                     q_trace=np.array([q_value(problem, None, labels, params)]),
+                     converged=True, seed=config.seed, iterations=1)
 
 
 def fit_problem(problem: Problem, n_groups: int, config: SemConfig) -> FitResult:
@@ -458,20 +467,12 @@ def fit_problem(problem: Problem, n_groups: int, config: SemConfig) -> FitResult
     if n_groups < 1:
         raise ValueError(f"n_groups must be >= 1, got {n_groups}")
     if n_groups == 1:
-        labels = np.ones(problem.n, dtype=int)
-        params = m_step(problem, None, labels, 1, config.lambda_floor)
-        q = q_value(problem, None, labels, params)
-        return FitResult(params=params, responsibilities=np.ones((problem.n, 1)),
-                         labels=labels, q_trace=np.array([q]), converged=True,
-                         seed=config.seed, iterations=1)
+        return fit_at_labels(problem, np.ones(problem.n, dtype=int), 1, config)
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    run = lambda i: _run_replicate(problem, n_groups, config, seeds[i])
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run, range(config.restarts)))
-    else:
-        results = [run(i) for i in range(config.restarts)]
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        results = list(pool.map(lambda seed: _run_replicate(problem, n_groups, config, seed),
+                                seeds))
 
     best, best_idx = None, -1
     for i, res in enumerate(results):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .basis import BasisSystem, KernelParams, basis_size, build_basis
 from .lattice import Dataset, GroundTruth, VoxelLattice, build_lattice
 from .linmodel import augment, gating_probs
@@ -146,12 +147,15 @@ def field_scale(lattice: VoxelLattice, basis: BasisSystem, a: float) -> float:
     return float(np.sqrt(kernel_diag * lattice.d / basis.eigvals.sum()))
 
 
+@_blas.single_thread
 def simulate_cube(config: SimConfig):
     """Generate one synthetic dataset plus its ground truth.
 
     Draw order is fixed, so a seed reproduces the dataset bit-exactly:
     group-1 slope field, group intercept fields, site effects, control
-    effects, exposures, controls, sites, labels, noise.
+    effects, exposures, controls, sites, labels, noise. BLAS runs on one
+    thread, as in `build_basis`, so the random fields (products with psi)
+    and hence the images do not depend on OPENBLAS_NUM_THREADS either.
 
     Returns
     -------

@@ -16,33 +16,42 @@ from .simulate import SimConfig, simulate_cube
 logger = logging.getLogger(__name__)
 
 
-def _beta_maps(alpha_maps, labels):
-    """Individual coefficient maps (n, p+1, d) gathered from group maps."""
-    return alpha_maps[np.asarray(labels, dtype=int) - 1]
-
-
 def _alpha_voxel_maps(params, basis):
     """Backproject fitted group coefficients to (K, p+1, d)."""
     K, p1, _ = params.theta_alpha.shape
     return np.stack([backproject(params.theta_alpha[k], basis) for k in range(K)])
 
 
-def evaluate_fit(fit_params, labels_est, truth, basis, n_groups):
-    """Alignment-aware alpha-MSE and individual beta-MSE against truth."""
+def beta_mse(alpha_est, labels_est, truth):
+    """Individual beta-MSE: the mean over individuals i, exposures and voxels
+    of (alpha_est[label_est_i] - alpha[label_i])^2, from the table N of
+    (estimated, true) label counts as
+
+        sum_{k_est, k} N[k_est, k] ||alpha_est[k_est] - alpha[k]||^2 / (n (p+1) d)
+
+    so that no per-individual map is formed. `alpha_est` is (K_est, p+1, d).
+    """
+    labels_est = np.asarray(labels_est, dtype=int)
+    counts = np.zeros((alpha_est.shape[0], truth.alpha.shape[0]))
+    np.add.at(counts, (labels_est - 1, truth.labels - 1), 1.0)
+    sq = ((alpha_est[:, None] - truth.alpha[None]) ** 2).sum(axis=(2, 3))
+    return float(np.sum(counts * sq) / (labels_est.size * truth.alpha[0].size))
+
+
+def evaluate_fit(fit_params, labels_est, truth, basis):
+    """Alignment-aware alpha-MSE and individual beta-MSE against truth.
+
+    The group count is `fit_params.n_groups`; it must equal the truth's.
+    """
     alpha_est = _alpha_voxel_maps(fit_params, basis)
-    perm = match_groups(labels_est, truth.labels, n_groups)
+    perm = match_groups(labels_est, truth.labels, fit_params.n_groups)
     alpha_aligned = np.empty_like(alpha_est)
-    for k_est in range(n_groups):
-        alpha_aligned[perm[k_est] - 1] = alpha_est[k_est]
-    alpha_mse = mse_svc(alpha_aligned, truth.alpha)
-    labels_aligned = perm[np.asarray(labels_est, dtype=int) - 1]
-    beta_mse = mse_svc(_beta_maps(alpha_aligned, labels_aligned),
-                       _beta_maps(truth.alpha, truth.labels))
-    return alpha_mse, beta_mse
+    alpha_aligned[perm - 1] = alpha_est
+    return mse_svc(alpha_aligned, truth.alpha), beta_mse(alpha_est, labels_est, truth)
 
 
 def run_table2(n=500, dims=(15, 15, 15), sigma=1.0, reps=10, seed=0,
-               restarts=6, threads=1, progress=None):
+               restarts=6, threads=1):
     """Cube-design comparison of the latent-subgroup fit against the
     k-means baseline and the no-subgroup fit.
 
@@ -61,11 +70,9 @@ def run_table2(n=500, dims=(15, 15, 15), sigma=1.0, reps=10, seed=0,
         kmlr = kmlr_fit(dataset, basis, 3, sem_cfg)
         svcm = svcm_fit(dataset, basis)
 
-        la_alpha, la_beta = evaluate_fit(lasir.params, lasir.labels, truth, basis, 3)
-        km_alpha, km_beta = evaluate_fit(kmlr.params, kmlr.labels, truth, basis, 3)
-        svcm_maps = backproject(svcm.theta_alpha[0], basis)[None, :, :]
-        sv_beta = mse_svc(np.repeat(svcm_maps, 3, axis=0)[truth.labels - 1],
-                          _beta_maps(truth.alpha, truth.labels))
+        la_alpha, la_beta = evaluate_fit(lasir.params, lasir.labels, truth, basis)
+        km_alpha, km_beta = evaluate_fit(kmlr.params, kmlr.labels, truth, basis)
+        sv_beta = beta_mse(_alpha_voxel_maps(svcm, basis), np.ones_like(truth.labels), truth)
         row = {
             "rep": r,
             "nmi_lasir": nmi(lasir.labels, truth.labels),
@@ -80,8 +87,6 @@ def run_table2(n=500, dims=(15, 15, 15), sigma=1.0, reps=10, seed=0,
         logger.info("rep %d: NMI lasir=%.3f kmlr=%.3f | beta-MSE lasir=%.2e "
                     "kmlr=%.2e svcm=%.2e", r, row["nmi_lasir"], row["nmi_kmlr"],
                     row["beta_mse_lasir"], row["beta_mse_kmlr"], row["beta_mse_svcm"])
-        if progress:
-            progress(row)
     keys = [k for k in rows[0] if k != "rep"]
     summary = {k: float(np.mean([row[k] for row in rows])) for k in keys}
     return rows, summary

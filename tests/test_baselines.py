@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lasir import (SemConfig, SimConfig, fit_sem, kmeans, kmlr_fit, nmi,
+from lasir import (SemConfig, SimConfig, _blas, fit_sem, kmeans, kmlr_fit, nmi, project,
                    simulate_cube, svcm_fit)
 from lasir.baselines import _kmeanspp_seed, _lloyd
+from lasir.sem import fit_at_labels, prepare
 
 
 class TestKmeans:
@@ -62,6 +63,25 @@ class TestKmlr:
         fit = kmlr_fit(dataset, basis, 2, SemConfig(seed=5))
         assert set(np.unique(fit.responsibilities)) <= {0.0, 1.0}
         assert np.array_equal(fit.responsibilities.argmax(axis=1) + 1, fit.labels)
+
+    @pytest.mark.parametrize("seed, n_groups", [(0, 2), (1, 3), (2, 3), (3, 1)])
+    def test_is_kmeans_labels_then_one_fit_at_labels(self, seed, n_groups):
+        cfg = SimConfig(dims=(6, 6, 6), n=120, n_groups=max(n_groups, 2), sigma=1.0,
+                        seed=seed, n_sites=4)
+        dataset, truth, lattice, basis = simulate_cube(cfg)
+        config = SemConfig(seed=seed + 7)
+        fit = kmlr_fit(dataset, basis, n_groups, config)
+        with _blas.single_thread:
+            problem = prepare(project(dataset.images, basis), dataset)
+            labels = kmeans(problem.resid, n_groups, seed=config.seed * 100)
+            expected = fit_at_labels(problem, labels, n_groups, config)
+        assert fit.method == "kmlr"
+        assert (fit.iterations, fit.converged, fit.seed) == (1, True, config.seed)
+        assert np.array_equal(fit.labels, labels)
+        assert np.array_equal(fit.q_trace, expected.q_trace)
+        assert np.array_equal(fit.responsibilities, expected.responsibilities)
+        for name in ("theta_alpha", "theta_eta", "theta_gamma", "lam", "w", "rss"):
+            assert np.array_equal(getattr(fit.params, name), getattr(expected.params, name))
 
     def test_misses_slope_only_structure(self):
         # groups that differ only in exposure slope: outcome clustering fails

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lasir import lattice as lattice_module
 from lasir import (Dataset, build_lattice, lattice_from_volume, load_dataset,
                    load_volume_map, save_dataset, save_volume_map)
 
@@ -103,6 +104,24 @@ class TestVolumeBundle:
             fh.write("not a key value line\n")
         with pytest.raises(ValueError, match="malformed header"):
             load_volume_map(tmp_path / "v")
+
+    def test_given_lattice_builds_no_second_lattice(self, tmp_path, monkeypatch):
+        mask = np.zeros((4, 3, 2), dtype=bool)
+        mask[1:, :2, :] = True
+        lat = build_lattice((4, 3, 2), mask)
+        values = np.arange(2 * lat.d, dtype=np.float32).reshape(2, lat.d)
+        save_volume_map(values, lat, tmp_path / "v")
+        built = []
+        build = lattice_module.build_lattice
+        monkeypatch.setattr(lattice_module, "build_lattice",
+                            lambda *args: built.append(args) or build(*args))
+        back, same = load_volume_map(tmp_path / "v", lat)
+        assert built == []
+        assert same is lat
+        assert np.array_equal(back, values)
+        other = build_lattice((4, 3, 2), np.roll(mask, 1, axis=0))
+        with pytest.raises(ValueError, match="do not match the given lattice"):
+            load_volume_map(tmp_path / "v", other)
 
 
 class TestDatasetIO:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import lasir
 from lasir import (KernelParams, SimConfig, build_basis, build_lattice,
                    draw_labels, make_group_svcs, sample_gp, simulate_cube,
                    smoothed_center_cube, trig_map)
@@ -147,3 +153,34 @@ class TestSimulateCube:
             SimConfig(n_groups=5)
         with pytest.raises(ValueError, match="gating"):
             SimConfig(n_groups=2, gating=np.array([[0.5, 1.0], [0.1, 0.0]]))
+
+
+_SIMULATE_HASH_SCRIPT = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from lasir import SimConfig, simulate_cube
+    dims = (41, 47, 37)
+    grids = np.meshgrid(*[np.linspace(-1.0, 1.0, m) for m in dims], indexing="ij")
+    mask = sum((g / s) ** 2 for g, s in zip(grids, (0.9, 0.9, 0.85))) <= 1.0
+    dataset, truth, lattice, basis = simulate_cube(
+        SimConfig(dims=dims, mask=mask, n=20, basis_degree=10, seed=3))
+    digest = hashlib.sha256()
+    for part in (dataset.images, truth.alpha, truth.labels, truth.gamma, truth.eta):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    print(digest.hexdigest())
+""")
+
+
+def test_simulate_cube_bit_identical_across_blas_pool_sizes():
+    # on this ellipsoid the products with psi differ between pool sizes
+    # unless simulate_cube pins BLAS; a 15^3 cube would not show it
+    src = os.path.dirname(os.path.dirname(lasir.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _SIMULATE_HASH_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]

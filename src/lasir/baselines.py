@@ -92,25 +92,26 @@ def kmlr_fit(dataset: Dataset, basis: BasisSystem, n_groups: int,
     """K-means on the stage-1 residuals, then one M-step at those labels.
 
     k-means clusters the stage-1 residuals of the prepared problem (site and
-    control effects removed; stage 1 does not depend on labels), retrying
-    with new seeds until every cluster has at least p+2 members, and
+    control effects removed; stage 1 does not depend on labels), and
     `fit_at_labels` fits the model at the cluster labels: the M-step does
-    not move them, so there is nothing to alternate. Responsibilities are
-    the hard 0/1 labels. Of `config` only `seed` and `lambda_floor` are
-    read. Runs with BLAS pinned to one thread, as `fit_sem` does.
+    not move them, so there is nothing to alternate. A labelling with a
+    group that fails `sem.check_group` is retried from the next k-means
+    seed, up to 10 seeds; then RuntimeError("no viable fit: ...") names the
+    last failing group. Responsibilities are the hard 0/1 labels. Of
+    `config` only `seed` is read. Runs with BLAS pinned to one thread, as
+    `fit_sem` does.
     """
     config = config or SemConfig()
     problem = prepare(project(dataset.images, basis), dataset)
     for attempt in range(10):
         labels = kmeans(problem.resid, n_groups, seed=config.seed * 100 + attempt)
-        if np.bincount(labels, minlength=n_groups + 1)[1:].min() >= dataset.p + 2:
+        try:
+            fit = fit_at_labels(problem, labels, n_groups, config)
             break
+        except DegenerateGroupError as exc:
+            failure = exc
     else:
-        raise RuntimeError("no viable fit: k-means produced degenerate groups")
-    try:
-        fit = fit_at_labels(problem, labels, n_groups, config)
-    except DegenerateGroupError as exc:
-        raise RuntimeError(f"no viable fit: {exc}") from exc
+        raise RuntimeError(f"no viable fit: {failure}") from failure
     fit.method = "kmlr"
     return fit
 

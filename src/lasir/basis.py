@@ -45,7 +45,7 @@ from .lattice import VoxelLattice
 
 RANK_TOL = 1e-10
 REFINE_TOL = 1e-11  # first-pass correction above which the second Gram is summed from rows
-PSI_BLOCK = 1 << 20  # basis entries materialised at a time by `BasisSystem.psi`
+PSI_BLOCK = 1 << 20  # basis entries per row block of `BasisSystem.psi_blocks`
 
 
 @dataclass
@@ -173,22 +173,35 @@ class BasisSystem:
     @property
     def psi(self) -> np.ndarray:
         """The d x L matrix; a factored basis materialises it, column-major,
-        on every read, with BLAS on the caller's pool."""
+        from `psi_blocks` on every read, with BLAS on the caller's pool."""
         if self._psi is not None:
             return self._psi
         out = np.empty((self.d, self.L), order="F")
-        for rows, raw in self.tensor_blocks():
-            self.from_tensor(raw, out=out[rows])
+        for rows, block in self.psi_blocks():
+            out[rows] = block
         return out
 
+    def _row_blocks(self):
+        """Row slices of about `PSI_BLOCK` entries, whole multiples of 64 rows."""
+        step = max(64, PSI_BLOCK // self.L // 64 * 64)
+        return (slice(start, start + step) for start in range(0, self.d, step))
+
+    def psi_blocks(self):
+        """Iterator of (rows, psi[rows]) over `_row_blocks`: a factored basis
+        builds each block column-major from `tensor_blocks`, so that products
+        with it round as with the whole column-major psi; an explicit psi is
+        sliced."""
+        if self._psi is not None:
+            return ((rows, self._psi[rows]) for rows in self._row_blocks())
+        return ((rows, self.from_tensor(raw, out=np.empty(raw.shape, order="F")))
+                for rows, raw in self.tensor_blocks())
+
     def tensor_blocks(self):
-        """Yield (rows, tensor products at those voxels) of a factored basis,
-        in row blocks of about `PSI_BLOCK` entries."""
+        """Yield (rows, tensor products at those voxels) of a factored basis
+        over `_row_blocks`."""
         (fx, fy, fz), (vx, vy, vz) = self.layout.factors, self.layout.voxels
         a, b, c = tensor_degrees(self.h).T
-        step = max(64, PSI_BLOCK // self.L // 64 * 64)
-        for start in range(0, self.d, step):
-            rows = slice(start, start + step)
+        for rows in self._row_blocks():
             yield rows, fx[np.ix_(vx[rows], a)] * fy[np.ix_(vy[rows], b)] * fz[np.ix_(vz[rows], c)]
 
     def check_lattice(self, lattice: VoxelLattice) -> None:

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 import numpy as np
 
 from .basis import BasisSystem, KernelParams
 from .io import read_matrix_bundle, write_matrix_bundle
-from .lattice import GroundTruth, read_mask
+from .lattice import GroundTruth, read_mask, write_mask
 from .sem import FitResult, ModelParams
 
 
@@ -29,13 +28,12 @@ def save_basis(basis: BasisSystem, prefix) -> None:
         write_matrix_bundle(prefix, OrderedDict(psi=basis.psi, eigvals=basis.eigvals),
                             meta=meta)
         return
-    basis.mask.ravel(order="F").astype(np.uint8).tofile(prefix + ".mask")
     fx, fy, fz = basis.factors
     write_matrix_bundle(prefix, OrderedDict(phi_x=fx, phi_y=fy, phi_z=fz, T=basis.T,
                                             eigvals=basis.eigvals),
                         meta={**meta, "version": 2,
                               "dims": " ".join(str(m) for m in basis.mask.shape),
-                              "mask": os.path.basename(prefix) + ".mask"})
+                              "mask": write_mask(basis.mask, prefix)})
 
 
 def load_basis(prefix) -> BasisSystem:

@@ -141,10 +141,7 @@ def _emit(table, res, command):
 
 
 def _sem_config(res):
-    # the convergence window has no option; a short --max-iter shortens it
-    return SemConfig(max_iter=res["max_iter"], window=min(SemConfig.window, res["max_iter"]),
-                     tol=res["tol"], restarts=res["restarts"], seed=res["seed"],
-                     lambda_floor=res["lambda_floor"], threads=res["threads"])
+    return SemConfig(**{opt.dest: res[opt.dest] for opt in SEM})
 
 
 def _load_inputs(res):
@@ -290,9 +287,10 @@ def cmd_reproduce(res):
 
 DATA = [Option("images", required=True), Option("covariates", required=True),
         Option("basis", required=True)]
-THREADS = Option("threads", int, os.cpu_count() or 1)
-SEM = [Option("restarts", int, 10), Option("seed", int, 0), Option("tol", float, 1e-4),
-       Option("max_iter", int, 200), Option("lambda_floor", float, 1e-10), THREADS]
+THREADS = Option("threads", int, SemConfig.threads)
+SEM = [Option("restarts", int, SemConfig.restarts), Option("seed", int, SemConfig.seed),
+       Option("tol", float, SemConfig.tol), Option("max_iter", int, SemConfig.max_iter),
+       THREADS]
 CUBE = [Option("n", int, 500), Option("dims", _parse_dims, (15, 15, 15)),
         Option("sigma", float, 1.0)]
 FIT = Option("fit", required=True)

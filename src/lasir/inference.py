@@ -21,6 +21,7 @@ from scipy.stats import norm
 from . import _blas
 from .basis import BasisSystem, pair_products, tensor_degrees
 from .lattice import Dataset
+from .linmodel import check_design
 from .projection import backproject
 from .sem import FitResult
 
@@ -53,25 +54,21 @@ class InferenceMap:
 def coef_covariance(fit: FitResult, dataset: Dataset) -> CoefCovariance:
     """Sampling covariance data of the group-specific coefficients.
 
-    Raises ValueError naming the group when it is empty or its exposure
-    Gram matrix is singular.
+    Raises ValueError naming the group when its exposure rows fail
+    `linmodel.check_design`, the rank test of stage 2: fewer rows than
+    exposure columns (an empty group, say) or a rank-deficient design.
     """
     K = fit.params.n_groups
     p1 = dataset.exposures.shape[1]
     gram_inv = np.empty((K, p1, p1))
     for k in range(1, K + 1):
-        rows = fit.labels == k
-        if not rows.any():
-            raise ValueError(f"group {k} is empty")
-        gram = dataset.exposures[rows].T @ dataset.exposures[rows]
-        s = np.linalg.svd(gram, compute_uv=False)
-        if s[-1] <= 1e-12 * s[0]:
-            raise ValueError(f"singular exposure Gram matrix for group {k}")
-        gram_inv[k - 1] = np.linalg.inv(gram)
+        X = dataset.exposures[fit.labels == k]
+        try:
+            check_design(X)
+        except ValueError as exc:
+            raise ValueError(f"group {k}: {exc}") from exc
+        gram_inv[k - 1] = np.linalg.inv(X.T @ X)
     return CoefCovariance(gram_inv=gram_inv, lam=fit.params.lam.copy())
-
-
-FIELD_BLOCK = 1 << 20  # basis entries squared at a time by `_variance_field`
 
 
 def _variance_field(basis: BasisSystem, lam: np.ndarray) -> np.ndarray:
@@ -79,18 +76,15 @@ def _variance_field(basis: BasisSystem, lam: np.ndarray) -> np.ndarray:
 
     For a factored basis this is the diagonal of Phi S Phi' with
     S = T diag(lam) T', contracted over x, then y, then z on the grid of
-    planes the mask meets. An explicit psi is squared in row blocks of about
-    `FIELD_BLOCK` entries, so that no d x L temporary is allocated; blocks are
-    whole multiples of 64 rows, so a one-thread BLAS groups the rows as in
-    the unblocked product and the field matches it bit for bit.
+    planes the mask meets. An explicit psi is squared in the row blocks of
+    `BasisSystem.psi_blocks`, so that no d x L temporary is allocated; blocks
+    are whole multiples of 64 rows, so a one-thread BLAS groups the rows as
+    in the unblocked product and the field matches it bit for bit.
     """
     if basis.factors is None:
-        psi = basis.psi
-        rows = max(64, FIELD_BLOCK // psi.shape[1] // 64 * 64)
-        field = np.empty(psi.shape[0])
-        for start in range(0, psi.shape[0], rows):
-            block = psi[start:start + rows]
-            field[start:start + rows] = (block * block) @ lam
+        field = np.empty(basis.d)
+        for rows, block in basis.psi_blocks():
+            field[rows] = (block * block) @ lam
         return field
     layout = basis.layout
     fx, fy, fz = layout.factors

@@ -211,7 +211,6 @@ def save_volume_map(values, lattice: VoxelLattice, base) -> None:
     full = np.full((count, lattice.n_cells), np.nan, dtype="<f4")
     full[:, lattice.flat_mask] = values.astype("<f4")
     full.tofile(base + ".dat")
-    lattice.flat_mask.astype(np.uint8).tofile(base + ".mask")
     write_kv(base + ".hdr", [
         ("format", VOLUME_FORMAT),
         ("dims", " ".join(str(m) for m in lattice.dims)),
@@ -219,7 +218,7 @@ def save_volume_map(values, lattice: VoxelLattice, base) -> None:
         ("dtype", "float32-le"),
         ("count", count),
         ("payload", os.path.basename(base) + ".dat"),
-        ("mask", os.path.basename(base) + ".mask"),
+        ("mask", write_mask(lattice.mask, base)),
     ])
 
 
@@ -237,6 +236,13 @@ def _read_volume_header(base):
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{base}.hdr: malformed dims/count") from exc
     return header, dims, count
+
+
+def write_mask(mask: np.ndarray, base) -> str:
+    """Write the boolean volume `mask` as ``<base>.mask``, one byte (0/1) per
+    grid cell, x-fastest; returns the file name that headers record."""
+    mask.ravel(order="F").astype(np.uint8).tofile(str(base) + ".mask")
+    return os.path.basename(str(base)) + ".mask"
 
 
 def read_mask(base, name, dims) -> np.ndarray:

@@ -11,10 +11,10 @@ from scipy.optimize import linear_sum_assignment
 
 from . import _blas
 from .basis import BasisSystem
-from .lattice import Dataset
+from .lattice import CHUNK, Dataset
 from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
 from .projection import project
-from .sem import FitResult, predict_from_sums
+from .sem import DegenerateGroupError, FitResult, check_group, predict_from_sums
 
 logger = logging.getLogger(__name__)
 
@@ -128,9 +128,10 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     mode "shuffled" : training labels are permuted across individuals before
                       the per-subgroup fits.
 
-    A holdout individual whose subgroup has fewer than p+2 training members
-    falls back to the without-subgroup fit; occurrences are counted in the
-    result.
+    A holdout individual whose subgroup's training rows cannot be fitted
+    (`sem.check_group` rejects their exposures: fewer than p+2 rows or a
+    rank-deficient design) falls back to the without-subgroup fit;
+    occurrences are counted in the result.
 
     The fits are solved from sufficient statistics of the design rows
     Z = [sites | controls | exposures] and the projections ytilde. The Gram
@@ -147,7 +148,8 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
         ||y_i - Psi theta_i||^2 = ||y_i||^2 - 2 ytilde_i . theta_i + ||theta_i||^2,
 
     which relies on the basis being orthonormal (Psi^T Psi = I); the image
-    norms are computed once and no prediction is back-projected.
+    norms are computed once, about `lattice.CHUNK` values at a time, and no
+    prediction is back-projected.
 
     Like `fit_sem`, the whole validation, projection included, runs with the
     bundled OpenBLAS pools pinned to one thread, so the MSEs are bit-identical
@@ -161,7 +163,9 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ytilde = project(dataset.images, basis)
-    sq_norms = np.square(dataset.images, dtype=np.float64).sum(axis=1)
+    step = max(1, CHUNK // basis.d)
+    sq_norms = np.concatenate([np.square(dataset.images[i:i + step], dtype=np.float64).sum(axis=1)
+                               for i in range(0, dataset.n, step)])
     z = np.hstack([dataset.sites, dataset.controls, dataset.exposures])
     n_sites, p1 = dataset.sites.shape[1], dataset.exposures.shape[1]
 
@@ -204,7 +208,9 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
                 if not test_g.any():
                     continue
                 train_g = train & (fit_labels == g)
-                if train_g.sum() < p1 + 1:
+                try:  # before predicting: stage 1 would fail first on tiny groups
+                    check_group(z[train_g, -p1:], g)
+                except DegenerateGroupError:
                     if without is None:
                         without = predict(*downdated(total, holdout), train, holdout)
                     pred[test_g] = without[test_g[holdout]]

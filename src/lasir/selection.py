@@ -38,11 +38,7 @@ def param_count(n_groups: int, L: int, p: int, q: int, n_sites: int) -> int:
 
 def _choose(records):
     """Lowest BIC; ties break toward fewer groups."""
-    best = None
-    for rec in sorted(records, key=lambda r: r.n_groups):
-        if best is None or rec.bic < best.bic:
-            best = rec
-    return best
+    return min(records, key=lambda r: (r.bic, r.n_groups))
 
 
 @_blas.single_thread

@@ -56,14 +56,30 @@ from .projection import project
 logger = logging.getLogger(__name__)
 
 MAX_REDRAWS = 10
+WINDOW = 5  # trailing iterations whose Q range decides convergence
 
 
 class DegenerateGroupError(RuntimeError):
-    """Raised by the M-step when a group is too small or its design collapses."""
+    """Raised by `check_group` when a group is too small or its design collapses."""
 
-    def __init__(self, group: int, why: str = "under-populated"):
+    def __init__(self, group: int, why: str):
         self.group = group
         super().__init__(f"degenerate group {group}: {why}")
+
+
+def check_group(design: np.ndarray, group: int) -> None:
+    """The one rule for whether a subgroup can be regressed on: raise
+    DegenerateGroupError naming `group` unless its exposure rows `design`
+    (m, p+1) number at least p+2 and have full column rank (`check_design`).
+    Stage 2, the holdout predictions, their fallback and k-means' retries
+    all apply it."""
+    count, need = design.shape[0], design.shape[1] + 1
+    if count < need:
+        raise DegenerateGroupError(group, f"{count} members < {need}")
+    try:
+        check_design(design)
+    except ValueError as exc:
+        raise DegenerateGroupError(group, str(exc)) from exc
 
 
 @dataclass
@@ -96,11 +112,11 @@ class ModelParams:
 class SemConfig:
     """Knobs for `fit_sem`.
 
-    max_iter / window / tol : stop when the relative range of Q over the
-        trailing `window` iterations is below `tol`, or at `max_iter`.
+    max_iter / tol : stop when the relative range of Q over the trailing
+        `WINDOW` iterations (all of them when `max_iter` is shorter) is
+        below `tol`, or at `max_iter`.
     restarts : number of independent replicates; the highest final Q wins.
     seed : master seed; replicate streams are spawned deterministically.
-    lambda_floor : lower bound for the noise variances.
     threads : size of the worker pool the replicates run on (>= 1).
         `fit_sem` pins the process-wide BLAS pools to one thread, so these
         threads are the fit's only parallelism and results do not depend on
@@ -111,21 +127,16 @@ class SemConfig:
     """
 
     max_iter: int = 200
-    window: int = 5
     tol: float = 1e-4
     restarts: int = 10
     seed: int = 0
-    lambda_floor: float = LAMBDA_FLOOR
     threads: int = 1
     init_labels: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("restarts", "threads", "window"):
+        for name in ("max_iter", "restarts", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"SemConfig.{name} must be >= 1, got {getattr(self, name)}")
-        if self.window > self.max_iter:
-            raise ValueError(f"SemConfig.window must be <= max_iter={self.max_iter}, "
-                             f"got {self.window}")
         if not self.tol > 0:
             raise ValueError(f"SemConfig.tol must be > 0, got {self.tol}")
 
@@ -187,30 +198,24 @@ def prepare(ytilde: np.ndarray, dataset: Dataset) -> Problem:
                    exposures=dataset.exposures, gating=augment(dataset.controls))
 
 
-def stage2(problem: Problem, labels: np.ndarray, n_groups: int, min_group: int):
+def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
     """Per-group regression of the stage-1 residuals on the exposures.
 
     Returns (theta_alpha (K, p+1, L), rss (L,)): the coefficients solving
     X_k^T X_k theta_k = X_k^T R_k on each group's rows and the per-coordinate
     sums of squared stage-2 residuals over all individuals. Raises
-    DegenerateGroupError when a group has fewer than `min_group` members,
-    fewer members than exposure columns, or a rank-deficient exposure design.
+    DegenerateGroupError, from `check_group`, when a group has fewer than
+    p+2 members or a rank-deficient exposure design.
     """
     X, R = problem.exposures, problem.resid
     theta = np.empty((n_groups, X.shape[1], R.shape[1]))
     resid = np.empty_like(R)
     for k in range(1, n_groups + 1):
         rows = labels == k
-        count = int(rows.sum())
-        if count < min_group:
-            raise DegenerateGroupError(k, f"{count} members < {min_group}")
-        if count == len(labels):
+        if rows.all():
             rows = slice(None)  # one group: views instead of copies
         Xk, Rk = X[rows], R[rows]
-        try:
-            check_design(Xk)
-        except ValueError as exc:
-            raise DegenerateGroupError(k, str(exc)) from exc
+        check_group(Xk, k)
         theta[k - 1] = np.linalg.solve(Xk.T @ Xk, Xk.T @ Rk)
         resid[rows] = Rk - Xk @ theta[k - 1]
     return theta, (resid * resid).sum(axis=0)
@@ -233,22 +238,15 @@ def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
     design, no residual matrix. Returns (m, L).
 
     Raises ValueError when the stage-1 training design is rank deficient (as
-    `prepare` does), and DegenerateGroupError naming `group` when `train`
-    has fewer than p+2 rows or a rank-deficient exposure design (as `stage2`
-    does).
+    `prepare` does), then DegenerateGroupError naming `group` when `train`'s
+    exposure rows fail `check_group` (as `stage2` does).
     """
     width = gram.shape[0]
     x_cols = slice(width - n_exposures, width)
     d_cols = np.concatenate([np.flatnonzero(train[:, :n_sites].any(axis=0)),
                              np.arange(n_sites, width - n_exposures)])
     check_design(train[:, d_cols])
-    count, min_group = train.shape[0], n_exposures + 1
-    if count < min_group:
-        raise DegenerateGroupError(group, f"{count} members < {min_group}")
-    try:
-        check_design(train[:, x_cols])
-    except ValueError as exc:
-        raise DegenerateGroupError(group, str(exc)) from exc
+    check_group(train[:, x_cols], group)
     x_part = np.linalg.solve(gram[x_cols, x_cols], test[:, x_cols].T).T
     d_part = test[:, d_cols] - x_part @ gram[x_cols, d_cols]
     d_part = np.linalg.solve(gram[np.ix_(d_cols, d_cols)], d_part.T).T
@@ -329,19 +327,19 @@ def s_step(responsibilities: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 
 def m_step(ytilde, dataset: Dataset, labels: np.ndarray, n_groups: int,
-           lambda_floor: float = LAMBDA_FLOOR, w_init: np.ndarray = None) -> ModelParams:
+           w_init: np.ndarray = None) -> ModelParams:
     """Maximize the complete-data objective at fixed labels.
 
     `ytilde` is the projected outcomes (n, L), whose stage 1 is then solved
     here, or a prepared `Problem` (then `dataset` is not read). `w_init`
-    warm-starts the gating fit. Raises DegenerateGroupError when a group has
-    fewer than p+2 members or its exposure design is rank deficient, so the
-    driver can redraw the offending S-step.
+    warm-starts the gating fit. The noise variances are floored at
+    `linmodel.LAMBDA_FLOOR`. Raises DegenerateGroupError when a group fails
+    `check_group`, so the driver can redraw the offending S-step.
     """
     problem = ytilde if isinstance(ytilde, Problem) else prepare(ytilde, dataset)
     labels = np.asarray(labels, dtype=int)
-    theta_alpha, rss = stage2(problem, labels, n_groups, problem.exposures.shape[1] + 1)
-    lam = np.maximum(rss / problem.n, lambda_floor)
+    theta_alpha, rss = stage2(problem, labels, n_groups)
+    lam = np.maximum(rss / problem.n, LAMBDA_FLOOR)
     w = mnlogit_fit(problem.gating, labels, n_groups, init=w_init)
     S = problem.coef.shape[0] - (problem.gating.shape[1] - 1)
     return ModelParams(theta_alpha=theta_alpha, theta_eta=problem.coef[S:],
@@ -388,12 +386,12 @@ def _run_replicate(problem, n_groups, config, seed_seq):
     resp = None
     converged = False
     params = None
+    window = min(WINDOW, config.max_iter)
     for _ in range(config.max_iter):
         w_prev = None if params is None else params.w
         for attempt in range(MAX_REDRAWS + 1):
             try:
-                params = m_step(problem, None, labels, n_groups, config.lambda_floor,
-                                w_init=w_prev)
+                params = m_step(problem, None, labels, n_groups, w_init=w_prev)
                 break
             except DegenerateGroupError as exc:
                 if attempt == MAX_REDRAWS:
@@ -404,7 +402,7 @@ def _run_replicate(problem, n_groups, config, seed_seq):
         trace.append(q_value(problem, None, labels, params))
         resp = e_step(problem, None, params)
         labels = s_step(resp, rng)
-        if len(trace) >= config.window and _relative_range(trace[-config.window:]) < config.tol:
+        if len(trace) >= window and _relative_range(trace[-window:]) < config.tol:
             converged = True
             break
     return FitResult(params=params, responsibilities=resp, labels=labels,
@@ -453,7 +451,7 @@ def fit_at_labels(problem: Problem, labels: np.ndarray, n_groups: int,
     """The fit at fixed hard labels (1..K): one M-step and its Q, with the
     labels as 0/1 responsibilities. This is the K=1 fit and the k-means
     baseline's regression. Raises DegenerateGroupError as `m_step` does."""
-    params = m_step(problem, None, labels, n_groups, config.lambda_floor)
+    params = m_step(problem, None, labels, n_groups)
     resp = np.zeros((problem.n, n_groups))
     resp[np.arange(problem.n), labels - 1] = 1.0
     return FitResult(params=params, responsibilities=resp, labels=labels,
@@ -474,13 +472,9 @@ def fit_problem(problem: Problem, n_groups: int, config: SemConfig) -> FitResult
         results = list(pool.map(lambda seed: _run_replicate(problem, n_groups, config, seed),
                                 seeds))
 
-    best, best_idx = None, -1
-    for i, res in enumerate(results):
-        if res is None:
-            continue
-        if best is None or res.q_trace[-1] > best.q_trace[-1]:
-            best, best_idx = res, i
-    if best is None:
+    viable = [i for i, res in enumerate(results) if res is not None]
+    if not viable:
         raise RuntimeError("no viable fit: all replicates failed")
-    best.replicate = best_idx
-    return best
+    best = max(viable, key=lambda i: (results[i].q_trace[-1], -i))  # ties: first replicate
+    results[best].replicate = best
+    return results[best]

@@ -26,6 +26,10 @@ from .lattice import Dataset, GroundTruth, VoxelLattice, build_lattice
 from .linmodel import augment, gating_probs
 from .sem import s_step
 
+KERNEL = KernelParams(0.01, 2.0)  # random-field kernel of the intercepts and group-1 slope
+SITE_SD = 0.2     # sd of the per-voxel site effects
+CONTROL_SD = 0.2  # sd of the per-voxel control effects
+
 DEFAULT_GATING = {
     1: np.array([[0.0, 0.0]]),
     2: np.array([[-0.6, 1.0], [0.0, 0.0]]),
@@ -39,12 +43,12 @@ class SimConfig:
 
     dims / mask : lattice geometry (mask "full" or an explicit boolean volume).
     n, n_groups, sigma : sample size, group count K in {1,2,3}, noise sd.
-    kernel_a, kernel_b, basis_degree : random-field kernel for the intercept
-        (and the group-1 slope) and the truncation degree of its expansion;
-        `basis_degree` defaults to min(12, smallest axis - 1) so the
+    basis_degree : truncation degree of the expansion of the random-field
+        kernel `KERNEL`; defaults to min(12, smallest axis - 1) so the
         expansion stays full rank on the grid.
     gating : (K, 2) multinomial-logit weights on (1, z), last row zero.
-    n_sites, site_sd, control_sd : site count and effect scales.
+    n_sites : site count; the site and control effects have sds `SITE_SD`
+        and `CONTROL_SD`.
     null_exposure : zero out every slope map (for calibration studies).
     """
 
@@ -52,13 +56,9 @@ class SimConfig:
     n: int = 500
     n_groups: int = 3
     sigma: float = 1.0
-    kernel_a: float = 0.01
-    kernel_b: float = 2.0
     basis_degree: int = None
     gating: np.ndarray = None
     n_sites: int = 21
-    site_sd: float = 0.2
-    control_sd: float = 0.2
     seed: int = 0
     null_exposure: bool = False
     shared_intercept: bool = False
@@ -82,8 +82,15 @@ class SimConfig:
 
 
 def gp_from_coeffs(basis: BasisSystem, xi: np.ndarray) -> np.ndarray:
-    """Field sum_l sqrt(e_l) xi_l psi_l for given expansion coefficients."""
-    return basis.psi @ (np.sqrt(basis.eigvals) * xi)
+    """Field sum_l sqrt(e_l) xi_l psi_l for given expansion coefficients,
+    formed from the row blocks of `BasisSystem.psi_blocks`, so that a
+    factored basis never materialises psi; the field equals psi @ coefs bit
+    for bit."""
+    coefs = np.sqrt(basis.eigvals) * xi
+    field = np.empty(basis.d)
+    for rows, block in basis.psi_blocks():
+        field[rows] = block @ coefs
+    return field
 
 
 def sample_gp(lattice: VoxelLattice, basis: BasisSystem,
@@ -119,15 +126,12 @@ def trig_map(lattice: VoxelLattice) -> np.ndarray:
 
 
 def make_group_svcs(lattice: VoxelLattice, rng: np.random.Generator,
-                    basis: BasisSystem = None) -> np.ndarray:
+                    basis: BasisSystem) -> np.ndarray:
     """The three cube-design slope maps, shape (3, d).
 
-    Group 1 is a random-field draw, group 2 the trigonometric map, group 3
-    the smoothed center cube.
+    Group 1 is a random-field draw on `basis`, group 2 the trigonometric
+    map, group 3 the smoothed center cube.
     """
-    if basis is None:
-        basis = build_basis(lattice, KernelParams(0.01, 2.0),
-                            min(12, min(lattice.dims) - 1))
     return np.stack([sample_gp(lattice, basis, rng),
                      trig_map(lattice),
                      smoothed_center_cube(lattice)])
@@ -163,13 +167,12 @@ def simulate_cube(config: SimConfig):
         the random fields (same kernel the fit typically uses).
     """
     lattice = build_lattice(config.dims, config.mask)
-    params = KernelParams(config.kernel_a, config.kernel_b)
     if basis_size(config.basis_degree) > lattice.d:
         raise ValueError("basis exceeds lattice rank; lower basis_degree")
-    basis = build_basis(lattice, params, config.basis_degree)
+    basis = build_basis(lattice, KERNEL, config.basis_degree)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     K, n, d = config.n_groups, config.n, lattice.d
-    amp = field_scale(lattice, basis, config.kernel_a)
+    amp = field_scale(lattice, basis, KERNEL.a)
 
     maps = make_group_svcs(lattice, rng, basis)
     if K == 1:
@@ -185,8 +188,8 @@ def simulate_cube(config: SimConfig):
         intercepts = np.stack([amp * sample_gp(lattice, basis, rng) for _ in range(K)])
     alpha = np.stack([np.vstack([intercepts[k], slopes[k]]) for k in range(K)])
 
-    gamma = rng.normal(0.0, config.site_sd, size=(config.n_sites, d))
-    eta = rng.normal(0.0, config.control_sd, size=(1, d))
+    gamma = rng.normal(0.0, SITE_SD, size=(config.n_sites, d))
+    eta = rng.normal(0.0, CONTROL_SD, size=(1, d))
 
     x = rng.standard_normal(n)
     z = rng.normal(0.0, 2.0, size=(n, 1))

@@ -3,6 +3,7 @@ import pytest
 
 from lasir import (SemConfig, SimConfig, _blas, fit_sem, kmeans, kmlr_fit, nmi, project,
                    simulate_cube, svcm_fit)
+from lasir import baselines
 from lasir.baselines import _kmeanspp_seed, _lloyd
 from lasir.sem import fit_at_labels, prepare
 
@@ -82,6 +83,37 @@ class TestKmlr:
         assert np.array_equal(fit.responsibilities, expected.responsibilities)
         for name in ("theta_alpha", "theta_eta", "theta_gamma", "lam", "w", "rss"):
             assert np.array_equal(getattr(fit.params, name), getattr(expected.params, name))
+
+    def _collinear_first(self, monkeypatch, bad_seeds):
+        """Data whose first 10 individuals share one exposure value, and a
+        k-means that puts exactly them in group 2 on the seeds `bad_seeds`."""
+        cfg = SimConfig(dims=(5, 5, 5), n=60, n_groups=1, sigma=1.0, seed=4, n_sites=3)
+        dataset, truth, lattice, basis = simulate_cube(cfg)
+        dataset.exposures[:10, 1] = 0.5
+        bad = np.ones(dataset.n, dtype=int)
+        bad[:10] = 2
+        good = np.arange(dataset.n) % 2 + 1
+        seeds = []
+
+        def fake_kmeans(points, n_clusters, seed=0):
+            seeds.append(seed)
+            return (bad if seed in bad_seeds else good).copy()
+
+        monkeypatch.setattr(baselines, "kmeans", fake_kmeans)
+        return dataset, basis, good, seeds
+
+    def test_collinear_labelling_moves_to_the_next_seed(self, monkeypatch):
+        # 10 >= p+2 members, so only the rank test rejects the first labelling
+        dataset, basis, good, seeds = self._collinear_first(monkeypatch, {300})
+        fit = kmlr_fit(dataset, basis, 2, SemConfig(seed=3))
+        assert seeds == [300, 301]
+        assert np.array_equal(fit.labels, good)
+
+    def test_no_viable_labelling_names_the_group(self, monkeypatch):
+        dataset, basis, _, seeds = self._collinear_first(monkeypatch, set(range(300, 310)))
+        with pytest.raises(RuntimeError, match="no viable fit: degenerate group 2"):
+            kmlr_fit(dataset, basis, 2, SemConfig(seed=3))
+        assert seeds == list(range(300, 310))
 
     def test_misses_slope_only_structure(self):
         # groups that differ only in exposure slope: outcome clustering fails

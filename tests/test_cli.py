@@ -1,10 +1,11 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from lasir import _blas
-from lasir.cli import _parse_bool, main
+from lasir import SemConfig, _blas
+from lasir.cli import SEM, _parse_bool, main
 from lasir.io import read_kv
 
 
@@ -279,3 +280,23 @@ def test_fit_rejects_basis_from_another_mask(tmp_path, capsys):
                  "--out", str(tmp_path / "fit")]) == 1
     assert "basis mask does not match the lattice mask (2 grid cells differ)" \
         in capsys.readouterr().err
+
+
+def test_sem_options_default_to_sem_config():
+    options = {opt.dest: opt.default for opt in SEM}
+    fields = {f.name for f in dataclasses.fields(SemConfig)} - {"init_labels"}
+    assert set(options) == fields
+    assert all(default == getattr(SemConfig, name) for name, default in options.items())
+    assert options["threads"] == 1
+
+
+def test_config_with_retired_sem_keys_still_runs(workdir, tmp_path):
+    # manifests written before the variance floor and the convergence window
+    # became constants hold these keys; they are read as unused config keys
+    conf = tmp_path / "old.manifest"
+    conf.write_text("command: fit\nk: 2\nrestarts: 2\nseed: 6\nthreads: 1\n"
+                    "lambda_floor: 1e-10\nwindow: 5\n")
+    out = tmp_path / "old_fit"
+    assert main(["fit", "--config", str(conf)] + _data_flags(workdir)
+                + ["--out", str(out)]) == 0
+    assert "lambda_floor" not in read_kv(str(out) + ".manifest")

@@ -6,6 +6,7 @@ from lasir import (Dataset, KernelParams, SemConfig, SimConfig, coef_covariance,
                    wald_map)
 from lasir.basis import BasisSystem
 from lasir.inference import CoefCovariance
+from lasir.linmodel import check_design
 from lasir.sem import FitResult, ModelParams
 
 
@@ -59,6 +60,22 @@ class TestCoefCovariance:
         fit, ds = _fit_with(np.ones(6, dtype=int), x, np.ones(2))
         with pytest.raises(ValueError, match="group 1"):
             coef_covariance(fit, ds)
+
+    def test_accepts_every_design_stage_2_accepts(self):
+        # relative smallest singular value about 1e-8: stage 2's rank test
+        # passes it, though its Gram's singular values span 1e-16
+        rng = np.random.default_rng(4)
+        x = np.column_stack([np.ones(20), 1e-8 * rng.standard_normal(20)])
+        s = np.linalg.svd(x, compute_uv=False)
+        assert 1e-9 < s[-1] / s[0] < 1e-7
+        check_design(x)
+        fit, ds = _fit_with(np.ones(20, dtype=int), x, np.ones(3))
+        cov = coef_covariance(fit, ds)
+        assert np.allclose(cov.gram_inv[0] @ (x.T @ x), np.eye(2), atol=1e-6)
+        basis = BasisSystem(psi=np.eye(3), eigvals=np.ones(3), h=0,
+                            params=KernelParams(0.01, 2.0))
+        maps = infer_maps(fit, ds, basis)
+        assert all(np.all(np.isfinite(m.se)) for m in maps)
 
 
 class TestSvcVariance:

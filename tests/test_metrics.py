@@ -178,3 +178,19 @@ def test_tiny_subgroups_fall_back_to_the_without_fit():
     assert {mode: res.unseen_fallbacks for mode, res in counts.items()} == {
         "within": 2 * splits, "without": 0, "shuffled": 2 * splits}
     assert all(np.all(np.isfinite(res.mse)) for res in counts.values())
+
+
+def test_rank_deficient_subgroup_falls_back_to_the_without_fit():
+    cfg = SimConfig(dims=(5, 5, 5), n=60, n_groups=1, sigma=1.0, seed=2, n_sites=3)
+    dataset, truth, lattice, basis = simulate_cube(cfg)
+    fit = fit_sem(dataset, basis, 1, SemConfig(seed=0))
+    # subgroup 2 has 10 members, enough rows, but its exposure is constant, so
+    # its training exposure design is rank deficient
+    members = np.arange(10)
+    dataset.exposures[members, 1] = 0.5
+    fit.labels = np.ones(dataset.n, dtype=int)
+    fit.labels[members] = 2
+    splits = 4
+    within = validate_projection(dataset, basis, fit, "within", n_splits=splits, seed=5)
+    assert within.unseen_fallbacks == splits  # one holdout member of subgroup 2 per split
+    assert np.all(np.isfinite(within.mse))

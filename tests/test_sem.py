@@ -278,8 +278,8 @@ class TestSemConfig:
         ("restarts", {"restarts": 0}),
         ("threads", {"threads": 0}),
         ("threads", {"threads": -2}),
-        ("window", {"window": 0}),
-        ("window", {"window": 6, "max_iter": 5}),
+        ("max_iter", {"max_iter": 0}),
+        ("max_iter", {"max_iter": -1}),
         ("tol", {"tol": 0.0}),
         ("tol", {"tol": -1e-4}),
     ])
@@ -364,11 +364,17 @@ class TestFitSem:
             basis = _identity_basis(3)
             fit_sem(dataset, basis, 3, SemConfig(restarts=2, seed=0))
 
+    def test_max_iter_below_the_convergence_window(self):
+        dataset, truth, lattice, basis = simulate_cube(
+            SimConfig(dims=(5, 5, 5), n=80, n_groups=2, sigma=1.0, seed=6, n_sites=4))
+        fit = fit_sem(dataset, basis, 2, SemConfig(max_iter=3, restarts=2, seed=3))
+        assert fit.iterations == fit.q_trace.size <= 3
+
     def test_lambda_floor_respected(self):
         cfg = SimConfig(dims=(5, 5, 5), n=80, n_groups=2, sigma=1.0, seed=6, n_sites=4)
         dataset, truth, lattice, basis = simulate_cube(cfg)
-        fit = fit_sem(dataset, basis, 2, SemConfig(restarts=2, seed=3, lambda_floor=1e-8))
-        assert np.all(fit.params.lam >= 1e-8)
+        fit = fit_sem(dataset, basis, 2, SemConfig(restarts=2, seed=3))
+        assert np.all(fit.params.lam >= LAMBDA_FLOOR)
         assert np.allclose(fit.responsibilities.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -399,7 +405,7 @@ class TestPreparedProblemKernels:
     def test_stage2_matches_per_group_lstsq(self, seed, n_groups, p, q, n_sites, L, extra):
         ytilde, dataset, labels = _grouped_problem(seed, n_groups, p, q, n_sites, L, extra)
         problem = prepare(ytilde, dataset)
-        theta, rss = stage2(problem, labels, n_groups, p + 2)
+        theta, rss = stage2(problem, labels, n_groups)
         X, resid = dataset.exposures, problem.resid.copy()
         for k in range(1, n_groups + 1):
             rows = labels == k
@@ -508,7 +514,7 @@ def _two_stage_reference(ytilde, dataset, train, test):
     subset = Dataset(images=dataset.images[train], exposures=dataset.exposures[train],
                      controls=dataset.controls[train], sites=dataset.sites[train][:, kept])
     problem = prepare(ytilde[train], subset)
-    theta, _ = stage2(problem, np.ones(problem.n, dtype=int), 1, dataset.exposures.shape[1] + 1)
+    theta, _ = stage2(problem, np.ones(problem.n, dtype=int), 1)
     design = np.hstack([dataset.sites[test][:, kept], dataset.controls[test]])
     return design @ problem.coef + dataset.exposures[test] @ theta[0]
 

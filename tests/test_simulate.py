@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import lasir
-from lasir import (KernelParams, SimConfig, build_basis, build_lattice,
+from lasir import (KernelParams, SimConfig, _blas, build_basis, build_lattice,
                    draw_labels, make_group_svcs, sample_gp, simulate_cube,
                    smoothed_center_cube, trig_map)
+from lasir.basis import BasisSystem
 from lasir.simulate import gp_from_coeffs
 from test_basis import tensor_products
 
@@ -56,6 +57,24 @@ class TestSampleGP:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_factored_field_never_reads_psi(self, monkeypatch, masked):
+        dims = (9, 10, 8)
+        mask = "full"
+        if masked:
+            grids = np.meshgrid(*[np.linspace(-1, 1, m) for m in dims], indexing="ij")
+            mask = sum(g ** 2 for g in grids) <= 1.0
+        lattice = build_lattice(dims, mask)
+        basis = build_basis(lattice, KernelParams(0.01, 2.0), 4)
+        monkeypatch.setattr(lasir.basis, "PSI_BLOCK", 1)  # 64-row blocks
+        with monkeypatch.context() as m, _blas.single_thread:
+            m.setattr(BasisSystem, "psi", property(lambda self: pytest.fail("psi read")))
+            field = sample_gp(lattice, basis, np.random.default_rng(3))
+        with _blas.single_thread:
+            xi = np.random.default_rng(3).standard_normal(basis.L)
+            expected = basis.psi @ (np.sqrt(basis.eigvals) * xi)
+        assert field.tobytes() == expected.tobytes()
+
 
 class TestGroupMaps:
     def test_trig_map_center_and_known_point(self):
@@ -77,7 +96,8 @@ class TestGroupMaps:
 
     def test_three_maps_shape(self):
         lat = build_lattice((5, 5, 5))
-        maps = make_group_svcs(lat, np.random.default_rng(0))
+        basis = build_basis(lat, KernelParams(0.01, 2.0), 3)
+        maps = make_group_svcs(lat, np.random.default_rng(0), basis)
         assert maps.shape == (3, lat.d)
 
 
@@ -141,7 +161,7 @@ class TestSimulateCube:
         cfg = SimConfig(dims=(9, 9, 9), n=400, n_groups=3, sigma=1e-6, seed=5)
         ds, truth, lattice, basis = simulate_cube(cfg)
         ytilde = project(ds.images, basis)
-        params = m_step(ytilde, ds, truth.labels, 3, lambda_floor=1e-12)
+        params = m_step(ytilde, ds, truth.labels, 3)
         slope_hat = backproject(params.theta_alpha[1, 1], basis)[0]
         t = trig_map(lattice)
         assert np.linalg.norm(slope_hat - t) / np.linalg.norm(t) < 0.1

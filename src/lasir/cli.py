@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import platform
 import sys
@@ -37,7 +38,7 @@ from .lattice import (build_lattice, lattice_from_volume, load_dataset,
 from .metrics import match_groups, nmi, power_type1, validate_projection
 from .selection import select_k
 from .sem import SemConfig, fit_sem
-from .simulate import SimConfig, simulate_cube
+from .simulate import KERNEL, SimConfig, simulate_cube
 from .study import evaluate_fit, run_table2
 
 
@@ -287,24 +288,25 @@ def cmd_reproduce(res):
 
 DATA = [Option("images", required=True), Option("covariates", required=True),
         Option("basis", required=True)]
-THREADS = Option("threads", int, SemConfig.threads)
 SEM = [Option("restarts", int, SemConfig.restarts), Option("seed", int, SemConfig.seed),
        Option("tol", float, SemConfig.tol), Option("max_iter", int, SemConfig.max_iter),
-       THREADS]
-CUBE = [Option("n", int, 500), Option("dims", _parse_dims, (15, 15, 15)),
-        Option("sigma", float, 1.0)]
+       Option("threads", int, SemConfig.threads)]
+CUBE = [Option("n", int, SimConfig.n), Option("dims", _parse_dims, SimConfig.dims),
+        Option("sigma", float, SimConfig.sigma)]
+TABLE2 = inspect.signature(run_table2).parameters  # reproduce's defaults
 FIT = Option("fit", required=True)
 
 # subcommand -> (handler, help, options); options are listed in --help order
 COMMANDS = {
     "basis": (cmd_basis, "build an orthonormal spatial basis", [
-        Option("a", float, 0.01), Option("b", float, 2.0), Option("h", int),
+        Option("a", float, KERNEL.a), Option("b", float, KERNEL.b), Option("h", int),
         Option("h_ref", int), Option("r0", float), Option("dims", _parse_dims),
         Option("lattice", help="volume bundle supplying dims and mask"),
         Option("out", required=True)]),
     "simulate": (cmd_simulate, "generate a synthetic dataset", [
-        Option("out_dir", required=True), *CUBE, Option("k", int, 3),
-        Option("seed", int, 0), Option("sites", int, 21), Option("basis_degree", int),
+        Option("out_dir", required=True), *CUBE, Option("k", int, SimConfig.n_groups),
+        Option("seed", int, SimConfig.seed), Option("sites", int, SimConfig.n_sites),
+        Option("basis_degree", int),
         Option("null_exposure", _parse_bool, False),
         Option("shared_intercept", _parse_bool, False)]),
     "fit": (cmd_fit, "fit the model (lasir, kmlr, or svcm)", [
@@ -323,8 +325,10 @@ COMMANDS = {
         Option("splits", int, 50), Option("holdout", float, 0.05), Option("seed", int, 0)]),
     "reproduce": (cmd_reproduce, "run a packaged desk-scale study", [
         Option("what", required=True, choices=("table2",), positional=True),
-        *CUBE, Option("reps", int, 10), Option("seed", int, 0), Option("restarts", int, 6),
-        THREADS, Option("out")]),
+        *CUBE, Option("reps", int, TABLE2["reps"].default),
+        Option("seed", int, TABLE2["seed"].default),
+        Option("restarts", int, TABLE2["restarts"].default),
+        Option("threads", int, TABLE2["threads"].default), Option("out")]),
 }
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import _blas
 from .basis import BasisSystem, pair_products, tensor_degrees
@@ -121,10 +121,16 @@ def wald_map(fit: FitResult, dataset: Dataset, basis: BasisSystem,
 
 
 def _wald(fit, basis, group, exposure, variance) -> InferenceMap:
+    """The InferenceMap of one (group, exposure) pair from its voxel variance.
+
+    The two-sided p-value 2 * ndtr(-|wald|) is the standard normal tail that
+    `scipy.stats.norm.sf` computes, without its argument-checking wrapper
+    (and without importing `scipy.stats`).
+    """
     effect = backproject(fit.params.theta_alpha[group - 1, exposure], basis)[0]
     se = np.sqrt(variance)
     wald = np.abs(effect) / se
-    pval = 2.0 * norm.sf(wald)
+    pval = 2.0 * ndtr(-wald)
     return InferenceMap(group=group, exposure=exposure, effect=effect,
                         se=se, wald=wald, pval=pval)
 
@@ -132,10 +138,21 @@ def _wald(fit, basis, group, exposure, variance) -> InferenceMap:
 def fdr_bh(pvals: np.ndarray, alpha: float) -> np.ndarray:
     """Benjamini-Hochberg step-up decisions.
 
-    Sort the m p-values ascending, find the largest i with
-    ``p_(i) <= i * alpha / m``, and reject every p-value up to p_(i);
-    nothing is rejected when no such i exists. The rejection set grows
+    With the m p-values sorted ascending, find the largest k with
+    ``p_(k) <= b_k = k * alpha / m`` and reject every p-value up to p_(k);
+    nothing is rejected when no such k exists. The rejection set grows
     monotonically with alpha.
+
+    No sort is needed: p_(k) <= b_k holds exactly when at least k p-values
+    are <= b_k (if p_(k) <= b_k then so are p_(1..k); if k of them are, the
+    k-th smallest is). Each p-value gets the index of the first bound it
+    meets, m for none and for NaN, found from ceil(p m / alpha) - 1 and
+    corrected against the bounds themselves; a running count of these
+    indices gives #{p <= b_k} for every k, hence the largest passing k*.
+    The rejections {p <= b_k*} equal {p <= p_(k*)}, ties included:
+    p_(k*) <= b_k*, and a p-value in (p_(k*), b_k*] would make
+    c = #{p <= b_k*} exceed k*, so that k = c would pass too (b_k* <= b_c).
+    NaN is never rejected. O(m) time and memory.
     """
     pvals = np.asarray(pvals, dtype=float)
     if pvals.ndim != 1:
@@ -143,13 +160,24 @@ def fdr_bh(pvals: np.ndarray, alpha: float) -> np.ndarray:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     m = pvals.size
-    order = np.argsort(pvals, kind="stable")
-    ranked = pvals[order]
-    passing = np.nonzero(ranked <= alpha * np.arange(1, m + 1) / m)[0]
+    if m == 0:
+        return np.zeros(0, dtype=bool)
+    bound = alpha * np.arange(1, m + 1) / m  # non-decreasing
+    first = np.full(m, m, dtype=np.intp)
+    meets = np.flatnonzero(pvals <= bound[-1])
+    p = pvals[meets]
+    # a guess, finite as p <= b_m; every p <= 0 meets b_1 >= 0
+    i = np.clip(np.ceil(np.maximum(p, 0.0) * m / alpha) - 1, 0, m - 1).astype(np.intp)
+    while (up := p > bound[i]).any():
+        i[up] += 1
+    while (down := (i > 0) & (p <= bound[i - 1])).any():
+        i[down] -= 1
+    first[meets] = i
+    met = np.cumsum(np.bincount(first, minlength=m + 1)[:m])  # #{p <= b_k}
+    passing = np.flatnonzero(met >= np.arange(1, m + 1))
     if passing.size == 0:
         return np.zeros(m, dtype=bool)
-    cutoff = ranked[passing[-1]]
-    return pvals <= cutoff
+    return first <= passing[-1]
 
 
 @_blas.single_thread

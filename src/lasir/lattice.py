@@ -265,9 +265,12 @@ def load_volume_map(base, lattice: VoxelLattice = None):
     """Read a volume bundle; returns (values, lattice) with values (count, d).
 
     The header and mask are read once; a given `lattice` must have the
-    bundle's dims and mask. The payload is read and masked about `CHUNK`
-    grid cells at a time, so the count x grid-cells array is never held in
-    memory.
+    bundle's dims and mask. The payload is read about `CHUNK` grid cells at
+    a time into one reused buffer, and each chunk's masked cells are
+    gathered straight into the result rows, so neither the count x
+    grid-cells array nor a per-chunk array is ever allocated. A payload
+    whose size does not match the header raises ValueError naming the
+    ``.dat`` file.
     """
     base = str(base)
     header, dims, count = _read_volume_header(base)
@@ -283,11 +286,16 @@ def load_volume_map(base, lattice: VoxelLattice = None):
     values = np.empty((count, lattice.d), dtype=np.float32)
     cells = np.flatnonzero(lattice.flat_mask)
     step = max(1, CHUNK // lattice.n_cells)
+    buffer = np.empty((min(step, count), lattice.n_cells), dtype="<f4")
     with open(base + ".dat", "rb") as fh:
         for start in range(0, count, step):
             rows = values[start:start + step]
-            grid = np.fromfile(fh, dtype="<f4", count=rows.shape[0] * lattice.n_cells)
-            np.take(grid.reshape(rows.shape[0], -1), cells, axis=1, out=rows)
+            grid = buffer[:rows.shape[0]]
+            if fh.readinto(grid) != grid.nbytes:
+                raise ValueError(f"{base}.dat: payload ends before map {start + rows.shape[0]}")
+            # cells come from flatnonzero(mask), so "clip" never clips; unlike
+            # mode="raise", it lets take write into `rows` without a buffer
+            np.take(grid, cells, axis=1, out=rows, mode="clip")
     return values, lattice
 
 

@@ -59,12 +59,13 @@ def mvls_fit(design: np.ndarray, targets: np.ndarray) -> DiagGaussianFit:
 
 def check_design(design: np.ndarray) -> None:
     """Raise ValueError unless the design (n, c) has n >= c and full column
-    rank (relative smallest singular value above `RANK_TOL`)."""
+    rank (relative smallest singular value above `RANK_TOL`); a design with
+    no columns passes."""
     n, c = design.shape
     if n < c:
         raise ValueError(f"under-determined least squares: n={n} < c={c}")
     s = np.linalg.svd(design, compute_uv=False)
-    if s[-1] <= RANK_TOL * s[0]:
+    if c and s[-1] <= RANK_TOL * s[0]:
         raise ValueError(f"rank-deficient design: smallest singular value {s[-1]:.3e}")
 
 

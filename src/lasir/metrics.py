@@ -176,6 +176,21 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     def predict(gram, cross, train, test, group=1):
         return predict_from_sums(gram, cross, z[train], z[test], n_sites, p1, group)
 
+    def predict_group(g_sums, train, test, group):
+        # None when `check_group` rejects the subgroup's training exposures.
+        # `predict_from_sums` applies it after its stage-1 check, which fails
+        # first on tiny subgroups; only then is the subgroup checked here.
+        try:
+            return predict(*g_sums, train, test, group)
+        except DegenerateGroupError:
+            return None
+        except ValueError:
+            try:
+                check_group(z[train, -p1:], group)
+            except DegenerateGroupError:
+                return None
+            raise
+
     def downdated(totals, rows):
         gram, cross = sums(rows)
         return totals[0] - gram, totals[1] - cross
@@ -208,19 +223,17 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
                 if not test_g.any():
                     continue
                 train_g = train & (fit_labels == g)
-                try:  # before predicting: stage 1 would fail first on tiny groups
-                    check_group(z[train_g, -p1:], g)
-                except DegenerateGroupError:
-                    if without is None:
-                        without = predict(*downdated(total, holdout), train, holdout)
-                    pred[test_g] = without[test_g[holdout]]
-                    fallbacks += int(test_g.sum())
-                    continue
                 # within: the subgroup's training rows are its members minus
                 # its holdout; shuffled relabels them, so they are summed afresh
                 g_sums = (downdated(group_totals[g], test_g) if mode == "within"
                           else sums(train_g))
-                pred[test_g] = predict(*g_sums, train_g, test_g, g)
+                got = predict_group(g_sums, train_g, test_g, g)
+                if got is None:
+                    if without is None:
+                        without = predict(*downdated(total, holdout), train, holdout)
+                    got = without[test_g[holdout]]
+                    fallbacks += int(test_g.sum())
+                pred[test_g] = got
         mses[rep] = _holdout_mse(sq_norms[holdout], ytilde[holdout], pred[holdout], basis.d)
     if fallbacks:
         logger.info("validate_projection mode=%s: %d holdout individuals fell "

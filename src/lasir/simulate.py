@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import _blas
 from .basis import BasisSystem, KernelParams, basis_size, build_basis
@@ -110,9 +111,8 @@ def smoothed_center_cube(lattice: VoxelLattice, half_width: float = 0.4,
     """Indicator of the centered cube {max|v_axis| <= half_width} convolved
     with an isotropic Gaussian (sd `taper_sd` in normalized units), truncated
     to exactly zero beyond three taper widths from the cube."""
-    from scipy.stats import norm
-    per_axis = [norm.cdf((half_width - lattice.coords[:, ax]) / taper_sd)
-                - norm.cdf((-half_width - lattice.coords[:, ax]) / taper_sd)
+    per_axis = [ndtr((half_width - lattice.coords[:, ax]) / taper_sd)
+                - ndtr((-half_width - lattice.coords[:, ax]) / taper_sd)
                 for ax in range(3)]
     out = per_axis[0] * per_axis[1] * per_axis[2]
     out[np.abs(lattice.coords).max(axis=1) > half_width + 3.0 * taper_sd] = 0.0

@@ -50,8 +50,8 @@ def evaluate_fit(fit_params, labels_est, truth, basis):
     return mse_svc(alpha_aligned, truth.alpha), beta_mse(alpha_est, labels_est, truth)
 
 
-def run_table2(n=500, dims=(15, 15, 15), sigma=1.0, reps=10, seed=0,
-               restarts=6, threads=1):
+def run_table2(n=SimConfig.n, dims=SimConfig.dims, sigma=SimConfig.sigma, reps=10, seed=0,
+               restarts=6, threads=SemConfig.threads):
     """Cube-design comparison of the latent-subgroup fit against the
     k-means baseline and the no-subgroup fit.
 

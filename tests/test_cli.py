@@ -1,11 +1,17 @@
 import dataclasses
+import inspect
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from lasir import SemConfig, _blas
-from lasir.cli import SEM, _parse_bool, main
+import lasir
+from lasir import SemConfig, SimConfig, _blas
+from lasir.cli import COMMANDS, SEM, _parse_bool, main
+from lasir.simulate import KERNEL
+from lasir.study import run_table2
 from lasir.io import read_kv
 
 
@@ -288,6 +294,33 @@ def test_sem_options_default_to_sem_config():
     assert set(options) == fields
     assert all(default == getattr(SemConfig, name) for name, default in options.items())
     assert options["threads"] == 1
+
+
+def test_cube_kernel_and_study_options_default_to_the_library():
+    defaults = {name: {opt.dest: opt.default for opt in options}
+                for name, (_, _, options) in COMMANDS.items()}
+    sim = SimConfig()
+    assert {k: defaults["simulate"][k] for k in ("n", "dims", "sigma", "k", "seed", "sites")} \
+        == {"n": sim.n, "dims": sim.dims, "sigma": sim.sigma, "k": sim.n_groups,
+            "seed": sim.seed, "sites": sim.n_sites}
+    assert (defaults["basis"]["a"], defaults["basis"]["b"]) == (KERNEL.a, KERNEL.b)
+    table2 = inspect.signature(run_table2).parameters
+    names = ("n", "dims", "sigma", "reps", "seed", "restarts", "threads")
+    assert {k: defaults["reproduce"][k] for k in names} == {k: table2[k].default for k in names}
+    assert (table2["n"].default, table2["dims"].default, table2["sigma"].default) \
+        == (sim.n, sim.dims, sim.sigma)
+
+
+def test_import_leaves_scipy_stats_out():
+    # every CLI start imports lasir; scipy.stats alone takes about 0.4 s to import
+    src = os.path.dirname(os.path.dirname(lasir.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lasir, lasir.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_config_with_retired_sem_keys_still_runs(workdir, tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from lasir import (Dataset, KernelParams, SemConfig, SimConfig, coef_covariance,
                    fdr_bh, fit_sem, infer_maps, simulate_cube, svc_variance,
@@ -144,7 +147,67 @@ class TestWaldMap:
         assert np.allclose(m2.pval, m1.pval, atol=1e-8)
 
 
+def _bh_by_sort(pvals, alpha):
+    """Textbook step-up: sort ascending (NaN last), find the largest k with
+    p_(k) <= k alpha / m and reject every p-value <= p_(k)."""
+    m = pvals.size
+    ranked = np.sort(pvals)
+    passing = np.flatnonzero(ranked <= alpha * np.arange(1, m + 1) / m)
+    if passing.size == 0:
+        return np.zeros(m, dtype=bool)
+    return pvals <= ranked[passing[-1]]
+
+
+@st.composite
+def _pvalue_vectors(draw):
+    """(pvals, alpha): p-values drawn from a pool of a few values, so that ties
+    are common, including the bounds i alpha / m, their float neighbours,
+    NaN, values <= 0 and values > 1."""
+    m = draw(st.integers(1, 40))
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    bound = alpha * np.arange(1, m + 1) / m
+    on_bound = st.sampled_from(bound.tolist())
+    pool = draw(st.lists(st.one_of(
+        st.floats(0.0, 1.0), on_bound,
+        on_bound.map(lambda b: float(np.nextafter(b, np.inf))),
+        on_bound.map(lambda b: float(np.nextafter(b, -np.inf))),
+        st.just(np.nan), st.floats(-2.0, 0.0), st.floats(1.0, 3.0, exclude_min=True),
+        st.sampled_from([0.0, 1.0, -np.inf, np.inf])), min_size=1, max_size=m))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))
+    return np.array(pool)[picks], alpha
+
+
 class TestFdrBH:
+    @given(_pvalue_vectors())
+    def test_matches_the_sort_reference(self, case):
+        pvals, alpha = case
+        reject = fdr_bh(pvals, alpha)
+        assert reject.dtype == bool
+        assert np.array_equal(reject, _bh_by_sort(pvals, alpha))
+        assert not reject[np.isnan(pvals)].any()
+
+    @given(p=st.one_of(st.floats(allow_nan=True), st.just(0.05)),
+           alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_one_pvalue(self, p, alpha):
+        assert fdr_bh(np.array([p]), alpha).tolist() == [bool(p <= alpha)]
+
+    def test_large_map_matches_the_sort_reference(self):
+        rng = np.random.default_rng(11)
+        m = 200_003
+        z = rng.standard_normal(m)
+        z[: m // 4] += 3.0
+        pvals = np.round(2.0 * ndtr(-np.abs(z)), 6)  # rounding makes ties
+        pvals[rng.integers(0, m, 50)] = np.nan
+        bound = 0.05 * np.arange(1, m + 1) / m
+        on = rng.integers(0, m, 500)
+        pvals[on] = bound[on]
+        reject = fdr_bh(pvals, 0.05)
+        assert 0 < reject.sum() < m
+        assert np.array_equal(reject, _bh_by_sort(pvals, 0.05))
+
+    def test_empty_vector(self):
+        assert fdr_bh(np.array([]), 0.05).shape == (0,)
+
     def test_hand_executed_example(self):
         reject = fdr_bh(np.array([0.01, 0.02, 0.04]), 0.05)
         assert reject.tolist() == [True, True, True]

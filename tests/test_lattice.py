@@ -1,5 +1,12 @@
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lasir import lattice as lattice_module
 from lasir import (Dataset, build_lattice, lattice_from_volume, load_dataset,
@@ -253,3 +260,33 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="row count mismatch"):
             Dataset(images=ds.images, exposures=ds.exposures[:-1],
                     controls=ds.controls, sites=ds.sites)
+
+
+@given(data=st.data())
+def test_volume_round_trip_in_small_chunks(data):
+    # chunks of 1-4 maps, so the last one is often ragged and the read buffer
+    # is reused across chunks of different lengths
+    dims = tuple(data.draw(st.lists(st.integers(1, 7), min_size=3, max_size=3)))
+    mask = data.draw(arrays(bool, dims))
+    mask[tuple(data.draw(st.integers(0, m - 1)) for m in dims)] = True
+    lat = build_lattice(dims, mask)
+    count = data.draw(st.integers(1, 9))
+    values = data.draw(arrays(np.float32, (count, lat.d), elements=st.floats(width=32)))
+    step = data.draw(st.integers(1, 4))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_module, "CHUNK", step * lat.n_cells + data.draw(st.integers(0, 3)))
+        base = os.path.join(tmp, "vol")
+        save_volume_map(values, lat, base)
+        back, same = load_volume_map(base, lat)
+        assert same is lat and back.dtype == np.float32
+        assert np.array_equal(back.view(np.uint32), values.view(np.uint32))
+        cut = data.draw(st.integers(1, 4 * count * lat.n_cells))
+        with open(base + ".dat", "r+b") as fh:
+            fh.truncate(4 * count * lat.n_cells - cut)
+        named = re.escape(base + ".dat")
+        with pytest.raises(ValueError, match=named):
+            load_volume_map(base, lat)
+        # a payload that ends early while being read still names the file
+        mp.setattr(lattice_module.os.path, "getsize", lambda path: 4 * count * lat.n_cells)
+        with pytest.raises(ValueError, match=named):
+            load_volume_map(base, lat)

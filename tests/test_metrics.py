@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lasir import (KernelParams, SemConfig, SimConfig, backproject, build_basis,
+from lasir import (Dataset, KernelParams, SemConfig, SimConfig, backproject, build_basis,
                    build_lattice, fit_sem, match_groups, mse_svc, nmi, power_type1, project,
                    simulate_cube, validate_projection)
+from lasir import metrics as metrics_module
+from lasir import sem as sem_module
 from lasir.metrics import _holdout_mse
+from lasir.sem import check_group
 
 
 class TestNmi:
@@ -131,6 +134,21 @@ class TestValidateProjection:
         shuffled = validate_projection(dataset, basis, fit, "shuffled", n_splits=10, seed=4)
         assert within.mse.mean() < shuffled.mse.mean()
 
+    @pytest.mark.parametrize("mode", ["within", "shuffled"])
+    def test_each_subgroup_is_checked_once_per_split(self, fitted, mode, monkeypatch):
+        dataset, basis, fit = fitted
+        checked = []
+
+        def counted(design, group):
+            checked.append(group)
+            return check_group(design, group)
+
+        monkeypatch.setattr(sem_module, "check_group", counted)
+        monkeypatch.setattr(metrics_module, "check_group", counted)
+        res = validate_projection(dataset, basis, fit, mode, n_splits=3, seed=2)
+        assert res.unseen_fallbacks == 0
+        assert sorted(checked) == sorted(list(np.unique(fit.labels)) * 3)
+
     def test_unknown_mode(self, fitted):
         dataset, basis, fit = fitted
         with pytest.raises(ValueError, match="unknown mode"):
@@ -178,6 +196,23 @@ def test_tiny_subgroups_fall_back_to_the_without_fit():
     assert {mode: res.unseen_fallbacks for mode, res in counts.items()} == {
         "within": 2 * splits, "without": 0, "shuffled": 2 * splits}
     assert all(np.all(np.isfinite(res.mse)) for res in counts.values())
+
+
+def test_subgroup_with_no_training_rows_falls_back_without_controls():
+    # with no control columns, a subgroup whose one member is held out leaves
+    # a stage-1 design of no rows and no columns; the subgroup check rejects it
+    cfg = SimConfig(dims=(5, 5, 5), n=40, n_groups=1, sigma=1.0, seed=2, n_sites=3)
+    dataset, truth, lattice, basis = simulate_cube(cfg)
+    fit = fit_sem(dataset, basis, 1, SemConfig(seed=0))
+    no_controls = Dataset(images=dataset.images, exposures=dataset.exposures,
+                          controls=np.empty((dataset.n, 0)), sites=dataset.sites)
+    fit.labels = np.ones(dataset.n, dtype=int)
+    fit.labels[7] = 2
+    splits = 3
+    for mode in ("within", "shuffled"):
+        res = validate_projection(no_controls, basis, fit, mode, n_splits=splits, seed=1)
+        assert res.unseen_fallbacks == splits
+        assert np.all(np.isfinite(res.mse))
 
 
 def test_rank_deficient_subgroup_falls_back_to_the_without_fit():

@@ -69,10 +69,12 @@ def kmeans(points: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
     k-means++ seeding followed by Lloyd iterations until assignments are
     stable or `KMEANS_MAX_ITER`; `KMEANS_INIT` independent seedings are run
     and the lowest within-cluster sum of squares wins. Deterministic given
-    `seed`.
+    `seed`. Raises ValueError unless 1 <= n_clusters <= number of points.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
+    if n_clusters < 1:
+        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     if n_clusters > n:
         raise ValueError(f"n_clusters={n_clusters} exceeds point count {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

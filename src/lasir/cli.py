@@ -32,7 +32,7 @@ from .basis import KernelParams, build_basis, select_h
 from .baselines import kmlr_fit
 from .bundles import load_basis, load_fit, load_truth, save_basis, save_fit, save_truth
 from .inference import infer_maps
-from .io import config_hash, read_config, write_kv
+from .io import config_hash, read_kv, write_kv
 from .lattice import (build_lattice, lattice_from_volume, load_dataset,
                       save_dataset, save_volume_map)
 from .metrics import match_groups, nmi, power_type1, validate_projection
@@ -92,7 +92,7 @@ class Option(NamedTuple):
 
 def _resolve(args, options):
     """Each option's value: its flag, else its config key, else its default."""
-    conf = read_config(args.config) if args.config else {}
+    conf = read_kv(args.config) if args.config else {}
     res = {}
     for opt in options:
         value = getattr(args, opt.dest)
@@ -294,6 +294,8 @@ SEM = [Option("restarts", int, SemConfig.restarts), Option("seed", int, SemConfi
 CUBE = [Option("n", int, SimConfig.n), Option("dims", _parse_dims, SimConfig.dims),
         Option("sigma", float, SimConfig.sigma)]
 TABLE2 = inspect.signature(run_table2).parameters  # reproduce's defaults
+VALIDATE = inspect.signature(validate_projection).parameters
+ALPHA = Option("alpha", float, inspect.signature(infer_maps).parameters["alpha"].default)
 FIT = Option("fit", required=True)
 
 # subcommand -> (handler, help, options); options are listed in --help order
@@ -315,14 +317,15 @@ COMMANDS = {
     "select": (cmd_select, "choose the number of subgroups by BIC", [
         *DATA, Option("out"), *SEM, Option("k_min", int, 1), Option("k_max", int, 4)]),
     "infer": (cmd_infer, "voxelwise Wald maps with FDR decisions", [
-        FIT, *DATA, Option("alpha", float, 0.05), Option("out_prefix", required=True)]),
+        FIT, *DATA, ALPHA, Option("out_prefix", required=True)]),
     "metrics": (cmd_metrics, "evaluate a fit against simulation truth", [
-        FIT, Option("truth", required=True), *DATA, Option("out"),
-        Option("alpha", float, 0.05)]),
+        FIT, Option("truth", required=True), *DATA, Option("out"), ALPHA]),
     "validate": (cmd_validate, "projected-prediction validation", [
         FIT, *DATA, Option("out"),
         Option("mode", default="all", choices=("within", "without", "shuffled", "all")),
-        Option("splits", int, 50), Option("holdout", float, 0.05), Option("seed", int, 0)]),
+        Option("splits", int, VALIDATE["n_splits"].default),
+        Option("holdout", float, VALIDATE["holdout_frac"].default),
+        Option("seed", int, VALIDATE["seed"].default)]),
     "reproduce": (cmd_reproduce, "run a packaged desk-scale study", [
         Option("what", required=True, choices=("table2",), positional=True),
         *CUBE, Option("reps", int, TABLE2["reps"].default),

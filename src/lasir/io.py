@@ -53,11 +53,6 @@ def read_kv(path, multi=()):
     return out
 
 
-def read_config(path) -> dict:
-    """Read a config file (same key-value text as bundle headers)."""
-    return dict(read_kv(path))
-
-
 def config_hash(entries) -> str:
     """SHA-256 over the canonical key-value rendering of a config mapping."""
     text = "".join(f"{k}: {v}\n" for k, v in sorted(dict(entries).items()))

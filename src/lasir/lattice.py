@@ -321,9 +321,10 @@ def load_dataset(volume_base, covariate_path, lattice: VoxelLattice) -> Dataset:
     The table is read as CSV (the `csv` module's default dialect), so a
     quoted field may contain commas.
 
-    Site one-hot columns are ordered by sorted distinct site code. Raises
-    ValueError naming the offending record on dimension mismatches,
-    malformed headers, or non-finite values.
+    Site one-hot columns are ordered by distinct site code: by value, with
+    equal values ("01", "1") in text order, when every code is a number,
+    else in text order. Raises ValueError naming the offending record on
+    dimension mismatches, malformed headers, or non-finite values.
     """
     images, lattice = load_volume_map(volume_base, lattice)
     step = max(1, CHUNK // lattice.d)
@@ -372,7 +373,7 @@ def load_dataset(volume_base, covariate_path, lattice: VoxelLattice) -> Dataset:
 
     distinct = set(site_raw)
     if all(_is_number(s) for s in distinct):
-        site_codes = sorted(distinct, key=float)
+        site_codes = sorted(sorted(distinct), key=float)  # stable: ties in text order
     else:
         site_codes = sorted(distinct)
     sites = np.zeros((len(records), len(site_codes)))

@@ -119,27 +119,29 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
 
     Each split holds out ~`holdout_frac` of the individuals within every
     fitted subgroup and reports the voxel-space mean squared prediction
-    error over the holdout. Each prediction is the no-subgroup fit -- the
-    shared stage 1 and a single-group stage 2 -- on the training rows.
+    error over the holdout. Every mode follows one rule: each held-out
+    individual is predicted by the no-subgroup fit -- the shared stage 1 and
+    a single-group stage 2 -- on the training rows of its subgroup. The
+    modes differ only in the subgroups:
 
-    mode "within"   : one no-subgroup fit per fitted subgroup on its training
-                      members; holdouts are predicted by their subgroup's fit.
-    mode "without"  : a single no-subgroup fit on all training rows.
-    mode "shuffled" : training labels are permuted across individuals before
-                      the per-subgroup fits.
+    mode "within"   : the fitted subgroups.
+    mode "without"  : one subgroup of everyone.
+    mode "shuffled" : the fitted subgroups, with the training labels
+                      permuted across individuals before the fits.
 
     A holdout individual whose subgroup's training rows cannot be fitted
     (`sem.check_group` rejects their exposures: fewer than p+2 rows or a
-    rank-deficient design) falls back to the without-subgroup fit;
-    occurrences are counted in the result.
+    rank-deficient design) falls back to the fit on all training rows (the
+    "without" prediction); occurrences are counted in the result.
+    `n_splits` must be >= 1 and `holdout_frac` in (0, 1), else ValueError.
 
     The fits are solved from sufficient statistics of the design rows
     Z = [sites | controls | exposures] and the projections ytilde. The Gram
     Z^T Z and the cross sums Z^T ytilde are formed once per call over all
-    individuals and, in "within" mode, once per fitted subgroup. A split's
-    training sums are these totals minus the sums of its held-out rows (in
-    "shuffled" mode, the sums of each relabelled training group, taken
-    directly), and `sem.predict_from_sums` turns them into holdout
+    individuals and, except in "shuffled" mode, once per subgroup. A split's
+    training sums for a subgroup are its totals minus the sums of its
+    held-out rows (in "shuffled" mode, the sums of each relabelled training
+    group, taken directly), and `sem.predict_from_sums` turns them into holdout
     predictions with solves of the size of the design, checking each
     training design as `prepare` and `stage2` would. The error is taken in
     coefficient space by Parseval: for an image y_i with projection
@@ -161,6 +163,10 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     """
     if mode not in ("within", "without", "shuffled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if n_splits < 1:
+        raise ValueError(f"n_splits must be >= 1, got {n_splits}")
+    if not 0.0 < holdout_frac < 1.0:
+        raise ValueError(f"holdout_frac must be in (0, 1), got {holdout_frac}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ytilde = project(dataset.images, basis)
     step = max(1, CHUNK // basis.d)
@@ -196,44 +202,42 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
         return totals[0] - gram, totals[1] - cross
 
     labels = np.asarray(fit.labels, dtype=int)
-    groups = np.unique(labels)
+    strata = np.unique(labels)
+    subgroups = np.ones_like(labels) if mode == "without" else labels
+    groups = np.unique(subgroups)
     total = sums(slice(None))
-    if mode == "within":  # a subgroup of everyone shares the totals
-        group_totals = {g: total if groups.size == 1 else sums(labels == g) for g in groups}
+    if mode != "shuffled":
+        group_totals = {g: sums(subgroups == g) for g in groups}
     mses = np.empty(n_splits)
     pred = np.empty_like(ytilde)  # each split fills its holdout rows
     fallbacks = 0
     for rep in range(n_splits):
         holdout = np.zeros(dataset.n, dtype=bool)
-        for g in groups:
+        for g in strata:
             members = np.nonzero(labels == g)[0]
             n_hold = max(1, int(round(holdout_frac * members.size)))
             holdout[rng.permutation(members)[:n_hold]] = True
         train = ~holdout
-        if mode == "without":
-            pred[holdout] = predict(*downdated(total, holdout), train, holdout)
-        else:
-            fit_labels = labels.copy()
-            if mode == "shuffled":
-                tr_idx = np.nonzero(train)[0]
-                fit_labels[tr_idx] = fit_labels[rng.permutation(tr_idx)]
-            without = None
-            for g in groups:
-                test_g = holdout & (labels == g)
-                if not test_g.any():
-                    continue
-                train_g = train & (fit_labels == g)
-                # within: the subgroup's training rows are its members minus
-                # its holdout; shuffled relabels them, so they are summed afresh
-                g_sums = (downdated(group_totals[g], test_g) if mode == "within"
-                          else sums(train_g))
-                got = predict_group(g_sums, train_g, test_g, g)
-                if got is None:
-                    if without is None:
-                        without = predict(*downdated(total, holdout), train, holdout)
-                    got = without[test_g[holdout]]
-                    fallbacks += int(test_g.sum())
-                pred[test_g] = got
+        fit_labels = subgroups.copy()
+        if mode == "shuffled":
+            tr_idx = np.nonzero(train)[0]
+            fit_labels[tr_idx] = fit_labels[rng.permutation(tr_idx)]
+        without = None
+        for g in groups:
+            test_g = holdout & (subgroups == g)
+            if not test_g.any():
+                continue
+            train_g = train & (fit_labels == g)
+            # shuffled relabels the training rows, so they are summed afresh
+            g_sums = (sums(train_g) if mode == "shuffled"
+                      else downdated(group_totals[g], test_g))
+            got = predict_group(g_sums, train_g, test_g, g)
+            if got is None:
+                if without is None:
+                    without = predict(*downdated(total, holdout), train, holdout)
+                got = without[test_g[holdout]]
+                fallbacks += int(test_g.sum())
+            pred[test_g] = got
         mses[rep] = _holdout_mse(sq_norms[holdout], ytilde[holdout], pred[holdout], basis.d)
     if fallbacks:
         logger.info("validate_projection mode=%s: %d holdout individuals fell "

@@ -121,9 +121,10 @@ class SemConfig:
         `fit_sem` pins the process-wide BLAS pools to one thread, so these
         threads are the fit's only parallelism and results do not depend on
         them or on OPENBLAS_NUM_THREADS.
-    init_labels : optional explicit initial labels (1..K), e.g. for warm
-        starts or equivariance experiments; replaces the random draw in
-        every replicate.
+    init_labels : optional explicit initial labels, shape (n,) with integer
+        values 1..K, e.g. for warm starts or equivariance experiments;
+        replaces the random draw in every replicate (`fit_problem` checks
+        them; a K=1 fit does not read them).
     """
 
     max_iter: int = 200
@@ -203,17 +204,16 @@ def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
 
     Returns (theta_alpha (K, p+1, L), rss (L,)): the coefficients solving
     X_k^T X_k theta_k = X_k^T R_k on each group's rows and the per-coordinate
-    sums of squared stage-2 residuals over all individuals. Raises
-    DegenerateGroupError, from `check_group`, when a group has fewer than
-    p+2 members or a rank-deficient exposure design.
+    sums of squared stage-2 residuals over all individuals. Every group,
+    a single group of everyone included, is regressed on copies of its rows.
+    Raises DegenerateGroupError, from `check_group`, when a group has fewer
+    than p+2 members or a rank-deficient exposure design.
     """
     X, R = problem.exposures, problem.resid
     theta = np.empty((n_groups, X.shape[1], R.shape[1]))
     resid = np.empty_like(R)
     for k in range(1, n_groups + 1):
         rows = labels == k
-        if rows.all():
-            rows = slice(None)  # one group: views instead of copies
         Xk, Rk = X[rows], R[rows]
         check_group(Xk, k)
         theta[k - 1] = np.linalg.solve(Xk.T @ Xk, Xk.T @ Rk)
@@ -461,11 +461,24 @@ def fit_at_labels(problem: Problem, labels: np.ndarray, n_groups: int,
 
 def fit_problem(problem: Problem, n_groups: int, config: SemConfig) -> FitResult:
     """`fit_sem` on a prepared problem, so that several fits (the candidates
-    of `select_k`) share one projection and one stage 1."""
+    of `select_k`) share one projection and one stage 1.
+
+    K=1 is the fit at one group of everyone, and `config.init_labels` is not
+    read. For K >= 2, before any replicate starts, `config.init_labels` (if
+    given) must have shape (n,) and integer values in 1..K, else ValueError.
+    """
     if n_groups < 1:
         raise ValueError(f"n_groups must be >= 1, got {n_groups}")
     if n_groups == 1:
         return fit_at_labels(problem, np.ones(problem.n, dtype=int), 1, config)
+    if config.init_labels is not None:
+        init = np.asarray(config.init_labels)
+        if init.shape != (problem.n,):
+            raise ValueError(f"SemConfig.init_labels must have shape ({problem.n},), "
+                             f"got {init.shape}")
+        if not (init.dtype.kind in "iuf" and np.all(init == np.round(init))
+                and init.min() >= 1 and init.max() <= n_groups):
+            raise ValueError(f"SemConfig.init_labels must be integers in 1..{n_groups}")
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     with ThreadPoolExecutor(max_workers=config.threads) as pool:

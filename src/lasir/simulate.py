@@ -9,9 +9,9 @@ intercept patterns separate the groups for likelihood-based methods while
 staying well below the noise-ball diameter that distance-based clustering
 needs. Setting ``shared_intercept=True`` collapses the intercepts to a
 single common field, leaving the slopes as the only group signal. Group
-membership follows the multinomial-logit gating model on the control
-covariate, site and control effects are independent normals per voxel, and
-the noise is independent across voxels.
+membership follows the multinomial-logit gating model `GATING` on the
+control covariate, site and control effects are independent normals per
+voxel, and the noise is independent across voxels.
 """
 
 from __future__ import annotations
@@ -30,8 +30,11 @@ from .sem import s_step
 KERNEL = KernelParams(0.01, 2.0)  # random-field kernel of the intercepts and group-1 slope
 SITE_SD = 0.2     # sd of the per-voxel site effects
 CONTROL_SD = 0.2  # sd of the per-voxel control effects
+CUBE_HALF_WIDTH = 0.4  # half width of the group-3 slope's cube, normalized units
+CUBE_TAPER_SD = 0.1    # sd of the Gaussian that smooths the cube's edges
 
-DEFAULT_GATING = {
+# multinomial-logit gating weights on (1, z) per group count; last row zero
+GATING = {
     1: np.array([[0.0, 0.0]]),
     2: np.array([[-0.6, 1.0], [0.0, 0.0]]),
     3: np.array([[-0.6, 1.0], [0.5, 1.0], [0.0, 0.0]]),
@@ -43,11 +46,11 @@ class SimConfig:
     """Cube-simulation settings.
 
     dims / mask : lattice geometry (mask "full" or an explicit boolean volume).
-    n, n_groups, sigma : sample size, group count K in {1,2,3}, noise sd.
+    n, n_groups, sigma : sample size, group count K in {1,2,3}, noise sd;
+        labels follow the gating weights `GATING[K]`.
     basis_degree : truncation degree of the expansion of the random-field
         kernel `KERNEL`; defaults to min(12, smallest axis - 1) so the
         expansion stays full rank on the grid.
-    gating : (K, 2) multinomial-logit weights on (1, z), last row zero.
     n_sites : site count; the site and control effects have sds `SITE_SD`
         and `CONTROL_SD`.
     null_exposure : zero out every slope map (for calibration studies).
@@ -58,7 +61,6 @@ class SimConfig:
     n_groups: int = 3
     sigma: float = 1.0
     basis_degree: int = None
-    gating: np.ndarray = None
     n_sites: int = 21
     seed: int = 0
     null_exposure: bool = False
@@ -70,14 +72,6 @@ class SimConfig:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.n_groups not in (1, 2, 3):
             raise ValueError(f"the cube design supports 1-3 groups, got {self.n_groups}")
-        if self.gating is None:
-            self.gating = DEFAULT_GATING[self.n_groups].copy()
-        self.gating = np.asarray(self.gating, dtype=float)
-        if self.gating.shape != (self.n_groups, 2):
-            raise ValueError(f"gating must be ({self.n_groups}, 2), "
-                             f"got {self.gating.shape}")
-        if not np.allclose(self.gating[-1], 0.0):
-            raise ValueError("gating row for the reference group must be zero")
         if self.basis_degree is None:
             self.basis_degree = min(12, min(self.dims) - 1)
 
@@ -106,16 +100,16 @@ def sample_gp(lattice: VoxelLattice, basis: BasisSystem,
     return gp_from_coeffs(basis, rng.standard_normal(basis.L))
 
 
-def smoothed_center_cube(lattice: VoxelLattice, half_width: float = 0.4,
-                         taper_sd: float = 0.1) -> np.ndarray:
-    """Indicator of the centered cube {max|v_axis| <= half_width} convolved
-    with an isotropic Gaussian (sd `taper_sd` in normalized units), truncated
-    to exactly zero beyond three taper widths from the cube."""
-    per_axis = [ndtr((half_width - lattice.coords[:, ax]) / taper_sd)
-                - ndtr((-half_width - lattice.coords[:, ax]) / taper_sd)
+def smoothed_center_cube(lattice: VoxelLattice) -> np.ndarray:
+    """Indicator of the centered cube {max|v_axis| <= `CUBE_HALF_WIDTH`}
+    convolved with an isotropic Gaussian (sd `CUBE_TAPER_SD` in normalized
+    units), truncated to exactly zero beyond three taper widths from the
+    cube."""
+    per_axis = [ndtr((CUBE_HALF_WIDTH - lattice.coords[:, ax]) / CUBE_TAPER_SD)
+                - ndtr((-CUBE_HALF_WIDTH - lattice.coords[:, ax]) / CUBE_TAPER_SD)
                 for ax in range(3)]
     out = per_axis[0] * per_axis[1] * per_axis[2]
-    out[np.abs(lattice.coords).max(axis=1) > half_width + 3.0 * taper_sd] = 0.0
+    out[np.abs(lattice.coords).max(axis=1) > CUBE_HALF_WIDTH + 3.0 * CUBE_TAPER_SD] = 0.0
     return out
 
 
@@ -144,10 +138,11 @@ def draw_labels(gating: np.ndarray, controls: np.ndarray,
     return s_step(probs, rng)
 
 
-def field_scale(lattice: VoxelLattice, basis: BasisSystem, a: float) -> float:
+def field_scale(lattice: VoxelLattice, basis: BasisSystem) -> float:
     """Amplitude making the truncated expansion's average pointwise variance
-    match the kernel diagonal ``exp(-2a|v|^2)`` on the lattice."""
-    kernel_diag = np.exp(-2.0 * a * (lattice.coords ** 2).sum(axis=1)).mean()
+    match the diagonal ``exp(-2a|v|^2)`` on the lattice of the kernel the
+    basis was built with (rate a = ``basis.params.a``)."""
+    kernel_diag = np.exp(-2.0 * basis.params.a * (lattice.coords ** 2).sum(axis=1)).mean()
     return float(np.sqrt(kernel_diag * lattice.d / basis.eigvals.sum()))
 
 
@@ -172,7 +167,7 @@ def simulate_cube(config: SimConfig):
     basis = build_basis(lattice, KERNEL, config.basis_degree)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     K, n, d = config.n_groups, config.n, lattice.d
-    amp = field_scale(lattice, basis, KERNEL.a)
+    amp = field_scale(lattice, basis)
 
     maps = make_group_svcs(lattice, rng, basis)
     if K == 1:
@@ -196,7 +191,7 @@ def simulate_cube(config: SimConfig):
     site_idx = rng.integers(config.n_sites, size=n)
     sites = np.zeros((n, config.n_sites))
     sites[np.arange(n), site_idx] = 1.0
-    labels = draw_labels(config.gating, z, rng)
+    labels = draw_labels(GATING[K], z, rng)
 
     mu = (intercepts[labels - 1] + x[:, None] * slopes[labels - 1]
           + sites @ gamma + z @ eta)
@@ -205,5 +200,5 @@ def simulate_cube(config: SimConfig):
     exposures = np.column_stack([np.ones(n), x])
     dataset = Dataset(images=images, exposures=exposures, controls=z, sites=sites)
     truth = GroundTruth(labels=labels, alpha=alpha, gamma=gamma, eta=eta,
-                        gating=config.gating.copy())
+                        gating=GATING[K].copy())
     return dataset, truth, lattice, basis

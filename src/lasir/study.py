@@ -93,13 +93,16 @@ def run_table2(n=SimConfig.n, dims=SimConfig.dims, sigma=SimConfig.sigma, reps=1
 
 
 def run_k_selection(n=300, dims=(10, 10, 10), sigma=1.0, reps=10, seed=0,
-                    candidates=(1, 2, 3), restarts=4, threads=1):
-    """Repeatedly simulate single-group data and record the BIC choice of K."""
+                    candidates=(1, 2, 3), restarts=4):
+    """Repeatedly simulate single-group data and record the BIC choice of K.
+
+    Each replicate's candidate fits run their restarts on `SemConfig`'s
+    default single worker thread."""
     chosen = []
     for r in range(reps):
         cfg = SimConfig(dims=tuple(dims), n=n, n_groups=1, sigma=sigma, seed=seed + r)
         dataset, truth, lattice, basis = simulate_cube(cfg)
-        sem_cfg = SemConfig(restarts=restarts, seed=seed + 1000 * r, threads=threads)
+        sem_cfg = SemConfig(restarts=restarts, seed=seed + 1000 * r)
         best, records, _ = select_k(dataset, basis, candidates, sem_cfg)
         chosen.append(best)
         logger.info("rep %d: chose K=%d (BICs %s)", r, best,

@@ -40,6 +40,11 @@ class TestKmeans:
         with pytest.raises(ValueError, match="exceeds"):
             kmeans(np.zeros((3, 2)), 4, seed=0)
 
+    @pytest.mark.parametrize("n_clusters", [0, -1])
+    def test_fewer_than_one_cluster(self, n_clusters):
+        with pytest.raises(ValueError, match=f"n_clusters must be >= 1, got {n_clusters}"):
+            kmeans(np.zeros((3, 2)), n_clusters, seed=0)
+
 
 class TestKmlr:
     def test_single_group_reduces_to_svcm(self):

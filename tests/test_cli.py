@@ -311,6 +311,33 @@ def test_cube_kernel_and_study_options_default_to_the_library():
         == (sim.n, sim.dims, sim.sigma)
 
 
+def test_validate_and_alpha_options_default_to_the_library():
+    defaults = {name: {opt.dest: opt.default for opt in options}
+                for name, (_, _, options) in COMMANDS.items()}
+    validate = inspect.signature(lasir.validate_projection).parameters
+    assert {k: defaults["validate"][k] for k in ("splits", "holdout", "seed")} \
+        == {"splits": validate["n_splits"].default,
+            "holdout": validate["holdout_frac"].default, "seed": validate["seed"].default}
+    alpha = inspect.signature(lasir.infer_maps).parameters["alpha"].default
+    assert defaults["infer"]["alpha"] == defaults["metrics"]["alpha"] == alpha
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["fit", "--method", "kmlr", "--k", "0"], "n_clusters must be >= 1, got 0"),
+    (["fit", "--method", "kmlr", "--k", "-1"], "n_clusters must be >= 1, got -1"),
+    (["validate", "--splits", "0"], "n_splits must be >= 1, got 0"),
+    (["validate", "--holdout", "1.5"], "holdout_frac must be in (0, 1), got 1.5"),
+])
+def test_bad_fit_and_validation_settings_exit_1(workdir, tmp_path, capsys, argv, named):
+    argv = argv + _data_flags(workdir) + (["--out", str(tmp_path / "fit")]
+                                          if argv[0] == "fit" else
+                                          ["--fit", str(workdir / "fit")])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {named}\n"
+    assert "replicate," not in captured.out
+
+
 def test_import_leaves_scipy_stats_out():
     # every CLI start imports lasir; scipy.stats alone takes about 0.4 s to import
     src = os.path.dirname(os.path.dirname(lasir.__file__))

@@ -1,7 +1,12 @@
+import os
+import tempfile
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lasir import (KernelParams, SemConfig, SimConfig, build_basis, build_lattice, fit_sem,
                    project, simulate_cube)
@@ -59,6 +64,38 @@ class TestMatrixBundle:
         write_kv(tmp_path / "b.hdr", {"format": "something-else"})
         with pytest.raises(ValueError, match="expected format"):
             read_matrix_bundle(tmp_path / "b")
+
+
+_identifier = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_matrix_bundle_round_trip(data):
+    names = data.draw(st.lists(_identifier, min_size=1, max_size=4, unique=True))
+    shapes = st.one_of(st.tuples(st.integers(0, 5)),
+                       st.tuples(st.integers(0, 5), st.integers(1, 5)))
+    bits = {name: data.draw(arrays(np.uint64, data.draw(shapes))) for name in names}
+    meta = data.draw(st.dictionaries(_identifier, st.one_of(
+        st.integers(), st.floats(), _identifier), max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = os.path.join(tmp, "b")
+        write_matrix_bundle(prefix, {k: v.view(np.float64) for k, v in bits.items()}, meta)
+        back, back_meta = read_matrix_bundle(prefix)
+        assert list(back) == names
+        for name, value in bits.items():
+            column = value.reshape(-1, 1) if value.ndim == 1 else value
+            assert back[name].dtype == np.float64
+            assert back[name].shape == column.shape
+            assert np.array_equal(back[name].view(np.uint64), column)
+        assert back_meta == {k: str(v) for k, v in meta.items()}
+        size = os.path.getsize(prefix + ".dat")
+        if size:
+            cut = data.draw(st.integers(1, size))
+            with open(prefix + ".dat", "r+b") as fh:
+                fh.truncate(size - cut)
+            with pytest.raises(ValueError, match="extends past payload end"):
+                read_matrix_bundle(prefix)
 
 
 @pytest.fixture(scope="module")

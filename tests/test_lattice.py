@@ -1,13 +1,16 @@
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import lasir
 from lasir import lattice as lattice_module
 from lasir import (Dataset, build_lattice, lattice_from_volume, load_dataset,
                    load_volume_map, save_dataset, save_volume_map)
@@ -197,6 +200,25 @@ class TestDatasetIO:
         assert [float(c) for c in ds.site_codes] == [1.0, 3.0, 7.0]
         assert np.argmax(ds.sites[0]) == 2  # site 7 -> last column
 
+    def test_equal_valued_site_codes_keep_one_order_across_hash_seeds(self, tmp_path):
+        # "01" and "1" tie on value; set iteration order follows string hashing
+        lat = build_lattice((2, 2, 1))
+        save_volume_map(np.zeros((3, lat.d), dtype=np.float32), lat, tmp_path / "img")
+        with open(tmp_path / "cov.csv", "w") as fh:
+            fh.write("id,site\na,01\nb,1\nc,2\n")
+        code = ("import lasir; lat = lasir.lattice_from_volume('img'); "
+                "print(lasir.load_dataset('img', 'cov.csv', lat).site_codes.tolist())")
+        src = os.path.dirname(os.path.dirname(lasir.__file__))
+        orders = set()
+        for hash_seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            orders.add(proc.stdout.strip())
+        assert orders == {"['01', '1', '2']"}
+
     def test_non_finite_covariate_names_record(self, tmp_path):
         lat = build_lattice((2, 2, 1))
         save_volume_map(np.zeros((2, lat.d), dtype=np.float32), lat, tmp_path / "img")
@@ -290,3 +312,54 @@ def test_volume_round_trip_in_small_chunks(data):
         mp.setattr(lattice_module.os.path, "getsize", lambda path: 4 * count * lat.n_cells)
         with pytest.raises(ValueError, match=named):
             load_volume_map(base, lat)
+
+
+def _reads_as_nan(text):
+    try:
+        return np.isnan(float(text))
+    except ValueError:
+        return False
+
+
+# text with commas and quotes but no outer whitespace, which the reader strips
+_field_text = st.text(st.characters(blacklist_categories=("Cc", "Cs")), min_size=1,
+                      max_size=8).filter(lambda t: t == t.strip())
+# a code reading as NaN has no place in the value order
+_site_code = st.one_of(
+    st.integers(-30, 30).map(str), st.integers(0, 30).map("0{}".format),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    _field_text.filter(lambda t: not _reads_as_nan(t)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_covariate_table_round_trip(data):
+    n = data.draw(st.integers(1, 20))
+    p, q = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    codes = data.draw(st.lists(_site_code, min_size=1, max_size=5, unique=True))
+    site_idx = np.array(data.draw(st.lists(st.integers(0, len(codes) - 1),
+                                           min_size=n, max_size=n)))
+    ids = data.draw(st.lists(_field_text, min_size=n, max_size=n))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    exposures = np.column_stack([np.ones(n), data.draw(arrays(np.float64, (n, p),
+                                                              elements=finite))])
+    controls = data.draw(arrays(np.float64, (n, q), elements=finite))
+    sites = np.zeros((n, len(codes)))
+    sites[np.arange(n), site_idx] = 1.0
+    lat = build_lattice((2, 2, 1))
+    ds = Dataset(images=np.zeros((n, lat.d), dtype=np.float32), exposures=exposures,
+                 controls=controls, sites=sites, ids=np.array(ids, dtype=object),
+                 site_codes=np.array(codes, dtype=object))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(ds, lat, os.path.join(tmp, "img"), os.path.join(tmp, "cov.csv"))
+        back = load_dataset(os.path.join(tmp, "img"), os.path.join(tmp, "cov.csv"), lat)
+    assert back.exposures.view(np.uint64).tolist() == exposures.view(np.uint64).tolist()
+    assert back.controls.view(np.uint64).tolist() == controls.view(np.uint64).tolist()
+    assert list(back.ids) == ids
+    used = {codes[i] for i in site_idx}
+    try:  # documented order: by value, equal values in text order; else text order
+        expected = sorted(used, key=lambda c: (float(c), c))
+    except ValueError:
+        expected = sorted(used)
+    assert list(back.site_codes) == expected
+    assert [back.site_codes[j] for j in back.sites.argmax(axis=1)] == [codes[i] for i in site_idx]

@@ -154,6 +154,24 @@ class TestValidateProjection:
         with pytest.raises(ValueError, match="unknown mode"):
             validate_projection(dataset, basis, fit, "nope")
 
+    @pytest.mark.parametrize("settings, named", [
+        ({"n_splits": 0}, "n_splits must be >= 1, got 0"),
+        ({"n_splits": -2}, "n_splits must be >= 1, got -2"),
+        ({"holdout_frac": 1.5}, r"holdout_frac must be in \(0, 1\), got 1.5"),
+        ({"holdout_frac": 1.0}, r"holdout_frac must be in \(0, 1\), got 1.0"),
+        ({"holdout_frac": 0.0}, r"holdout_frac must be in \(0, 1\), got 0.0"),
+    ])
+    def test_split_settings_checked_before_projecting(self, fitted, settings, named,
+                                                      monkeypatch):
+        dataset, basis, fit = fitted
+
+        def unreachable(*args):
+            raise AssertionError("projected before checking the split settings")
+
+        monkeypatch.setattr(metrics_module, "project", unreachable)
+        with pytest.raises(ValueError, match=named):
+            validate_projection(dataset, basis, fit, "within", **settings)
+
 
 @functools.lru_cache(maxsize=None)
 def _basis(masked):

@@ -357,6 +357,25 @@ class TestFitSem:
         assert nmi(fa.labels, truth.labels) == nmi(fb.labels, truth.labels)
         assert np.allclose(fa.params.theta_alpha[0], fb.params.theta_alpha[1], atol=1e-8)
 
+    @pytest.mark.parametrize("init, named", [
+        (np.ones(119, dtype=int), r"shape \(120,\), got \(119,\)"),
+        (np.ones((120, 1), dtype=int), r"shape \(120,\), got \(120, 1\)"),
+        (np.full(120, 3), "integers in 1..2"),
+        (np.zeros(120, dtype=int), "integers in 1..2"),
+        (np.full(120, 1.5), "integers in 1..2"),
+        (np.full(120, "1"), "integers in 1..2"),
+    ])
+    def test_init_labels_checked_before_any_replicate(self, init, named, monkeypatch):
+        dataset, truth, lattice, basis = simulate_cube(
+            SimConfig(dims=(5, 5, 5), n=120, n_groups=2, sigma=1.0, seed=4))
+
+        def unreachable(*args):
+            raise AssertionError("a replicate started")
+
+        monkeypatch.setattr(lasir.sem, "_run_replicate", unreachable)
+        with pytest.raises(ValueError, match="SemConfig.init_labels must .*" + named):
+            fit_sem(dataset, basis, 2, SemConfig(restarts=2, seed=1, init_labels=init))
+
     def test_no_viable_fit(self):
         rng = np.random.default_rng(5)
         dataset = _plain_dataset(5, 3, rng)

@@ -171,8 +171,6 @@ class TestSimulateCube:
             SimConfig(sigma=0.0)
         with pytest.raises(ValueError, match="groups"):
             SimConfig(n_groups=5)
-        with pytest.raises(ValueError, match="gating"):
-            SimConfig(n_groups=2, gating=np.array([[0.5, 1.0], [0.1, 0.0]]))
 
 
 _SIMULATE_HASH_SCRIPT = textwrap.dedent("""

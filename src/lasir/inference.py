@@ -9,6 +9,12 @@ varying coefficient for exposure j at voxel v has variance
 the diagonal of the composed covariance. The Wald statistic |effect| / se
 refers to a standard normal, giving two-sided p-values per voxel, and the
 p-value image is corrected by Benjamini-Hochberg.
+
+The covariance treats the fit's labels as known, so the p-values are
+conditional on the estimated labels. Their null calibration is checked only
+at K=1 (acceptance criterion 6). With K=2 and labels estimated from the
+same images, null simulations on a 10^3 grid gave uncorrected rates of
+0.11-0.14 at the 0.05 level.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .basis import BasisSystem, pair_products, tensor_degrees
 from .lattice import Dataset
 from .linmodel import check_design
 from .projection import backproject
-from .sem import FitResult
+from .sem import FitResult, check_fit
 
 
 @dataclass
@@ -54,10 +60,13 @@ class InferenceMap:
 def coef_covariance(fit: FitResult, dataset: Dataset) -> CoefCovariance:
     """Sampling covariance data of the group-specific coefficients.
 
-    Raises ValueError naming the group when its exposure rows fail
-    `linmodel.check_design`, the rank test of stage 2: fewer rows than
-    exposure columns (an empty group, say) or a rank-deficient design.
+    Raises ValueError naming both counts when the fit's labels do not number
+    the dataset's individuals (`sem.check_fit`), and naming the group when its
+    exposure rows fail `linmodel.check_design`, the rank test of stage 2:
+    fewer rows than exposure columns (an empty group, say) or a
+    rank-deficient design.
     """
+    check_fit(fit, dataset)
     K = fit.params.n_groups
     p1 = dataset.exposures.shape[1]
     gram_inv = np.empty((K, p1, p1))
@@ -115,7 +124,11 @@ def svc_variance(cov: CoefCovariance, basis: BasisSystem, group: int,
 def wald_map(fit: FitResult, dataset: Dataset, basis: BasisSystem,
              group: int, exposure: int) -> InferenceMap:
     """Effect, standard error, Wald statistic, and two-sided p-value maps of
-    one (group, exposure) pair, with the covariance from `coef_covariance`."""
+    one (group, exposure) pair, with the covariance from `coef_covariance`.
+
+    The p-values are conditional on the fit's labels: calibrated under the
+    null at K=1, anti-conservative when the labels were estimated from the
+    same images (see the module docstring)."""
     cov = coef_covariance(fit, dataset)
     return _wald(fit, basis, group, exposure, svc_variance(cov, basis, group, exposure))
 
@@ -189,6 +202,9 @@ def infer_maps(fit: FitResult, dataset: Dataset, basis: BasisSystem,
     variance field sum_l lam_l psi_l^2 is computed once and scaled by each
     pair's [(X_k^T X_k)^-1]_jj. Returns a list of InferenceMap ordered by
     group then exposure.
+
+    As in `wald_map`, the p-values and hence the decisions are conditional
+    on the fit's labels; only at K=1 is their null calibration checked.
     """
     cov = coef_covariance(fit, dataset)
     field = _variance_field(basis, cov.lam)

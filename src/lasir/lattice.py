@@ -270,8 +270,17 @@ def load_volume_map(base, lattice: VoxelLattice = None):
     gathered straight into the result rows, so neither the count x
     grid-cells array nor a per-chunk array is ever allocated. A payload
     whose size does not match the header raises ValueError naming the
-    ``.dat`` file.
+    ``.dat`` file. Any value is returned as stored, NaN and infinities
+    included; `load_dataset` reads through the same loop and rejects them.
     """
+    return _read_volume(base, lattice, finite=False)
+
+
+def _read_volume(base, lattice, finite):
+    """`load_volume_map`; with `finite`, each chunk's gathered rows are
+    checked just after the gather, while they are in cache, and the first
+    map holding a non-finite value raises ValueError naming its index.
+    Cells outside the mask are never gathered, so they are not checked."""
     base = str(base)
     header, dims, count = _read_volume_header(base)
     mask = read_mask(base, header["mask"], dims)
@@ -296,6 +305,9 @@ def load_volume_map(base, lattice: VoxelLattice = None):
             # cells come from flatnonzero(mask), so "clip" never clips; unlike
             # mode="raise", it lets take write into `rows` without a buffer
             np.take(grid, cells, axis=1, out=rows, mode="clip")
+            if finite and not (ok := np.isfinite(rows).all(axis=1)).all():
+                i = start + int(np.argmin(ok))
+                raise ValueError(f"non-finite image value for individual index {i}")
     return values, lattice
 
 
@@ -326,13 +338,7 @@ def load_dataset(volume_base, covariate_path, lattice: VoxelLattice) -> Dataset:
     else in text order. Raises ValueError naming the offending record on
     dimension mismatches, malformed headers, or non-finite values.
     """
-    images, lattice = load_volume_map(volume_base, lattice)
-    step = max(1, CHUNK // lattice.d)
-    for start in range(0, images.shape[0], step):
-        finite = np.isfinite(images[start:start + step]).all(axis=1)
-        if not finite.all():
-            i = start + int(np.argmin(finite))
-            raise ValueError(f"non-finite image value for individual index {i}")
+    images, lattice = _read_volume(volume_base, lattice, finite=True)
 
     with open(covariate_path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]

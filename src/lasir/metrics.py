@@ -14,7 +14,7 @@ from .basis import BasisSystem
 from .lattice import CHUNK, Dataset
 from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
 from .projection import project
-from .sem import DegenerateGroupError, FitResult, check_group, predict_from_sums
+from .sem import DegenerateGroupError, FitResult, check_fit, check_group, predict_from_sums
 
 logger = logging.getLogger(__name__)
 
@@ -133,7 +133,8 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     (`sem.check_group` rejects their exposures: fewer than p+2 rows or a
     rank-deficient design) falls back to the fit on all training rows (the
     "without" prediction); occurrences are counted in the result.
-    `n_splits` must be >= 1 and `holdout_frac` in (0, 1), else ValueError.
+    `n_splits` must be >= 1, `holdout_frac` in (0, 1) and the fit's labels
+    one per individual of `dataset` (`sem.check_fit`), else ValueError.
 
     The fits are solved from sufficient statistics of the design rows
     Z = [sites | controls | exposures] and the projections ytilde. The Gram
@@ -167,6 +168,7 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
         raise ValueError(f"n_splits must be >= 1, got {n_splits}")
     if not 0.0 < holdout_frac < 1.0:
         raise ValueError(f"holdout_frac must be in (0, 1), got {holdout_frac}")
+    check_fit(fit, dataset)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ytilde = project(dataset.images, basis)
     step = max(1, CHUNK // basis.d)

@@ -26,14 +26,15 @@ class BicRecord:
 
 
 def param_count(n_groups: int, L: int, p: int, q: int, n_sites: int) -> int:
-    """Total parameter count M = KL(p+1) + KL + (S+q)L + (K-1)(q+1) + L.
+    """Total parameter count M = KL(p+1) + (S+q)L + (K-1)(q+1) + L.
 
-    The terms are: group-specific exposure coefficients, per-group diagonal
-    variances, shared site and control coefficients, free gating weights,
-    and the shared diagonal variances.
+    The terms are the free entries of a fitted `ModelParams`: group-specific
+    exposure coefficients, shared site and control coefficients, gating
+    weights without the reference row, and the one set of diagonal noise
+    variances that all groups share.
     """
     K = n_groups
-    return K * L * (p + 1) + K * L + (n_sites + q) * L + (K - 1) * (q + 1) + L
+    return K * L * (p + 1) + (n_sites + q) * L + (K - 1) * (q + 1) + L
 
 
 def _choose(records):

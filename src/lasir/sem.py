@@ -8,11 +8,15 @@ design X and the augmented controls F of the gating model. Every step of
 every replicate then reads from that one Problem. Each iteration, starting
 from hard group labels:
 
-* M-step -- stage 2 solves X_k^T X_k theta_k = X_k^T R_k on each group's
-  rows; the diagonal noise variances are the pooled mean squared stage-2
-  residuals, whose per-coordinate sums (RSS) come from the same residual
-  pass; stage 3 refits the gating weights by multinomial logit on the
-  labels, warm-started from the previous iteration's weights.
+* M-step -- stage 2 solves X_k^T X_k theta_k = C_k = X_k^T R_k for every
+  group in one batched solve, with the Grams and cross sums of all groups
+  from one product each; the diagonal noise variances are the pooled mean
+  squared stage-2 residuals, whose per-coordinate sums come from the same
+  sums, RSS = sum_i R_i^2 - sum_k <theta_k, C_k>, with sum_i R_i^2 cached
+  on the Problem: no n x L residual pass, at an absolute error of
+  O(eps * sum_i R_i^2) from the cancellation; stage 3 refits the gating
+  weights by multinomial logit on the labels, warm-started from the
+  previous iteration's weights.
 * E-step -- posterior group responsibilities proportional to gating prior
   times the diagonal-Gaussian likelihood of the projected outcome, computed
   in log space. The squared Mahalanobis distances expand as
@@ -161,6 +165,14 @@ class FitResult:
         self.n_groups = self.params.n_groups
 
 
+def check_fit(fit: FitResult, dataset: Dataset) -> None:
+    """Raise ValueError, naming both counts, unless `fit` has one label per
+    individual of `dataset`."""
+    if len(fit.labels) != dataset.n:
+        raise ValueError(f"the fit has labels for {len(fit.labels)} individuals, "
+                         f"the dataset has {dataset.n}")
+
+
 @dataclass(frozen=True)
 class Problem:
     """One dataset's projected outcomes with the label-free stage 1 solved.
@@ -171,7 +183,8 @@ class Problem:
     ytilde    : (n, L) projected outcomes
     coef      : (c, L) stage-1 coefficients, site columns first
     resid     : (n, L) stage-1 residuals R
-    resid_sq  : (n, L) R ** 2, computed on first use (by the E-step)
+    resid_sq  : (n, L) R ** 2, computed on first use
+    resid_sumsq : (L,) column sums of R ** 2, computed on first use
     exposures : (n, p+1) exposure design X
     gating    : (n, q+1) augmented controls F of the gating model
     """
@@ -190,6 +203,10 @@ class Problem:
     def resid_sq(self) -> np.ndarray:
         return self.resid * self.resid
 
+    @cached_property
+    def resid_sumsq(self) -> np.ndarray:
+        return self.resid_sq.sum(axis=0)
+
 
 def prepare(ytilde: np.ndarray, dataset: Dataset) -> Problem:
     """Solve stage 1 for the projected outcomes of `dataset`. Raises
@@ -200,25 +217,40 @@ def prepare(ytilde: np.ndarray, dataset: Dataset) -> Problem:
 
 
 def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
-    """Per-group regression of the stage-1 residuals on the exposures.
+    """Per-group regression of the stage-1 residuals on the exposures, from sums.
 
     Returns (theta_alpha (K, p+1, L), rss (L,)): the coefficients solving
-    X_k^T X_k theta_k = X_k^T R_k on each group's rows and the per-coordinate
-    sums of squared stage-2 residuals over all individuals. Every group,
-    a single group of everyone included, is regressed on copies of its rows.
-    Raises DegenerateGroupError, from `check_group`, when a group has fewer
-    than p+2 members or a rank-deficient exposure design.
+    X_k^T X_k theta_k = C_k = X_k^T R_k on each group's rows and the
+    per-coordinate sums of squared stage-2 residuals over all individuals,
+
+        RSS = sum_i R_i^2 - sum_k <theta_k, C_k>,
+
+    clipped at 0, with sum_i R_i^2 cached on the Problem: no n x L residual
+    matrix is formed. The cancellation leaves an absolute error of
+    O(eps * sum_i R_i^2) per coordinate, so RSS is exact to a few digits
+    fewer when the groups fit R almost exactly.
+
+    The Grams and the C_k come from one product each with X_W, the
+    exposures masked by group membership, and all groups are solved in one
+    batched solve. The groups enter in a canonical order, by their first
+    member, so renaming the labels permutes theta_alpha's rows and leaves
+    every bit of theta and RSS unchanged. Raises DegenerateGroupError, from
+    `check_group` applied in label order, when a group has fewer than p+2
+    members or a rank-deficient exposure design.
     """
     X, R = problem.exposures, problem.resid
-    theta = np.empty((n_groups, X.shape[1], R.shape[1]))
-    resid = np.empty_like(R)
+    first = []
     for k in range(1, n_groups + 1):
         rows = labels == k
-        Xk, Rk = X[rows], R[rows]
-        check_group(Xk, k)
-        theta[k - 1] = np.linalg.solve(Xk.T @ Xk, Xk.T @ Rk)
-        resid[rows] = Rk - Xk @ theta[k - 1]
-    return theta, (resid * resid).sum(axis=0)
+        check_group(X[rows], k)
+        first.append(rows.argmax())
+    order = np.argsort(first)
+    xw = ((labels[:, None] == order + 1)[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
+    shape = (n_groups, X.shape[1], -1)
+    cross = (xw.T @ R).reshape(shape)
+    theta = np.linalg.solve((xw.T @ X).reshape(shape), cross)
+    rss = np.maximum(problem.resid_sumsq - (theta * cross).sum(axis=1).sum(axis=0), 0.0)
+    return theta[np.argsort(order)], rss
 
 
 def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
@@ -264,15 +296,16 @@ def _log_density(resid, resid_sq, exposures, params) -> np.ndarray:
     """Diagonal-Gaussian log density (n, K) of each individual under each
     group, from the residuals `resid` (n, L) of the shared site and control
     effects and their squares, by expanding the squared Mahalanobis
-    distance around the group means exposures @ theta_k."""
+    distance around the group means exposures @ theta_k: the two group
+    terms are x_i (G_k x_i^T - 2 c_ik), with G_k = theta_k Lambda^-1
+    theta_k^T and c_ik = theta_k Lambda^-1 R_i^T, from small matmuls."""
     theta, lam = params.theta_alpha, params.lam
     K, p1, L = theta.shape
     scaled = theta / lam
     cross = (resid @ scaled.reshape(K * p1, L).T).reshape(-1, K, p1)
-    gram = scaled @ theta.transpose(0, 2, 1)  # theta_k Lambda^-1 theta_k^T
-    maha = ((resid_sq @ (1.0 / lam))[:, None]
-            - 2.0 * np.einsum("ij,ikj->ik", exposures, cross)
-            + np.einsum("ij,kjm,im->ik", exposures, gram, exposures))
+    gram = scaled @ theta.transpose(0, 2, 1)
+    terms = (exposures @ gram).transpose(1, 0, 2) - 2.0 * cross  # (n, K, p+1)
+    maha = (resid_sq @ (1.0 / lam))[:, None] + (terms @ exposures[:, :, None])[:, :, 0]
     return -0.5 * (np.sum(np.log(2.0 * np.pi * lam)) + maha)
 
 

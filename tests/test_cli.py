@@ -338,6 +338,22 @@ def test_bad_fit_and_validation_settings_exit_1(workdir, tmp_path, capsys, argv,
     assert "replicate," not in captured.out
 
 
+@pytest.mark.parametrize("command", ["validate", "infer"])
+def test_fit_of_another_dataset_exits_1(workdir, tmp_path, capsys, command):
+    other = tmp_path / "other"
+    assert main(["simulate", "--out-dir", str(other), "--n", "40", "--dims", "6", "--k", "2",
+                 "--seed", "4", "--sites", "3"]) == 0
+    argv = [command, "--fit", str(workdir / "fit"), "--images", str(other / "images"),
+            "--covariates", str(other / "covariates.csv"), "--basis", str(workdir / "basis")]
+    if command == "infer":
+        argv += ["--out-prefix", str(tmp_path / "inf")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the fit has labels for 90 individuals, the dataset has 40\n"
+    assert captured.out == ""
+
+
 def test_import_leaves_scipy_stats_out():
     # every CLI start imports lasir; scipy.stats alone takes about 0.4 s to import
     src = os.path.dirname(os.path.dirname(lasir.__file__))

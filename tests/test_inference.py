@@ -81,6 +81,20 @@ class TestCoefCovariance:
         assert all(np.all(np.isfinite(m.se)) for m in maps)
 
 
+    @pytest.mark.parametrize("n_fit, n_data", [(12, 10), (10, 12)])
+    def test_fit_of_another_dataset_names_both_counts(self, n_fit, n_data):
+        labels = np.arange(n_fit) % 2 + 1
+        fit, _ = _fit_with(labels, np.ones((n_fit, 1)), np.ones(3))
+        _, other = _fit_with(np.arange(n_data) % 2 + 1, np.ones((n_data, 1)), np.ones(3))
+        basis = BasisSystem(psi=np.eye(3), eigvals=np.ones(3), h=0,
+                            params=KernelParams(0.01, 2.0))
+        named = f"the fit has labels for {n_fit} individuals, the dataset has {n_data}"
+        for call in (lambda: coef_covariance(fit, other), lambda: infer_maps(fit, other, basis),
+                     lambda: wald_map(fit, other, basis, 1, 0)):
+            with pytest.raises(ValueError, match=named):
+                call()
+
+
 class TestSvcVariance:
     def test_square_orthonormal_basis_constant_variance(self):
         d = 6

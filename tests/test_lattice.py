@@ -257,6 +257,31 @@ class TestDatasetIO:
             load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
 
 
+    @pytest.mark.parametrize("bad", [None, 4])
+    def test_non_finite_check_reads_gathered_cells_only(self, tmp_path, monkeypatch, bad):
+        # chunks of 2, 2 and 1 maps: a NaN in the last row of the ragged final
+        # chunk names that row; the NaN save_volume_map writes into every
+        # off-mask cell is never gathered, so it never fails a load
+        mask = np.random.default_rng(6).random((3, 4, 5)) < 0.6
+        lat = build_lattice((3, 4, 5), mask)
+        images = np.random.default_rng(7).standard_normal((5, lat.d)).astype(np.float32)
+        if bad is not None:
+            images[bad, -1] = np.nan
+        save_dataset(_toy_dataset(5, lattice=lat), lat, tmp_path / "img", tmp_path / "cov.csv")
+        save_volume_map(images, lat, tmp_path / "img")
+        raw = np.fromfile(tmp_path / "img.dat", dtype="<f4").reshape(5, lat.n_cells)
+        assert np.isnan(raw[:, ~lat.flat_mask]).all()
+        monkeypatch.setattr(lattice_module, "CHUNK", 2 * lat.n_cells + 1)
+        if bad is None:
+            ds = load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+            assert np.array_equal(ds.images, images)
+        else:
+            with pytest.raises(ValueError, match=f"individual index {bad}$"):
+                load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+        # the volume itself loads as stored, NaN included
+        assert np.array_equal(load_volume_map(tmp_path / "img", lat)[0], images, equal_nan=True)
+
+
 class TestDatasetInvariants:
     def test_sites_must_be_one_hot(self):
         lat = build_lattice((2, 2, 1))

@@ -172,6 +172,19 @@ class TestValidateProjection:
         with pytest.raises(ValueError, match=named):
             validate_projection(dataset, basis, fit, "within", **settings)
 
+    def test_fit_of_another_dataset_checked_before_projecting(self, fitted, monkeypatch):
+        dataset, basis, fit = fitted
+        fewer = Dataset(images=dataset.images[:40], exposures=dataset.exposures[:40],
+                        controls=dataset.controls[:40], sites=dataset.sites[:40])
+
+        def unreachable(*args):
+            raise AssertionError("projected before checking the fit")
+
+        monkeypatch.setattr(metrics_module, "project", unreachable)
+        with pytest.raises(ValueError,
+                           match="the fit has labels for 120 individuals, the dataset has 40"):
+            validate_projection(fewer, basis, fit, "within")
+
 
 @functools.lru_cache(maxsize=None)
 def _basis(masked):

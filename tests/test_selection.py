@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from lasir import SemConfig, SimConfig, param_count, select_k, simulate_cube
+from lasir import SemConfig, SimConfig, m_step, param_count, project, select_k, simulate_cube
 from lasir.selection import BicRecord, _choose
 
 
 class TestParamCount:
     def test_reported_example(self):
-        # 2730 + 1365 + 10010 + 4 + 455
-        assert param_count(3, 455, 1, 1, 21) == 14564
+        # 2730 + 10010 + 4 + 455
+        assert param_count(3, 455, 1, 1, 21) == 13199
 
     def test_single_group_instantiation(self):
         L, p, q, S = 20, 2, 3, 4
-        assert param_count(1, L, p, q, S) == L * (p + 1) + L + (S + q) * L + L
+        assert param_count(1, L, p, q, S) == L * (p + 1) + (S + q) * L + L
 
     def test_affine_increasing_in_groups(self):
         L, p, q, S = 10, 1, 2, 3
@@ -20,6 +20,17 @@ class TestParamCount:
         steps = np.diff(counts)
         assert np.all(steps == steps[0])
         assert steps[0] > 0
+
+    @pytest.mark.parametrize("n_groups", [1, 2, 3])
+    def test_counts_the_free_entries_of_a_fit(self, n_groups):
+        cfg = SimConfig(dims=(5, 5, 5), n=60, n_groups=2, sigma=1.0, seed=0, n_sites=3)
+        dataset, truth, lattice, basis = simulate_cube(cfg)
+        labels = np.arange(dataset.n) % n_groups + 1
+        params = m_step(project(dataset.images, basis), dataset, labels, n_groups)
+        # the last gating row is the pinned reference class, not estimated
+        free = sum(a.size for a in (params.theta_alpha, params.theta_eta, params.theta_gamma,
+                                    params.lam, params.w[:-1]))
+        assert param_count(n_groups, basis.L, dataset.p, dataset.q, dataset.n_sites) == free
 
 
 class TestChoose:

@@ -5,7 +5,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import lasir
@@ -14,8 +14,8 @@ from lasir import (Dataset, KernelParams, SemConfig, SimConfig, augment, e_step,
 from lasir.basis import BasisSystem
 from lasir.linmodel import LAMBDA_FLOOR, MNLOGIT_RIDGE, _mnlogit_newton, mnlogit_fit
 from lasir.projection import project
-from lasir.sem import (DegenerateGroupError, ModelParams, _log_density, predict_from_sums,
-                       prepare, stage2)
+from lasir.sem import (DegenerateGroupError, ModelParams, Problem, _log_density,
+                       predict_from_sums, prepare, stage2)
 
 
 def _identity_basis(d):
@@ -434,6 +434,33 @@ class TestPreparedProblemKernels:
             assert np.abs(theta[k - 1] - coef).max() <= tol
             resid[rows] -= X[rows] @ coef
         assert np.allclose(rss, (resid ** 2).sum(axis=0), rtol=1e-9, atol=0.0)
+
+    @given(seed=seeds, n_groups=st.integers(1, 4), p=st.integers(0, 2), L=st.integers(1, 8),
+           extra=st.integers(0, 6), noise=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]))
+    def test_stage2_rss_from_sums_within_its_cancellation_bound(self, seed, n_groups, p, L,
+                                                                 extra, noise):
+        # R = X theta_k + noise on each group's rows: noise 1e-4 gives
+        # RSS / sum R^2 near 1e-8, noise 0 an exact fit whose RSS cancels to 0
+        rng = np.random.default_rng(seed)
+        size = p + 2 + extra
+        n = n_groups * size
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, p))])
+        labels = rng.permutation(np.repeat(np.arange(1, n_groups + 1), size))
+        # the bound's constant grows with the conditioning of the group designs
+        assume(max(np.linalg.cond(X[labels == k]) for k in range(1, n_groups + 1)) <= 10.0)
+        means = np.einsum("ij,ijl->il", X, rng.standard_normal((n_groups, p + 1, L))[labels - 1])
+        R = means + noise * rng.standard_normal((n, L))
+        problem = Problem(ytilde=R, coef=np.zeros((0, L)), resid=R, exposures=X,
+                          gating=np.ones((n, 1)))
+        _, rss = stage2(problem, labels, n_groups)
+        direct = np.zeros(L)
+        for k in range(1, n_groups + 1):
+            rows = labels == k
+            coef = np.linalg.lstsq(X[rows], R[rows], rcond=None)[0]
+            direct += ((R[rows] - X[rows] @ coef) ** 2).sum(axis=0)
+        assert np.all(rss >= 0.0)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(rss - direct) <= 64 * eps * (R * R).sum(axis=0))
 
     @given(seed=seeds, n_groups=st.integers(1, 4), p=st.integers(0, 2), L=st.integers(1, 8),
            lam_scale=st.sampled_from([LAMBDA_FLOOR, 1e-3, 1.0, 1e3]))

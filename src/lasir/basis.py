@@ -73,14 +73,16 @@ class Layout(NamedTuple):
     factors : the three per-axis factors restricted to the grid planes the
         mask meets, each (m_axis, h+1).
     voxels : per axis, each voxel's row in that restricted factor, (d,).
-    cells : each voxel's index in the (m_z, m_y, m_x) plane grid, x fastest.
+    inside : bool over the (m_z, m_y, m_x) plane grid, x fastest: the cells
+        the mask holds. Voxel order is increasing cell order, so a boolean
+        assignment or index through it scatters or gathers the d voxels.
     slots : each column's index ``(c*(h+1) + b)*(h+1) + a`` in the cube of
         per-axis degrees (a, b, c).
     """
 
     factors: tuple
     voxels: tuple
-    cells: np.ndarray
+    inside: np.ndarray
     slots: np.ndarray
 
 
@@ -91,11 +93,10 @@ def _layout(factors, mask: np.ndarray, h: int) -> Layout:
     nx, ny, _ = mask.shape
     index = (flat % nx, flat // nx % ny, flat // (nx * ny))
     voxels = tuple(np.searchsorted(p, i) for p, i in zip(present, index))
-    mx, my = present[0].size, present[1].size
     H = h + 1
     a, b, c = tensor_degrees(h).T
     return Layout(factors=tuple(f[p] for f, p in zip(factors, present)), voxels=voxels,
-                  cells=voxels[0] + mx * (voxels[1] + my * voxels[2]),
+                  inside=mask[np.ix_(*present)].ravel(order="F"),
                   slots=(c * H + b) * H + a)
 
 
@@ -400,8 +401,7 @@ def _masked_gram(layout: Layout, h: int) -> np.ndarray:
     H = h + 1
     fx, fy, fz = layout.factors
     mx, my, mz = (f.shape[0] for f in layout.factors)
-    weight = np.zeros(mz * my * mx)
-    weight[layout.cells] = 1.0
+    weight = layout.inside.astype(float)
     g = weight.reshape(mz * my, mx) @ pair_products(fx)           # (z y, a a')
     g = pair_products(fy).T @ g.reshape(mz, my, H * H)             # (z, b b', a a')
     g = pair_products(fz).T @ g.reshape(mz, H ** 4)                # (c c', b b' a a')

@@ -109,7 +109,7 @@ def _variance_field(basis: BasisSystem, lam: np.ndarray) -> np.ndarray:
     cube[cb[:, None] // H, cb // H, cb[:, None] % H, cb % H] = t           # (c, c', b, b', x)
     t = pair_products(fy) @ cube.reshape(H * H, H * H, mx)                 # (c c', y, x)
     t = pair_products(fz) @ t.reshape(H * H, my * mx)                      # (z, y x)
-    return t.ravel()[layout.cells]
+    return t.ravel()[layout.inside]
 
 
 def svc_variance(cov: CoefCovariance, basis: BasisSystem, group: int,

@@ -9,7 +9,10 @@ equality exactly for images in the basis span.
 For a factored basis, Psi = (Phi_x (x) Phi_y (x) Phi_z) T at the masked
 voxels, both maps are contracted one axis at a time on the grid of planes
 the mask meets, a chunk of rows at a time: about 2 m_cells (h+1) flops per
-image instead of 2 d L, and no d x L or n x d float64 array.
+image instead of 2 d L, and no d x L or n x d float64 array. Images reach
+that grid, and maps leave it, one row at a time through the boolean mask
+`Layout.inside`: per image, one scatter (or gather) of d values plus one
+pass over the m_cells of the grid.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ def _rows(fx, fy, fz) -> int:
 def project(images: np.ndarray, basis: BasisSystem) -> np.ndarray:
     """Project images (n, d) onto the basis, returning coefficients (n, L).
 
-    Float32 images are upcast one chunk of rows at a time.
+    A factored basis upcasts float32 images one row at a time, as they are
+    scattered into the plane grid; an explicit psi upcasts all rows at once.
     """
     images = np.atleast_2d(images)
     if images.shape[1] != basis.d:
@@ -46,7 +50,8 @@ def project(images: np.ndarray, basis: BasisSystem) -> np.ndarray:
     grid = np.zeros((step, mz * my * mx))  # cells off the mask stay zero throughout
     for start in range(0, n, step):
         m = min(step, n - start)
-        grid[:m, layout.cells] = images[start:start + m]
+        for j in range(m):  # per row: 1-D boolean assignment is far faster than 2-D
+            grid[j][layout.inside] = images[start + j]
         t = grid[:m].reshape(m * mz * my, mx) @ fx   # (m z y, a)
         t = fy.T @ t.reshape(m * mz, my, H)          # (m z, b, a)
         t = fz.T @ t.reshape(m, mz, H * H)           # (m, c, b a)
@@ -77,5 +82,6 @@ def backproject(coefs: np.ndarray, basis: BasisSystem) -> np.ndarray:
         t = fz @ cube.reshape(m, H, H * H)           # (m, z, b a)
         t = fy @ t.reshape(m * mz, H, H)             # (m z, y, a)
         t = t.reshape(m * mz * my, H) @ fx.T         # (m z y, x)
-        out[start:start + m] = t.reshape(m, -1)[:, layout.cells]
+        for j, row in enumerate(t.reshape(m, -1)):  # per row, as in `project`
+            out[start + j] = row[layout.inside]
     return out

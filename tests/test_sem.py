@@ -5,7 +5,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import lasir
@@ -464,6 +464,7 @@ class TestPreparedProblemKernels:
 
     @given(seed=seeds, n_groups=st.integers(1, 4), p=st.integers(0, 2), L=st.integers(1, 8),
            lam_scale=st.sampled_from([LAMBDA_FLOOR, 1e-3, 1.0, 1e3]))
+    @example(seed=405470, n_groups=1, p=2, L=1, lam_scale=1e-10)  # X theta_k cancels
     def test_expanded_log_density_matches_direct_sum(self, seed, n_groups, p, L, lam_scale):
         rng = np.random.default_rng(seed)
         n = 12
@@ -478,8 +479,10 @@ class TestPreparedProblemKernels:
         const = -0.5 * np.sum(np.log(2.0 * np.pi * lam))
         for k in range(n_groups):
             direct = const - 0.5 * (((resid - X @ theta[k]) ** 2) / lam).sum(axis=1)
-            # the rounding of the expanded terms, sum (R^2 + (X theta_k)^2) / lam
-            scale = ((resid ** 2 + (X @ theta[k]) ** 2) / lam).sum(axis=1) + abs(const)
+            # the rounding of the expanded terms, sum (R^2 + (|X| |theta_k|)^2) / lam:
+            # they round the products x_ij theta_kj, however much X theta_k cancels
+            scale = ((resid ** 2 + (np.abs(X) @ np.abs(theta[k])) ** 2) / lam).sum(axis=1)
+            scale += abs(const)
             assert np.all(np.abs(got[:, k] - direct) <= 1e-13 * scale)
 
     @given(**shapes)

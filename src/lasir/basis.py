@@ -38,6 +38,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.hermite import hermvander
 from scipy.linalg import solve_triangular
 
 from . import _blas
@@ -244,19 +245,6 @@ def tensor_degrees(h: int) -> np.ndarray:
     return np.array(out, dtype=int)
 
 
-def _hermite_all(t: np.ndarray, kmax: int) -> np.ndarray:
-    """Physicists' Hermite polynomials H_0..H_kmax at points t, by the
-    three-term recurrence H_{k+1} = 2t H_k - 2k H_{k-1} (stable for k <= 20
-    with the bounded arguments arising on [-1, 1]^3 lattices)."""
-    H = np.empty((t.size, kmax + 1))
-    H[:, 0] = 1.0
-    if kmax >= 1:
-        H[:, 1] = 2.0 * t
-    for k in range(1, kmax):
-        H[:, k + 1] = 2.0 * t * H[:, k] - 2.0 * k * H[:, k - 1]
-    return H
-
-
 def eigen_system_1d(params: KernelParams, max_degree: int):
     """1-D eigenvalues and an eigenfunction evaluator for the kernel.
 
@@ -267,7 +255,8 @@ def eigen_system_1d(params: KernelParams, max_degree: int):
     evaluate : callable
         ``evaluate(x)`` maps points (m,) to an (m, max_degree+1) matrix of
         unnormalized eigenfunction values
-        ``exp(-(c-a) x^2) * H_k(sqrt(2c) x)``.
+        ``exp(-(c-a) x^2) * H_k(sqrt(2c) x)``, with H_k the physicists'
+        Hermite polynomials (`numpy.polynomial.hermite.hermvander`).
     """
     c, A, B = params.derived
     eigvals = math.sqrt(2.0 * params.a / A) * B ** np.arange(max_degree + 1)
@@ -275,7 +264,7 @@ def eigen_system_1d(params: KernelParams, max_degree: int):
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         env = np.exp(-(c - params.a) * x ** 2)
-        return _hermite_all(math.sqrt(2.0 * c) * x, max_degree) * env[:, None]
+        return hermvander(math.sqrt(2.0 * c) * x, max_degree) * env[:, None]
 
     return eigvals, evaluate
 

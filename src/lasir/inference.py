@@ -148,6 +148,11 @@ def _wald(fit, basis, group, exposure, variance) -> InferenceMap:
                         se=se, wald=wald, pval=pval)
 
 
+def _check_alpha(alpha) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def fdr_bh(pvals: np.ndarray, alpha: float) -> np.ndarray:
     """Benjamini-Hochberg step-up decisions.
 
@@ -170,8 +175,7 @@ def fdr_bh(pvals: np.ndarray, alpha: float) -> np.ndarray:
     pvals = np.asarray(pvals, dtype=float)
     if pvals.ndim != 1:
         raise ValueError("pvals must be a vector")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     m = pvals.size
     if m == 0:
         return np.zeros(0, dtype=bool)
@@ -205,7 +209,9 @@ def infer_maps(fit: FitResult, dataset: Dataset, basis: BasisSystem,
 
     As in `wald_map`, the p-values and hence the decisions are conditional
     on the fit's labels; only at K=1 is their null calibration checked.
+    `alpha` must lie in (0, 1), checked before anything is computed.
     """
+    _check_alpha(alpha)
     cov = coef_covariance(fit, dataset)
     field = _variance_field(basis, cov.lam)
     maps = []

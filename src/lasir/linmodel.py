@@ -108,7 +108,11 @@ def _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol, init=None
     change itself rather than by two rounded totals: each row's
     log-sum-exp moves by log(sum_k p_k exp(f . s_k)) = log1p(sum_k p_k
     expm1(f . s_k)), which keeps its relative precision for steps far below
-    the objective's rounding level, so the iteration reaches `tol`.
+    the objective's rounding level, so the iteration reaches `tol`. Where the
+    sum inside log1p is below -1/2, the step moves most of the row's
+    probability onto the reference class and log1p would cancel (to -inf at
+    -1); there the direct form log(p_ref + sum_{k<K} p_k exp(f . s_k)) is
+    taken.
     """
     n, m = features.shape
     free = n_classes - 1
@@ -129,11 +133,16 @@ def _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol, init=None
         P /= total
         return P, top, total
 
-    def gain(Pf, grad_lin, step):
-        """Objective change of W + step, given the probabilities Pf at W."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            lse = np.sum(np.log1p(np.sum(Pf * np.expm1(features @ step.T), axis=1)))
-        return np.sum(step * (grad_lin - 0.5 * ridge * step)) - lse
+    def gain(P, grad_lin, step):
+        """Objective change of W + step, given the probabilities P at W."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            moved = features @ step.T
+            rel = np.sum(P[:, :free] * np.expm1(moved), axis=1)
+            lse = np.log1p(rel)
+            low = rel < -0.5
+            if low.any():
+                lse[low] = np.log(P[low, free] + np.sum(P[low, :free] * np.exp(moved[low]), axis=1))
+        return np.sum(step * (grad_lin - 0.5 * ridge * step)) - np.sum(lse)
 
     P, top, total = probabilities(W)
     lse = np.sum(top) + np.sum(np.log(total))
@@ -154,7 +163,7 @@ def _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol, init=None
         H.flat[::free * m + 1] += ridge
         step = np.linalg.solve(H, grad.ravel()).reshape(free, m)
         for _ in range(30):  # step halving until the objective does not fall
-            change = gain(Pf, grad_lin, step)
+            change = gain(P, grad_lin, step)
             if np.isfinite(change) and change >= 0.0:
                 break
             step = 0.5 * step

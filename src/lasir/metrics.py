@@ -14,7 +14,7 @@ from .basis import BasisSystem
 from .lattice import CHUNK, Dataset
 from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
 from .projection import project
-from .sem import DegenerateGroupError, FitResult, check_fit, check_group, predict_from_sums
+from .sem import DegenerateGroupError, FitResult, check_fit, predict_from_sums
 
 logger = logging.getLogger(__name__)
 
@@ -129,10 +129,15 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     mode "shuffled" : the fitted subgroups, with the training labels
                       permuted across individuals before the fits.
 
-    A holdout individual whose subgroup's training rows cannot be fitted
-    (`sem.check_group` rejects their exposures: fewer than p+2 rows or a
-    rank-deficient design) falls back to the fit on all training rows (the
-    "without" prediction); occurrences are counted in the result.
+    One rule covers every subgroup fit that cannot be solved: when
+    `sem.predict_from_sums` raises for a subgroup's training rows -- ValueError
+    for a rank-deficient stage-1 design (sites present and controls), or
+    `sem.DegenerateGroupError` when `sem.check_group` rejects their exposures
+    (fewer than p+2 rows or a rank-deficient design) -- the subgroup's
+    holdout individuals fall back to the fit on all training rows (the
+    "without" prediction), and occurrences are counted in the result. That
+    fit has no fallback: when it cannot be solved, as in "without" mode, the
+    error is raised.
     `n_splits` must be >= 1, `holdout_frac` in (0, 1) and the fit's labels
     one per individual of `dataset` (`sem.check_fit`), else ValueError.
 
@@ -184,21 +189,6 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     def predict(gram, cross, train, test, group=1):
         return predict_from_sums(gram, cross, z[train], z[test], n_sites, p1, group)
 
-    def predict_group(g_sums, train, test, group):
-        # None when `check_group` rejects the subgroup's training exposures.
-        # `predict_from_sums` applies it after its stage-1 check, which fails
-        # first on tiny subgroups; only then is the subgroup checked here.
-        try:
-            return predict(*g_sums, train, test, group)
-        except DegenerateGroupError:
-            return None
-        except ValueError:
-            try:
-                check_group(z[train, -p1:], group)
-            except DegenerateGroupError:
-                return None
-            raise
-
     def downdated(totals, rows):
         gram, cross = sums(rows)
         return totals[0] - gram, totals[1] - cross
@@ -233,13 +223,13 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
             # shuffled relabels the training rows, so they are summed afresh
             g_sums = (sums(train_g) if mode == "shuffled"
                       else downdated(group_totals[g], test_g))
-            got = predict_group(g_sums, train_g, test_g, g)
-            if got is None:
+            try:
+                pred[test_g] = predict(*g_sums, train_g, test_g, g)
+            except (ValueError, DegenerateGroupError):
                 if without is None:
                     without = predict(*downdated(total, holdout), train, holdout)
-                got = without[test_g[holdout]]
+                pred[test_g] = without[test_g[holdout]]
                 fallbacks += int(test_g.sum())
-            pred[test_g] = got
         mses[rep] = _holdout_mse(sq_norms[holdout], ytilde[holdout], pred[holdout], basis.d)
     if fallbacks:
         logger.info("validate_projection mode=%s: %d holdout individuals fell "

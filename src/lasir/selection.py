@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from . import _blas
@@ -52,7 +53,9 @@ def select_k(dataset: Dataset, basis: BasisSystem, k_candidates,
     deterministic seed derived from the config seed, and BIC(K) =
     M log(nL) - 2Q uses the winning replicate's final Q. Candidates whose
     replicates all fail are excluded with a warning; ties break toward
-    smaller K. BLAS is pinned to one thread, as in `fit_sem`.
+    smaller K. BLAS is pinned to one thread, as in `fit_sem`. Every
+    candidate must be an integer >= 1, checked before the images are
+    projected, else ValueError naming it.
 
     Returns
     -------
@@ -62,6 +65,9 @@ def select_k(dataset: Dataset, basis: BasisSystem, k_candidates,
     k_candidates = list(k_candidates)
     if not k_candidates:
         raise ValueError("no candidate group counts")
+    for K in k_candidates:
+        if not isinstance(K, numbers.Integral) or K < 1:
+            raise ValueError(f"candidate group counts must be integers >= 1, got {K!r}")
     problem = prepare(project(dataset.images, basis), dataset)
     records, fits = [], {}
     for K in k_candidates:

@@ -39,7 +39,10 @@ final Q wins.
 
 `predict_from_sums` solves the same two stages, without subgroups, from the
 Gram and cross sums of the design rows: the holdout validation's fits, whose
-training sums are totals downdated by the held-out rows.
+training sums are totals downdated by the held-out rows. It raises ValueError
+for a rank-deficient stage-1 design, then DegenerateGroupError when the
+exposures fail `check_group`; the validation applies one rule to both: the
+subgroup's held-out individuals are predicted by the fit on all training rows.
 """
 
 from __future__ import annotations
@@ -75,8 +78,10 @@ def check_group(design: np.ndarray, group: int) -> None:
     """The one rule for whether a subgroup can be regressed on: raise
     DegenerateGroupError naming `group` unless its exposure rows `design`
     (m, p+1) number at least p+2 and have full column rank (`check_design`).
-    Stage 2, the holdout predictions, their fallback and k-means' retries
-    all apply it."""
+    Stage 2, the holdout predictions (`predict_from_sums`) and k-means'
+    retries apply it. The holdout validation sends a subgroup that fails it,
+    or whose stage-1 design is rank deficient, to the fit on all training
+    rows."""
     count, need = design.shape[0], design.shape[1] + 1
     if count < need:
         raise DegenerateGroupError(group, f"{count} members < {need}")

@@ -65,6 +65,20 @@ class TestEigenSystem1D:
         assert np.allclose(vals[:, 0], np.exp(-(c - params.a) * x ** 2))
         assert np.all(vals[:, 0] > 0)
 
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 7, 20])
+    def test_evaluator_is_the_hermite_recurrence(self, max_degree):
+        params = KernelParams(0.01, 2.0)
+        c, _, _ = params.derived
+        _, evaluate = eigen_system_1d(params, max_degree)
+        x = np.linspace(-1.0, 1.0, 17)
+        # physicists' Hermite polynomials: H_{k+1} = 2t H_k - 2k H_{k-1}
+        t = math.sqrt(2.0 * c) * x
+        H = [np.ones_like(t), 2.0 * t]
+        for k in range(1, max_degree):
+            H.append(2.0 * t * H[k] - 2.0 * k * H[k - 1])
+        expected = np.column_stack(H[:max_degree + 1]) * np.exp(-(c - params.a) * x ** 2)[:, None]
+        assert np.array_equal(evaluate(x), expected)
+
 
 def _brute_force_contribution(a, b, h, h_ref):
     # Independent oracle: enumerate the tensor triples and sum the

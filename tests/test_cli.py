@@ -127,6 +127,13 @@ def test_select_table(workdir, capsys):
     assert (workdir / "select.csv.bestfit.hdr").exists()
 
 
+def test_select_rejects_a_candidate_below_one(workdir, capsys):
+    assert main(["select"] + _data_flags(workdir)
+                + ["--k-min", "0", "--k-max", "2", "--out", str(workdir / "select0.csv")]) == 1
+    assert "candidate group counts must be integers >= 1, got 0" in capsys.readouterr().err
+    assert not (workdir / "select0.csv").exists()
+
+
 def test_config_file_with_flag_override(workdir, tmp_path, capsys):
     conf = tmp_path / "sim.conf"
     conf.write_text("n: 40\ndims: 5\nk: 2\nseed: 9\nsites: 2\n")

@@ -7,6 +7,7 @@ from scipy.special import ndtr
 from lasir import (Dataset, KernelParams, SemConfig, SimConfig, coef_covariance,
                    fdr_bh, fit_sem, infer_maps, simulate_cube, svc_variance,
                    wald_map)
+from lasir import inference as inference_module
 from lasir.basis import BasisSystem
 from lasir.inference import CoefCovariance
 from lasir.linmodel import check_design
@@ -272,3 +273,16 @@ def test_infer_maps_reject_consistent_with_cutoff():
         assert np.all((m.pval >= 0) & (m.pval <= 1))
         if m.reject.any():
             assert m.pval[m.reject].max() <= m.pval[~m.reject].min() + 1e-15
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+def test_infer_maps_checks_alpha_before_the_variance_field(alpha, monkeypatch):
+    fit, ds = _fit_with(np.arange(10) % 2 + 1, np.ones((10, 1)), np.ones(3))
+    basis = BasisSystem(psi=np.eye(3), eigvals=np.ones(3), h=0, params=KernelParams(0.01, 2.0))
+
+    def unreachable(*args):
+        raise AssertionError("built the variance field before checking alpha")
+
+    monkeypatch.setattr(inference_module, "_variance_field", unreachable)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got"):
+        infer_maps(fit, ds, basis, alpha=alpha)

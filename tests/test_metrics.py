@@ -144,7 +144,6 @@ class TestValidateProjection:
             return check_group(design, group)
 
         monkeypatch.setattr(sem_module, "check_group", counted)
-        monkeypatch.setattr(metrics_module, "check_group", counted)
         res = validate_projection(dataset, basis, fit, mode, n_splits=3, seed=2)
         assert res.unseen_fallbacks == 0
         assert sorted(checked) == sorted(list(np.unique(fit.labels)) * 3)
@@ -260,3 +259,32 @@ def test_rank_deficient_subgroup_falls_back_to_the_without_fit():
     within = validate_projection(dataset, basis, fit, "within", n_splits=splits, seed=5)
     assert within.unseen_fallbacks == splits  # one holdout member of subgroup 2 per split
     assert np.all(np.isfinite(within.mse))
+
+
+def test_subgroup_with_rank_deficient_stage1_design_falls_back_to_the_without_fit():
+    cfg = SimConfig(dims=(5, 5, 5), n=60, n_groups=1, sigma=1.0, seed=2, n_sites=3)
+    dataset, truth, lattice, basis = simulate_cube(cfg)
+    fit = fit_sem(dataset, basis, 1, SemConfig(seed=0))
+    # subgroup 2 has 10 members at one site and a constant control, so its
+    # stage-1 training design [site | controls] has two equal columns
+    site = np.flatnonzero(dataset.sites[:, 0])
+    members = site[:10]
+    assert members.size == 10 and dataset.controls.shape[1] >= 1
+    dataset.controls[members, 0] = 1.0
+    fit.labels = np.ones(dataset.n, dtype=int)
+    fit.labels[members] = 2
+    splits = 4
+    within = validate_projection(dataset, basis, fit, "within", n_splits=splits, seed=5)
+    assert within.unseen_fallbacks == splits  # one holdout member of subgroup 2 per split
+    assert np.all(np.isfinite(within.mse))
+
+
+def test_without_mode_raises_when_its_own_fit_cannot_be_solved():
+    cfg = SimConfig(dims=(5, 5, 5), n=40, n_groups=1, sigma=1.0, seed=2, n_sites=3)
+    dataset, truth, lattice, basis = simulate_cube(cfg)
+    fit = fit_sem(dataset, basis, 1, SemConfig(seed=0))
+    # a control equal to the sum of the site columns: every stage-1 design is
+    # rank deficient, so the fit on all training rows has nothing to fall back to
+    dataset.controls[:, 0] = 1.0
+    with pytest.raises(ValueError, match="rank-deficient design"):
+        validate_projection(dataset, basis, fit, "without", n_splits=2, seed=1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lasir import SemConfig, SimConfig, m_step, param_count, project, select_k, simulate_cube
+from lasir import selection as selection_module
 from lasir.selection import BicRecord, _choose
 
 
@@ -79,3 +80,18 @@ class TestSelectK:
         dataset, truth, lattice, basis = simulate_cube(cfg)
         with pytest.raises(ValueError, match="no candidate"):
             select_k(dataset, basis, [], SemConfig())
+
+    @pytest.mark.parametrize("candidates, named", [
+        ([1, 0], "got 0"), ([-2, 1], "got -2"), ([1, 2.5], "got 2.5"), ([2.0], "got 2.0"),
+        (["2"], "got '2'")])
+    def test_candidates_checked_before_projecting(self, candidates, named, monkeypatch):
+        cfg = SimConfig(dims=(5, 5, 5), n=50, n_groups=1, sigma=1.0, seed=0, n_sites=2)
+        dataset, truth, lattice, basis = simulate_cube(cfg)
+
+        def unreachable(*args):
+            raise AssertionError("projected before checking the candidates")
+
+        monkeypatch.setattr(selection_module, "project", unreachable)
+        with pytest.raises(ValueError, match="candidate group counts must be integers >= 1, "
+                                             + named):
+            select_k(dataset, basis, candidates, SemConfig())

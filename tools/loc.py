@@ -9,12 +9,21 @@ literal, all count.
     python tools/loc.py [DIR_OR_FILE ...]     (default: src/lasir)
 
 prints one line per module and the total.
+
+    python tools/loc.py --against REF [DIR_OR_FILE ...]
+
+prints each module's code lines at the git revision REF (read with
+`git show`), now, and the change, then the totals; a module missing on one
+side counts as 0 there. Paths are taken relative to the current directory,
+which must lie inside the repository.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -45,15 +54,39 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def _git(*args) -> str:
+    return subprocess.run(["git", *args], capture_output=True, text=True, check=True).stdout
+
+
+def counts_at(ref: str, targets) -> dict:
+    """Code lines of each module under `targets` at the git revision `ref`."""
+    names = _git("ls-tree", "-r", "--name-only", ref, "--", *map(str, targets)).splitlines()
+    return {Path(name): code_lines(_git("show", f"{ref}:./{name}"))
+            for name in names if name.endswith(".py")}
+
+
 def main(argv=None) -> int:
-    targets = [Path(a) for a in (argv if argv is not None else sys.argv[1:])] or [Path("src/lasir")]
-    files = sorted(f for t in targets for f in ([t] if t.is_file() else t.rglob("*.py")))
-    total = 0
-    for path in files:
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path}")
-    print(f"{total:6d}  total")
+    parser = argparse.ArgumentParser(description="Count code lines per module.")
+    parser.add_argument("targets", nargs="*", type=Path, default=[Path("src/lasir")])
+    parser.add_argument("--against", metavar="REF", help="also count at this git revision")
+    args = parser.parse_args(argv)
+    files = sorted(f for t in args.targets for f in ([t] if t.is_file() else t.rglob("*.py")))
+    now = {path: code_lines(path.read_text(encoding="utf-8")) for path in files}
+    if args.against is None:
+        for path, count in now.items():
+            print(f"{count:6d}  {path}")
+        print(f"{sum(now.values()):6d}  total")
+        return 0
+    try:
+        before = counts_at(args.against, args.targets)
+    except subprocess.CalledProcessError as exc:
+        print(f"error: {exc.stderr.strip()}", file=sys.stderr)
+        return 1
+    rows = [(before.get(p, 0), now.get(p, 0), str(p)) for p in sorted(before.keys() | now.keys())]
+    rows.append((sum(before.values()), sum(now.values()), "total"))
+    print(f"{'before':>6}  {'now':>6}  {'change':>6}  module")
+    for old, new, name in rows:
+        print(f"{old:6d}  {new:6d}  {new - old:+6d}  {name}")
     return 0
 
 

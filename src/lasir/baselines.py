@@ -13,7 +13,7 @@ from .lattice import Dataset
 from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
 from .projection import project
 from .sem import (DegenerateGroupError, FitResult, ModelParams, SemConfig,
-                  fit_at_labels, fit_sem, prepare)
+                  check_count, fit_at_labels, fit_sem, prepare)
 
 logger = logging.getLogger(__name__)
 
@@ -69,12 +69,12 @@ def kmeans(points: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
     k-means++ seeding followed by Lloyd iterations until assignments are
     stable or `KMEANS_MAX_ITER`; `KMEANS_INIT` independent seedings are run
     and the lowest within-cluster sum of squares wins. Deterministic given
-    `seed`. Raises ValueError unless 1 <= n_clusters <= number of points.
+    `seed`. Raises ValueError unless `n_clusters` is an integer (`sem.check_count`)
+    with 1 <= n_clusters <= number of points.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
+    check_count(n_clusters, "n_clusters")
     if n_clusters > n:
         raise ValueError(f"n_clusters={n_clusters} exceeds point count {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

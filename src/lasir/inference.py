@@ -57,6 +57,14 @@ class InferenceMap:
     reject: np.ndarray = None
 
 
+def _check_basis(fit: FitResult, basis: BasisSystem) -> None:
+    """Raise ValueError, naming both counts, unless the fit has one
+    coefficient per function of `basis`."""
+    if fit.params.lam.size != basis.L:
+        raise ValueError(f"the fit has {fit.params.lam.size} basis coefficients, "
+                         f"the basis has {basis.L}")
+
+
 def coef_covariance(fit: FitResult, dataset: Dataset) -> CoefCovariance:
     """Sampling covariance data of the group-specific coefficients.
 
@@ -116,8 +124,14 @@ def svc_variance(cov: CoefCovariance, basis: BasisSystem, group: int,
                  exposure: int) -> np.ndarray:
     """Voxelwise variance of the (group, exposure) coefficient map (d,).
 
-    Invariant to basis column sign flips since only psi^2 enters.
+    Invariant to basis column sign flips since only psi^2 enters. Raises
+    ValueError naming the valid ranges unless 1 <= group <= K and
+    0 <= exposure <= p.
     """
+    K, p1 = cov.gram_inv.shape[:2]
+    if not (1 <= group <= K and 0 <= exposure < p1):
+        raise ValueError(f"group must be in 1..{K} and exposure in 0..{p1 - 1}, "
+                         f"got group {group}, exposure {exposure}")
     return cov.gram_inv[group - 1, exposure, exposure] * _variance_field(basis, cov.lam)
 
 
@@ -128,7 +142,10 @@ def wald_map(fit: FitResult, dataset: Dataset, basis: BasisSystem,
 
     The p-values are conditional on the fit's labels: calibrated under the
     null at K=1, anti-conservative when the labels were estimated from the
-    same images (see the module docstring)."""
+    same images (see the module docstring). Raises ValueError when the fit's
+    coefficients do not number the basis functions, checked first, and when
+    the group or exposure is out of range (`svc_variance`)."""
+    _check_basis(fit, basis)
     cov = coef_covariance(fit, dataset)
     return _wald(fit, basis, group, exposure, svc_variance(cov, basis, group, exposure))
 
@@ -209,9 +226,11 @@ def infer_maps(fit: FitResult, dataset: Dataset, basis: BasisSystem,
 
     As in `wald_map`, the p-values and hence the decisions are conditional
     on the fit's labels; only at K=1 is their null calibration checked.
-    `alpha` must lie in (0, 1), checked before anything is computed.
+    `alpha` must lie in (0, 1), and the fit must have one coefficient per
+    basis function, checked before anything is computed, else ValueError.
     """
     _check_alpha(alpha)
+    _check_basis(fit, basis)
     cov = coef_covariance(fit, dataset)
     field = _variance_field(basis, cov.lam)
     maps = []

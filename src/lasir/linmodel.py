@@ -5,8 +5,14 @@
   model); the label-free stage 1 of the M-step.
 * `check_design` -- the size and rank test that `mvls_fit` and the M-step's
   per-group stage 2 apply to a design before solving.
+* `log_gating` -- log class probabilities of the multinomial-logit gating
+  model, a log-softmax with max subtraction: the one normalization of the
+  gating logits, read by the E-step and Q, by `gating_probs` (the
+  simulator's) and by the gating fit.
 * `mnlogit_fit` -- maximum-likelihood multinomial logit with the last class
-  pinned to zero weights for identification; the gating fit.
+  pinned to zero weights for identification; the gating fit. Its Newton
+  iterations read the `MNLOGIT_RIDGE`, `MNLOGIT_MAX_ITER` and `MNLOGIT_TOL`
+  constants.
 """
 
 from __future__ import annotations
@@ -75,6 +81,16 @@ def augment(z: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((z.shape[0], 1)), z])
 
 
+def log_gating(w: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Log class probabilities (n, K) of the gating model with weights
+    w (K, q+1) at the augmented controls `features` (n, q+1): the
+    log-softmax of the logits ``features @ w.T``, computed with max
+    subtraction so that no exponential overflows."""
+    logits = features @ w.T
+    logits -= logits.max(axis=1, keepdims=True)
+    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+
 def gating_probs(w: np.ndarray, z_aug: np.ndarray) -> np.ndarray:
     """Class probabilities of the multinomial-logit gating model.
 
@@ -88,31 +104,29 @@ def gating_probs(w: np.ndarray, z_aug: np.ndarray) -> np.ndarray:
     Returns
     -------
     ndarray, shape (n, K) or (K,)
-        Softmax over logits ``w @ z``, computed with max subtraction; rows
-        are positive and sum to 1.
+        ``exp(log_gating(w, z_aug))``; rows are positive and sum to 1.
     """
-    single = np.ndim(z_aug) == 1
-    logits = np.atleast_2d(z_aug) @ np.asarray(w, dtype=np.float64).T
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs[0] if single else probs
+    probs = np.exp(log_gating(np.asarray(w, dtype=np.float64), np.atleast_2d(z_aug)))
+    return probs[0] if np.ndim(z_aug) == 1 else probs
 
 
-def _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol, init=None):
+def _mnlogit_newton(features, onehot, n_classes, init=None):
     """Newton iterations on the (K-1)(q+1) free weights of the penalized
-    multinomial-logit likelihood, from `init` (K-1, q+1) or zero. Returns
+    multinomial-logit likelihood, from `init` (K-1, q+1) or zero, with the
+    penalty `MNLOGIT_RIDGE`, at most `MNLOGIT_MAX_ITER` steps and the
+    gradient tolerance `MNLOGIT_TOL`. The class probabilities come from
+    `log_gating` on the weights with the pinned zero row appended. Returns
     (w, objective trace).
 
     A step is accepted when it does not lower the objective, judged by the
     change itself rather than by two rounded totals: each row's
     log-sum-exp moves by log(sum_k p_k exp(f . s_k)) = log1p(sum_k p_k
     expm1(f . s_k)), which keeps its relative precision for steps far below
-    the objective's rounding level, so the iteration reaches `tol`. Where the
-    sum inside log1p is below -1/2, the step moves most of the row's
-    probability onto the reference class and log1p would cancel (to -inf at
-    -1); there the direct form log(p_ref + sum_{k<K} p_k exp(f . s_k)) is
-    taken.
+    the objective's rounding level, so the iteration reaches `MNLOGIT_TOL`.
+    Where the sum inside log1p is below -1/2, the step moves most of the
+    row's probability onto the reference class and log1p would cancel (to
+    -inf at -1); there the direct form log(p_ref + sum_{k<K} p_k
+    exp(f . s_k)) is taken.
     """
     n, m = features.shape
     free = n_classes - 1
@@ -121,17 +135,6 @@ def _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol, init=None
     class_sums = onehot[:, :free].T @ features
     outer = (features[:, :, None] * features[:, None, :]).reshape(n, m * m)
     eye = np.eye(free)
-    logits = np.zeros((n, n_classes))  # the reference class keeps logit 0
-
-    def probabilities(Wf):
-        """Class probabilities (n, K) at Wf and the rows' max logits and
-        exponential sums, whose logs add up to the rows' log-sum-exp."""
-        logits[:, :free] = features @ Wf.T
-        top = logits.max(axis=1, keepdims=True)
-        P = np.exp(logits - top)
-        total = P.sum(axis=1, keepdims=True)
-        P /= total
-        return P, top, total
 
     def gain(P, grad_lin, step):
         """Objective change of W + step, given the probabilities P at W."""
@@ -142,25 +145,25 @@ def _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol, init=None
             low = rel < -0.5
             if low.any():
                 lse[low] = np.log(P[low, free] + np.sum(P[low, :free] * np.exp(moved[low]), axis=1))
-        return np.sum(step * (grad_lin - 0.5 * ridge * step)) - np.sum(lse)
+        return np.sum(step * (grad_lin - 0.5 * MNLOGIT_RIDGE * step)) - np.sum(lse)
 
-    P, top, total = probabilities(W)
-    lse = np.sum(top) + np.sum(np.log(total))
-    trace = [np.sum(W * class_sums) - lse - 0.5 * ridge * np.sum(W * W)]
-    for _ in range(max_iter):
+    log_p = log_gating(np.vstack([W, np.zeros((1, m))]), features)
+    P = np.exp(log_p)
+    trace = [np.sum(onehot * log_p) - 0.5 * MNLOGIT_RIDGE * np.sum(W * W)]
+    for _ in range(MNLOGIT_MAX_ITER):
         Pf = P[:, :free]
-        grad_lin = class_sums - ridge * W
+        grad_lin = class_sums - MNLOGIT_RIDGE * W
         grad = grad_lin - Pf.T @ features
         if not np.all(np.isfinite(grad)):
             raise ValueError("separation or bad scaling")
-        if np.max(np.abs(grad)) < tol:
+        if np.max(np.abs(grad)) < MNLOGIT_TOL:
             break
         # Negative Hessian block (k, c): sum_i p_ik (delta_kc - p_ic) f_i f_i^T,
         # all blocks from one product with the per-individual outer products.
         wts = (Pf[:, :, None] * (eye - Pf[:, None, :])).reshape(n, free * free)
         H = (wts.T @ outer).reshape(free, free, m, m).transpose(0, 2, 1, 3)
         H = H.reshape(free * m, free * m)
-        H.flat[::free * m + 1] += ridge
+        H.flat[::free * m + 1] += MNLOGIT_RIDGE
         step = np.linalg.solve(H, grad.ravel()).reshape(free, m)
         for _ in range(30):  # step halving until the objective does not fall
             change = gain(P, grad_lin, step)
@@ -170,7 +173,7 @@ def _mnlogit_newton(features, onehot, n_classes, ridge, max_iter, tol, init=None
         else:
             break
         W = W + step
-        P = probabilities(W)[0]
+        P = np.exp(log_gating(np.vstack([W, np.zeros((1, m))]), features))
         trace.append(trace[-1] + change)
     if not np.isfinite(trace[-1]):
         raise ValueError("separation or bad scaling")
@@ -216,6 +219,5 @@ def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels - 1] = 1.0
     start = None if init is None else np.asarray(init, dtype=np.float64)[:-1]
-    W, _ = _mnlogit_newton(features, onehot, n_classes, MNLOGIT_RIDGE, MNLOGIT_MAX_ITER,
-                           MNLOGIT_TOL, start)
+    W, _ = _mnlogit_newton(features, onehot, n_classes, start)
     return np.vstack([W, np.zeros((1, m))])

@@ -14,7 +14,7 @@ from .basis import BasisSystem
 from .lattice import CHUNK, Dataset
 from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
 from .projection import project
-from .sem import DegenerateGroupError, FitResult, check_fit, predict_from_sums
+from .sem import DegenerateGroupError, FitResult, check_count, check_fit, predict_from_sums
 
 logger = logging.getLogger(__name__)
 
@@ -138,8 +138,9 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     "without" prediction), and occurrences are counted in the result. That
     fit has no fallback: when it cannot be solved, as in "without" mode, the
     error is raised.
-    `n_splits` must be >= 1, `holdout_frac` in (0, 1) and the fit's labels
-    one per individual of `dataset` (`sem.check_fit`), else ValueError.
+    `n_splits` must be an integer >= 1 (`sem.check_count`), `holdout_frac` in
+    (0, 1) and the fit's labels one per individual of `dataset`
+    (`sem.check_fit`), else ValueError.
 
     The fits are solved from sufficient statistics of the design rows
     Z = [sites | controls | exposures] and the projections ytilde. The Gram
@@ -169,8 +170,7 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     """
     if mode not in ("within", "without", "shuffled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if n_splits < 1:
-        raise ValueError(f"n_splits must be >= 1, got {n_splits}")
+    check_count(n_splits, "n_splits")
     if not 0.0 < holdout_frac < 1.0:
         raise ValueError(f"holdout_frac must be in (0, 1), got {holdout_frac}")
     check_fit(fit, dataset)

@@ -19,7 +19,9 @@ from hard group labels:
   previous iteration's weights.
 * E-step -- posterior group responsibilities proportional to gating prior
   times the diagonal-Gaussian likelihood of the projected outcome, computed
-  in log space. The squared Mahalanobis distances expand as
+  in log space; the log prior is `linmodel.log_gating`, the same
+  log-softmax that Q, the simulator and the gating fit use. The squared
+  Mahalanobis distances expand as
   sum_l R_il^2 / lam_l - 2 x_i (R_i / lam) theta_k^T + x_i theta_k
   Lambda^-1 theta_k^T x_i^T, so one (n x L)(L x K(p+1)) product replaces K
   passes over the n x L outcomes.
@@ -48,6 +50,7 @@ subgroup's held-out individuals are predicted by the fit on all training rows.
 from __future__ import annotations
 
 import logging
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,7 +60,7 @@ import numpy as np
 from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
-from .linmodel import LAMBDA_FLOOR, augment, check_design, mnlogit_fit, mvls_fit
+from .linmodel import LAMBDA_FLOOR, augment, check_design, log_gating, mnlogit_fit, mvls_fit
 from .projection import project
 
 logger = logging.getLogger(__name__)
@@ -89,6 +92,15 @@ def check_group(design: np.ndarray, group: int) -> None:
         check_design(design)
     except ValueError as exc:
         raise DegenerateGroupError(group, str(exc)) from exc
+
+
+def check_count(value, name: str, low: int = 1) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer
+    (`numbers.Integral`, numpy integers included) of at least `low`."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -134,6 +146,10 @@ class SemConfig:
         values 1..K, e.g. for warm starts or equivariance experiments;
         replaces the random draw in every replicate (`fit_problem` checks
         them; a K=1 fit does not read them).
+
+    `max_iter`, `restarts` and `threads` must be integers >= 1 and `seed`
+    an integer >= 0 (`check_count`, numpy integers included), and `tol`
+    must be > 0, else ValueError naming the field.
     """
 
     max_iter: int = 200
@@ -144,9 +160,8 @@ class SemConfig:
     init_labels: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("max_iter", "restarts", "threads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"SemConfig.{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("max_iter", 1), ("restarts", 1), ("threads", 1), ("seed", 0)):
+            check_count(getattr(self, name), f"SemConfig.{name}", low)
         if not self.tol > 0:
             raise ValueError(f"SemConfig.tol must be > 0, got {self.tol}")
 
@@ -290,13 +305,6 @@ def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
     return d_part @ cross[d_cols] + x_part @ cross[x_cols]
 
 
-def _log_gating(w: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Log class probabilities (n, K) of the gating model (log-softmax)."""
-    logits = features @ w.T
-    logits -= logits.max(axis=1, keepdims=True)
-    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-
-
 def _log_density(resid, resid_sq, exposures, params) -> np.ndarray:
     """Diagonal-Gaussian log density (n, K) of each individual under each
     group, from the residuals `resid` (n, L) of the shared site and control
@@ -331,7 +339,7 @@ def e_step(ytilde, dataset: Dataset, params: ModelParams) -> np.ndarray:
         resid_sq = resid * resid
         exposures, features = dataset.exposures, augment(dataset.controls)
     with np.errstate(invalid="ignore"):  # inf * 0 in a bad row; reported below
-        lp = _log_gating(params.w, features) + _log_density(resid, resid_sq, exposures, params)
+        lp = log_gating(params.w, features) + _log_density(resid, resid_sq, exposures, params)
     if not np.all(np.isfinite(lp)):
         i, k = np.argwhere(~np.isfinite(lp))[0]
         direct = (resid[i] - exposures[i] @ params.theta_alpha[k]) ** 2 / params.lam
@@ -403,7 +411,7 @@ def q_value(ytilde, dataset: Dataset, labels: np.ndarray, params: ModelParams) -
     n = labels.shape[0]
     lam = params.lam
     gauss = -0.5 * (n * np.sum(np.log(2.0 * np.pi * lam)) + np.sum(rss / lam))
-    gate = _log_gating(params.w, features)[np.arange(n), labels - 1].sum()
+    gate = log_gating(params.w, features)[np.arange(n), labels - 1].sum()
     return float(gauss + gate)
 
 
@@ -459,7 +467,8 @@ def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
     basis : BasisSystem
         Spatial basis used to project the images.
     n_groups : int
-        Number of latent subgroups K (>= 1).
+        Number of latent subgroups K, an integer >= 1, checked before the
+        images are projected.
     config : SemConfig
 
     Returns
@@ -480,6 +489,7 @@ def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
     `backproject` or read of a factored basis's `.psi` keeps the caller's
     pool.
     """
+    check_count(n_groups, "n_groups")
     problem = prepare(project(dataset.images, basis), dataset)
     return fit_problem(problem, n_groups, config or SemConfig())
 
@@ -501,12 +511,13 @@ def fit_problem(problem: Problem, n_groups: int, config: SemConfig) -> FitResult
     """`fit_sem` on a prepared problem, so that several fits (the candidates
     of `select_k`) share one projection and one stage 1.
 
-    K=1 is the fit at one group of everyone, and `config.init_labels` is not
-    read. For K >= 2, before any replicate starts, `config.init_labels` (if
-    given) must have shape (n,) and integer values in 1..K, else ValueError.
+    `n_groups` must be an integer >= 1 (`check_count`), else ValueError;
+    `fit_sem` checks it before projecting. K=1 is the fit at one group of
+    everyone, and `config.init_labels` is not read. For K >= 2, before any
+    replicate starts, `config.init_labels` (if given) must have shape (n,)
+    and integer values in 1..K, else ValueError.
     """
-    if n_groups < 1:
-        raise ValueError(f"n_groups must be >= 1, got {n_groups}")
+    check_count(n_groups, "n_groups")
     if n_groups == 1:
         return fit_at_labels(problem, np.ones(problem.n, dtype=int), 1, config)
     if config.init_labels is not None:

@@ -163,3 +163,9 @@ class TestSvcm:
         assert np.allclose(params.theta_alpha[0, 0], 0.0, atol=1e-8)
         assert np.allclose(params.theta_alpha[0, 1], slope, atol=1e-8)
         assert np.all(params.lam == 1e-10)
+
+
+@pytest.mark.parametrize("n_clusters", [2.0, 1.5, "2"])
+def test_cluster_count_must_be_an_integer(n_clusters):
+    with pytest.raises(ValueError, match=f"n_clusters must be an integer, got {n_clusters!r}"):
+        kmeans(np.zeros((3, 2)), n_clusters, seed=0)

@@ -383,3 +383,17 @@ def test_config_with_retired_sem_keys_still_runs(workdir, tmp_path):
     assert main(["fit", "--config", str(conf)] + _data_flags(workdir)
                 + ["--out", str(out)]) == 0
     assert "lambda_floor" not in read_kv(str(out) + ".manifest")
+
+
+def test_infer_with_a_fit_on_another_basis_exits_1(workdir, tmp_path, capsys):
+    # the fit used h=5 (L=56); this basis of the same 6^3 lattice has h=3 (L=20)
+    assert main(["basis", "--dims", "6", "--a", "0.01", "--b", "2", "--h", "3",
+                 "--out", str(tmp_path / "basis")]) == 0
+    capsys.readouterr()
+    argv = ["infer", "--fit", str(workdir / "fit"), "--images", str(workdir / "sim" / "images"),
+            "--covariates", str(workdir / "sim" / "covariates.csv"),
+            "--basis", str(tmp_path / "basis"), "--out-prefix", str(tmp_path / "inf")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the fit has 56 basis coefficients, the basis has 20\n"
+    assert captured.out == ""

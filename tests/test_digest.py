@@ -1,0 +1,72 @@
+import importlib.util
+import os
+import shutil
+import subprocess
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+spec = importlib.util.spec_from_file_location("digest", os.path.join(ROOT, "tools", "digest.py"))
+digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(digest)
+
+MSE_LINE = "    return float(sq_err / (pred.shape[0] * d))\n"
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+def test_against_a_revision_names_only_the_outputs_that_differ(tmp_path, monkeypatch, capsys):
+    shutil.copytree(os.path.join(ROOT, "src", "lasir"), tmp_path / "src" / "lasir",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "start")
+    # scale every holdout MSE by 1.5: only the three validation outputs move
+    metrics = tmp_path / "src" / "lasir" / "metrics.py"
+    source = metrics.read_text()
+    assert source.count(MSE_LINE) == 1
+    metrics.write_text(source.replace(MSE_LINE, MSE_LINE.replace("return ", "return 1.5 * ")))
+    monkeypatch.chdir(tmp_path)
+    assert digest.main(["--against", "HEAD", "--shapes", "tiny", "--seeds", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines[:-1]] == [
+        ["1", f"validate.{mode}", "differs,", "max", "relative", "difference", "0.5"]
+        for mode in ("within", "without", "shuffled")]
+    assert lines[-1] == "3 of 28 outputs differ from HEAD"
+
+
+def test_prints_one_digest_per_output(tmp_path, monkeypatch, capsys):
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    monkeypatch.chdir(tmp_path)
+    computed = {(7, "simulate"): [np.arange(3.0), np.ones(2, dtype=int)],
+                (7, "fit.w"): [np.zeros((2, 3))]}
+    monkeypatch.setattr(digest, "_run", lambda *args: computed)
+    assert digest.main(["--seeds", "7"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["7", name, digest.digest(arrays)] for (_, name), arrays in computed.items()]
+
+
+def test_digest_tells_values_shapes_and_dtypes_apart():
+    digests = {digest.digest(arrays) for arrays in (
+        [np.zeros(4)], [np.zeros((2, 2))], [np.zeros(4, dtype=np.float32)], [np.arange(4.0)],
+        [np.zeros(2), np.zeros(2)])}
+    assert len(digests) == 5
+    assert digest.digest([np.arange(4.0)]) == digest.digest([np.arange(4.0)])
+
+
+def test_against_an_unknown_revision_fails(tmp_path, monkeypatch, capsys):
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    monkeypatch.chdir(tmp_path)
+    assert digest.main(["--against", "nosuchref", "--shapes", "tiny"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_relative_difference():
+    same = [np.array([1.0, 0.0, -2.0])]
+    assert digest.relative_difference(same, same) == 0.0
+    assert digest.relative_difference([np.array([1.0, 0.0, -3.0])], same) == 0.5
+    assert digest.relative_difference([np.array([1.0, 1e-9, -2.0])], same) == float("inf")
+    assert digest.relative_difference([np.zeros(2)], same) == float("inf")

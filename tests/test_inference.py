@@ -286,3 +286,30 @@ def test_infer_maps_checks_alpha_before_the_variance_field(alpha, monkeypatch):
     monkeypatch.setattr(inference_module, "_variance_field", unreachable)
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got"):
         infer_maps(fit, ds, basis, alpha=alpha)
+
+
+@pytest.mark.parametrize("group, exposure", [(0, 0), (3, 0), (-1, 0), (1, -1), (1, 2)])
+def test_wald_map_rejects_a_group_or_exposure_out_of_range(group, exposure):
+    # K=2, p=1: groups 1..2, exposures 0..1; negative indices must not wrap
+    rng = np.random.default_rng(0)
+    exposures = np.column_stack([np.ones(12), rng.standard_normal(12)])
+    fit, ds = _fit_with(np.arange(12) % 2 + 1, exposures, np.ones(3))
+    basis = BasisSystem(psi=np.eye(3), eigvals=np.ones(3), h=0, params=KernelParams(0.01, 2.0))
+    named = f"group must be in 1..2 and exposure in 0..1, got group {group}, exposure {exposure}"
+    with pytest.raises(ValueError, match=named):
+        wald_map(fit, ds, basis, group, exposure)
+    with pytest.raises(ValueError, match=named):
+        svc_variance(coef_covariance(fit, ds), basis, group, exposure)
+
+
+def test_fit_on_another_basis_names_both_counts_before_the_covariance(monkeypatch):
+    fit, ds = _fit_with(np.arange(10) % 2 + 1, np.ones((10, 1)), np.ones(5))
+    basis = BasisSystem(psi=np.eye(3), eigvals=np.ones(3), h=0, params=KernelParams(0.01, 2.0))
+
+    def unreachable(*args):
+        raise AssertionError("computed the covariance before checking the basis")
+
+    monkeypatch.setattr(inference_module, "coef_covariance", unreachable)
+    for call in (lambda: infer_maps(fit, ds, basis), lambda: wald_map(fit, ds, basis, 1, 0)):
+        with pytest.raises(ValueError, match="the fit has 5 basis coefficients, the basis has 3"):
+            call()

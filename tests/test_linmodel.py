@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from lasir import augment, gating_probs, mnlogit_fit, mvls_fit
-from lasir.linmodel import LAMBDA_FLOOR, _mnlogit_newton
+from lasir.linmodel import LAMBDA_FLOOR, _mnlogit_newton, log_gating
 
 
 class TestMvls:
@@ -110,6 +111,31 @@ class TestGatingProbs:
         assert np.all((probs > 0) & (probs < 1))
 
 
+class TestLogGating:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), n_classes=st.integers(1, 5),
+           q=st.integers(0, 3), spread=st.sampled_from([1.0, 30.0, 1e4]))
+    def test_normalized_shift_invariant_and_finite(self, seed, n, n_classes, q, spread):
+        rng = np.random.default_rng(seed)
+        features = augment(rng.uniform(-1.0, 1.0, (n, q)))
+        w = rng.uniform(-spread, spread, (n_classes, q + 1))
+        log_p = log_gating(w, features)
+        assert np.all(np.isfinite(log_p))
+        assert np.abs(logsumexp(log_p, axis=1)).max() <= 1e-12
+        assert np.array_equal(gating_probs(w, features), np.exp(log_p))
+        if spread < 1e4:  # logits of 1e4 round at about 1e-12 before any shift
+            shift = rng.uniform(-spread, spread, q + 1)  # the same vector for every class
+            assert np.allclose(log_gating(w + shift, features), log_p, rtol=0.0, atol=1e-12)
+
+    def test_logits_of_1e4_where_an_unshifted_exp_overflows(self):
+        w = np.array([[1e4], [-1e4], [0.0]])
+        features = np.ones((2, 1))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(features @ w.T)).any()
+        log_p = log_gating(w, features)
+        assert np.array_equal(log_p, np.tile([0.0, -2e4, -1e4], (2, 1)))
+        assert np.array_equal(gating_probs(w, features), np.tile([1.0, 0.0, 0.0], (2, 1)))
+
+
 class TestMnlogit:
     def test_single_class_is_zero(self):
         w = mnlogit_fit(np.ones((5, 2)), np.ones(5, dtype=int), 1)
@@ -155,7 +181,7 @@ class TestMnlogit:
         labels = rng.integers(1, 4, size=80)
         onehot = np.zeros((80, 3))
         onehot[np.arange(80), labels - 1] = 1.0
-        _, trace = _mnlogit_newton(feats, onehot, 3, 1e-6, 50, 1e-8)
+        _, trace = _mnlogit_newton(feats, onehot, 3)
         assert all(b >= a for a, b in zip(trace, trace[1:]))
 
     def test_bad_labels_rejected(self):

@@ -288,3 +288,16 @@ def test_without_mode_raises_when_its_own_fit_cannot_be_solved():
     dataset.controls[:, 0] = 1.0
     with pytest.raises(ValueError, match="rank-deficient design"):
         validate_projection(dataset, basis, fit, "without", n_splits=2, seed=1)
+
+
+@pytest.mark.parametrize("n_splits", [2.5, 2.0, "3"])
+def test_split_count_must_be_an_integer_checked_before_projecting(fitted, n_splits,
+                                                                  monkeypatch):
+    dataset, basis, fit = fitted
+
+    def unreachable(*args):
+        raise AssertionError("projected before checking the split count")
+
+    monkeypatch.setattr(metrics_module, "project", unreachable)
+    with pytest.raises(ValueError, match=f"n_splits must be an integer, got {n_splits!r}"):
+        validate_projection(dataset, basis, fit, "within", n_splits=n_splits)

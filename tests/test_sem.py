@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,8 @@ from lasir import (Dataset, KernelParams, SemConfig, SimConfig, augment, e_step,
 from lasir.basis import BasisSystem
 from lasir.linmodel import LAMBDA_FLOOR, MNLOGIT_RIDGE, _mnlogit_newton, mnlogit_fit
 from lasir.projection import project
-from lasir.sem import (DegenerateGroupError, ModelParams, Problem, _log_density,
+from lasir import sem as sem_module
+from lasir.sem import (DegenerateGroupError, ModelParams, Problem, _log_density, fit_problem,
                        predict_from_sums, prepare, stage2)
 
 
@@ -530,9 +532,8 @@ class TestPreparedProblemKernels:
         flip = rng.random(n) < 0.2
         moved[flip] = rng.integers(1, n_classes + 1, size=int(flip.sum()))
         init = mnlogit_fit(features, moved, n_classes)
-        fits = [_mnlogit_newton(features, onehot, n_classes, MNLOGIT_RIDGE, 50, 1e-8),
-                _mnlogit_newton(features, onehot, n_classes, MNLOGIT_RIDGE, 50, 1e-8,
-                                init=init[:-1])]
+        fits = [_mnlogit_newton(features, onehot, n_classes),
+                _mnlogit_newton(features, onehot, n_classes, init=init[:-1])]
         objectives = []
         for W, trace in fits:
             w = np.vstack([W, np.zeros(q + 1)])
@@ -638,3 +639,43 @@ class TestPredictFromSums:
         for predict in (_two_stage_reference, _predict_by_downdate):
             with pytest.raises(DegenerateGroupError, match=match):
                 predict(ytilde, dataset, train, test)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"max_iter": 2.0}, "SemConfig.max_iter must be an integer, got 2.0"),
+    ({"restarts": 1.5}, "SemConfig.restarts must be an integer, got 1.5"),
+    ({"threads": "2"}, "SemConfig.threads must be an integer, got '2'"),
+    ({"seed": 1.0}, "SemConfig.seed must be an integer, got 1.0"),
+    ({"seed": -1}, "SemConfig.seed must be >= 0, got -1"),
+])
+def test_sem_config_counts_must_be_integers(kwargs, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        SemConfig(**kwargs)
+
+
+@pytest.mark.parametrize("n_groups", [2.0, 1.5, "2"])
+def test_group_count_must_be_an_integer_checked_before_projecting(n_groups, monkeypatch):
+    dataset, _, _, basis = simulate_cube(SimConfig(dims=(5, 5, 5), n=50, n_groups=2, seed=0,
+                                                     n_sites=3))
+    problem = prepare(project(dataset.images, basis), dataset)
+
+    def unreachable(*args):
+        raise AssertionError("projected before checking the group count")
+
+    monkeypatch.setattr(sem_module, "project", unreachable)
+    named = re.escape(f"n_groups must be an integer, got {n_groups!r}")
+    with pytest.raises(ValueError, match=named):
+        fit_sem(dataset, basis, n_groups, SemConfig())
+    with pytest.raises(ValueError, match=named):
+        fit_problem(problem, n_groups, SemConfig())
+
+
+def test_numpy_integer_counts_are_accepted():
+    dataset, _, _, basis = simulate_cube(SimConfig(dims=(5, 5, 5), n=60, n_groups=2, seed=1,
+                                                     n_sites=3))
+    config = SemConfig(max_iter=np.int64(3), restarts=np.int32(2), threads=np.uint8(1),
+                       seed=np.uint32(7))
+    fit = fit_sem(dataset, basis, np.int64(2), config)
+    plain = fit_sem(dataset, basis, 2, SemConfig(max_iter=3, restarts=2, seed=7))
+    assert fit.n_groups == 2
+    assert np.array_equal(fit.labels, plain.labels)

@@ -1,0 +1,219 @@
+"""Digest the outputs of lasir's main entry points, to show that a change
+gives the same answers.
+
+    python tools/digest.py [--seeds S ...] [--shapes desk|tiny]
+
+prints one SHA-256 digest (its first 16 hex digits) per output and seed:
+
+* `simulate` -- `simulate_cube`'s images, design, true labels and basis;
+* `fit.labels`, `fit.theta` (theta_alpha, theta_eta, theta_gamma),
+  `fit.lam`, `fit.w`, `fit.q` (the Q trace) and `fit.iterations`
+  (iterations, converged, winning replicate) -- `fit_sem`;
+* `infer` -- every `infer_maps` map: effect, se, wald, pval, reject;
+* `validate.<mode>` -- `validate_projection`'s MSEs and fallbacks per mode;
+* `select.choice`, `select.bic` (each candidate's Q and BIC) and
+  `select.labels` -- `select_k`;
+* `kmlr.*` (the six parts of a fit, as for `fit_sem`) and `svcm` -- the two
+  baselines;
+* `ellipsoid.basis` and `ellipsoid.fit.*` -- `build_basis` and `fit_sem` on
+  a small ellipsoid mask.
+
+The `desk` shapes are those of the benchmark's desk workload (15^3, n=500,
+K=3, 6 restarts, 50 splits; selection and baselines at 10^3, n=300) plus a
+14 x 13 x 12 ellipsoid; `tiny` runs in about a second.
+
+    python tools/digest.py --against REF [--seeds S ...] [--shapes ...]
+
+computes the same outputs with the package source at the git revision REF
+as well (`git archive REF src`, unpacked into a temporary directory and
+imported by a subprocess), prints each output that differs with the largest
+relative difference of its values, |now - REF| / |REF|, and exits 1 if any
+output differs. Both sides run in subprocesses importing `src` of the
+repository that holds the current directory, or of the archive.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SHAPES = {
+    "desk": {"dims": (15, 15, 15), "n": 500, "sites": 21, "K": 3, "restarts": 6, "splits": 50,
+             "select_dims": (10, 10, 10), "select_n": 300, "select_K": (1, 2, 3),
+             "select_restarts": 4, "select_threads": 2,
+             "ellipsoid": (14, 13, 12), "ellipsoid_n": 120, "ellipsoid_h": 4},
+    "tiny": {"dims": (5, 5, 5), "n": 40, "sites": 3, "K": 2, "restarts": 2, "splits": 3,
+             "select_dims": (4, 4, 4), "select_n": 60, "select_K": (1, 2),
+             "select_restarts": 2, "select_threads": 2,
+             "ellipsoid": (6, 6, 5), "ellipsoid_n": 30, "ellipsoid_h": 2},
+}
+SEEDS = (9101, 9202, 9303)
+MODES = ("within", "without", "shuffled")
+
+
+def outputs(seed: int, shape: dict) -> dict:
+    """name -> list of arrays, for one seed at the given shapes."""
+    import lasir
+    from lasir.simulate import KERNEL
+
+    out = {}
+
+    def add_fit(prefix, fit):
+        p = fit.params
+        out.update({f"{prefix}.labels": [fit.labels],
+                    f"{prefix}.theta": [p.theta_alpha, p.theta_eta, p.theta_gamma],
+                    f"{prefix}.lam": [p.lam], f"{prefix}.w": [p.w], f"{prefix}.q": [fit.q_trace],
+                    f"{prefix}.iterations": [np.array([fit.iterations, fit.converged,
+                                                        fit.replicate])]})
+
+    def simulate(dims, n, K, offset, **extra):
+        return lasir.simulate_cube(lasir.SimConfig(dims=dims, n=n, n_groups=K,
+                                                   n_sites=shape["sites"], seed=seed + offset,
+                                                   **extra))
+
+    dataset, truth, _, basis = simulate(shape["dims"], shape["n"], shape["K"], 0)
+    out["simulate"] = [dataset.images, dataset.exposures, dataset.controls, dataset.sites,
+                       truth.labels, basis.psi]
+    fit = lasir.fit_sem(dataset, basis, shape["K"],
+                        lasir.SemConfig(restarts=shape["restarts"], seed=seed))
+    add_fit("fit", fit)
+    out["infer"] = [a for m in lasir.infer_maps(fit, dataset, basis)
+                    for a in (m.effect, m.se, m.wald, m.pval, m.reject)]
+    for mode in MODES:
+        res = lasir.validate_projection(dataset, basis, fit, mode, n_splits=shape["splits"],
+                                        seed=seed)
+        out[f"validate.{mode}"] = [res.mse, np.array([res.unseen_fallbacks])]
+
+    single, _, _, basis1 = simulate(shape["select_dims"], shape["select_n"], 1, 1)
+    best, records, fits = lasir.select_k(
+        single, basis1, list(shape["select_K"]),
+        lasir.SemConfig(restarts=shape["select_restarts"], seed=seed + 1,
+                        threads=shape["select_threads"]))
+    out["select.choice"] = [np.array([best] + [r.n_groups for r in records])]
+    out["select.bic"] = [np.array([[r.q, r.bic] for r in records])]
+    out["select.labels"] = [fits[r.n_groups].labels for r in records]
+    three, _, _, _ = simulate(shape["select_dims"], shape["select_n"], 3, 2)
+    add_fit("kmlr", lasir.kmlr_fit(three, basis1, 3, lasir.SemConfig(seed=seed + 2)))
+    svcm = lasir.svcm_fit(three, basis1)
+    out["svcm"] = [svcm.theta_alpha, svcm.theta_eta, svcm.theta_gamma, svcm.lam]
+
+    dims = shape["ellipsoid"]
+    grids = np.meshgrid(*(np.linspace(-1.0, 1.0, m) for m in dims), indexing="ij")
+    mask = sum((g / s) ** 2 for g, s in zip(grids, (0.9, 0.9, 0.85))) <= 1.0
+    blob, _, lattice, _ = simulate(dims, shape["ellipsoid_n"], 2, 3, mask=mask,
+                                   basis_degree=shape["ellipsoid_h"])
+    built = lasir.build_basis(lattice, KERNEL, shape["ellipsoid_h"])
+    out["ellipsoid.basis"] = [built.psi]
+    add_fit("ellipsoid.fit", lasir.fit_sem(blob, built, 2,
+                                           lasir.SemConfig(restarts=2, seed=seed + 3)))
+    return {name: [np.asarray(a) for a in arrays] for name, arrays in out.items()}
+
+
+def digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(str((a.dtype.str, a.shape)).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def relative_difference(now, ref) -> float:
+    """Largest |now - ref| / |ref| over the values of two array lists; inf
+    when the shapes differ or a zero of `ref` moved."""
+    worst = 0.0
+    for a, b in zip(now, ref):
+        if a.shape != b.shape:
+            return float("inf")
+        a, b = a.astype(np.float64), b.astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(a == b, 0.0, np.abs(a - b) / np.abs(b))
+        worst = max(worst, float(rel.max(initial=0.0)))
+    return worst if len(now) == len(ref) else float("inf")
+
+
+def _dump(path, seeds, shapes):
+    flat = {}
+    for seed in seeds:
+        for name, arrays in outputs(seed, SHAPES[shapes]).items():
+            for i, a in enumerate(arrays):
+                flat[f"{seed}/{name}/{i}"] = a
+    np.savez(path, **flat)
+
+
+def _load(path) -> dict:
+    """(seed, name) -> list of arrays, from a `_dump` file."""
+    out = {}
+    with np.load(path) as data:
+        for key in sorted(data.files, key=lambda k: int(k.rsplit("/", 1)[1])):
+            seed, name, _ = key.split("/")
+            out.setdefault((int(seed), name), []).append(data[key])
+    return out
+
+
+def _git(*args, cwd=None) -> bytes:
+    return subprocess.run(["git", *args], cwd=cwd, capture_output=True, check=True).stdout
+
+
+def _run(src: Path, seeds, shapes, path) -> dict:
+    """The outputs computed in a subprocess that imports lasir from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--dump", str(path),
+                    "--shapes", shapes, "--seeds", *map(str, seeds)], env=env, check=True)
+    return _load(path)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Digest lasir's outputs at given seeds.")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
+    parser.add_argument("--shapes", choices=sorted(SHAPES), default="desk")
+    parser.add_argument("--against", metavar="REF", help="also compute at this git revision")
+    parser.add_argument("--dump", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.dump:
+        _dump(args.dump, args.seeds, args.shapes)
+        return 0
+    try:
+        top = Path(_git("rev-parse", "--show-toplevel").decode().strip())
+        archive = None if args.against is None else _git("archive", args.against, "src", cwd=top)
+    except subprocess.CalledProcessError as exc:
+        print(f"error: {exc.stderr.decode().strip()}", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        try:
+            now = _run(top / "src", args.seeds, args.shapes, tmp / "now.npz")
+            if archive is not None:
+                with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                    tar.extractall(tmp / "ref", filter="data")
+                ref = _run(tmp / "ref" / "src", args.seeds, args.shapes, tmp / "ref.npz")
+        except subprocess.CalledProcessError as exc:
+            print(f"error: computing the outputs failed ({exc})", file=sys.stderr)
+            return 1
+    if archive is None:
+        for (seed, name), arrays in now.items():
+            print(f"{seed}  {name:<22}  {digest(arrays)}")
+        return 0
+    keys = list(now) + [key for key in ref if key not in now]
+    differ = 0
+    for key in keys:
+        a, b = now.get(key, []), ref.get(key, [])
+        if a and b and digest(a) == digest(b):
+            continue
+        differ += 1
+        rel = relative_difference(a, b) if a and b else float("inf")
+        print(f"{key[0]}  {key[1]:<22}  differs, max relative difference {rel:.3g}")
+    print(f"{differ} of {len(keys)} outputs differ from {args.against}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

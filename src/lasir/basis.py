@@ -32,6 +32,7 @@ back-projections and variance fields are contracted one axis at a time
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -154,6 +155,22 @@ class BasisSystem:
     @property
     def d(self) -> int:
         return self._psi.shape[0] if self._psi is not None else int(self.mask.sum())
+
+    def identity(self) -> dict:
+        """The record that ties a fit to this basis: the kernel parameters
+        `a` and `b`, `h`, `L`, `d` and `sha256`, a SHA-256 of the basis
+        matrices (factors, T and eigvals, or an explicit psi and eigvals) and
+        of the mask; all values are text, as a fit bundle stores them."""
+        digest = hashlib.sha256()
+        arrays = ((self._psi, self.eigvals) if self.factors is None
+                  else (*self.factors, self.T, self.eigvals, self.mask))
+        for array in arrays:
+            array = np.ascontiguousarray(array)
+            digest.update(f"{array.dtype.str} {array.shape}".encode())
+            digest.update(array.tobytes())
+        return {"a": repr(float(self.params.a)), "b": repr(float(self.params.b)),
+                "h": str(self.h), "L": str(self.L), "d": str(self.d),
+                "sha256": digest.hexdigest()}
 
     @cached_property
     def layout(self) -> Layout:

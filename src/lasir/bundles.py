@@ -56,6 +56,8 @@ def load_basis(prefix) -> BasisSystem:
 
 
 def save_fit(fit: FitResult, prefix) -> None:
+    """Write a fit bundle; the fit's basis record (`FitResult.basis`), when
+    it has one, is stored as ``basis_<key>`` metadata."""
     p = fit.params
     K, p1, L = p.theta_alpha.shape
     mats = OrderedDict(
@@ -73,10 +75,13 @@ def save_fit(fit: FitResult, prefix) -> None:
         "seed": fit.seed, "converged": int(fit.converged),
         "iterations": fit.iterations, "method": fit.method,
         "replicate": fit.replicate,
+        **{f"basis_{key}": value for key, value in (fit.basis or {}).items()},
     })
 
 
 def load_fit(prefix) -> FitResult:
+    """Read a fit bundle, with its basis record when it has one; bundles
+    written before fits recorded their basis load with `basis` None."""
     mats, meta = read_matrix_bundle(prefix)
     if meta.get("kind") != "fit":
         raise ValueError(f"{prefix}: not a fit bundle")
@@ -96,7 +101,9 @@ def load_fit(prefix) -> FitResult:
                      seed=int(meta["seed"]),
                      iterations=int(meta["iterations"]),
                      method=meta.get("method", "lasir"),
-                     replicate=int(meta.get("replicate", 0)))
+                     replicate=int(meta.get("replicate", 0)),
+                     basis={key[len("basis_"):]: value for key, value in meta.items()
+                            if key.startswith("basis_")} or None)
 
 
 def save_truth(truth: GroundTruth, prefix) -> None:

@@ -37,7 +37,7 @@ from .lattice import (build_lattice, lattice_from_volume, load_dataset,
                       save_dataset, save_volume_map)
 from .metrics import match_groups, nmi, power_type1, validate_projection
 from .selection import select_k
-from .sem import SemConfig, fit_sem
+from .sem import SemConfig, check_basis, fit_sem
 from .simulate import KERNEL, SimConfig, simulate_cube
 from .study import evaluate_fit, run_table2
 
@@ -153,6 +153,13 @@ def _load_inputs(res):
     return lattice, dataset, basis
 
 
+def _load_fit(res, basis):
+    """The --fit bundle, refused unless it belongs to --basis (`check_basis`)."""
+    fit = load_fit(res["fit"])
+    check_basis(fit, basis)
+    return fit
+
+
 def cmd_basis(res):
     if res["lattice"]:
         lattice = lattice_from_volume(res["lattice"])
@@ -200,6 +207,7 @@ def cmd_fit(res):
     else:
         fit = fit_sem(dataset, basis, 1, config)  # svcm: the K=1 reduction
         fit.method = "svcm"
+    fit.basis = basis.identity()
     save_fit(fit, res["out"])
     _write_manifest(res["out"], "fit", res)
     print(f"fit method={method} K={fit.params.n_groups} iterations={fit.iterations} "
@@ -215,12 +223,13 @@ def cmd_select(res):
     lines.append(f"chosen,{best},,")
     _emit("\n".join(lines), res, "select")
     if res["out"]:
+        fits[best].basis = basis.identity()
         save_fit(fits[best], res["out"] + ".bestfit")
 
 
 def cmd_infer(res):
     lattice, dataset, basis = _load_inputs(res)
-    fit = load_fit(res["fit"])
+    fit = _load_fit(res, basis)
     maps = infer_maps(fit, dataset, basis, alpha=res["alpha"])
     for m in maps:
         base = f"{res['out_prefix']}_g{m.group}_x{m.exposure}"
@@ -233,7 +242,7 @@ def cmd_infer(res):
 
 def cmd_metrics(res):
     lattice, dataset, basis = _load_inputs(res)
-    fit = load_fit(res["fit"])
+    fit = _load_fit(res, basis)
     truth = load_truth(res["truth"])
     rows = [("nmi", "", "", nmi(fit.labels, truth.labels))]
     n_groups = fit.params.n_groups
@@ -258,7 +267,7 @@ def cmd_metrics(res):
 
 def cmd_validate(res):
     lattice, dataset, basis = _load_inputs(res)
-    fit = load_fit(res["fit"])
+    fit = _load_fit(res, basis)
     modes = ("within", "without", "shuffled") if res["mode"] == "all" else (res["mode"],)
     lines = ["replicate,mode,mse"]
     for mode in modes:

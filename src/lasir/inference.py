@@ -29,7 +29,7 @@ from .basis import BasisSystem, pair_products, tensor_degrees
 from .lattice import Dataset
 from .linmodel import check_design
 from .projection import backproject
-from .sem import FitResult, check_fit
+from .sem import FitResult, check_basis, check_fit
 
 
 @dataclass
@@ -55,14 +55,6 @@ class InferenceMap:
     wald: np.ndarray
     pval: np.ndarray
     reject: np.ndarray = None
-
-
-def _check_basis(fit: FitResult, basis: BasisSystem) -> None:
-    """Raise ValueError, naming both counts, unless the fit has one
-    coefficient per function of `basis`."""
-    if fit.params.lam.size != basis.L:
-        raise ValueError(f"the fit has {fit.params.lam.size} basis coefficients, "
-                         f"the basis has {basis.L}")
 
 
 def coef_covariance(fit: FitResult, dataset: Dataset) -> CoefCovariance:
@@ -142,10 +134,11 @@ def wald_map(fit: FitResult, dataset: Dataset, basis: BasisSystem,
 
     The p-values are conditional on the fit's labels: calibrated under the
     null at K=1, anti-conservative when the labels were estimated from the
-    same images (see the module docstring). Raises ValueError when the fit's
-    coefficients do not number the basis functions, checked first, and when
-    the group or exposure is out of range (`svc_variance`)."""
-    _check_basis(fit, basis)
+    same images (see the module docstring). Raises ValueError when the fit
+    does not belong to `basis` (`sem.check_basis`: its coefficient count, and
+    its recorded basis when it has one), checked first, and when the group
+    or exposure is out of range (`svc_variance`)."""
+    check_basis(fit, basis)
     cov = coef_covariance(fit, dataset)
     return _wald(fit, basis, group, exposure, svc_variance(cov, basis, group, exposure))
 
@@ -226,11 +219,12 @@ def infer_maps(fit: FitResult, dataset: Dataset, basis: BasisSystem,
 
     As in `wald_map`, the p-values and hence the decisions are conditional
     on the fit's labels; only at K=1 is their null calibration checked.
-    `alpha` must lie in (0, 1), and the fit must have one coefficient per
-    basis function, checked before anything is computed, else ValueError.
+    `alpha` must lie in (0, 1), and the fit must belong to `basis`
+    (`sem.check_basis`), checked before anything is computed, else
+    ValueError.
     """
     _check_alpha(alpha)
-    _check_basis(fit, basis)
+    check_basis(fit, basis)
     cov = coef_covariance(fit, dataset)
     field = _variance_field(basis, cov.lam)
     maps = []

@@ -12,7 +12,11 @@
 * `mnlogit_fit` -- maximum-likelihood multinomial logit with the last class
   pinned to zero weights for identification; the gating fit. Its Newton
   iterations read the `MNLOGIT_RIDGE`, `MNLOGIT_MAX_ITER` and `MNLOGIT_TOL`
-  constants.
+  constants. A stack of labelings (the EM replicates of one stack) is
+  fitted in one batched Newton iteration, each replicate with its own step
+  halving and its own stop, and products taken per replicate, so each gets
+  the weights it gets alone.
+* `row_max` -- the maximum over a short last axis, column by column.
 """
 
 from __future__ import annotations
@@ -81,14 +85,25 @@ def augment(z: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((z.shape[0], 1)), z])
 
 
+def row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, taken column by column: a maximum
+    is exact in any order and NaN propagates alike, and over a last axis as
+    short as a group count this is many times faster than the reduction."""
+    out = x[..., :1].copy()
+    for k in range(1, x.shape[-1]):
+        np.maximum(out, x[..., k:k + 1], out=out)
+    return out
+
+
 def log_gating(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Log class probabilities (n, K) of the gating model with weights
     w (K, q+1) at the augmented controls `features` (n, q+1): the
     log-softmax of the logits ``features @ w.T``, computed with max
-    subtraction so that no exponential overflows."""
-    logits = features @ w.T
-    logits -= logits.max(axis=1, keepdims=True)
-    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    subtraction so that no exponential overflows. A stack of weights
+    (A, K, q+1) gives a stack (A, n, K), one product per replicate."""
+    logits = features @ np.swapaxes(w, -1, -2)
+    logits -= row_max(logits)
+    return logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
 
 
 def gating_probs(w: np.ndarray, z_aug: np.ndarray) -> np.ndarray:
@@ -118,6 +133,12 @@ def _mnlogit_newton(features, onehot, n_classes, init=None):
     `log_gating` on the weights with the pinned zero row appended. Returns
     (w, objective trace).
 
+    `onehot` (A, n, K) and `init` (A, K-1, q+1) may instead be a stack of A
+    labelings of the same features; then w is (A, K-1, q+1) and the trace a
+    list of A traces. The stack is fitted together, each replicate with its
+    own step halving and its own stop, and every product is taken per
+    replicate, so each replicate's bits are those of the fit on it alone.
+
     A step is accepted when it does not lower the objective, judged by the
     change itself rather than by two rounded totals: each row's
     log-sum-exp moves by log(sum_k p_k exp(f . s_k)) = log1p(sum_k p_k
@@ -128,56 +149,87 @@ def _mnlogit_newton(features, onehot, n_classes, init=None):
     -inf at -1); there the direct form log(p_ref + sum_{k<K} p_k
     exp(f . s_k)) is taken.
     """
-    n, m = features.shape
+    single = onehot.ndim == 2
+    if single:
+        onehot = onehot[None]
+        init = None if init is None else np.asarray(init)[None]
+    stack, (n, m) = onehot.shape[0], features.shape
     free = n_classes - 1
-    W = np.zeros((free, m)) if init is None else np.array(init, dtype=np.float64)
+    W = np.zeros((stack, free, m)) if init is None else np.array(init, dtype=np.float64)
     # sum_i logit_{i, label_i} = sum(W * class_sums): the likelihood's linear part
-    class_sums = onehot[:, :free].T @ features
+    class_sums = np.swapaxes(onehot[:, :, :free], 1, 2) @ features
     outer = (features[:, :, None] * features[:, None, :]).reshape(n, m * m)
     eye = np.eye(free)
+    diagonal = np.arange(free * m)
+
+    def log_probs(W):
+        return log_gating(np.concatenate([W, np.zeros((W.shape[0], 1, m))], axis=1), features)
 
     def gain(P, grad_lin, step):
         """Objective change of W + step, given the probabilities P at W."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            moved = features @ step.T
-            rel = np.sum(P[:, :free] * np.expm1(moved), axis=1)
+            moved = features @ np.swapaxes(step, 1, 2)
+            rel = np.sum(P[:, :, :free] * np.expm1(moved), axis=2)
             lse = np.log1p(rel)
             low = rel < -0.5
             if low.any():
-                lse[low] = np.log(P[low, free] + np.sum(P[low, :free] * np.exp(moved[low]), axis=1))
-        return np.sum(step * (grad_lin - 0.5 * MNLOGIT_RIDGE * step)) - np.sum(lse)
+                lse[low] = np.log(P[:, :, free][low]
+                                  + np.sum(P[:, :, :free][low] * np.exp(moved[low]), axis=1))
+        return (np.sum(step * (grad_lin - 0.5 * MNLOGIT_RIDGE * step), axis=(1, 2))
+                - np.sum(lse, axis=1))
 
-    log_p = log_gating(np.vstack([W, np.zeros((1, m))]), features)
+    log_p = log_probs(W)
     P = np.exp(log_p)
-    trace = [np.sum(onehot * log_p) - 0.5 * MNLOGIT_RIDGE * np.sum(W * W)]
+    start = np.sum(onehot * log_p, axis=(1, 2)) - 0.5 * MNLOGIT_RIDGE * np.sum(W * W, axis=(1, 2))
+    traces = [[value] for value in start]
+    final = np.empty_like(W)
+    rows = np.arange(stack)  # the replicate of each row still iterating
     for _ in range(MNLOGIT_MAX_ITER):
-        Pf = P[:, :free]
         grad_lin = class_sums - MNLOGIT_RIDGE * W
-        grad = grad_lin - Pf.T @ features
+        grad = grad_lin - np.swapaxes(P[:, :, :free], 1, 2) @ features
         if not np.all(np.isfinite(grad)):
             raise ValueError("separation or bad scaling")
-        if np.max(np.abs(grad)) < MNLOGIT_TOL:
-            break
+        going = np.abs(grad).max(axis=(1, 2)) >= MNLOGIT_TOL
+        if not going.all():
+            final[rows[~going]] = W[~going]
+            rows, W, P, class_sums, grad_lin, grad = (
+                a[going] for a in (rows, W, P, class_sums, grad_lin, grad))
+            if not rows.size:
+                break
         # Negative Hessian block (k, c): sum_i p_ik (delta_kc - p_ic) f_i f_i^T,
         # all blocks from one product with the per-individual outer products.
-        wts = (Pf[:, :, None] * (eye - Pf[:, None, :])).reshape(n, free * free)
-        H = (wts.T @ outer).reshape(free, free, m, m).transpose(0, 2, 1, 3)
-        H = H.reshape(free * m, free * m)
-        H.flat[::free * m + 1] += MNLOGIT_RIDGE
-        step = np.linalg.solve(H, grad.ravel()).reshape(free, m)
-        for _ in range(30):  # step halving until the objective does not fall
-            change = gain(P, grad_lin, step)
-            if np.isfinite(change) and change >= 0.0:
+        Pf = P[:, :, :free]
+        wts = (Pf[:, :, :, None] * (eye - Pf[:, :, None, :])).reshape(rows.size, n, free * free)
+        H = (np.swapaxes(wts, 1, 2) @ outer).reshape(rows.size, free, free, m, m)
+        H = H.transpose(0, 1, 3, 2, 4).reshape(rows.size, free * m, free * m)
+        H[:, diagonal, diagonal] += MNLOGIT_RIDGE
+        step = np.linalg.solve(H, grad.reshape(rows.size, free * m, 1)).reshape(W.shape)
+        change = gain(P, grad_lin, step)
+        halving = np.flatnonzero(~(np.isfinite(change) & (change >= 0.0)))
+        for _ in range(29):  # step halving until the objective does not fall
+            if not halving.size:
                 break
-            step = 0.5 * step
-        else:
-            break
+            step[halving] = 0.5 * step[halving]
+            tried = gain(P[halving], grad_lin[halving], step[halving])
+            ok = np.isfinite(tried) & (tried >= 0.0)
+            change[halving[ok]] = tried[ok]
+            halving = halving[~ok]
+        if halving.size:  # no ascent after 30 tries: these replicates stop
+            final[rows[halving]] = W[halving]
+            kept = np.ones(rows.size, dtype=bool)
+            kept[halving] = False
+            rows, W, P, class_sums, step, change = (
+                a[kept] for a in (rows, W, P, class_sums, step, change))
+            if not rows.size:
+                break
         W = W + step
-        P = np.exp(log_gating(np.vstack([W, np.zeros((1, m))]), features))
-        trace.append(trace[-1] + change)
-    if not np.isfinite(trace[-1]):
+        P = np.exp(log_probs(W))
+        for r, value in zip(rows, change):
+            traces[r].append(traces[r][-1] + value)
+    final[rows] = W
+    if not all(np.isfinite(trace[-1]) for trace in traces):
         raise ValueError("separation or bad scaling")
-    return W, trace
+    return (final[0], traces[0]) if single else (final, traces)
 
 
 def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
@@ -188,18 +240,20 @@ def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     ----------
     features : ndarray, shape (n, q+1)
         Control covariates with a leading all-ones column.
-    labels : ndarray of int, shape (n,)
-        Class labels in {1..n_classes}.
+    labels : ndarray of int, shape (n,) or (A, n)
+        Class labels in {1..n_classes}; a 2-D array is a stack of A
+        labelings, fitted together (`_mnlogit_newton`) with the same result
+        as A separate calls.
     n_classes : int
         Number of classes K; class K is the pinned reference.
-    init : ndarray, shape (K, q+1), optional
+    init : ndarray, shape (K, q+1) or (A, K, q+1), optional
         Starting weights, e.g. the previous EM iteration's (warm start); the
         default starts from zero. The optimum reached is the same to within
         `MNLOGIT_TOL` on the gradient.
 
     Returns
     -------
-    ndarray, shape (K, q+1)
+    ndarray, shape (K, q+1) or (A, K, q+1)
         Gating weights with the last row identically zero. The objective is
         penalized by `MNLOGIT_RIDGE` times half the squared weights, which
         keeps the optimum finite under separation; it is non-decreasing
@@ -210,14 +264,13 @@ def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels, dtype=int)
     n, m = features.shape
-    if labels.shape[0] != n:
-        raise ValueError(f"label count {labels.shape[0]} does not match n={n}")
+    if labels.shape[-1] != n:
+        raise ValueError(f"label count {labels.shape[-1]} does not match n={n}")
     if labels.min() < 1 or labels.max() > n_classes:
         raise ValueError(f"labels must lie in 1..{n_classes}")
     if n_classes == 1:
-        return np.zeros((1, m))
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), labels - 1] = 1.0
-    start = None if init is None else np.asarray(init, dtype=np.float64)[:-1]
+        return np.zeros((*labels.shape[:-1], 1, m))
+    onehot = (labels[..., None] == np.arange(1, n_classes + 1)).astype(np.float64)
+    start = None if init is None else np.asarray(init, dtype=np.float64)[..., :-1, :]
     W, _ = _mnlogit_newton(features, onehot, n_classes, start)
-    return np.vstack([W, np.zeros((1, m))])
+    return np.concatenate([W, np.zeros((*W.shape[:-2], 1, m))], axis=-2)

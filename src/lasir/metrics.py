@@ -14,7 +14,8 @@ from .basis import BasisSystem
 from .lattice import CHUNK, Dataset
 from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
 from .projection import project
-from .sem import DegenerateGroupError, FitResult, check_count, check_fit, predict_from_sums
+from .sem import (DegenerateGroupError, FitResult, check_basis, check_count, check_fit,
+                  predict_from_sums)
 
 logger = logging.getLogger(__name__)
 
@@ -139,8 +140,9 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     fit has no fallback: when it cannot be solved, as in "without" mode, the
     error is raised.
     `n_splits` must be an integer >= 1 (`sem.check_count`), `holdout_frac` in
-    (0, 1) and the fit's labels one per individual of `dataset`
-    (`sem.check_fit`), else ValueError.
+    (0, 1), the fit's labels one per individual of `dataset`
+    (`sem.check_fit`) and the fit one of `basis` (`sem.check_basis`), else
+    ValueError.
 
     The fits are solved from sufficient statistics of the design rows
     Z = [sites | controls | exposures] and the projections ytilde. The Gram
@@ -174,6 +176,7 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     if not 0.0 < holdout_frac < 1.0:
         raise ValueError(f"holdout_frac must be in (0, 1), got {holdout_frac}")
     check_fit(fit, dataset)
+    check_basis(fit, basis)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ytilde = project(dataset.images, basis)
     step = max(1, CHUNK // basis.d)

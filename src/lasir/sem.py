@@ -39,6 +39,17 @@ of Q over a trailing window falls below a tolerance. Runs restart from
 independent random label initializations and the replicate with the highest
 final Q wins.
 
+The restarts run in stacks: `fit_problem` deals them into `SemConfig.threads`
+stacks, run at once on a worker thread each, and each iteration of a stack
+makes one call each to `m_step` (stage 2 and the gating Newton fit, both
+batched), `q_value`, `e_step` and `s_step` for all of its live replicates;
+the M-step's log prior is read by both Q and the E-step. A replicate leaves
+its stack when it converges or fails. Every product is taken per replicate
+(`np.matmul` over the stack axis, with the operand shapes and layouts of a
+lone replicate), and each replicate draws from its own Generator, so a
+replicate's bits do not depend on its stack: the result does not depend on
+`threads`, and the step functions' one-replicate forms are stacks of one.
+
 `predict_from_sums` solves the same two stages, without subgroups, from the
 Gram and cross sums of the design rows: the holdout validation's fits, whose
 training sums are totals downdated by the held-out rows. It raises ValueError
@@ -52,7 +63,7 @@ from __future__ import annotations
 import logging
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -60,20 +71,27 @@ import numpy as np
 from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
-from .linmodel import LAMBDA_FLOOR, augment, check_design, log_gating, mnlogit_fit, mvls_fit
+from .linmodel import (LAMBDA_FLOOR, augment, check_design, log_gating, mnlogit_fit, mvls_fit,
+                       row_max)
 from .projection import project
 
 logger = logging.getLogger(__name__)
 
 MAX_REDRAWS = 10
+CLEAR_CONDITION = 1e-8  # Gram eigenvalue ratio above which stage 2 skips check_group's SVD
 WINDOW = 5  # trailing iterations whose Q range decides convergence
 
 
 class DegenerateGroupError(RuntimeError):
-    """Raised by `check_group` when a group is too small or its design collapses."""
+    """Raised by `check_group` when a group is too small or its design collapses.
+
+    `rows` maps each failing row of a stack of labelings to its error (see
+    `stage2`); for one labeling it is {0: self}.
+    """
 
     def __init__(self, group: int, why: str):
         self.group = group
+        self.rows = {0: self}
         super().__init__(f"degenerate group {group}: {why}")
 
 
@@ -115,6 +133,13 @@ class ModelParams:
     rss         : (L,) stage-2 residual sums of squares at the labels the
                   M-step was given, or None; `q_value` on a prepared
                   `Problem` reads its Gaussian term from them
+    log_prior   : (n, K) gating log probabilities `log_gating(w, F)` of the
+                  Problem the M-step was given, or None; `q_value` and
+                  `e_step` on that Problem read them
+
+    The M-step on a stack of A labelings returns stacked parameters:
+    theta_alpha, lam, w, rss and log_prior gain a leading axis A, while
+    theta_eta and theta_gamma, which do not depend on the labels, are shared.
     """
 
     theta_alpha: np.ndarray
@@ -123,10 +148,11 @@ class ModelParams:
     lam: np.ndarray
     w: np.ndarray
     rss: np.ndarray = field(default=None, repr=False)
+    log_prior: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_groups(self) -> int:
-        return self.theta_alpha.shape[0]
+        return self.theta_alpha.shape[-3]
 
 
 @dataclass
@@ -138,10 +164,13 @@ class SemConfig:
         below `tol`, or at `max_iter`.
     restarts : number of independent replicates; the highest final Q wins.
     seed : master seed; replicate streams are spawned deterministically.
-    threads : size of the worker pool the replicates run on (>= 1).
-        `fit_sem` pins the process-wide BLAS pools to one thread, so these
-        threads are the fit's only parallelism and results do not depend on
-        them or on OPENBLAS_NUM_THREADS.
+    threads : number of replicate stacks run at once (>= 1). The
+        replicates are dealt into this many stacks, each advanced by one
+        call per EM step on a worker thread of its own. `fit_sem` pins the
+        process-wide BLAS pools to one thread, so these threads are the
+        fit's only parallelism. Every product is taken per replicate, so
+        results do not depend on `threads`, on how the replicates are
+        stacked, or on OPENBLAS_NUM_THREADS.
     init_labels : optional explicit initial labels, shape (n,) with integer
         values 1..K, e.g. for warm starts or equivariance experiments;
         replaces the random draw in every replicate (`fit_problem` checks
@@ -168,7 +197,12 @@ class SemConfig:
 
 @dataclass
 class FitResult:
-    """Outcome of a fit: parameters, soft and hard assignments, Q trace."""
+    """Outcome of a fit: parameters, soft and hard assignments, Q trace.
+
+    `basis` is the identity (`BasisSystem.identity`) of the basis the fit
+    was made on, when recorded: `lasir fit` and `lasir select` store it in
+    the fit bundle, and `check_basis` compares it with a given basis.
+    """
 
     params: ModelParams
     responsibilities: np.ndarray
@@ -179,6 +213,7 @@ class FitResult:
     iterations: int
     method: str = "lasir"
     replicate: int = 0
+    basis: dict = None
     n_groups: int = field(init=False)
 
     def __post_init__(self):
@@ -191,6 +226,23 @@ def check_fit(fit: FitResult, dataset: Dataset) -> None:
     if len(fit.labels) != dataset.n:
         raise ValueError(f"the fit has labels for {len(fit.labels)} individuals, "
                          f"the dataset has {dataset.n}")
+
+
+def check_basis(fit: FitResult, basis: BasisSystem) -> None:
+    """Raise ValueError unless `fit` can have been made on `basis`: naming
+    both counts when the fit does not have one coefficient per basis
+    function, and naming both bases when the fit records the basis it was
+    made on (`FitResult.basis`) and that record is not `basis.identity()`.
+    A fit without a record is checked by its coefficient count alone."""
+    if fit.params.lam.size != basis.L:
+        raise ValueError(f"the fit has {fit.params.lam.size} basis coefficients, "
+                         f"the basis has {basis.L}")
+    if fit.basis is not None and fit.basis != basis.identity():
+        def describe(record):
+            return " ".join(f"{key}={value[:16] if key == 'sha256' else value}"
+                            for key, value in record.items())
+        raise ValueError(f"the fit was made on the basis {describe(fit.basis)}, "
+                         f"not on the given basis {describe(basis.identity())}")
 
 
 @dataclass(frozen=True)
@@ -256,21 +308,45 @@ def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
     member, so renaming the labels permutes theta_alpha's rows and leaves
     every bit of theta and RSS unchanged. Raises DegenerateGroupError, from
     `check_group` applied in label order, when a group has fewer than p+2
-    members or a rank-deficient exposure design.
+    members or a rank-deficient exposure design. A group whose Gram has
+    eigenvalues within a factor `CLEAR_CONDITION` of each other passes that
+    rule for certain (its singular values are within the square root of it,
+    far inside `linmodel.RANK_TOL`, rounding included), so only the other
+    groups take `check_group`'s SVD.
+
+    `labels` may be a stack (A, n) of labelings; theta_alpha is then
+    (A, K, p+1, L) and RSS (A, L), each replicate's from products of its own,
+    so its bits are those of the call on it alone. When replicates fail
+    `check_group`, the first one's error is raised, with `rows` mapping
+    every failing row to its own error.
     """
     X, R = problem.exposures, problem.resid
-    first = []
-    for k in range(1, n_groups + 1):
-        rows = labels == k
-        check_group(X[rows], k)
-        first.append(rows.argmax())
-    order = np.argsort(first)
-    xw = ((labels[:, None] == order + 1)[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
-    shape = (n_groups, X.shape[1], -1)
-    cross = (xw.T @ R).reshape(shape)
-    theta = np.linalg.solve((xw.T @ X).reshape(shape), cross)
-    rss = np.maximum(problem.resid_sumsq - (theta * cross).sum(axis=1).sum(axis=0), 0.0)
-    return theta[np.argsort(order)], rss
+    stack = labels.reshape(-1, labels.shape[-1])
+    p1 = X.shape[1]
+    order = np.argsort((stack[:, :, None] == np.arange(1, n_groups + 1)).argmax(axis=1), axis=1)
+    inverse = np.argsort(order, axis=1)
+    inside = stack[:, :, None] == order[:, None, :] + 1  # (A, n, K), canonical order
+    xw = np.repeat(inside, p1, axis=2) * np.tile(X, n_groups)
+    shape = (len(stack), n_groups, p1, -1)
+    gram = (np.swapaxes(xw, 1, 2) @ X).reshape(shape)
+    eig = np.linalg.eigvalsh(gram)
+    clear = (inside.sum(axis=1) >= p1 + 1) & (eig[..., 0] > CLEAR_CONDITION * eig[..., -1])
+    failed = {}
+    for row, members in enumerate(stack):
+        try:
+            for k in np.flatnonzero(~clear[row, inverse[row]]) + 1:
+                check_group(X[members == k], int(k))
+        except DegenerateGroupError as exc:
+            failed[row] = exc
+    if failed:
+        error = next(iter(failed.values()))
+        error.rows = failed
+        raise error
+    cross = (np.swapaxes(xw, 1, 2) @ R).reshape(shape)
+    theta = np.linalg.solve(gram, cross)
+    rss = np.maximum(problem.resid_sumsq - (theta * cross).sum(axis=2).sum(axis=1), 0.0)
+    theta = theta[np.arange(len(stack))[:, None], inverse]
+    return (theta, rss) if labels.ndim == 2 else (theta[0], rss[0])
 
 
 def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
@@ -311,15 +387,16 @@ def _log_density(resid, resid_sq, exposures, params) -> np.ndarray:
     effects and their squares, by expanding the squared Mahalanobis
     distance around the group means exposures @ theta_k: the two group
     terms are x_i (G_k x_i^T - 2 c_ik), with G_k = theta_k Lambda^-1
-    theta_k^T and c_ik = theta_k Lambda^-1 R_i^T, from small matmuls."""
+    theta_k^T and c_ik = theta_k Lambda^-1 R_i^T, from small matmuls.
+    Stacked `params` give (A, n, K), from per-replicate products."""
     theta, lam = params.theta_alpha, params.lam
-    K, p1, L = theta.shape
-    scaled = theta / lam
-    cross = (resid @ scaled.reshape(K * p1, L).T).reshape(-1, K, p1)
-    gram = scaled @ theta.transpose(0, 2, 1)
-    terms = (exposures @ gram).transpose(1, 0, 2) - 2.0 * cross  # (n, K, p+1)
-    maha = (resid_sq @ (1.0 / lam))[:, None] + (terms @ exposures[:, :, None])[:, :, 0]
-    return -0.5 * (np.sum(np.log(2.0 * np.pi * lam)) + maha)
+    *stack, K, p1, L = theta.shape
+    scaled = theta / lam[..., None, None, :]
+    cross = np.swapaxes(scaled.reshape(*stack, K * p1, L) @ resid.T, -1, -2)
+    gram = scaled @ np.swapaxes(theta, -1, -2)
+    terms = np.swapaxes(exposures @ gram, -2, -3) - 2.0 * cross.reshape(*stack, -1, K, p1)
+    maha = resid_sq @ (1.0 / lam)[..., None] + (terms @ exposures[:, :, None])[..., 0]
+    return -0.5 * (np.sum(np.log(2.0 * np.pi * lam), axis=-1)[..., None, None] + maha)
 
 
 def e_step(ytilde, dataset: Dataset, params: ModelParams) -> np.ndarray:
@@ -329,47 +406,56 @@ def e_step(ytilde, dataset: Dataset, params: ModelParams) -> np.ndarray:
     gating model plus the sum of univariate normal log densities with
     variances `lam`. `ytilde` is the projected outcomes (n, L) or a
     prepared `Problem` whose stage-1 fit `params` came from (then `dataset`
-    is not read).
+    is not read, and the log prior is the M-step's `params.log_prior` when
+    set). Stacked `params` (see `ModelParams`) give a stack (A, n, K).
     """
+    log_prior = None
     if isinstance(ytilde, Problem):
         resid, resid_sq = ytilde.resid, ytilde.resid_sq
-        exposures, features = ytilde.exposures, ytilde.gating
+        exposures, features, log_prior = ytilde.exposures, ytilde.gating, params.log_prior
     else:
         resid = ytilde - dataset.controls @ params.theta_eta - dataset.sites @ params.theta_gamma
         resid_sq = resid * resid
         exposures, features = dataset.exposures, augment(dataset.controls)
+    if log_prior is None:
+        log_prior = log_gating(params.w, features)
     with np.errstate(invalid="ignore"):  # inf * 0 in a bad row; reported below
-        lp = log_gating(params.w, features) + _log_density(resid, resid_sq, exposures, params)
+        lp = log_prior + _log_density(resid, resid_sq, exposures, params)
     if not np.all(np.isfinite(lp)):
-        i, k = np.argwhere(~np.isfinite(lp))[0]
-        direct = (resid[i] - exposures[i] @ params.theta_alpha[k]) ** 2 / params.lam
+        *row, i, k = np.argwhere(~np.isfinite(lp))[0]
+        theta, lam = params.theta_alpha[tuple(row)], params.lam[tuple(row)]
+        direct = (resid[i] - exposures[i] @ theta[k]) ** 2 / lam
         bad = np.argwhere(~np.isfinite(direct)).ravel()
         coord = int(bad[0]) if bad.size else -1
         raise ValueError(f"non-finite log-density for individual {int(i)}, "
                          f"group {int(k) + 1}, coordinate {coord}")
-    lp -= lp.max(axis=1, keepdims=True)
+    lp -= row_max(lp)
     resp = np.exp(lp)
-    resp /= resp.sum(axis=1, keepdims=True)
+    resp /= resp.sum(axis=-1, keepdims=True)
     return resp
 
 
-def s_step(responsibilities: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def s_step(responsibilities: np.ndarray, rng) -> np.ndarray:
     """Draw hard labels (1..K) from the responsibility rows.
 
     One uniform variate per individual, inverted through the CDF taken in
     order of descending responsibility; relabeling the groups therefore
     relabels the draws whenever the row values are distinct, while the
     marginal distribution of each draw is exactly categorical.
+
+    `responsibilities` (n, K) draw from the Generator `rng`; a stack
+    (A, n, K) draws replicate a's labels (A, n) from `rng[a]`, a sequence of
+    A Generators, each taking the variates a lone call would take.
     """
     resp = np.asarray(responsibilities, dtype=np.float64)
-    n, K = resp.shape
-    u = rng.random(n)
-    order = np.argsort(-resp, axis=1, kind="stable")
-    sorted_resp = np.take_along_axis(resp, order, axis=1)
-    cdf = np.cumsum(sorted_resp, axis=1)
-    cdf[:, -1] = np.maximum(cdf[:, -1], 1.0)
-    pos = (u[:, None] > cdf).sum(axis=1)
-    return order[np.arange(n), pos] + 1
+    n = resp.shape[-2]
+    u = rng.random(n) if resp.ndim == 2 else np.stack([gen.random(n) for gen in rng])
+    order = np.argsort(-resp, axis=-1, kind="stable")
+    sorted_resp = np.take_along_axis(resp, order, axis=-1)
+    cdf = np.cumsum(sorted_resp, axis=-1)
+    cdf[..., -1] = np.maximum(cdf[..., -1], 1.0)
+    pos = (u[..., None] > cdf).sum(axis=-1)
+    return np.take_along_axis(order, pos[..., None], axis=-1)[..., 0] + 1
 
 
 def m_step(ytilde, dataset: Dataset, labels: np.ndarray, n_groups: int,
@@ -381,6 +467,11 @@ def m_step(ytilde, dataset: Dataset, labels: np.ndarray, n_groups: int,
     warm-starts the gating fit. The noise variances are floored at
     `linmodel.LAMBDA_FLOOR`. Raises DegenerateGroupError when a group fails
     `check_group`, so the driver can redraw the offending S-step.
+
+    `labels` may be a stack (A, n) of labelings, with `w_init` (A, K, q+1);
+    the parameters are then stacked (see `ModelParams`), and each
+    replicate's equal those of the call on it alone. A stack's
+    DegenerateGroupError names every failing row in `rows` (see `stage2`).
     """
     problem = ytilde if isinstance(ytilde, Problem) else prepare(ytilde, dataset)
     labels = np.asarray(labels, dtype=int)
@@ -389,7 +480,8 @@ def m_step(ytilde, dataset: Dataset, labels: np.ndarray, n_groups: int,
     w = mnlogit_fit(problem.gating, labels, n_groups, init=w_init)
     S = problem.coef.shape[0] - (problem.gating.shape[1] - 1)
     return ModelParams(theta_alpha=theta_alpha, theta_eta=problem.coef[S:],
-                       theta_gamma=problem.coef[:S], lam=lam, w=w, rss=rss)
+                       theta_gamma=problem.coef[:S], lam=lam, w=w, rss=rss,
+                       log_prior=log_gating(w, problem.gating))
 
 
 def q_value(ytilde, dataset: Dataset, labels: np.ndarray, params: ModelParams) -> float:
@@ -397,22 +489,28 @@ def q_value(ytilde, dataset: Dataset, labels: np.ndarray, params: ModelParams) -
 
     `ytilde` is the projected outcomes (n, L) or a prepared `Problem`. With
     a Problem, `params` must be the M-step's on it at these labels: the
-    Gaussian term then comes from their residual sums of squares and
-    `dataset` is not read.
+    Gaussian term then comes from their residual sums of squares, the
+    gating term from their `log_prior` when set, and `dataset` is not read.
+    A stack of labelings (A, n) with the stacked `params` of the M-step on
+    them gives the A values as an array.
     """
     labels = np.asarray(labels, dtype=int)
+    log_prior = None
     if isinstance(ytilde, Problem):
-        rss, features = params.rss, ytilde.gating
+        rss, features, log_prior = params.rss, ytilde.gating, params.log_prior
     else:
+        chosen = np.take_along_axis(params.theta_alpha, (labels - 1)[..., None, None], axis=-3)
         mean = (dataset.controls @ params.theta_eta + dataset.sites @ params.theta_gamma
-                + np.einsum("ij,ijl->il", dataset.exposures, params.theta_alpha[labels - 1]))
-        rss = ((ytilde - mean) ** 2).sum(axis=0)
+                + np.einsum("ij,...ijl->...il", dataset.exposures, chosen))
+        rss = ((ytilde - mean) ** 2).sum(axis=-2)
         features = augment(dataset.controls)
-    n = labels.shape[0]
+    if log_prior is None:
+        log_prior = log_gating(params.w, features)
+    n = labels.shape[-1]
     lam = params.lam
-    gauss = -0.5 * (n * np.sum(np.log(2.0 * np.pi * lam)) + np.sum(rss / lam))
-    gate = log_gating(params.w, features)[np.arange(n), labels - 1].sum()
-    return float(gauss + gate)
+    gauss = -0.5 * (n * np.sum(np.log(2.0 * np.pi * lam), axis=-1) + np.sum(rss / lam, axis=-1))
+    gate = np.take_along_axis(log_prior, (labels - 1)[..., None], axis=-1)[..., 0].sum(axis=-1)
+    return float(gauss + gate) if labels.ndim == 1 else gauss + gate
 
 
 def _relative_range(values) -> float:
@@ -421,39 +519,77 @@ def _relative_range(values) -> float:
     return spread / max(1.0, abs(values.mean()))
 
 
-def _run_replicate(problem, n_groups, config, seed_seq):
-    rng = np.random.default_rng(seed_seq)
+def _replicate(params: ModelParams, row: int) -> ModelParams:
+    """Row `row` of stacked `params`, copied out of the stack."""
+    return replace(params, **{name: getattr(params, name)[row].copy()
+                              for name in ("theta_alpha", "lam", "w", "rss", "log_prior")})
+
+
+def _run_stack(problem, n_groups, config, seeds):
+    """Run the replicates seeded by `seeds` (SeedSequences) as one stack.
+
+    Each iteration makes one call each to `m_step`, `q_value`, `e_step` and
+    `s_step` for every replicate still in the stack. Each replicate draws
+    from its own Generator, in the order it would draw alone: its initial
+    labels, its redraws after a DegenerateGroupError (at most `MAX_REDRAWS`
+    per iteration, then it fails with a "replicate failed" warning) and its
+    S-steps. A replicate leaves the stack when it converges or fails.
+    Returns one FitResult, or None for a failed replicate, per seed.
+    """
     n = problem.n
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     if config.init_labels is not None:
-        labels = np.asarray(config.init_labels, dtype=int).copy()
+        labels = np.tile(np.asarray(config.init_labels, dtype=int), (len(rngs), 1))
     else:
-        labels = rng.integers(1, n_groups + 1, size=n)
-    trace = []
-    resp = None
-    converged = False
-    params = None
+        labels = np.stack([rng.integers(1, n_groups + 1, size=n) for rng in rngs])
+    ids = np.arange(len(rngs))  # the replicate in each row of the stack
+    traces = [[] for _ in rngs]
+    results = [None] * len(rngs)
+    w = resp = None
     window = min(WINDOW, config.max_iter)
-    for _ in range(config.max_iter):
-        w_prev = None if params is None else params.w
-        for attempt in range(MAX_REDRAWS + 1):
+    for iteration in range(config.max_iter):
+        redraws = np.zeros(ids.size, dtype=int)
+        while True:
             try:
-                params = m_step(problem, None, labels, n_groups, w_init=w_prev)
+                params = m_step(problem, None, labels, n_groups, w_init=w)
                 break
             except DegenerateGroupError as exc:
-                if attempt == MAX_REDRAWS:
-                    logger.warning("replicate failed: %s", exc)
-                    return None
-                labels = (rng.integers(1, n_groups + 1, size=n) if resp is None
-                          else s_step(resp, rng))
-        trace.append(q_value(problem, None, labels, params))
+                keep = np.ones(ids.size, dtype=bool)
+                for row, error in exc.rows.items():
+                    rng = rngs[ids[row]]
+                    if redraws[row] == MAX_REDRAWS:
+                        logger.warning("replicate failed: %s", error)
+                        keep[row] = False
+                        continue
+                    redraws[row] += 1
+                    labels[row] = (rng.integers(1, n_groups + 1, size=n) if resp is None
+                                   else s_step(resp[row], rng))
+                ids, labels, redraws = ids[keep], labels[keep], redraws[keep]
+                w = None if w is None else w[keep]
+                resp = None if resp is None else resp[keep]
+                if not ids.size:
+                    return results
+        q = q_value(problem, None, labels, params)
         resp = e_step(problem, None, params)
-        labels = s_step(resp, rng)
-        if len(trace) >= window and _relative_range(trace[-window:]) < config.tol:
-            converged = True
+        labels = s_step(resp, [rngs[i] for i in ids])
+        w = params.w
+        keep = np.ones(ids.size, dtype=bool)
+        for row, i in enumerate(ids):
+            trace = traces[i]
+            trace.append(float(q[row]))
+            converged = bool(len(trace) >= window
+                             and _relative_range(trace[-window:]) < config.tol)
+            if converged or iteration == config.max_iter - 1:
+                keep[row] = False
+                results[i] = FitResult(params=_replicate(params, row),
+                                       responsibilities=resp[row].copy(),
+                                       labels=labels[row].copy(), q_trace=np.array(trace),
+                                       converged=converged, seed=config.seed,
+                                       iterations=len(trace))
+        ids, labels, w, resp = ids[keep], labels[keep], w[keep], resp[keep]
+        if not ids.size:
             break
-    return FitResult(params=params, responsibilities=resp, labels=labels,
-                     q_trace=np.array(trace), converged=converged,
-                     seed=config.seed, iterations=len(trace))
+    return results
 
 
 @_blas.single_thread
@@ -515,7 +651,8 @@ def fit_problem(problem: Problem, n_groups: int, config: SemConfig) -> FitResult
     `fit_sem` checks it before projecting. K=1 is the fit at one group of
     everyone, and `config.init_labels` is not read. For K >= 2, before any
     replicate starts, `config.init_labels` (if given) must have shape (n,)
-    and integer values in 1..K, else ValueError.
+    and integer values in 1..K, else ValueError. The replicates are dealt
+    into `config.threads` stacks, each run by `_run_stack` on a pool thread.
     """
     check_count(n_groups, "n_groups")
     if n_groups == 1:
@@ -530,9 +667,11 @@ def fit_problem(problem: Problem, n_groups: int, config: SemConfig) -> FitResult
             raise ValueError(f"SemConfig.init_labels must be integers in 1..{n_groups}")
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        results = list(pool.map(lambda seed: _run_replicate(problem, n_groups, config, seed),
-                                seeds))
+    count = min(config.threads, config.restarts)
+    with ThreadPoolExecutor(max_workers=count) as pool:  # seeds dealt into `count` stacks
+        dealt = list(pool.map(lambda stack: _run_stack(problem, n_groups, config, stack),
+                              [seeds[i::count] for i in range(count)]))
+    results = [dealt[i % count][i // count] for i in range(config.restarts)]
 
     viable = [i for i, res in enumerate(results) if res is not None]
     if not viable:

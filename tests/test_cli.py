@@ -397,3 +397,51 @@ def test_infer_with_a_fit_on_another_basis_exits_1(workdir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: the fit has 56 basis coefficients, the basis has 20\n"
     assert captured.out == ""
+
+
+def _fit_argv(command, fit, root, basis, tmp_path):
+    argv = [command, "--fit", str(fit), "--images", str(root / "sim" / "images"),
+            "--covariates", str(root / "sim" / "covariates.csv"), "--basis", str(basis)]
+    if command == "infer":
+        argv += ["--out-prefix", str(tmp_path / "inf")]
+    if command == "metrics":
+        argv += ["--truth", str(root / "sim" / "truth")]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["infer", "validate", "metrics"])
+def test_fit_on_another_basis_of_the_same_size_exits_1(workdir, tmp_path, capsys, command):
+    # the fit used a=0.01, b=2, h=5; this basis of the same lattice also has L=56
+    assert main(["basis", "--dims", "6", "--a", "0.3", "--b", "0.5", "--h", "5",
+                 "--out", str(tmp_path / "basis")]) == 0
+    capsys.readouterr()
+    assert main(_fit_argv(command, workdir / "fit", workdir, tmp_path / "basis",
+                          tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the fit was made on the basis "
+                                   "a=0.01 b=2.0 h=5 L=56 d=216 sha256=")
+    assert ", not on the given basis a=0.3 b=0.5 h=5 L=56 d=216 sha256=" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["infer", "validate", "metrics"])
+def test_fit_bundle_without_a_basis_record_still_runs(workdir, tmp_path, command):
+    # a bundle written before fits recorded their basis: the same header
+    # without its basis_* entries
+    header = (workdir / "fit.hdr").read_text().splitlines(keepends=True)
+    assert any(line.startswith("meta.basis_sha256: ") for line in header)
+    (tmp_path / "fit.hdr").write_text("".join(line for line in header
+                                              if not line.startswith("meta.basis_")))
+    (tmp_path / "fit.dat").write_bytes((workdir / "fit.dat").read_bytes())
+    assert lasir.bundles.load_fit(tmp_path / "fit").basis is None
+    assert main(_fit_argv(command, tmp_path / "fit", workdir, workdir / "basis",
+                          tmp_path)) == 0
+
+
+def test_select_records_the_basis_of_its_best_fit(workdir, tmp_path):
+    out = tmp_path / "sel.csv"
+    assert main(["select"] + _data_flags(workdir)
+                + ["--k-min", "1", "--k-max", "2", "--restarts", "2", "--max-iter", "5",
+                   "--out", str(out)]) == 0
+    best = lasir.bundles.load_fit(str(out) + ".bestfit")
+    assert best.basis == lasir.bundles.load_basis(workdir / "basis").identity()

@@ -35,7 +35,7 @@ def test_against_a_revision_names_only_the_outputs_that_differ(tmp_path, monkeyp
     assert [line.split() for line in lines[:-1]] == [
         ["1", f"validate.{mode}", "differs,", "max", "relative", "difference", "0.5"]
         for mode in ("within", "without", "shuffled")]
-    assert lines[-1] == "3 of 28 outputs differ from HEAD"
+    assert lines[-1] == "3 of 29 outputs differ from HEAD"
 
 
 def test_prints_one_digest_per_output(tmp_path, monkeypatch, capsys):
@@ -70,3 +70,17 @@ def test_relative_difference():
     assert digest.relative_difference([np.array([1.0, 0.0, -3.0])], same) == 0.5
     assert digest.relative_difference([np.array([1.0, 1e-9, -2.0])], same) == float("inf")
     assert digest.relative_difference([np.zeros(2)], same) == float("inf")
+
+
+def test_a_threaded_fit_that_differs_exits_1(tmp_path, monkeypatch, capsys):
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    monkeypatch.chdir(tmp_path)
+    parts = {(7, f"fit.{part}"): [np.full(2, float(i))] for i, part in enumerate(digest.FIT_PARTS)}
+    same = [a for part in digest.FIT_PARTS for a in parts[(7, f"fit.{part}")]]
+    moved = same[:-1] + [same[-1] + 1.0]
+    for threaded, code in ((same, 0), (moved, 1)):
+        computed = {**parts, (7, "fit.threads"): threaded}
+        monkeypatch.setattr(digest, "_run", lambda *args: computed)
+        assert digest.main(["--seeds", "7"]) == code
+        err = capsys.readouterr().err
+        assert ("7  fit.threads differs from fit.* at threads=1" in err) == bool(code)

@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import os
 import re
 import subprocess
@@ -14,7 +16,7 @@ import lasir
 from lasir import (Dataset, KernelParams, SemConfig, SimConfig, augment, e_step, fit_sem,
                    gating_probs, m_step, nmi, q_value, s_step, simulate_cube, svcm_fit)
 from lasir.basis import BasisSystem
-from lasir.linmodel import LAMBDA_FLOOR, MNLOGIT_RIDGE, _mnlogit_newton, mnlogit_fit
+from lasir.linmodel import LAMBDA_FLOOR, MNLOGIT_RIDGE, _mnlogit_newton, log_gating, mnlogit_fit
 from lasir.projection import project
 from lasir import sem as sem_module
 from lasir.sem import (DegenerateGroupError, ModelParams, Problem, _log_density, fit_problem,
@@ -379,7 +381,7 @@ class TestFitSem:
         def unreachable(*args):
             raise AssertionError("a replicate started")
 
-        monkeypatch.setattr(lasir.sem, "_run_replicate", unreachable)
+        monkeypatch.setattr(lasir.sem, "_run_stack", unreachable)
         with pytest.raises(ValueError, match="SemConfig.init_labels must .*" + named):
             fit_sem(dataset, basis, 2, SemConfig(restarts=2, seed=1, init_labels=init))
 
@@ -679,3 +681,157 @@ def test_numpy_integer_counts_are_accepted():
     plain = fit_sem(dataset, basis, 2, SemConfig(max_iter=3, restarts=2, seed=7))
     assert fit.n_groups == 2
     assert np.array_equal(fit.labels, plain.labels)
+
+
+def _same(x, y) -> bool:
+    """Bit-for-bit equality of two values: arrays and floats by dtype, shape
+    and bytes."""
+    if any(isinstance(v, (np.ndarray, np.generic, float)) for v in (x, y)):
+        x, y = np.asarray(x), np.asarray(y)
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    return type(x) is type(y) and x == y
+
+
+def _assert_same_params(a: ModelParams, b: ModelParams):
+    for f in dataclasses.fields(ModelParams):
+        assert _same(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def _assert_same_fit(a, b):
+    for f in dataclasses.fields(lasir.FitResult):
+        if f.name == "params":
+            _assert_same_params(a.params, b.params)
+        else:
+            assert _same(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def _gating_start(rng, n_groups, m, saturate):
+    """Random gating weights (K, m), last row zero; with `saturate`, class 1's
+    intercept is 30, so that nearly every probability is 0 or 1: the Hessian
+    is then about the ridge and a full Newton step overshoots."""
+    w = np.vstack([0.5 * rng.standard_normal((n_groups - 1, m)), np.zeros(m)])
+    if saturate and n_groups > 1:
+        w[0, 0] += 30.0
+    return w
+
+
+def _objective(features, labels, w):
+    n = len(labels)
+    return (log_gating(w, features)[np.arange(n), labels - 1].sum()
+            - 0.5 * MNLOGIT_RIDGE * np.sum(w ** 2))
+
+
+def _full_newton_step_falls(features, labels, w):
+    """Whether the undamped Newton step from `w` lowers the penalized
+    objective, computed without the library's Newton code."""
+    K, m = w.shape
+    free = K - 1
+    probs = gating_probs(w, features)
+    onehot = np.eye(K)[labels - 1]
+    grad = (onehot - probs)[:, :free].T @ features - MNLOGIT_RIDGE * w[:free]
+    hess = MNLOGIT_RIDGE * np.eye(free * m)
+    for k in range(free):
+        for c in range(free):
+            weight = probs[:, k] * (float(k == c) - probs[:, c])
+            hess[k * m:(k + 1) * m, c * m:(c + 1) * m] += (features * weight[:, None]).T @ features
+    step = np.linalg.solve(hess, grad.ravel()).reshape(free, m)
+    moved = w.copy()
+    moved[:free] += step
+    return _objective(features, labels, moved) < _objective(features, labels, w)
+
+
+class TestStackedReplicates:
+    """A stack of replicates gives each replicate the bits it gets alone."""
+
+    @given(stack=st.integers(1, 4), **shapes)
+    def test_stacked_steps_equal_each_row_alone(self, stack, seed, n_groups, p, q, n_sites, L,
+                                                extra):
+        ytilde, dataset, labels = _grouped_problem(seed, n_groups, p, q, n_sites, L, extra)
+        problem = prepare(ytilde, dataset)
+        rng = np.random.default_rng(seed)
+        labels = np.stack([rng.permutation(labels) for _ in range(stack)])
+        features = problem.gating
+        m = features.shape[1]
+        # cold, warm, and from saturated weights, where every fit halves its steps
+        warm = np.stack([_gating_start(rng, n_groups, m, False) for _ in range(stack)])
+        far = np.stack([_gating_start(rng, n_groups, m, True) for _ in range(stack)])
+        if n_groups > 1:
+            assert all(_full_newton_step_falls(features, row, w) for row, w in zip(labels, far))
+        for init in (None, warm, far):
+            together = mnlogit_fit(features, labels, n_groups, init=init)
+            for a, row in enumerate(labels):
+                alone = mnlogit_fit(features, row, n_groups, init=None if init is None else init[a])
+                assert _same(together[a], alone)
+            stacked = m_step(problem, None, labels, n_groups, w_init=init)
+            rows = [m_step(problem, None, row, n_groups, w_init=None if init is None else init[a])
+                    for a, row in enumerate(labels)]
+            q_values = q_value(problem, None, labels, stacked)
+            q_direct = q_value(ytilde, dataset, labels, stacked)
+            resp = e_step(problem, None, stacked)
+            resp_direct = e_step(ytilde, dataset, stacked)
+            for a, alone in enumerate(rows):
+                _assert_same_params(sem_module._replicate(stacked, a), alone)
+                assert _same(q_values[a], q_value(problem, None, labels[a], alone))
+                assert _same(q_direct[a], q_value(ytilde, dataset, labels[a], alone))
+                assert _same(resp[a], e_step(problem, None, alone))
+                assert _same(resp_direct[a], e_step(ytilde, dataset, alone))
+        drawn = s_step(resp, [np.random.default_rng(seed + a) for a in range(stack)])
+        for a in range(stack):
+            assert _same(drawn[a], s_step(resp[a], np.random.default_rng(seed + a)))
+
+    def test_stacked_m_step_names_every_degenerate_row(self):
+        ytilde, dataset, labels = _grouped_problem(3, 3, 1, 1, 2, 4, 2)
+        problem = prepare(ytilde, dataset)
+        small = labels.copy()
+        small[small == 2] = 1
+        small[np.flatnonzero(labels == 2)[0]] = 2  # group 2 keeps one member
+        stack = np.stack([labels, np.ones_like(labels), labels, small])
+        with pytest.raises(DegenerateGroupError) as caught:
+            m_step(problem, None, stack, 3)
+        assert sorted(caught.value.rows) == [1, 3]
+        assert caught.value is caught.value.rows[1]
+        for row, error in caught.value.rows.items():
+            with pytest.raises(DegenerateGroupError) as alone:
+                m_step(problem, None, stack[row], 3)
+            assert str(error) == str(alone.value)
+
+    @pytest.mark.parametrize("spread, accepted", [(1e-5, True), (0.0, False)])
+    def test_ill_conditioned_groups_take_the_svd_rule(self, spread, accepted):
+        # group 2's exposure is nearly (or exactly) constant: its Gram fails
+        # the eigenvalue screen, so check_group's SVD decides, as it did alone
+        ytilde, dataset, labels = _grouped_problem(5, 3, 1, 1, 2, 4, 3)
+        rows = labels == 2
+        dataset.exposures[rows, 1] = 0.5 + spread * np.arange(rows.sum())
+        problem = prepare(ytilde, dataset)
+        cond = np.linalg.cond(dataset.exposures[rows])
+        assert cond > 1e4  # the Gram's eigenvalue ratio is below CLEAR_CONDITION
+        stack = np.stack([labels, labels])
+        if accepted:
+            params = m_step(problem, None, stack, 3)
+            _assert_same_params(sem_module._replicate(params, 1),
+                                m_step(problem, None, labels, 3))
+        else:
+            with pytest.raises(DegenerateGroupError, match="degenerate group 2: rank-deficient"):
+                m_step(problem, None, stack, 3)
+            with pytest.raises(DegenerateGroupError, match="degenerate group 2: rank-deficient"):
+                stage2(problem, labels, 3)
+
+    @pytest.mark.parametrize("sim, n_groups, max_iter, failures", [
+        (SimConfig(dims=(5, 5, 5), n=120, n_groups=3, sigma=1.0, seed=8, n_sites=3), 3, 200, 0),
+        # tiny n, large K: three replicates fail after their redraws, two run on
+        (SimConfig(dims=(4, 4, 4), n=24, n_groups=2, seed=1, n_sites=2), 6, 30, 3),
+    ])
+    def test_uneven_stacks_give_the_same_fit(self, sim, n_groups, max_iter, failures, caplog):
+        # five restarts on 1, 2, 3 and 5 threads: stacks of 5; 3+2; 2+2+1; five of 1
+        dataset, _, _, basis = simulate_cube(sim)
+        fits, failed = [], []
+        for threads in (1, 2, 3, 5):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="lasir.sem"):
+                fits.append(fit_sem(dataset, basis, n_groups,
+                                    SemConfig(restarts=5, seed=1, max_iter=max_iter,
+                                              threads=threads)))
+            failed.append(sum("replicate failed" in r.getMessage() for r in caplog.records))
+        assert failed == [failures] * 4
+        for other in fits[1:]:
+            _assert_same_fit(fits[0], other)

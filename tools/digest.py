@@ -9,6 +9,8 @@ prints one SHA-256 digest (its first 16 hex digits) per output and seed:
 * `fit.labels`, `fit.theta` (theta_alpha, theta_eta, theta_gamma),
   `fit.lam`, `fit.w`, `fit.q` (the Q trace) and `fit.iterations`
   (iterations, converged, winning replicate) -- `fit_sem`;
+* `fit.threads` -- the same six parts, in that order, of `fit_sem` with
+  `threads=4`: its replicates run in other stacks, and it must equal them;
 * `infer` -- every `infer_maps` map: effect, se, wald, pval, reject;
 * `validate.<mode>` -- `validate_projection`'s MSEs and fallbacks per mode;
 * `select.choice`, `select.bic` (each candidate's Q and BIC) and
@@ -30,6 +32,9 @@ imported by a subprocess), prints each output that differs with the largest
 relative difference of its values, |now - REF| / |REF|, and exits 1 if any
 output differs. Both sides run in subprocesses importing `src` of the
 repository that holds the current directory, or of the archive.
+
+Either way, the tool also exits 1, naming the seed, when `fit.threads`
+differs from the `fit.*` parts at one thread.
 """
 
 from __future__ import annotations
@@ -58,6 +63,15 @@ SHAPES = {
 }
 SEEDS = (9101, 9202, 9303)
 MODES = ("within", "without", "shuffled")
+FIT_PARTS = ("labels", "theta", "lam", "w", "q", "iterations")
+
+
+def fit_parts(fit) -> dict:
+    """part name (`FIT_PARTS`) -> list of arrays of a FitResult."""
+    p = fit.params
+    return {"labels": [fit.labels], "theta": [p.theta_alpha, p.theta_eta, p.theta_gamma],
+            "lam": [p.lam], "w": [p.w], "q": [fit.q_trace],
+            "iterations": [np.array([fit.iterations, fit.converged, fit.replicate])]}
 
 
 def outputs(seed: int, shape: dict) -> dict:
@@ -68,12 +82,7 @@ def outputs(seed: int, shape: dict) -> dict:
     out = {}
 
     def add_fit(prefix, fit):
-        p = fit.params
-        out.update({f"{prefix}.labels": [fit.labels],
-                    f"{prefix}.theta": [p.theta_alpha, p.theta_eta, p.theta_gamma],
-                    f"{prefix}.lam": [p.lam], f"{prefix}.w": [p.w], f"{prefix}.q": [fit.q_trace],
-                    f"{prefix}.iterations": [np.array([fit.iterations, fit.converged,
-                                                        fit.replicate])]})
+        out.update({f"{prefix}.{part}": arrays for part, arrays in fit_parts(fit).items()})
 
     def simulate(dims, n, K, offset, **extra):
         return lasir.simulate_cube(lasir.SimConfig(dims=dims, n=n, n_groups=K,
@@ -86,6 +95,9 @@ def outputs(seed: int, shape: dict) -> dict:
     fit = lasir.fit_sem(dataset, basis, shape["K"],
                         lasir.SemConfig(restarts=shape["restarts"], seed=seed))
     add_fit("fit", fit)
+    threaded = lasir.fit_sem(dataset, basis, shape["K"],
+                             lasir.SemConfig(restarts=shape["restarts"], seed=seed, threads=4))
+    out["fit.threads"] = [a for arrays in fit_parts(threaded).values() for a in arrays]
     out["infer"] = [a for m in lasir.infer_maps(fit, dataset, basis)
                     for a in (m.effect, m.se, m.wald, m.pval, m.reject)]
     for mode in MODES:
@@ -159,6 +171,13 @@ def _load(path) -> dict:
     return out
 
 
+def thread_mismatches(outputs: dict) -> list:
+    """Seeds whose `fit.threads` output differs from their `fit.*` parts."""
+    return [seed for (seed, name), arrays in outputs.items() if name == "fit.threads"
+            and digest(arrays) != digest([a for part in FIT_PARTS
+                                          for a in outputs[(seed, f"fit.{part}")]])]
+
+
 def _git(*args, cwd=None) -> bytes:
     return subprocess.run(["git", *args], cwd=cwd, capture_output=True, check=True).stdout
 
@@ -198,10 +217,13 @@ def main(argv=None) -> int:
         except subprocess.CalledProcessError as exc:
             print(f"error: computing the outputs failed ({exc})", file=sys.stderr)
             return 1
+    mismatched = thread_mismatches(now)
+    for seed in mismatched:
+        print(f"{seed}  fit.threads differs from fit.* at threads=1", file=sys.stderr)
     if archive is None:
         for (seed, name), arrays in now.items():
             print(f"{seed}  {name:<22}  {digest(arrays)}")
-        return 0
+        return 1 if mismatched else 0
     keys = list(now) + [key for key in ref if key not in now]
     differ = 0
     for key in keys:
@@ -212,7 +234,7 @@ def main(argv=None) -> int:
         rel = relative_difference(a, b) if a and b else float("inf")
         print(f"{key[0]}  {key[1]:<22}  differs, max relative difference {rel:.3g}")
     print(f"{differ} of {len(keys)} outputs differ from {args.against}")
-    return 1 if differ else 0
+    return 1 if differ or mismatched else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
 from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
-from .projection import project
+from .projection import projected
 from .sem import (DegenerateGroupError, FitResult, ModelParams, SemConfig,
                   check_count, fit_at_labels, fit_sem, prepare)
 
@@ -40,12 +40,16 @@ def _kmeanspp_seed(points, n_clusters, rng):
 
 def _lloyd(points, centroids, max_iter):
     """Lloyd iterations; returns (labels0, inertia trace). Empty clusters
-    are re-seeded at the point farthest from its assigned centroid."""
+    are re-seeded at the point farthest from its assigned centroid. The
+    squared distances are taken one centroid at a time, so the largest
+    temporary is n x L, not n x K x L."""
     n, n_clusters = points.shape[0], centroids.shape[0]
     labels = np.full(n, -1)
     trace = []
+    d2 = np.empty((n, n_clusters))
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        for k, centroid in enumerate(centroids):
+            d2[:, k] = ((points - centroid) ** 2).sum(axis=1)
         new_labels = d2.argmin(axis=1)
         nearest = d2[np.arange(n), new_labels]
         for k in range(n_clusters):
@@ -93,18 +97,20 @@ def kmlr_fit(dataset: Dataset, basis: BasisSystem, n_groups: int,
              config: SemConfig = None) -> FitResult:
     """K-means on the stage-1 residuals, then one M-step at those labels.
 
-    k-means clusters the stage-1 residuals of the prepared problem (site and
-    control effects removed; stage 1 does not depend on labels), and
-    `fit_at_labels` fits the model at the cluster labels: the M-step does
-    not move them, so there is nothing to alternate. A labelling with a
-    group that fails `sem.check_group` is retried from the next k-means
-    seed, up to 10 seeds; then RuntimeError("no viable fit: ...") names the
-    last failing group. Responsibilities are the hard 0/1 labels. Of
-    `config` only `seed` is read. Runs with BLAS pinned to one thread, as
-    `fit_sem` does.
+    The projection is the dataset's record on `basis`
+    (`projection.projected`), which `svcm_fit` and `fit_sem` on the same
+    dataset and basis share. k-means clusters the stage-1 residuals of the
+    prepared problem (site and control effects removed; stage 1 does not
+    depend on labels), and `fit_at_labels` fits the model at the cluster
+    labels: the M-step does not move them, so there is nothing to
+    alternate. A labelling with a group that fails `sem.check_group` is
+    retried from the next k-means seed, up to 10 seeds; then
+    RuntimeError("no viable fit: ...") names the last failing group.
+    Responsibilities are the hard 0/1 labels. Of `config` only `seed` is
+    read. Runs with BLAS pinned to one thread, as `fit_sem` does.
     """
     config = config or SemConfig()
-    problem = prepare(project(dataset.images, basis), dataset)
+    problem = prepare(projected(dataset, basis).ytilde, dataset)
     for attempt in range(10):
         labels = kmeans(problem.resid, n_groups, seed=config.seed * 100 + attempt)
         try:

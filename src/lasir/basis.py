@@ -158,9 +158,17 @@ class BasisSystem:
 
     def identity(self) -> dict:
         """The record that ties a fit to this basis: the kernel parameters
-        `a` and `b`, `h`, `L`, `d` and `sha256`, a SHA-256 of the basis
-        matrices (factors, T and eigvals, or an explicit psi and eigvals) and
-        of the mask; all values are text, as a fit bundle stores them."""
+        `a` and `b`, `h`, `L`, `d` and `sha256`, the basis's `key`; all
+        values are text, as a fit bundle stores them."""
+        return {"a": repr(float(self.params.a)), "b": repr(float(self.params.b)),
+                "h": str(self.h), "L": str(self.L), "d": str(self.d), "sha256": self.key}
+
+    @cached_property
+    def key(self) -> str:
+        """SHA-256 (hex) of the basis matrices (factors, T and eigvals, or an
+        explicit psi and eigvals) and of the mask, computed once per basis
+        object, like `layout`: a basis is not changed after it is built. A
+        dataset's projection records (`projection.projected`) are keyed by it."""
         digest = hashlib.sha256()
         arrays = ((self._psi, self.eigvals) if self.factors is None
                   else (*self.factors, self.T, self.eigvals, self.mask))
@@ -168,9 +176,7 @@ class BasisSystem:
             array = np.ascontiguousarray(array)
             digest.update(f"{array.dtype.str} {array.shape}".encode())
             digest.update(array.tobytes())
-        return {"a": repr(float(self.params.a)), "b": repr(float(self.params.b)),
-                "h": str(self.h), "L": str(self.L), "d": str(self.d),
-                "sha256": digest.hexdigest()}
+        return digest.hexdigest()
 
     @cached_property
     def layout(self) -> Layout:

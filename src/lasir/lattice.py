@@ -126,6 +126,14 @@ class Dataset:
         ``site_codes[s]``.
     exposure_names, control_names : list of str
         Column names without the leading intercept.
+    projections : dict
+        The projection records of the images (`projection.projected`), one
+        per basis key (`BasisSystem.key`), made on first request.
+
+    `images` is a read-only view, set when the Dataset is made, so that its
+    projection records cannot go stale: writing into it raises ValueError.
+    To change images, build a new Dataset. (The array the view was taken of
+    stays writable; writing into it changes the images under the records.)
     """
 
     images: np.ndarray
@@ -136,8 +144,11 @@ class Dataset:
     site_codes: np.ndarray = None
     exposure_names: list = field(default_factory=list)
     control_names: list = field(default_factory=list)
+    projections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.images = np.asarray(self.images).view()
+        self.images.flags.writeable = False
         n = self.images.shape[0]
         for name in ("exposures", "controls", "sites"):
             arr = getattr(self, name)

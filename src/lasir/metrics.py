@@ -11,13 +11,14 @@ from scipy.optimize import linear_sum_assignment
 
 from . import _blas
 from .basis import BasisSystem
-from .lattice import CHUNK, Dataset
+from .lattice import Dataset
 from .linmodel import mvls_fit  # noqa: F401 -- benchmarks/test_benchmarks.py wraps this binding
-from .projection import project
-from .sem import (DegenerateGroupError, FitResult, check_basis, check_count, check_fit,
-                  predict_from_sums)
+from .projection import projected
+from .sem import FitResult, check_basis, check_count, check_fit, predict_from_sums
 
 logger = logging.getLogger(__name__)
+
+BLOCK = 1 << 20  # bytes of the largest stacked array of a block of holdout splits
 
 
 def nmi(labels_a, labels_b) -> float:
@@ -104,12 +105,20 @@ class ValidationResult:
     unseen_fallbacks: int = 0
 
 
-def _holdout_mse(sq_norms, ytilde, pred, d) -> float:
+def _holdout_mse(sq_norms, ytilde, pred, d):
     """Mean squared voxel error of predicted coefficient rows `pred` (m, L)
     for images with squared norms `sq_norms` (m,) and projections `ytilde`
-    (m, L), by Parseval (orthonormal basis, `d` voxels)."""
-    sq_err = np.sum(sq_norms) - 2.0 * np.sum(ytilde * pred) + np.sum(pred * pred)
-    return float(sq_err / (pred.shape[0] * d))
+    (m, L), by Parseval (orthonormal basis, `d` voxels). Stacks (B, m) and
+    (B, m, L) give the B errors, each bit-identical to the call on its item."""
+    sq_err = (np.sum(sq_norms, axis=-1) - 2.0 * np.sum(ytilde * pred, axis=(-2, -1))
+              + np.sum(pred * pred, axis=(-2, -1)))
+    return sq_err / (pred.shape[-2] * d)
+
+
+def _rows(mask):
+    """Column indices of the True entries of each row of `mask` (B, n), every
+    row holding the same count, as an array (B, count)."""
+    return np.nonzero(mask)[1].reshape(len(mask), int(mask[0].sum()))
 
 
 @_blas.single_thread
@@ -131,36 +140,50 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
                       permuted across individuals before the fits.
 
     One rule covers every subgroup fit that cannot be solved: when
-    `sem.predict_from_sums` raises for a subgroup's training rows -- ValueError
-    for a rank-deficient stage-1 design (sites present and controls), or
-    `sem.DegenerateGroupError` when `sem.check_group` rejects their exposures
-    (fewer than p+2 rows or a rank-deficient design) -- the subgroup's
-    holdout individuals fall back to the fit on all training rows (the
-    "without" prediction), and occurrences are counted in the result. That
-    fit has no fallback: when it cannot be solved, as in "without" mode, the
-    error is raised.
+    `sem.predict_from_sums` reports a subgroup's training rows as failing --
+    ValueError for a rank-deficient stage-1 design (sites present and
+    controls) or a Gram block singular in floating point (LinAlgError), or
+    `sem.DegenerateGroupError` when `sem.check_group` rejects their
+    exposures (fewer than p+2 rows or a rank-deficient design) -- the
+    subgroup's holdout individuals fall back to the fit on all training rows
+    (the "without" prediction), and occurrences are counted in the result.
+    That fit has no fallback: when it cannot be solved, as in "without" mode,
+    the error of the first such split is raised.
     `n_splits` must be an integer >= 1 (`sem.check_count`), `holdout_frac` in
     (0, 1), the fit's labels one per individual of `dataset`
     (`sem.check_fit`) and the fit one of `basis` (`sem.check_basis`), else
     ValueError.
 
+    The splits are taken in blocks, and each block's splits are drawn first,
+    in the generator order of one split at a time (per split: each stratum's
+    permutation, then, in "shuffled" mode, the permutation of the training
+    labels). A block holds as many splits as keep its largest stacked array
+    -- the cross sums, the held-out projections and predictions, or the
+    training rows -- within `BLOCK` bytes.
+
     The fits are solved from sufficient statistics of the design rows
-    Z = [sites | controls | exposures] and the projections ytilde. The Gram
-    Z^T Z and the cross sums Z^T ytilde are formed once per call over all
-    individuals and, except in "shuffled" mode, once per subgroup. A split's
-    training sums for a subgroup are its totals minus the sums of its
-    held-out rows (in "shuffled" mode, the sums of each relabelled training
-    group, taken directly), and `sem.predict_from_sums` turns them into holdout
-    predictions with solves of the size of the design, checking each
-    training design as `prepare` and `stage2` would. The error is taken in
-    coefficient space by Parseval: for an image y_i with projection
-    ytilde_i = Psi^T y_i and a predicted coefficient row theta_i,
+    Z = [sites | controls | exposures] and the projections ytilde. Per
+    subgroup, the training Grams Z^T Z and cross sums Z^T ytilde of all of a
+    block's splits are formed as stacks: the subgroup's totals, formed once
+    per call, downdated by each split's held-out rows (in "shuffled" mode,
+    the sums of each relabelled training group, taken directly, split by
+    split). `sem.predict_from_sums` turns each stack into holdout predictions
+    with solves of the size of the design: its rank rules are decided from
+    the stacked Grams by `sem.rank_clear`, stage 2's eigenvalue screen, and
+    `check_design`'s and `check_group`'s SVDs run only on the splits it does
+    not clear; the splits are solved in groups that share the sites of their
+    training rows, and each split's predictions are bit-identical to a fit
+    of its own. The error is taken in coefficient space by Parseval: for an
+    image y_i with projection ytilde_i = Psi^T y_i and a predicted
+    coefficient row theta_i,
 
         ||y_i - Psi theta_i||^2 = ||y_i||^2 - 2 ytilde_i . theta_i + ||theta_i||^2,
 
-    which relies on the basis being orthonormal (Psi^T Psi = I); the image
-    norms are computed once, about `lattice.CHUNK` values at a time, and no
-    prediction is back-projected.
+    which relies on the basis being orthonormal (Psi^T Psi = I). The
+    projections and the squared image norms are the dataset's record on the
+    basis (`projection.projected`), shared with the fit of the same dataset
+    and basis and with every other validation call, and no prediction is
+    back-projected.
 
     Like `fit_sem`, the whole validation, projection included, runs with the
     bundled OpenBLAS pools pinned to one thread, so the MSEs are bit-identical
@@ -178,62 +201,69 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     check_fit(fit, dataset)
     check_basis(fit, basis)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ytilde = project(dataset.images, basis)
-    step = max(1, CHUNK // basis.d)
-    sq_norms = np.concatenate([np.square(dataset.images[i:i + step], dtype=np.float64).sum(axis=1)
-                               for i in range(0, dataset.n, step)])
+    record = projected(dataset, basis)
+    ytilde, sq_norms = record.ytilde, record.sq_norms
     z = np.hstack([dataset.sites, dataset.controls, dataset.exposures])
+    (n, width), L = z.shape, basis.L
     n_sites, p1 = dataset.sites.shape[1], dataset.exposures.shape[1]
 
     def sums(rows):
         zr = z[rows]
         return zr.T @ zr, zr.T @ ytilde[rows]
 
-    def predict(gram, cross, train, test, group=1):
-        return predict_from_sums(gram, cross, z[train], z[test], n_sites, p1, group)
-
     def downdated(totals, rows):
-        gram, cross = sums(rows)
-        return totals[0] - gram, totals[1] - cross
+        zr = z[rows]  # (B, m, c): each split's held-out rows
+        zr_t = np.swapaxes(zr, 1, 2)
+        return totals[0] - zr_t @ zr, totals[1] - zr_t @ ytilde[rows]
 
     labels = np.asarray(fit.labels, dtype=int)
-    strata = np.unique(labels)
+    strata = [np.nonzero(labels == g)[0] for g in np.unique(labels)]
+    n_hold = [max(1, int(round(holdout_frac * members.size))) for members in strata]
     subgroups = np.ones_like(labels) if mode == "without" else labels
     groups = np.unique(subgroups)
     total = sums(slice(None))
     if mode != "shuffled":
         group_totals = {g: sums(subgroups == g) for g in groups}
+    step = max(1, BLOCK // (8 * max(width * L, sum(n_hold) * L, n * width)))
     mses = np.empty(n_splits)
-    pred = np.empty_like(ytilde)  # each split fills its holdout rows
     fallbacks = 0
-    for rep in range(n_splits):
-        holdout = np.zeros(dataset.n, dtype=bool)
-        for g in strata:
-            members = np.nonzero(labels == g)[0]
-            n_hold = max(1, int(round(holdout_frac * members.size)))
-            holdout[rng.permutation(members)[:n_hold]] = True
-        train = ~holdout
-        fit_labels = subgroups.copy()
-        if mode == "shuffled":
-            tr_idx = np.nonzero(train)[0]
-            fit_labels[tr_idx] = fit_labels[rng.permutation(tr_idx)]
-        without = None
+    for start in range(0, n_splits, step):
+        count = min(step, n_splits - start)
+        holdout = np.zeros((count, n), dtype=bool)
+        fit_labels = np.tile(subgroups, (count, 1))
+        for rep in range(count):
+            for members, k in zip(strata, n_hold):
+                holdout[rep, rng.permutation(members)[:k]] = True
+            if mode == "shuffled":
+                tr_idx = np.nonzero(~holdout[rep])[0]
+                fit_labels[rep, tr_idx] = subgroups[rng.permutation(tr_idx)]
+        held = _rows(holdout)
+        pred = np.empty((count, held.shape[1], L))
+        failed = {}  # split -> positions within its holdout of the subgroups that fell back
         for g in groups:
-            test_g = holdout & (subgroups == g)
-            if not test_g.any():
-                continue
-            train_g = train & (fit_labels == g)
-            # shuffled relabels the training rows, so they are summed afresh
-            g_sums = (sums(train_g) if mode == "shuffled"
-                      else downdated(group_totals[g], test_g))
-            try:
-                pred[test_g] = predict(*g_sums, train_g, test_g, g)
-            except (ValueError, DegenerateGroupError):
-                if without is None:
-                    without = predict(*downdated(total, holdout), train, holdout)
-                pred[test_g] = without[test_g[holdout]]
-                fallbacks += int(test_g.sum())
-        mses[rep] = _holdout_mse(sq_norms[holdout], ytilde[holdout], pred[holdout], basis.d)
+            test = _rows(holdout & (subgroups == g))
+            train = _rows(~holdout & (fit_labels == g))
+            if mode == "shuffled":  # relabelled training rows, summed afresh per split
+                gram, cross = map(np.stack, zip(*(sums(rows) for rows in train)))
+            else:
+                gram, cross = downdated(group_totals[g], test)
+            pred_g, errors = predict_from_sums(gram, cross, z[train], z[test], n_sites, p1, g)
+            at = _rows(subgroups[held] == g)
+            pred[np.arange(count)[:, None], at] = pred_g
+            for rep in errors:
+                failed.setdefault(rep, []).append(at[rep])
+        if failed:
+            reps = np.array(sorted(failed))
+            without, errors = predict_from_sums(*downdated(total, held[reps]),
+                                                z[_rows(~holdout[reps])], z[held[reps]],
+                                                n_sites, p1)
+            if errors:
+                raise errors[min(errors)]
+            for row, rep in enumerate(reps):
+                for at in failed[rep]:
+                    pred[rep, at] = without[row, at]
+                    fallbacks += at.size
+        mses[start:start + count] = _holdout_mse(sq_norms[held], ytilde[held], pred, basis.d)
     if fallbacks:
         logger.info("validate_projection mode=%s: %d holdout individuals fell "
                     "back to the without-subgroup fit", mode, fallbacks)

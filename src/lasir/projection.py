@@ -13,15 +13,29 @@ image instead of 2 d L, and no d x L or n x d float64 array. Images reach
 that grid, and maps leave it, one row at a time through the boolean mask
 `Layout.inside`: per image, one scatter (or gather) of d values plus one
 pass over the m_cells of the grid.
+
+A `Dataset` keeps the projection of its images on each basis it meets, as a
+`Projected` record keyed by the basis's `BasisSystem.key` (a SHA-256 of
+its matrices): `projected` computes it on the first request and returns it
+on every later one, so the fits, the baselines, `select_k` and the holdout
+validation of one dataset on one basis project its images once. The key is
+the content of the basis, not the object, so a basis reloaded from its
+bundle finds the record too.
 """
 
 from __future__ import annotations
 
+import threading
+from functools import cached_property
+
 import numpy as np
 
+from . import _blas
 from .basis import BasisSystem
+from .lattice import CHUNK as IMAGE_CHUNK
 
 CHUNK = 1 << 19  # plane-grid cells (float64) held at a time by the contractions
+_RECORDS = threading.Lock()  # held while `projected` looks up or makes a record
 
 
 def _rows(fx, fy, fz) -> int:
@@ -57,6 +71,40 @@ def project(images: np.ndarray, basis: BasisSystem) -> np.ndarray:
         t = fz.T @ t.reshape(m, mz, H * H)           # (m, c, b a)
         out[start:start + m] = t.reshape(m, H ** 3)[:, layout.slots]
     return basis.from_tensor(out)
+
+
+class Projected:
+    """One dataset's images projected on one basis: `ytilde` (n, L), read
+    only, and, computed on first use, `sq_norms` (n,), each image's squared
+    norm summed in float64 about `lattice.CHUNK` values at a time."""
+
+    def __init__(self, images: np.ndarray, basis: BasisSystem):
+        self._images = images
+        self.ytilde = project(images, basis)
+        self.ytilde.flags.writeable = False
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        images = self._images
+        step = max(1, IMAGE_CHUNK // images.shape[1])
+        return np.concatenate([np.square(images[i:i + step], dtype=np.float64).sum(axis=1)
+                               for i in range(0, images.shape[0], step)])
+
+
+def projected(dataset, basis: BasisSystem) -> Projected:
+    """The `Projected` record of `dataset` on `basis`, made on the first
+    request for the basis's `key` and kept on the dataset. It is always
+    computed with the bundled BLAS pools pinned to one thread, so its bits
+    do not depend on which caller asks first, and records are made one at a
+    time, so callers on several threads share one. The record keeps n x L
+    floats alive as long as the dataset."""
+    key = basis.key
+    with _RECORDS:
+        record = dataset.projections.get(key)
+        if record is None:
+            with _blas.single_thread:
+                record = dataset.projections[key] = Projected(dataset.images, basis)
+    return record
 
 
 def backproject(coefs: np.ndarray, basis: BasisSystem) -> np.ndarray:

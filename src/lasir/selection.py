@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
-from .projection import project
+from .projection import projected
 from .sem import SemConfig, fit_problem, prepare
 
 logger = logging.getLogger(__name__)
@@ -48,14 +48,15 @@ def select_k(dataset: Dataset, basis: BasisSystem, k_candidates,
              config: SemConfig = None):
     """Fit every candidate group count and pick the BIC minimizer.
 
-    The images are projected and stage 1 solved once; each candidate then
+    The dataset's projection record on `basis` (`projection.projected`) is
+    read, made if need be, and stage 1 solved once; each candidate then
     runs the `fit_sem` loop on that prepared problem with its own
     deterministic seed derived from the config seed, and BIC(K) =
     M log(nL) - 2Q uses the winning replicate's final Q. Candidates whose
     replicates all fail are excluded with a warning; ties break toward
     smaller K. BLAS is pinned to one thread, as in `fit_sem`. Every
-    candidate must be an integer >= 1, checked before the images are
-    projected, else ValueError naming it.
+    candidate must be an integer >= 1, checked before the projection is
+    read, else ValueError naming it.
 
     Returns
     -------
@@ -68,7 +69,7 @@ def select_k(dataset: Dataset, basis: BasisSystem, k_candidates,
     for K in k_candidates:
         if not isinstance(K, numbers.Integral) or K < 1:
             raise ValueError(f"candidate group counts must be integers >= 1, got {K!r}")
-    problem = prepare(project(dataset.images, basis), dataset)
+    problem = prepare(projected(dataset, basis).ytilde, dataset)
     records, fits = [], {}
     for K in k_candidates:
         cand_config = replace(config, seed=config.seed * 1000 + K)

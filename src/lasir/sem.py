@@ -52,10 +52,14 @@ replicate's bits do not depend on its stack: the result does not depend on
 
 `predict_from_sums` solves the same two stages, without subgroups, from the
 Gram and cross sums of the design rows: the holdout validation's fits, whose
-training sums are totals downdated by the held-out rows. It raises ValueError
-for a rank-deficient stage-1 design, then DegenerateGroupError when the
+training sums are totals downdated by the held-out rows, one stack per
+subgroup for all of a block of splits. A fit fails with ValueError for a
+rank-deficient stage-1 design, then with DegenerateGroupError when the
 exposures fail `check_group`; the validation applies one rule to both: the
 subgroup's held-out individuals are predicted by the fit on all training rows.
+Stage 2 and `predict_from_sums` screen every design by the eigenvalues of its
+Gram (`rank_clear`), so the SVD of the rank rule runs only on the few designs
+the screen does not clear.
 """
 
 from __future__ import annotations
@@ -73,12 +77,12 @@ from .basis import BasisSystem
 from .lattice import Dataset
 from .linmodel import (LAMBDA_FLOOR, augment, check_design, log_gating, mnlogit_fit, mvls_fit,
                        row_max)
-from .projection import project
+from .projection import projected
 
 logger = logging.getLogger(__name__)
 
 MAX_REDRAWS = 10
-CLEAR_CONDITION = 1e-8  # Gram eigenvalue ratio above which stage 2 skips check_group's SVD
+CLEAR_CONDITION = 1e-8  # Gram eigenvalue ratio above which `rank_clear` passes a design
 WINDOW = 5  # trailing iterations whose Q range decides convergence
 
 
@@ -308,10 +312,8 @@ def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
     member, so renaming the labels permutes theta_alpha's rows and leaves
     every bit of theta and RSS unchanged. Raises DegenerateGroupError, from
     `check_group` applied in label order, when a group has fewer than p+2
-    members or a rank-deficient exposure design. A group whose Gram has
-    eigenvalues within a factor `CLEAR_CONDITION` of each other passes that
-    rule for certain (its singular values are within the square root of it,
-    far inside `linmodel.RANK_TOL`, rounding included), so only the other
+    members or a rank-deficient exposure design. A group that `rank_clear`
+    clears from its Gram passes that rule for certain, so only the other
     groups take `check_group`'s SVD.
 
     `labels` may be a stack (A, n) of labelings; theta_alpha is then
@@ -329,8 +331,7 @@ def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
     xw = np.repeat(inside, p1, axis=2) * np.tile(X, n_groups)
     shape = (len(stack), n_groups, p1, -1)
     gram = (np.swapaxes(xw, 1, 2) @ X).reshape(shape)
-    eig = np.linalg.eigvalsh(gram)
-    clear = (inside.sum(axis=1) >= p1 + 1) & (eig[..., 0] > CLEAR_CONDITION * eig[..., -1])
+    clear = rank_clear(gram, inside.sum(axis=1), p1 + 1)
     failed = {}
     for row, members in enumerate(stack):
         try:
@@ -347,6 +348,22 @@ def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
     rss = np.maximum(problem.resid_sumsq - (theta * cross).sum(axis=2).sum(axis=1), 0.0)
     theta = theta[np.arange(len(stack))[:, None], inverse]
     return (theta, rss) if labels.ndim == 2 else (theta[0], rss[0])
+
+
+def rank_clear(gram: np.ndarray, count, need: int) -> np.ndarray:
+    """Where the rank rule surely passes, from Grams alone: True where a
+    design of `count` rows, with Gram `gram` (..., c, c), has at least `need`
+    rows and Gram eigenvalues within a factor `CLEAR_CONDITION` of each other.
+    Its singular values are then within the square root of that factor, far
+    inside `linmodel.RANK_TOL`, rounding of the Gram included, so it passes
+    `check_design` (with `need` = c) and `check_group` (with `need` = p+2) for
+    certain; where False, their SVD decides. A design with no columns is
+    clear when it has `need` rows. Stage 2 and `predict_from_sums` screen
+    every design with it."""
+    if gram.shape[-1] == 0:
+        return np.broadcast_to(count >= need, gram.shape[:-2])
+    eig = np.linalg.eigvalsh(gram)
+    return (count >= need) & (eig[..., 0] > CLEAR_CONDITION * eig[..., -1])
 
 
 def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
@@ -367,18 +384,78 @@ def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
 
     Raises ValueError when the stage-1 training design is rank deficient (as
     `prepare` does), then DegenerateGroupError naming `group` when `train`'s
-    exposure rows fail `check_group` (as `stage2` does).
+    exposure rows fail `check_group` (as `stage2` does). Both rules are
+    screened by `rank_clear` on the Gram blocks; `check_design`'s and
+    `check_group`'s SVDs run only where it is not clear. A design that
+    passes them can still have a Gram block that is singular in floating
+    point; the solve then raises numpy's LinAlgError, a ValueError.
+
+    Stacked fits -- `gram` (B, c, c), `cross` (B, c, L), `train` (B, t, c)
+    and `test` (B, m, c), e.g. every holdout split of one subgroup -- return
+    (pred (B, m, L), errors), where `errors` maps each item whose fit cannot
+    be solved to the error the item alone raises; its rows of `pred` are
+    left unset. When a batched solve meets a singular Gram block, that
+    group's items are solved one at a time, so only the singular ones fail. The items are grouped by the sites their training rows
+    contain, and each group is solved by batched solves and by products
+    taken per item (`np.matmul` over the stack axis) with the operand shapes
+    and transpositions of a lone fit, so every item's predictions are
+    bit-identical to the 2-D call on it.
     """
-    width = gram.shape[0]
-    x_cols = slice(width - n_exposures, width)
-    d_cols = np.concatenate([np.flatnonzero(train[:, :n_sites].any(axis=0)),
-                             np.arange(n_sites, width - n_exposures)])
-    check_design(train[:, d_cols])
-    check_group(train[:, x_cols], group)
-    x_part = np.linalg.solve(gram[x_cols, x_cols], test[:, x_cols].T).T
-    d_part = test[:, d_cols] - x_part @ gram[x_cols, d_cols]
-    d_part = np.linalg.solve(gram[np.ix_(d_cols, d_cols)], d_part.T).T
-    return d_part @ cross[d_cols] + x_part @ cross[x_cols]
+    if gram.ndim == 2:
+        pred, errors = predict_from_sums(gram[None], cross[None], train[None], test[None],
+                                         n_sites, n_exposures, group)
+        if errors:
+            raise errors[0]
+        return pred[0]
+    width = gram.shape[-1]
+    x = slice(width - n_exposures, width)
+    count = train.shape[1]
+    pred = np.empty((len(gram), test.shape[1], cross.shape[-1]))
+    errors = {}
+    x_clear = rank_clear(gram[:, x, x], count, n_exposures + 1)
+    patterns, which = np.unique(train[:, :, :n_sites].any(axis=1), axis=0, return_inverse=True)
+    for u, pattern in enumerate(patterns):
+        items = np.flatnonzero(which == u)
+        d_cols = np.concatenate([np.flatnonzero(pattern), np.arange(n_sites, width - n_exposures)])
+        g = gram[items]
+        g_dd = g[:, d_cols][:, :, d_cols]
+        d_clear = rank_clear(g_dd, count, d_cols.size)
+        solved = []
+        for j, item in enumerate(items):
+            try:
+                if not d_clear[j]:
+                    check_design(train[item][:, d_cols])
+                if not x_clear[item]:
+                    check_group(train[item][:, x], group)
+            except (ValueError, DegenerateGroupError) as exc:
+                errors[int(item)] = exc
+                continue
+            solved.append(j)
+        ok = items[solved]
+        try:
+            pred[ok] = _solve_stack(g[solved], g_dd[solved], test[ok], cross[ok], d_cols, x)
+        except np.linalg.LinAlgError:
+            # a design the rank rule passes can still leave a numerically
+            # singular Gram; such an item fails alone, as a lone fit does
+            for j, item in zip(solved, ok):
+                try:
+                    pred[item] = _solve_stack(g[j:j + 1], g_dd[j:j + 1], test[item:item + 1],
+                                              cross[item:item + 1], d_cols, x)[0]
+                except np.linalg.LinAlgError as exc:
+                    errors[int(item)] = exc
+    return pred, errors
+
+
+def _solve_stack(g, g_dd, test, cross, d_cols, x):
+    """The two-stage predictions of `predict_from_sums` for a stack whose
+    items share the stage-1 columns `d_cols`: Grams `g` (B, c, c), their D
+    blocks `g_dd`, held-out rows `test` (B, m, c) and cross sums `cross`
+    (B, c, L); `x` slices the exposure columns. Raises LinAlgError when a
+    Gram block is singular."""
+    x_part = np.swapaxes(np.linalg.solve(g[:, x, x], np.swapaxes(test[:, :, x], 1, 2)), 1, 2)
+    d_part = test[:, :, d_cols] - x_part @ g[:, x][:, :, d_cols]
+    d_part = np.swapaxes(np.linalg.solve(g_dd, np.swapaxes(d_part, 1, 2)), 1, 2)
+    return d_part @ cross[:, d_cols] + x_part @ cross[:, x]
 
 
 def _log_density(resid, resid_sq, exposures, params) -> np.ndarray:
@@ -601,10 +678,12 @@ def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
     ----------
     dataset : Dataset
     basis : BasisSystem
-        Spatial basis used to project the images.
+        Spatial basis used to project the images; the projection is the
+        dataset's record on the basis (`projection.projected`), made here
+        if no earlier call on the same dataset and basis made it.
     n_groups : int
         Number of latent subgroups K, an integer >= 1, checked before the
-        images are projected.
+        projection is read.
     config : SemConfig
 
     Returns
@@ -626,7 +705,7 @@ def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
     pool.
     """
     check_count(n_groups, "n_groups")
-    problem = prepare(project(dataset.images, basis), dataset)
+    problem = prepare(projected(dataset, basis).ytilde, dataset)
     return fit_problem(problem, n_groups, config or SemConfig())
 
 

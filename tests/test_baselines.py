@@ -31,6 +31,41 @@ class TestKmeans:
         _, trace = _lloyd(points, centroids.copy(), 100)
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
+    @pytest.mark.parametrize("seed, n, L, n_clusters", [
+        (5, 300, 455, 3), (6, 40, 3, 5), (7, 12, 2, 6), (8, 200, 20, 8)])
+    def test_lloyd_equals_the_broadcast_distances(self, seed, n, L, n_clusters):
+        # the (n, K, L) broadcast form of the distances, as Lloyd's loop took them
+        def lloyd_broadcast(points, centroids, max_iter):
+            n, n_clusters = points.shape[0], centroids.shape[0]
+            labels = np.full(n, -1)
+            trace = []
+            for _ in range(max_iter):
+                d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+                new_labels = d2.argmin(axis=1)
+                nearest = d2[np.arange(n), new_labels]
+                for k in range(n_clusters):
+                    if not np.any(new_labels == k):
+                        far = int(np.argmax(nearest))
+                        centroids[k] = points[far]
+                        new_labels[far] = k
+                        nearest = ((points - centroids[new_labels]) ** 2).sum(axis=1)
+                trace.append(float(nearest.sum()))
+                if np.array_equal(new_labels, labels):
+                    break
+                labels = new_labels
+                for k in range(n_clusters):
+                    centroids[k] = points[labels == k].mean(axis=0)
+            return labels, trace
+
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((n, L)) + rng.integers(0, 3, size=(n, 1))
+        for start in (_kmeanspp_seed(points, n_clusters, rng),
+                      np.repeat(points[:1], n_clusters, axis=0)):  # empty clusters re-seeded
+            labels, trace = _lloyd(points, start.copy(), 100)
+            ref_labels, ref_trace = lloyd_broadcast(points, start.copy(), 100)
+            assert np.array_equal(labels, ref_labels)
+            assert trace == ref_trace
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         points = rng.standard_normal((60, 3))

@@ -10,7 +10,7 @@ spec = importlib.util.spec_from_file_location("digest", os.path.join(ROOT, "tool
 digest = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(digest)
 
-MSE_LINE = "    return float(sq_err / (pred.shape[0] * d))\n"
+MSE_LINE = "    return sq_err / (pred.shape[-2] * d)\n"
 
 
 def _git(cwd, *args):
@@ -24,7 +24,7 @@ def test_against_a_revision_names_only_the_outputs_that_differ(tmp_path, monkeyp
     _git(tmp_path, "init", "-q")
     _git(tmp_path, "add", "-A")
     _git(tmp_path, "commit", "-q", "-m", "start")
-    # scale every holdout MSE by 1.5: only the three validation outputs move
+    # scale every holdout MSE by 1.5: only the four validation outputs move
     metrics = tmp_path / "src" / "lasir" / "metrics.py"
     source = metrics.read_text()
     assert source.count(MSE_LINE) == 1
@@ -34,8 +34,8 @@ def test_against_a_revision_names_only_the_outputs_that_differ(tmp_path, monkeyp
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines[:-1]] == [
         ["1", f"validate.{mode}", "differs,", "max", "relative", "difference", "0.5"]
-        for mode in ("within", "without", "shuffled")]
-    assert lines[-1] == "3 of 29 outputs differ from HEAD"
+        for mode in ("within", "without", "shuffled", "fresh")]
+    assert lines[-1] == "4 of 30 outputs differ from HEAD"
 
 
 def test_prints_one_digest_per_output(tmp_path, monkeypatch, capsys):
@@ -84,3 +84,19 @@ def test_a_threaded_fit_that_differs_exits_1(tmp_path, monkeypatch, capsys):
         assert digest.main(["--seeds", "7"]) == code
         err = capsys.readouterr().err
         assert ("7  fit.threads differs from fit.* at threads=1" in err) == bool(code)
+
+
+def test_a_fresh_validation_that_differs_exits_1(tmp_path, monkeypatch, capsys):
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    monkeypatch.chdir(tmp_path)
+    modes = {(7, f"validate.{mode}"): [np.full(3, float(i)), np.array([i])]
+             for i, mode in enumerate(digest.MODES)}
+    same = [a for mode in digest.MODES for a in modes[(7, f"validate.{mode}")]]
+    moved = same[:-1] + [same[-1] + 1]
+    for fresh, code in ((same, 0), (moved, 1)):
+        computed = {**modes, (7, "validate.fresh"): fresh}
+        monkeypatch.setattr(digest, "_run", lambda *args: computed)
+        assert digest.main(["--seeds", "7"]) == code
+        err = capsys.readouterr().err
+        assert ("7  validate.fresh differs from validate.* on a rebuilt dataset" in err) \
+            == bool(code)

@@ -1,17 +1,21 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lasir import (Dataset, KernelParams, SemConfig, SimConfig, backproject, build_basis,
-                   build_lattice, fit_sem, match_groups, mse_svc, nmi, power_type1, project,
-                   simulate_cube, validate_projection)
+from lasir import (Dataset, KernelParams, SemConfig, SimConfig, _blas, backproject,
+                   build_basis, build_lattice, fit_sem, match_groups, mse_svc, nmi, power_type1,
+                   project, simulate_cube, validate_projection)
 from lasir import metrics as metrics_module
 from lasir import sem as sem_module
+from lasir.linmodel import check_design
 from lasir.metrics import _holdout_mse
-from lasir.sem import check_group
+from lasir.basis import BasisSystem
+from lasir.sem import (DegenerateGroupError, FitResult, ModelParams, check_group,
+                       predict_from_sums)
 
 
 class TestNmi:
@@ -136,17 +140,31 @@ class TestValidateProjection:
 
     @pytest.mark.parametrize("mode", ["within", "shuffled"])
     def test_each_subgroup_is_checked_once_per_split(self, fitted, mode, monkeypatch):
+        # every subgroup is fitted, and its rank rules decided, once per split,
+        # in stacks; these well-conditioned subgroups pass the eigenvalue
+        # screen, so no SVD of check_group or check_design runs
         dataset, basis, fit = fitted
-        checked = []
+        fitted_items, checked = [], []
+
+        def counted_predict(gram, cross, train, test, n_sites, n_exposures, group=1):
+            fitted_items.extend([group] * len(gram))
+            return predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group)
 
         def counted(design, group):
             checked.append(group)
             return check_group(design, group)
 
+        def counted_design(design):
+            checked.append("stage 1")
+            return check_design(design)
+
+        monkeypatch.setattr(metrics_module, "predict_from_sums", counted_predict)
         monkeypatch.setattr(sem_module, "check_group", counted)
+        monkeypatch.setattr(sem_module, "check_design", counted_design)
         res = validate_projection(dataset, basis, fit, mode, n_splits=3, seed=2)
         assert res.unseen_fallbacks == 0
-        assert sorted(checked) == sorted(list(np.unique(fit.labels)) * 3)
+        assert sorted(fitted_items) == sorted(list(np.unique(fit.labels)) * 3)
+        assert checked == []
 
     def test_unknown_mode(self, fitted):
         dataset, basis, fit = fitted
@@ -167,7 +185,7 @@ class TestValidateProjection:
         def unreachable(*args):
             raise AssertionError("projected before checking the split settings")
 
-        monkeypatch.setattr(metrics_module, "project", unreachable)
+        monkeypatch.setattr(metrics_module, "projected", unreachable)
         with pytest.raises(ValueError, match=named):
             validate_projection(dataset, basis, fit, "within", **settings)
 
@@ -179,7 +197,7 @@ class TestValidateProjection:
         def unreachable(*args):
             raise AssertionError("projected before checking the fit")
 
-        monkeypatch.setattr(metrics_module, "project", unreachable)
+        monkeypatch.setattr(metrics_module, "projected", unreachable)
         with pytest.raises(ValueError,
                            match="the fit has labels for 120 individuals, the dataset has 40"):
             validate_projection(fewer, basis, fit, "within")
@@ -298,6 +316,150 @@ def test_split_count_must_be_an_integer_checked_before_projecting(fitted, n_spli
     def unreachable(*args):
         raise AssertionError("projected before checking the split count")
 
-    monkeypatch.setattr(metrics_module, "project", unreachable)
+    monkeypatch.setattr(metrics_module, "projected", unreachable)
     with pytest.raises(ValueError, match=f"n_splits must be an integer, got {n_splits!r}"):
         validate_projection(dataset, basis, fit, "within", n_splits=n_splits)
+
+
+def _per_split_validation(dataset, basis, fit, mode, n_splits, holdout_frac, seed):
+    """The holdout validation one split at a time, each subgroup fitted by
+    the 2-D form of `predict_from_sums`: (MSEs, fallback count)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ytilde = project(dataset.images, basis)
+    sq_norms = np.square(dataset.images, dtype=np.float64).sum(axis=1)
+    z = np.hstack([dataset.sites, dataset.controls, dataset.exposures])
+    n_sites, p1 = dataset.sites.shape[1], dataset.exposures.shape[1]
+
+    def sums(rows):
+        zr = z[rows]
+        return zr.T @ zr, zr.T @ ytilde[rows]
+
+    def predict(gram, cross, train, test, group=1):
+        return predict_from_sums(gram, cross, z[train], z[test], n_sites, p1, group)
+
+    def downdated(totals, rows):
+        gram, cross = sums(rows)
+        return totals[0] - gram, totals[1] - cross
+
+    labels = np.asarray(fit.labels, dtype=int)
+    subgroups = np.ones_like(labels) if mode == "without" else labels
+    total = sums(slice(None))
+    group_totals = {g: sums(subgroups == g) for g in np.unique(subgroups)}
+    mses, pred, fallbacks = np.empty(n_splits), np.empty_like(ytilde), 0
+    for rep in range(n_splits):
+        holdout = np.zeros(dataset.n, dtype=bool)
+        for g in np.unique(labels):
+            members = np.nonzero(labels == g)[0]
+            n_hold = max(1, int(round(holdout_frac * members.size)))
+            holdout[rng.permutation(members)[:n_hold]] = True
+        train = ~holdout
+        fit_labels = subgroups.copy()
+        if mode == "shuffled":
+            tr_idx = np.nonzero(train)[0]
+            fit_labels[tr_idx] = fit_labels[rng.permutation(tr_idx)]
+        without = None
+        for g in np.unique(subgroups):
+            test_g = holdout & (subgroups == g)
+            train_g = train & (fit_labels == g)
+            g_sums = (sums(train_g) if mode == "shuffled"
+                      else downdated(group_totals[g], test_g))
+            try:
+                pred[test_g] = predict(*g_sums, train_g, test_g, g)
+            except (ValueError, DegenerateGroupError):
+                if without is None:
+                    without = predict(*downdated(total, holdout), train, holdout)
+                pred[test_g] = without[test_g[holdout]]
+                fallbacks += int(test_g.sum())
+        y, theta = ytilde[holdout], pred[holdout]
+        sq_err = np.sum(sq_norms[holdout]) - 2.0 * np.sum(y * theta) + np.sum(theta * theta)
+        mses[rep] = sq_err / (theta.shape[0] * basis.d)
+    return mses, fallbacks
+
+
+def _validation_case(seed, n, n_sites, q, p, n_groups, tiny, stage1_defect):
+    """A dataset on an explicit orthonormal basis and a fit of given labels.
+
+    Site sizes halve from one site to the next, so the last sites hold an
+    individual or two and drop out of some splits' training rows. `tiny`
+    adds subgroups of 2 and 3 members, too small to fit once one is held
+    out; `stage1_defect` (with q >= 1) gives up to 6 members of site 1 a
+    subgroup of their own and a constant control, so that subgroup's
+    stage-1 design [site | controls] is rank deficient.
+    """
+    rng = np.random.default_rng(seed)
+    d, L = 30, 6
+    psi, _ = np.linalg.qr(rng.standard_normal((d, L)))
+    basis = BasisSystem(psi=psi, eigvals=np.ones(L), h=0, params=KernelParams(0.01, 2.0))
+    weights = 0.5 ** np.arange(n_sites)
+    site = np.concatenate([np.arange(n_sites),
+                           rng.choice(n_sites, size=n - n_sites, p=weights / weights.sum())])
+    sites = np.eye(n_sites)[site]
+    controls = rng.standard_normal((n, q))
+    exposures = np.hstack([np.ones((n, 1)), rng.standard_normal((n, p))])
+    labels = rng.integers(1, n_groups + 1, size=n)
+    if tiny:
+        picked = rng.choice(n, size=5, replace=False)
+        labels[picked[:2]] = n_groups + 1
+        labels[picked[2:]] = n_groups + 2
+    if stage1_defect and q:
+        members = np.flatnonzero(site == 0)[:6]
+        labels[members] = labels.max() + 1
+        controls[members, 0] = 1.0
+    _, labels = np.unique(labels, return_inverse=True)
+    dataset = Dataset(images=rng.standard_normal((n, d)).astype(np.float32),
+                      exposures=exposures, controls=controls, sites=sites)
+    params = ModelParams(theta_alpha=np.zeros((1, p + 1, L)), theta_eta=np.zeros((q, L)),
+                         theta_gamma=np.zeros((n_sites, L)), lam=np.ones(L),
+                         w=np.zeros((1, q + 1)))
+    fit = FitResult(params=params, responsibilities=np.ones((n, 1)), labels=labels + 1,
+                    q_trace=np.zeros(1), converged=True, seed=0, iterations=1)
+    return dataset, basis, fit
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (ValueError, DegenerateGroupError) as exc:
+        return type(exc), str(exc)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(24, 70), n_sites=st.integers(1, 7),
+       q=st.integers(0, 2), p=st.integers(0, 2), n_groups=st.integers(1, 3),
+       tiny=st.booleans(), stage1_defect=st.booleans(), n_splits=st.integers(1, 13),
+       block=st.integers(1, 30_000), holdout_frac=st.sampled_from([0.05, 0.2]))
+def test_stacked_splits_equal_the_per_split_rule(seed, n, n_sites, q, p, n_groups, tiny,
+                                                 stage1_defect, n_splits, block, holdout_frac):
+    # `block` bytes hold from one split to a few, so the last block is short
+    # whenever n_splits is not a multiple of the block's split count
+    dataset, basis, fit = _validation_case(seed, n, n_sites, q, p, n_groups, tiny, stage1_defect)
+    for mode in ("within", "without", "shuffled"):
+        with _blas.single_thread:
+            expected = _outcome(lambda: _per_split_validation(dataset, basis, fit, mode, n_splits,
+                                                              holdout_frac, seed))
+        with mock.patch.object(metrics_module, "BLOCK", block):
+            got = _outcome(lambda: validate_projection(dataset, basis, fit, mode, n_splits,
+                                                       holdout_frac, seed))
+        if isinstance(expected[0], type):
+            assert got == expected
+        else:
+            assert got.mse.tobytes() == expected[0].tobytes()
+            assert got.unseen_fallbacks == expected[1]
+
+
+def test_numerically_singular_subgroup_gram_falls_back_as_a_lone_fit_does():
+    # subgroup 2's exposure is constant up to 1e-9: its design passes the
+    # SVD rule, but its training Gram can be singular in floating point, and
+    # the splits where the solve fails fall back, each on its own
+    cfg = SimConfig(dims=(5, 5, 5), n=60, n_groups=1, sigma=1.0, seed=2, n_sites=3)
+    dataset, truth, lattice, basis = simulate_cube(cfg)
+    fit = fit_sem(dataset, basis, 1, SemConfig(seed=0))
+    members = np.arange(10)
+    dataset.exposures[members, 1] = 0.5 + 1e-9 * (np.arange(10) < 3) * np.arange(1, 11)
+    fit.labels = np.ones(dataset.n, dtype=int)
+    fit.labels[members] = 2
+    with _blas.single_thread:
+        mse, fallbacks = _per_split_validation(dataset, basis, fit, "within", 20, 0.05, 5)
+    res = validate_projection(dataset, basis, fit, "within", n_splits=20, seed=5)
+    assert 0 < res.unseen_fallbacks < 20  # some splits of subgroup 2 solve, some fall back
+    assert res.unseen_fallbacks == fallbacks
+    assert res.mse.tobytes() == mse.tobytes()

@@ -1,12 +1,19 @@
 import copy
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
-from lasir import KernelParams, backproject, build_basis, build_lattice, project, projection
+from lasir import (Dataset, KernelParams, SemConfig, SimConfig, _blas, backproject, build_basis,
+                   build_lattice, fit_sem, kmlr_fit, project, projection, save_dataset,
+                   simulate_cube, svcm_fit, validate_projection)
 from lasir.basis import BasisSystem, _masked_gram
+from lasir.bundles import load_basis, save_basis, save_fit
+from lasir.cli import main as cli_main
+from lasir.projection import projected
 from lasir.inference import _variance_field
 from test_basis import masked_lattices
 
@@ -185,3 +192,116 @@ def test_moves_match_index_arrays(name, dtype):
     empty_lines = not basis.layout.inside.reshape(-1, mx).any(axis=1).all()
     assert empty_lines == (name == "ellipsoid")
     _check_moves_match_index_arrays(basis, dtype)
+
+
+@pytest.fixture
+def project_calls(monkeypatch):
+    """Calls of `projection.project`, counted through every lasir module
+    binding that holds it, as the benchmark's spans count them."""
+    calls = []
+    original = projection.project
+
+    def counted(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs["basis"])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "lasir" or name.startswith("lasir.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def simulated():
+    dataset, _, _, basis = simulate_cube(SimConfig(dims=(5, 5, 5), n=60, n_groups=2, n_sites=3,
+                                                   seed=4))
+    return dataset, basis
+
+
+def _fresh(dataset, images=None):
+    """A Dataset over `images` (default: the same array) and `dataset`'s
+    covariates: it holds no projection record yet."""
+    return Dataset(images=dataset.images if images is None else images,
+                   exposures=dataset.exposures, controls=dataset.controls, sites=dataset.sites)
+
+
+class TestOneProjectionPerDatasetAndBasis:
+    def test_fit_then_three_validations_project_once(self, simulated, project_calls):
+        dataset, basis = _fresh(simulated[0]), simulated[1]
+        fit = fit_sem(dataset, basis, 2, SemConfig(restarts=2, seed=1))
+        for mode in ("within", "without", "shuffled"):
+            validate_projection(dataset, basis, fit, mode, n_splits=3, seed=2)
+        assert len(project_calls) == 1
+
+    def test_kmlr_then_svcm_project_once(self, simulated, project_calls):
+        dataset, basis = _fresh(simulated[0]), simulated[1]
+        kmlr_fit(dataset, basis, 2, SemConfig(seed=1))
+        svcm_fit(dataset, basis)
+        assert len(project_calls) == 1
+
+    def test_another_basis_or_other_images_project_again(self, simulated, project_calls):
+        dataset, basis = _fresh(simulated[0]), simulated[1]
+        other = build_basis(build_lattice((5, 5, 5)), KernelParams(0.02, 1.0), 3)
+        first = projected(dataset, basis)
+        assert projected(dataset, basis) is first
+        projected(dataset, other)
+        assert projected(_fresh(dataset, dataset.images.copy()), basis) is not first
+        assert [b.key for b in project_calls] == [basis.key, other.key, basis.key]
+
+    def test_a_reloaded_basis_reuses_the_record(self, simulated, project_calls, tmp_path):
+        dataset, basis = _fresh(simulated[0]), simulated[1]
+        first = projected(dataset, basis)
+        save_basis(basis, tmp_path / "basis")
+        reloaded = load_basis(tmp_path / "basis")
+        assert reloaded is not basis and reloaded.key == basis.key
+        assert projected(dataset, reloaded) is first
+        assert len(project_calls) == 1
+
+    def test_record_equals_a_bare_projection_and_is_read_only(self, simulated):
+        dataset, basis = _fresh(simulated[0]), simulated[1]
+        record = projected(dataset, basis)
+        with _blas.single_thread:
+            assert np.array_equal(record.ytilde, project(dataset.images, basis))
+        assert np.array_equal(record.sq_norms,
+                              np.square(dataset.images, dtype=np.float64).sum(axis=1))
+        with pytest.raises(ValueError, match="read-only"):
+            record.ytilde[0, 0] = 1.0
+
+    def test_threads_asking_at_once_share_one_record(self, simulated, project_calls):
+        dataset, basis = _fresh(simulated[0]), simulated[1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(projected, dataset, basis) for _ in range(32)]
+                records = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(record is records[0] for record in records)
+        assert len(project_calls) == 1
+
+    def test_validate_mode_all_projects_once(self, simulated, project_calls, tmp_path):
+        dataset, basis = simulated
+        lattice = build_lattice((5, 5, 5))
+        save_dataset(dataset, lattice, tmp_path / "images", tmp_path / "covariates.csv")
+        save_basis(basis, tmp_path / "basis")
+        fit = fit_sem(dataset, basis, 2, SemConfig(restarts=2, seed=1))
+        fit.basis = basis.identity()
+        save_fit(fit, tmp_path / "fit")
+        project_calls.clear()
+        assert cli_main(["validate", "--fit", str(tmp_path / "fit"),
+                         "--images", str(tmp_path / "images"),
+                         "--covariates", str(tmp_path / "covariates.csv"),
+                         "--basis", str(tmp_path / "basis"),
+                         "--mode", "all", "--splits", "3", "--seed", "1"]) == 0
+        assert len(project_calls) == 1
+
+
+def test_dataset_images_are_read_only(simulated):
+    dataset = _fresh(simulated[0], simulated[0].images.copy())
+    with pytest.raises(ValueError, match="read-only"):
+        dataset.images[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        dataset.images += 1.0

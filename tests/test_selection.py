@@ -91,7 +91,7 @@ class TestSelectK:
         def unreachable(*args):
             raise AssertionError("projected before checking the candidates")
 
-        monkeypatch.setattr(selection_module, "project", unreachable)
+        monkeypatch.setattr(selection_module, "projected", unreachable)
         with pytest.raises(ValueError, match="candidate group counts must be integers >= 1, "
                                              + named):
             select_k(dataset, basis, candidates, SemConfig())

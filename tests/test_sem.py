@@ -664,7 +664,7 @@ def test_group_count_must_be_an_integer_checked_before_projecting(n_groups, monk
     def unreachable(*args):
         raise AssertionError("projected before checking the group count")
 
-    monkeypatch.setattr(sem_module, "project", unreachable)
+    monkeypatch.setattr(sem_module, "projected", unreachable)
     named = re.escape(f"n_groups must be an integer, got {n_groups!r}")
     with pytest.raises(ValueError, match=named):
         fit_sem(dataset, basis, n_groups, SemConfig())

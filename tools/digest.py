@@ -13,6 +13,9 @@ prints one SHA-256 digest (its first 16 hex digits) per output and seed:
   `threads=4`: its replicates run in other stacks, and it must equal them;
 * `infer` -- every `infer_maps` map: effect, se, wald, pval, reject;
 * `validate.<mode>` -- `validate_projection`'s MSEs and fallbacks per mode;
+* `validate.fresh` -- the three modes, in that order, on a Dataset rebuilt
+  over a copy of the images, which holds no projection record yet; it must
+  equal them;
 * `select.choice`, `select.bic` (each candidate's Q and BIC) and
   `select.labels` -- `select_k`;
 * `kmlr.*` (the six parts of a fit, as for `fit_sem`) and `svcm` -- the two
@@ -34,7 +37,8 @@ output differs. Both sides run in subprocesses importing `src` of the
 repository that holds the current directory, or of the archive.
 
 Either way, the tool also exits 1, naming the seed, when `fit.threads`
-differs from the `fit.*` parts at one thread.
+differs from the `fit.*` parts at one thread, or `validate.fresh` from the
+`validate.*` outputs.
 """
 
 from __future__ import annotations
@@ -64,6 +68,10 @@ SHAPES = {
 SEEDS = (9101, 9202, 9303)
 MODES = ("within", "without", "shuffled")
 FIT_PARTS = ("labels", "theta", "lam", "w", "q", "iterations")
+# output -> (the outputs whose arrays, in order, it must equal; what it is)
+SAME = {"fit.threads": ([f"fit.{part}" for part in FIT_PARTS], "fit.* at threads=1"),
+        "validate.fresh": ([f"validate.{mode}" for mode in MODES],
+                           "validate.* on a rebuilt dataset")}
 
 
 def fit_parts(fit) -> dict:
@@ -100,10 +108,16 @@ def outputs(seed: int, shape: dict) -> dict:
     out["fit.threads"] = [a for arrays in fit_parts(threaded).values() for a in arrays]
     out["infer"] = [a for m in lasir.infer_maps(fit, dataset, basis)
                     for a in (m.effect, m.se, m.wald, m.pval, m.reject)]
-    for mode in MODES:
-        res = lasir.validate_projection(dataset, basis, fit, mode, n_splits=shape["splits"],
+    def validate(data, mode):
+        res = lasir.validate_projection(data, basis, fit, mode, n_splits=shape["splits"],
                                         seed=seed)
-        out[f"validate.{mode}"] = [res.mse, np.array([res.unseen_fallbacks])]
+        return [res.mse, np.array([res.unseen_fallbacks])]
+
+    for mode in MODES:
+        out[f"validate.{mode}"] = validate(dataset, mode)
+    fresh = lasir.Dataset(images=dataset.images.copy(), exposures=dataset.exposures,
+                          controls=dataset.controls, sites=dataset.sites)
+    out["validate.fresh"] = [a for mode in MODES for a in validate(fresh, mode)]
 
     single, _, _, basis1 = simulate(shape["select_dims"], shape["select_n"], 1, 1)
     best, records, fits = lasir.select_k(
@@ -171,11 +185,11 @@ def _load(path) -> dict:
     return out
 
 
-def thread_mismatches(outputs: dict) -> list:
-    """Seeds whose `fit.threads` output differs from their `fit.*` parts."""
-    return [seed for (seed, name), arrays in outputs.items() if name == "fit.threads"
-            and digest(arrays) != digest([a for part in FIT_PARTS
-                                          for a in outputs[(seed, f"fit.{part}")]])]
+def mismatches(outputs: dict) -> list:
+    """(seed, name) of each `SAME` output that differs from its parts."""
+    return [(seed, name) for (seed, name), arrays in outputs.items() if name in SAME
+            and digest(arrays) != digest([a for part in SAME[name][0]
+                                          for a in outputs[(seed, part)]])]
 
 
 def _git(*args, cwd=None) -> bytes:
@@ -217,9 +231,9 @@ def main(argv=None) -> int:
         except subprocess.CalledProcessError as exc:
             print(f"error: computing the outputs failed ({exc})", file=sys.stderr)
             return 1
-    mismatched = thread_mismatches(now)
-    for seed in mismatched:
-        print(f"{seed}  fit.threads differs from fit.* at threads=1", file=sys.stderr)
+    mismatched = mismatches(now)
+    for seed, name in mismatched:
+        print(f"{seed}  {name} differs from {SAME[name][1]}", file=sys.stderr)
     if archive is None:
         for (seed, name), arrays in now.items():
             print(f"{seed}  {name:<22}  {digest(arrays)}")

@@ -125,6 +125,8 @@ def _write_manifest(primary_out, command, resolved):
     # the caller's pools: fits pin them to one thread and restore them on return
     entries += [(f"openblas_threads_{package}", size)
                 for package, size in _blas.pool_sizes().items()]
+    # the threads that long volume reads and projections are dealt to
+    entries.append(("cpus_allowed", _blas.allowed_cpus()))
     entries += [
         ("openblas_num_threads_env", os.environ.get("OPENBLAS_NUM_THREADS", "unset")),
         ("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S")),

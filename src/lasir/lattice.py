@@ -21,12 +21,14 @@ prefixed ``z_``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
 from .io import read_kv, write_kv
 
 VOLUME_FORMAT = "volume-bundle-v1"
@@ -277,9 +279,13 @@ def load_volume_map(base, lattice: VoxelLattice = None):
 
     The header and mask are read once; a given `lattice` must have the
     bundle's dims and mask. The payload is read about `CHUNK` grid cells at
-    a time into one reused buffer, and each chunk's masked cells are
-    gathered straight into the result rows, so neither the count x
-    grid-cells array nor a per-chunk array is ever allocated. A payload
+    a time into a reused buffer, and each chunk's masked cells are gathered
+    straight into the result rows, so neither the count x grid-cells array
+    nor a per-chunk array is ever allocated. A payload of at least
+    `_blas.PARALLEL_CHUNKS` chunks is read on the allowed CPUs
+    (`_blas.deal`), each part through a file handle and buffer of its own;
+    every chunk lands in its own rows, so the values do not depend on the
+    thread count. A payload
     whose size does not match the header raises ValueError naming the
     ``.dat`` file. Any value is returned as stored, NaN and infinities
     included; `load_dataset` reads through the same loop and rejects them.
@@ -291,7 +297,9 @@ def _read_volume(base, lattice, finite):
     """`load_volume_map`; with `finite`, each chunk's gathered rows are
     checked just after the gather, while they are in cache, and the first
     map holding a non-finite value raises ValueError naming its index.
-    Cells outside the mask are never gathered, so they are not checked."""
+    Cells outside the mask are never gathered, so they are not checked.
+    Each part stops at its first failing chunk, and the error of the lowest
+    failing chunk start is raised: the error a serial loop would raise."""
     base = str(base)
     header, dims, count = _read_volume_header(base)
     mask = read_mask(base, header["mask"], dims)
@@ -299,26 +307,44 @@ def _read_volume(base, lattice, finite):
         lattice = build_lattice(dims, mask)
     elif lattice.dims != dims or not np.array_equal(lattice.mask, mask):
         raise ValueError(f"{base}: volume dims/mask do not match the given lattice")
-    size = os.path.getsize(base + ".dat") // 4
+    path = base + ".dat"
+    size = os.path.getsize(path) // 4
     if size != count * lattice.n_cells:
-        raise ValueError(f"{base}.dat: payload size {size} does not match "
+        raise ValueError(f"{path}: payload size {size} does not match "
                          f"count {count} x {lattice.n_cells} cells")
     values = np.empty((count, lattice.d), dtype=np.float32)
     cells = np.flatnonzero(lattice.flat_mask)
     step = max(1, CHUNK // lattice.n_cells)
-    buffer = np.empty((min(step, count), lattice.n_cells), dtype="<f4")
-    with open(base + ".dat", "rb") as fh:
-        for start in range(0, count, step):
-            rows = values[start:start + step]
-            grid = buffer[:rows.shape[0]]
-            if fh.readinto(grid) != grid.nbytes:
-                raise ValueError(f"{base}.dat: payload ends before map {start + rows.shape[0]}")
-            # cells come from flatnonzero(mask), so "clip" never clips; unlike
-            # mode="raise", it lets take write into `rows` without a buffer
-            np.take(grid, cells, axis=1, out=rows, mode="clip")
-            if finite and not (ok := np.isfinite(rows).all(axis=1)).all():
-                i = start + int(np.argmin(ok))
-                raise ValueError(f"non-finite image value for individual index {i}")
+    rows_max = min(step, count)
+
+    with contextlib.ExitStack() as files:
+        def buffers():
+            return (files.enter_context(open(path, "rb")),
+                    np.empty((rows_max, lattice.n_cells), dtype="<f4"),
+                    np.empty((rows_max, lattice.d), dtype=bool) if finite else None)
+
+        def read(starts, fh, buffer, isfinite):
+            """(first failing start, its message) of this part, or None."""
+            for start in starts:
+                rows = values[start:start + step]
+                m = rows.shape[0]
+                grid = buffer[:m]
+                fh.seek(start * grid.strides[0])
+                if fh.readinto(grid) != grid.nbytes:
+                    return start, f"{path}: payload ends before map {start + m}"
+                # cells come from flatnonzero(mask), so "clip" never clips; unlike
+                # mode="raise", it lets take write into `rows` without a buffer
+                np.take(grid, cells, axis=1, out=rows, mode="clip")
+                if finite:
+                    np.isfinite(rows, out=isfinite[:m])
+                    if not (ok := isfinite[:m].all(axis=1)).all():
+                        i = start + int(np.argmin(ok))
+                        return start, f"non-finite image value for individual index {i}"
+            return None
+
+        failures = [f for f in _blas.deal(read, range(0, count, step), buffers=buffers) if f]
+    if failures:
+        raise ValueError(min(failures)[1])
     return values, lattice
 
 

@@ -12,7 +12,10 @@ the mask meets, a chunk of rows at a time: about 2 m_cells (h+1) flops per
 image instead of 2 d L, and no d x L or n x d float64 array. Images reach
 that grid, and maps leave it, one row at a time through the boolean mask
 `Layout.inside`: per image, one scatter (or gather) of d values plus one
-pass over the m_cells of the grid.
+pass over the m_cells of the grid. A projection of at least
+`_blas.PARALLEL_CHUNKS` chunks deals them to the allowed CPUs
+(`_blas.deal`); each chunk is contracted exactly as in a serial loop, into
+rows of its own, so its bits do not depend on the thread count.
 
 A `Dataset` keeps the projection of its images on each basis it meets, as a
 `Projected` record keyed by the basis's `BasisSystem.key` (a SHA-256 of
@@ -48,6 +51,10 @@ def project(images: np.ndarray, basis: BasisSystem) -> np.ndarray:
 
     A factored basis upcasts float32 images one row at a time, as they are
     scattered into the plane grid; an explicit psi upcasts all rows at once.
+    A factored pass of at least `_blas.PARALLEL_CHUNKS` chunks runs its
+    chunks on the allowed CPUs (`_blas.deal`), each part with buffers of its
+    own; every chunk is contracted as in a serial loop, so the result does
+    not depend on the thread count.
     """
     images = np.atleast_2d(images)
     if images.shape[1] != basis.d:
@@ -61,15 +68,27 @@ def project(images: np.ndarray, basis: BasisSystem) -> np.ndarray:
     H = basis.h + 1
     n, step = images.shape[0], _rows(fx, fy, fz)
     out = np.empty((n, basis.L))
-    grid = np.zeros((step, mz * my * mx))  # cells off the mask stay zero throughout
-    for start in range(0, n, step):
-        m = min(step, n - start)
-        for j in range(m):  # per row: 1-D boolean assignment is far faster than 2-D
-            grid[j][layout.inside] = images[start + j]
-        t = grid[:m].reshape(m * mz * my, mx) @ fx   # (m z y, a)
-        t = fy.T @ t.reshape(m * mz, my, H)          # (m z, b, a)
-        t = fz.T @ t.reshape(m, mz, H * H)           # (m, c, b a)
-        out[start:start + m] = t.reshape(m, H ** 3)[:, layout.slots]
+
+    def buffers():
+        rows = min(step, n)
+        # cells off the mask stay zero throughout
+        return (np.zeros((rows, mz * my * mx)), np.empty((rows * mz * my, H)),
+                np.empty((rows * mz, H, H)), np.empty((rows, H, H * H)))
+
+    def contract(starts, grid, tx, ty, tz):
+        for start in starts:
+            m = min(step, n - start)
+            for j in range(m):  # per row: 1-D boolean assignment is far faster than 2-D
+                grid[j][layout.inside] = images[start + j]
+            t = np.matmul(grid[:m].reshape(m * mz * my, mx), fx,
+                          out=tx[:m * mz * my])                             # (m z y, a)
+            t = np.matmul(fy.T, t.reshape(m * mz, my, H), out=ty[:m * mz])  # (m z, b, a)
+            t = np.matmul(fz.T, t.reshape(m, mz, H * H), out=tz[:m])        # (m, c, b a)
+            # slots are in range, so "clip" never clips; it takes without a buffer
+            np.take(t.reshape(m, H ** 3), layout.slots, axis=1, out=out[start:start + m],
+                    mode="clip")
+
+    _blas.deal(contract, range(0, n, step), buffers=buffers)
     return basis.from_tensor(out)
 
 

@@ -40,11 +40,11 @@ independent random label initializations and the replicate with the highest
 final Q wins.
 
 The restarts run in stacks: `fit_problem` deals them into `SemConfig.threads`
-stacks, run at once on a worker thread each, and each iteration of a stack
-makes one call each to `m_step` (stage 2 and the gating Newton fit, both
-batched), `q_value`, `e_step` and `s_step` for all of its live replicates;
-the M-step's log prior is read by both Q and the E-step. A replicate leaves
-its stack when it converges or fails. Every product is taken per replicate
+stacks, run at once on a thread each (a lone stack on the calling thread),
+and each iteration of a stack makes one call each to `m_step` (stage 2 and
+the gating Newton fit, both batched), `q_value`, `e_step` and `s_step` for
+all of its live replicates; the M-step's log prior is read by both Q and
+the E-step. A replicate leaves its stack when it converges or fails. Every product is taken per replicate
 (`np.matmul` over the stack axis, with the operand shapes and layouts of a
 lone replicate), and each replicate draws from its own Generator, so a
 replicate's bits do not depend on its stack: the result does not depend on
@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import logging
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -170,11 +169,14 @@ class SemConfig:
     seed : master seed; replicate streams are spawned deterministically.
     threads : number of replicate stacks run at once (>= 1). The
         replicates are dealt into this many stacks, each advanced by one
-        call per EM step on a worker thread of its own. `fit_sem` pins the
-        process-wide BLAS pools to one thread, so these threads are the
-        fit's only parallelism. Every product is taken per replicate, so
-        results do not depend on `threads`, on how the replicates are
-        stacked, or on OPENBLAS_NUM_THREADS.
+        call per EM step on a thread of its own; a lone stack runs on the
+        calling thread. `fit_sem` pins the process-wide BLAS pools to one
+        thread, so besides these threads the fit's only parallelism is the
+        projection of its images: a pass of at least
+        `_blas.PARALLEL_CHUNKS` chunks runs on the allowed CPUs, with bits
+        that do not depend on the thread count. Every product is taken per
+        replicate, so results do not depend on `threads`, on how the
+        replicates are stacked, or on OPENBLAS_NUM_THREADS.
     init_labels : optional explicit initial labels, shape (n,) with integer
         values 1..K, e.g. for warm starts or equivariance experiments;
         replaces the random draw in every replicate (`fit_problem` checks
@@ -698,6 +700,9 @@ def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
     -----
     The whole fit, projection included, runs with the bundled OpenBLAS pools
     pinned to one thread; the caller's pool sizes are restored on return.
+    Its parallelism is Python threads: the replicate stacks, and a
+    projection of at least `_blas.PARALLEL_CHUNKS` chunks, run on the
+    allowed CPUs; neither changes the bits.
     The pools are process-wide, so BLAS calls made by other threads during
     the fit also run single-threaded. `build_basis`, `infer_maps` and
     `simulate_cube` pin the pools the same way; only a bare `project`,
@@ -731,7 +736,8 @@ def fit_problem(problem: Problem, n_groups: int, config: SemConfig) -> FitResult
     everyone, and `config.init_labels` is not read. For K >= 2, before any
     replicate starts, `config.init_labels` (if given) must have shape (n,)
     and integer values in 1..K, else ValueError. The replicates are dealt
-    into `config.threads` stacks, each run by `_run_stack` on a pool thread.
+    into `config.threads` stacks (`_blas.deal`), each run by `_run_stack` on
+    a thread of its own; a lone stack runs on the calling thread.
     """
     check_count(n_groups, "n_groups")
     if n_groups == 1:
@@ -747,9 +753,7 @@ def fit_problem(problem: Problem, n_groups: int, config: SemConfig) -> FitResult
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     count = min(config.threads, config.restarts)
-    with ThreadPoolExecutor(max_workers=count) as pool:  # seeds dealt into `count` stacks
-        dealt = list(pool.map(lambda stack: _run_stack(problem, n_groups, config, stack),
-                              [seeds[i::count] for i in range(count)]))
+    dealt = _blas.deal(lambda stack: _run_stack(problem, n_groups, config, stack), seeds, count)
     results = [dealt[i % count][i // count] for i in range(config.restarts)]
 
     viable = [i for i, res in enumerate(results) if res is not None]

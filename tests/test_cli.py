@@ -65,6 +65,7 @@ def test_simulate_writes_bundles_and_manifest(workdir):
     assert sizes
     for package, size in sizes.items():
         assert manifest[f"openblas_threads_{package}"] == str(size)
+    assert manifest["cpus_allowed"] == str(_blas.allowed_cpus())
     assert manifest["openblas_num_threads_env"] == os.environ.get("OPENBLAS_NUM_THREADS",
                                                                   "unset")
 

@@ -257,6 +257,35 @@ class TestDatasetIO:
             load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
 
 
+    def test_threaded_read_names_the_first_bad_individual(self, tmp_path, monkeypatch,
+                                                          allow_cpus):
+        # 12 one-row chunks dealt to two threads: the first takes rows 0, 2,
+        # ..., 10, the second 1, 3, ..., 11, so the later part holds the lower
+        # bad row; the read must name it, as a serial read does
+        mask = np.random.default_rng(8).random((3, 4, 5)) < 0.6
+        lat = build_lattice((3, 4, 5), mask)
+        n = 12
+        assert n >= lasir._blas.PARALLEL_CHUNKS
+        save_dataset(_toy_dataset(n, lattice=lat), lat, tmp_path / "img", tmp_path / "cov.csv")
+        monkeypatch.setattr(lattice_module, "CHUNK", lat.n_cells)
+        images = np.random.default_rng(9).standard_normal((n, lat.d)).astype(np.float32)
+        save_volume_map(images, lat, tmp_path / "img")
+        pools = allow_cpus(1)
+        serial = load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat).images
+        assert pools == [] and np.array_equal(serial.view(np.uint32), images.view(np.uint32))
+        for count in (2, 3):
+            pools = allow_cpus(count)
+            threaded = load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat).images
+            assert np.array_equal(threaded.view(np.uint32), serial.view(np.uint32))
+            assert pools == [count]
+        images[10, 0] = np.nan
+        images[3, -1] = -np.inf
+        save_volume_map(images, lat, tmp_path / "img")
+        for count in (1, 2, 3):
+            allow_cpus(count)
+            with pytest.raises(ValueError, match="individual index 3$"):
+                load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+
     @pytest.mark.parametrize("bad", [None, 4])
     def test_non_finite_check_reads_gathered_cells_only(self, tmp_path, monkeypatch, bad):
         # chunks of 2, 2 and 1 maps: a NaN in the last row of the ragged final

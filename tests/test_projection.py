@@ -194,6 +194,25 @@ def test_moves_match_index_arrays(name, dtype):
     _check_moves_match_index_arrays(basis, dtype)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["full", "ellipsoid"])
+def test_threaded_projection_keeps_the_serial_bits(name, dtype, monkeypatch, allow_cpus):
+    # 9 chunks of 2 rows, the last of one: enough to be dealt to threads
+    lattice = build_lattice((5, 6, 4)) if name == "full" else _ellipsoid()
+    basis = build_basis(lattice, KernelParams(0.05, 1.0), 3)
+    monkeypatch.setattr(projection, "CHUNK", 2 * basis.layout.inside.size)
+    n = 2 * _blas.PARALLEL_CHUNKS + 1
+    images = np.random.default_rng(3).standard_normal((n, basis.d)).astype(dtype)
+    pools = allow_cpus(1)
+    serial = project(images, basis)
+    assert pools == []  # one worker: no pool, the calling thread
+    assert np.array_equal(serial, _project_by_cells(images, basis))
+    for count in (2, 3):
+        pools = allow_cpus(count)
+        assert np.array_equal(project(images, basis), serial)
+        assert pools == [count]
+
+
 @pytest.fixture
 def project_calls(monkeypatch):
     """Calls of `projection.project`, counted through every lasir module

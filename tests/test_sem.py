@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -835,3 +836,21 @@ class TestStackedReplicates:
         assert failed == [failures] * 4
         for other in fits[1:]:
             _assert_same_fit(fits[0], other)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_lone_stack_runs_on_the_calling_thread(self, threads, monkeypatch):
+        # one stack runs inline, with no pool; two run on two other threads
+        dataset, _, _, basis = simulate_cube(SimConfig(dims=(4, 4, 4), n=40, n_groups=2,
+                                                       n_sites=2, seed=5))
+        seen, run_stack = [], sem_module._run_stack
+
+        def recorded(*args):
+            seen.append(threading.get_ident())
+            return run_stack(*args)
+
+        monkeypatch.setattr(sem_module, "_run_stack", recorded)
+        fit_sem(dataset, basis, 2, SemConfig(restarts=3, seed=2, threads=threads))
+        if threads == 1:
+            assert seen == [threading.get_ident()]
+        else:
+            assert len(set(seen)) == 2 and threading.get_ident() not in seen

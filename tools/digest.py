@@ -6,6 +6,12 @@ gives the same answers.
 prints one SHA-256 digest (its first 16 hex digits) per output and seed:
 
 * `simulate` -- `simulate_cube`'s images, design, true labels and basis;
+* `project` -- the images and their projection on the basis
+  (`projection.projected`);
+* `load` -- the same two after a round trip through a volume bundle
+  (`save_dataset`, `load_dataset`), read and projected one row per chunk so
+  that both passes deal their chunks to threads on a machine that allows
+  two CPUs or more; it must equal `project`;
 * `fit.labels`, `fit.theta` (theta_alpha, theta_eta, theta_gamma),
   `fit.lam`, `fit.w`, `fit.q` (the Q trace) and `fit.iterations`
   (iterations, converged, winning replicate) -- `fit_sem`;
@@ -36,9 +42,9 @@ relative difference of its values, |now - REF| / |REF|, and exits 1 if any
 output differs. Both sides run in subprocesses importing `src` of the
 repository that holds the current directory, or of the archive.
 
-Either way, the tool also exits 1, naming the seed, when `fit.threads`
-differs from the `fit.*` parts at one thread, or `validate.fresh` from the
-`validate.*` outputs.
+Either way, the tool also exits 1, naming the seed, when `load` differs
+from `project`, `fit.threads` from the `fit.*` parts at one thread, or
+`validate.fresh` from the `validate.*` outputs.
 """
 
 from __future__ import annotations
@@ -69,7 +75,8 @@ SEEDS = (9101, 9202, 9303)
 MODES = ("within", "without", "shuffled")
 FIT_PARTS = ("labels", "theta", "lam", "w", "q", "iterations")
 # output -> (the outputs whose arrays, in order, it must equal; what it is)
-SAME = {"fit.threads": ([f"fit.{part}" for part in FIT_PARTS], "fit.* at threads=1"),
+SAME = {"load": (["project"], "the images and projection in memory"),
+        "fit.threads": ([f"fit.{part}" for part in FIT_PARTS], "fit.* at threads=1"),
         "validate.fresh": ([f"validate.{mode}" for mode in MODES],
                            "validate.* on a rebuilt dataset")}
 
@@ -85,6 +92,8 @@ def fit_parts(fit) -> dict:
 def outputs(seed: int, shape: dict) -> dict:
     """name -> list of arrays, for one seed at the given shapes."""
     import lasir
+    from lasir import lattice as lattice_module
+    from lasir import projection
     from lasir.simulate import KERNEL
 
     out = {}
@@ -97,9 +106,20 @@ def outputs(seed: int, shape: dict) -> dict:
                                                    n_sites=shape["sites"], seed=seed + offset,
                                                    **extra))
 
-    dataset, truth, _, basis = simulate(shape["dims"], shape["n"], shape["K"], 0)
+    dataset, truth, lattice, basis = simulate(shape["dims"], shape["n"], shape["K"], 0)
     out["simulate"] = [dataset.images, dataset.exposures, dataset.controls, dataset.sites,
                        truth.labels, basis.psi]
+    out["project"] = [dataset.images, projection.projected(dataset, basis).ytilde]
+    chunks = lattice_module.CHUNK, projection.CHUNK
+    with tempfile.TemporaryDirectory() as tmp:
+        base = os.path.join(tmp, "images")
+        lasir.save_dataset(dataset, lattice, base, base + ".csv")
+        lattice_module.CHUNK, projection.CHUNK = lattice.n_cells, 1  # one row per chunk
+        try:
+            loaded = lasir.load_dataset(base, base + ".csv", lattice)
+            out["load"] = [loaded.images, projection.projected(loaded, basis).ytilde]
+        finally:
+            lattice_module.CHUNK, projection.CHUNK = chunks
     fit = lasir.fit_sem(dataset, basis, shape["K"],
                         lasir.SemConfig(restarts=shape["restarts"], seed=seed))
     add_fit("fit", fit)

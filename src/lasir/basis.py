@@ -152,8 +152,10 @@ class BasisSystem:
     def L(self) -> int:
         return self.eigvals.shape[0]
 
-    @property
+    @cached_property
     def d(self) -> int:
+        """Voxel count, computed once per basis object, like `key`: a factored
+        basis sums its mask."""
         return self._psi.shape[0] if self._psi is not None else int(self.mask.sum())
 
     def identity(self) -> dict:

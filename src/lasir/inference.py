@@ -166,45 +166,20 @@ def _check_alpha(alpha) -> None:
 def fdr_bh(pvals: np.ndarray, alpha: float) -> np.ndarray:
     """Benjamini-Hochberg step-up decisions.
 
-    With the m p-values sorted ascending, find the largest k with
-    ``p_(k) <= b_k = k * alpha / m`` and reject every p-value up to p_(k);
-    nothing is rejected when no such k exists. The rejection set grows
-    monotonically with alpha.
-
-    No sort is needed: p_(k) <= b_k holds exactly when at least k p-values
-    are <= b_k (if p_(k) <= b_k then so are p_(1..k); if k of them are, the
-    k-th smallest is). Each p-value gets the index of the first bound it
-    meets, m for none and for NaN, found from ceil(p m / alpha) - 1 and
-    corrected against the bounds themselves; a running count of these
-    indices gives #{p <= b_k} for every k, hence the largest passing k*.
-    The rejections {p <= b_k*} equal {p <= p_(k*)}, ties included:
-    p_(k*) <= b_k*, and a p-value in (p_(k*), b_k*] would make
-    c = #{p <= b_k*} exceed k*, so that k = c would pass too (b_k* <= b_c).
-    NaN is never rejected. O(m) time and memory.
+    Sort the m p-values ascending (NaN last), find the largest k with
+    ``p_(k) <= k * alpha / m`` and reject every p-value <= p_(k), ties
+    included; nothing is rejected when no such k exists, and NaN never is.
     """
     pvals = np.asarray(pvals, dtype=float)
     if pvals.ndim != 1:
         raise ValueError("pvals must be a vector")
     _check_alpha(alpha)
     m = pvals.size
-    if m == 0:
-        return np.zeros(0, dtype=bool)
-    bound = alpha * np.arange(1, m + 1) / m  # non-decreasing
-    first = np.full(m, m, dtype=np.intp)
-    meets = np.flatnonzero(pvals <= bound[-1])
-    p = pvals[meets]
-    # a guess, finite as p <= b_m; every p <= 0 meets b_1 >= 0
-    i = np.clip(np.ceil(np.maximum(p, 0.0) * m / alpha) - 1, 0, m - 1).astype(np.intp)
-    while (up := p > bound[i]).any():
-        i[up] += 1
-    while (down := (i > 0) & (p <= bound[i - 1])).any():
-        i[down] -= 1
-    first[meets] = i
-    met = np.cumsum(np.bincount(first, minlength=m + 1)[:m])  # #{p <= b_k}
-    passing = np.flatnonzero(met >= np.arange(1, m + 1))
+    ranked = np.sort(pvals)
+    passing = np.flatnonzero(ranked <= alpha * np.arange(1, m + 1) / m)
     if passing.size == 0:
         return np.zeros(m, dtype=bool)
-    return first <= passing[-1]
+    return pvals <= ranked[passing[-1]]
 
 
 @_blas.single_thread

@@ -188,8 +188,9 @@ class Dataset:
 class GroundTruth:
     """Simulation truth: labels, coefficient maps, and gating weights.
 
-    `alpha` is (K, p+1, d); `gamma` (S, d); `eta` (q, d); `gating` (K, q+1)
-    with the last row identically zero.
+    `alpha` is (K, p+1, d); `gamma` (S, d), one row per configured site, so
+    that a dataset's site column j is row ``site_codes[j] - 1``; `eta` (q, d);
+    `gating` (K, q+1) with the last row identically zero.
     """
 
     labels: np.ndarray

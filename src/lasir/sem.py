@@ -88,13 +88,13 @@ WINDOW = 5  # trailing iterations whose Q range decides convergence
 class DegenerateGroupError(RuntimeError):
     """Raised by `check_group` when a group is too small or its design collapses.
 
-    `rows` maps each failing row of a stack of labelings to its error (see
-    `stage2`); for one labeling it is {0: self}.
+    `row` is the first failing row of a stack of labelings (see `stage2`);
+    for one labeling it is 0.
     """
 
     def __init__(self, group: int, why: str):
         self.group = group
-        self.rows = {0: self}
+        self.row = 0
         super().__init__(f"degenerate group {group}: {why}")
 
 
@@ -321,8 +321,7 @@ def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
     `labels` may be a stack (A, n) of labelings; theta_alpha is then
     (A, K, p+1, L) and RSS (A, L), each replicate's from products of its own,
     so its bits are those of the call on it alone. When replicates fail
-    `check_group`, the first one's error is raised, with `rows` mapping
-    every failing row to its own error.
+    `check_group`, the first one's error is raised, with its row as `row`.
     """
     X, R = problem.exposures, problem.resid
     stack = labels.reshape(-1, labels.shape[-1])
@@ -334,17 +333,13 @@ def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
     shape = (len(stack), n_groups, p1, -1)
     gram = (np.swapaxes(xw, 1, 2) @ X).reshape(shape)
     clear = rank_clear(gram, inside.sum(axis=1), p1 + 1)
-    failed = {}
     for row, members in enumerate(stack):
         try:
             for k in np.flatnonzero(~clear[row, inverse[row]]) + 1:
                 check_group(X[members == k], int(k))
         except DegenerateGroupError as exc:
-            failed[row] = exc
-    if failed:
-        error = next(iter(failed.values()))
-        error.rows = failed
-        raise error
+            exc.row = row
+            raise
     cross = (np.swapaxes(xw, 1, 2) @ R).reshape(shape)
     theta = np.linalg.solve(gram, cross)
     rss = np.maximum(problem.resid_sumsq - (theta * cross).sum(axis=2).sum(axis=1), 0.0)
@@ -550,7 +545,7 @@ def m_step(ytilde, dataset: Dataset, labels: np.ndarray, n_groups: int,
     `labels` may be a stack (A, n) of labelings, with `w_init` (A, K, q+1);
     the parameters are then stacked (see `ModelParams`), and each
     replicate's equal those of the call on it alone. A stack's
-    DegenerateGroupError names every failing row in `rows` (see `stage2`).
+    DegenerateGroupError names its first failing row as `row` (see `stage2`).
     """
     problem = ytilde if isinstance(ytilde, Problem) else prepare(ytilde, dataset)
     labels = np.asarray(labels, dtype=int)
@@ -612,7 +607,8 @@ def _run_stack(problem, n_groups, config, seeds):
     from its own Generator, in the order it would draw alone: its initial
     labels, its redraws after a DegenerateGroupError (at most `MAX_REDRAWS`
     per iteration, then it fails with a "replicate failed" warning) and its
-    S-steps. A replicate leaves the stack when it converges or fails.
+    S-steps. Each failing `m_step` call redraws or drops the one replicate
+    its error names. A replicate leaves the stack when it converges or fails.
     Returns one FitResult, or None for a failed replicate, per seed.
     """
     n = problem.n
@@ -633,16 +629,14 @@ def _run_stack(problem, n_groups, config, seeds):
                 params = m_step(problem, None, labels, n_groups, w_init=w)
                 break
             except DegenerateGroupError as exc:
-                keep = np.ones(ids.size, dtype=bool)
-                for row, error in exc.rows.items():
-                    rng = rngs[ids[row]]
-                    if redraws[row] == MAX_REDRAWS:
-                        logger.warning("replicate failed: %s", error)
-                        keep[row] = False
-                        continue
+                row, rng = exc.row, rngs[ids[exc.row]]
+                if redraws[row] < MAX_REDRAWS:
                     redraws[row] += 1
                     labels[row] = (rng.integers(1, n_groups + 1, size=n) if resp is None
                                    else s_step(resp[row], rng))
+                    continue
+                logger.warning("replicate failed: %s", exc)
+                keep = np.arange(ids.size) != row
                 ids, labels, redraws = ids[keep], labels[keep], redraws[keep]
                 w = None if w is None else w[keep]
                 resp = None if resp is None else resp[keep]

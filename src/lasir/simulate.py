@@ -52,7 +52,8 @@ class SimConfig:
         kernel `KERNEL`; defaults to min(12, smallest axis - 1) so the
         expansion stays full rank on the grid.
     n_sites : site count; the site and control effects have sds `SITE_SD`
-        and `CONTROL_SD`.
+        and `CONTROL_SD`. The dataset holds a site column only for each site
+        drawn, as a saved and reloaded one does (`load_dataset`).
     null_exposure : zero out every slope map (for calibration studies).
     """
 
@@ -198,7 +199,9 @@ def simulate_cube(config: SimConfig):
     images = (mu + rng.normal(0.0, config.sigma, size=(n, d))).astype(np.float32)
 
     exposures = np.column_stack([np.ones(n), x])
-    dataset = Dataset(images=images, exposures=exposures, controls=z, sites=sites)
+    drawn = np.flatnonzero(sites.any(axis=0))
+    dataset = Dataset(images=images, exposures=exposures, controls=z, sites=sites[:, drawn],
+                      site_codes=drawn + 1)
     truth = GroundTruth(labels=labels, alpha=alpha, gamma=gamma, eta=eta,
                         gating=GATING[K].copy())
     return dataset, truth, lattice, basis

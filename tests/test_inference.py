@@ -162,15 +162,20 @@ class TestWaldMap:
         assert np.allclose(m2.pval, m1.pval, atol=1e-8)
 
 
-def _bh_by_sort(pvals, alpha):
-    """Textbook step-up: sort ascending (NaN last), find the largest k with
-    p_(k) <= k alpha / m and reject every p-value <= p_(k)."""
+def _bh_by_counting(pvals, alpha):
+    """Step-up without sorting the p-values: p_(k) <= b_k = k alpha / m holds
+    exactly when at least k p-values are <= b_k. Each p-value gets the index
+    of the first bound it meets (m for none and for NaN); a running count of
+    these indices gives #{p <= b_k} for every k, hence the largest passing
+    k*, and the rejections are the p-values that meet b_k*."""
     m = pvals.size
-    ranked = np.sort(pvals)
-    passing = np.flatnonzero(ranked <= alpha * np.arange(1, m + 1) / m)
+    bound = alpha * np.arange(1, m + 1) / m
+    first = np.searchsorted(bound, pvals, side="left")
+    met = np.cumsum(np.bincount(first, minlength=m + 1)[:m])
+    passing = np.flatnonzero(met >= np.arange(1, m + 1))
     if passing.size == 0:
         return np.zeros(m, dtype=bool)
-    return pvals <= ranked[passing[-1]]
+    return first <= passing[-1]
 
 
 @st.composite
@@ -194,11 +199,11 @@ def _pvalue_vectors(draw):
 
 class TestFdrBH:
     @given(_pvalue_vectors())
-    def test_matches_the_sort_reference(self, case):
+    def test_matches_the_counting_oracle(self, case):
         pvals, alpha = case
         reject = fdr_bh(pvals, alpha)
         assert reject.dtype == bool
-        assert np.array_equal(reject, _bh_by_sort(pvals, alpha))
+        assert np.array_equal(reject, _bh_by_counting(pvals, alpha))
         assert not reject[np.isnan(pvals)].any()
 
     @given(p=st.one_of(st.floats(allow_nan=True), st.just(0.05)),
@@ -206,7 +211,7 @@ class TestFdrBH:
     def test_one_pvalue(self, p, alpha):
         assert fdr_bh(np.array([p]), alpha).tolist() == [bool(p <= alpha)]
 
-    def test_large_map_matches_the_sort_reference(self):
+    def test_large_map_matches_the_counting_oracle(self):
         rng = np.random.default_rng(11)
         m = 200_003
         z = rng.standard_normal(m)
@@ -218,7 +223,7 @@ class TestFdrBH:
         pvals[on] = bound[on]
         reject = fdr_bh(pvals, 0.05)
         assert 0 < reject.sum() < m
-        assert np.array_equal(reject, _bh_by_sort(pvals, 0.05))
+        assert np.array_equal(reject, _bh_by_counting(pvals, 0.05))
 
     def test_empty_vector(self):
         assert fdr_bh(np.array([]), 0.05).shape == (0,)

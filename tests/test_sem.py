@@ -780,21 +780,54 @@ class TestStackedReplicates:
         for a in range(stack):
             assert _same(drawn[a], s_step(resp[a], np.random.default_rng(seed + a)))
 
-    def test_stacked_m_step_names_every_degenerate_row(self):
+    def test_stacked_m_step_names_the_first_degenerate_row(self):
         ytilde, dataset, labels = _grouped_problem(3, 3, 1, 1, 2, 4, 2)
         problem = prepare(ytilde, dataset)
         small = labels.copy()
         small[small == 2] = 1
         small[np.flatnonzero(labels == 2)[0]] = 2  # group 2 keeps one member
         stack = np.stack([labels, np.ones_like(labels), labels, small])
-        with pytest.raises(DegenerateGroupError) as caught:
-            m_step(problem, None, stack, 3)
-        assert sorted(caught.value.rows) == [1, 3]
-        assert caught.value is caught.value.rows[1]
-        for row, error in caught.value.rows.items():
+        # rows 1 and 3 fail; without row 1, row 3 (now row 2) is named
+        for rows, named in (([0, 1, 2, 3], 1), ([0, 2, 3], 2)):
+            with pytest.raises(DegenerateGroupError) as caught:
+                m_step(problem, None, stack[rows], 3)
+            assert caught.value.row == named
             with pytest.raises(DegenerateGroupError) as alone:
-                m_step(problem, None, stack[row], 3)
-            assert str(error) == str(alone.value)
+                m_step(problem, None, stack[rows[named]], 3)
+            assert alone.value.row == 0
+            assert str(caught.value) == str(alone.value)
+
+    def test_each_raising_m_step_redraws_or_drops_one_replicate(self, monkeypatch, caplog):
+        # n=24 at K=4 leaves groups degenerate often, in several replicates
+        # of one m_step call at a time; each raise must account for one
+        dataset, _, _, basis = simulate_cube(SimConfig(dims=(5, 5, 5), n=24, n_groups=2,
+                                                       n_sites=2, seed=3))
+        calls, m_step_alone = [], sem_module.m_step
+
+        def recorded(problem, dataset, labels, n_groups, w_init=None):
+            calls.append([labels.copy(), None])
+            try:
+                return m_step_alone(problem, dataset, labels, n_groups, w_init=w_init)
+            except DegenerateGroupError as exc:
+                calls[-1][1] = exc.row
+                raise
+
+        monkeypatch.setattr(sem_module, "m_step", recorded)
+        with caplog.at_level(logging.WARNING, logger="lasir.sem"):
+            fit_sem(dataset, basis, 4, SemConfig(restarts=6, seed=0, threads=1))
+        dropped = sum("replicate failed" in r.getMessage() for r in caplog.records)
+        redrawn = 0
+        for (before, row), (after, _) in zip(calls, calls[1:]):
+            if row is None:
+                continue
+            if len(after) == len(before):  # saturated responsibilities may redraw the same labels
+                assert set(np.flatnonzero((after != before).any(axis=1))) <= {row}
+                redrawn += 1
+            else:
+                assert np.array_equal(after, np.delete(before, row, axis=0))
+        raised = sum(row is not None for _, row in calls)
+        assert redrawn > dropped > 0
+        assert raised == redrawn + dropped
 
     @pytest.mark.parametrize("spread, accepted", [(1e-5, True), (0.0, False)])
     def test_ill_conditioned_groups_take_the_svd_rule(self, spread, accepted):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import lasir
-from lasir import (KernelParams, SimConfig, _blas, build_basis, build_lattice,
-                   draw_labels, make_group_svcs, sample_gp, simulate_cube,
-                   smoothed_center_cube, trig_map)
+from lasir import (KernelParams, SemConfig, SimConfig, _blas, build_basis, build_lattice,
+                   draw_labels, fit_sem, load_dataset, make_group_svcs, sample_gp,
+                   save_dataset, simulate_cube, smoothed_center_cube, trig_map)
 from lasir.basis import BasisSystem
 from lasir.simulate import gp_from_coeffs
 from test_basis import tensor_products
@@ -128,7 +128,7 @@ class TestSimulateCube:
         ds, truth, lattice, basis = simulate_cube(cfg)
         x = ds.exposures[:, 1][:, None]
         mu = (truth.alpha[truth.labels - 1, 0] + x * truth.alpha[truth.labels - 1, 1]
-              + ds.sites @ truth.gamma + ds.controls @ truth.eta)
+              + ds.sites @ truth.gamma[ds.site_codes - 1] + ds.controls @ truth.eta)
         resid = ds.images.astype(np.float64) - mu
         assert resid.size >= 1_000_000
         assert abs(resid.std() / cfg.sigma - 1.0) < 0.02
@@ -171,6 +171,20 @@ class TestSimulateCube:
             SimConfig(sigma=0.0)
         with pytest.raises(ValueError, match="groups"):
             SimConfig(n_groups=5)
+
+    def test_sites_drawn_by_nobody_leave_no_column(self, tmp_path):
+        # 40 individuals over 21 sites leave some sites empty; an empty site
+        # column would make stage 1 rank deficient
+        cfg = SimConfig(dims=(5, 5, 5), n=40, n_groups=2, seed=4)
+        ds, truth, lattice, basis = simulate_cube(cfg)
+        assert truth.gamma.shape[0] == cfg.n_sites
+        assert ds.sites.shape[1] < cfg.n_sites and ds.sites.any(axis=0).all()
+        fit = fit_sem(ds, basis, 2, SemConfig(restarts=2, seed=0, threads=1))
+        assert fit.labels.shape == (cfg.n,)
+        save_dataset(ds, lattice, tmp_path / "vol", tmp_path / "cov.csv")
+        loaded = load_dataset(tmp_path / "vol", tmp_path / "cov.csv", lattice)
+        assert np.array_equal(loaded.sites, ds.sites)
+        assert loaded.site_codes.astype(int).tolist() == ds.site_codes.tolist()
 
 
 _SIMULATE_HASH_SCRIPT = textwrap.dedent("""

@@ -15,10 +15,10 @@ from .basis import (BasisSystem, KernelParams, basis_size, build_basis,
 from .baselines import kmeans, kmlr_fit, svcm_fit
 from .inference import (CoefCovariance, InferenceMap, coef_covariance, fdr_bh,
                         infer_maps, svc_variance, wald_map)
-from .lattice import (Dataset, GroundTruth, VoxelLattice, build_lattice,
+from .lattice import (Dataset, GroundTruth, VolumePayload, VoxelLattice, build_lattice,
                       lattice_from_volume, load_dataset, load_volume_map,
                       save_dataset, save_volume_map)
-from .linmodel import (DiagGaussianFit, augment, gating_probs, mnlogit_fit,
+from .linmodel import (DiagGaussianFit, GatingFit, augment, gating_probs, mnlogit_fit,
                        mvls_fit)
 from .metrics import (ValidationResult, match_groups, mse_svc, nmi, power_type1,
                       validate_projection)

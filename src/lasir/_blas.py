@@ -11,9 +11,9 @@ so `single_thread` pins both pools to one thread around a fit.
 Parallelism comes from Python threads instead, each running its own BLAS
 calls: `deal` splits work into parts, one thread each. It runs the replicate
 stacks of a fit, and the chunk loops of the volume read
-(`lattice.load_volume_map`, `lattice.load_dataset`) and of `projection.project`
-when a pass has at least `PARALLEL_CHUNKS` chunks, on as many threads as the
-process may use CPUs. Each chunk is computed exactly as a serial loop would
+(`lattice.VolumePayload.stream`, which feeds `projection.project` as well)
+and of `projection.project` on images in memory when a pass has at least
+`PARALLEL_CHUNKS` chunks, on as many threads as the process may use CPUs. Each chunk is computed exactly as a serial loop would
 compute it, into rows of its own, so the bits do not depend on the thread
 count.
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,6 @@ def build_lattice(dims, mask_spec="full") -> VoxelLattice:
     return VoxelLattice(dims=dims, mask=mask, coords=coords)
 
 
-@dataclass
 class Dataset:
     """Per-individual images and covariates.
 
@@ -128,48 +127,58 @@ class Dataset:
         ``site_codes[s]``.
     exposure_names, control_names : list of str
         Column names without the leading intercept.
+    image_source : ndarray or VolumePayload
+        The images as held: the read-only array, or the unread payload of
+        the volume bundle a loaded dataset streams them from.
     projections : dict
         The projection records of the images (`projection.projected`), one
         per basis key (`BasisSystem.key`), made on first request.
 
-    `images` is a read-only view, set when the Dataset is made, so that its
+    `images` may be given as an (n, d) array or as a `VolumePayload`
+    (`load_dataset`). An array is kept as a read-only view, so that its
     projection records cannot go stale: writing into it raises ValueError.
     To change images, build a new Dataset. (The array the view was taken of
     stays writable; writing into it changes the images under the records.)
+    A payload is read only when the images are needed: each projection
+    record streams it (`projection.projected`), and each read of `images`
+    returns a new array, which the dataset does not keep. Either read
+    raises ValueError naming the first individual whose image holds a
+    non-finite value, so the payload must stay in place and unchanged while
+    the dataset is in use. `n` comes from the covariates.
     """
 
-    images: np.ndarray
-    exposures: np.ndarray
-    controls: np.ndarray
-    sites: np.ndarray
-    ids: np.ndarray = None
-    site_codes: np.ndarray = None
-    exposure_names: list = field(default_factory=list)
-    control_names: list = field(default_factory=list)
-    projections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.images = np.asarray(self.images).view()
-        self.images.flags.writeable = False
-        n = self.images.shape[0]
+    def __init__(self, images, exposures, controls, sites, ids=None, site_codes=None,
+                 exposure_names=(), control_names=()):
+        if not isinstance(images, VolumePayload):
+            images = np.asarray(images).view()
+            images.flags.writeable = False
+        self.image_source = images
+        self.exposures, self.controls, self.sites = exposures, controls, sites
+        self.exposure_names, self.control_names = list(exposure_names), list(control_names)
+        self.projections = {}
+        rows = images.shape[0]
         for name in ("exposures", "controls", "sites"):
             arr = getattr(self, name)
-            if arr.shape[0] != n:
-                raise ValueError(f"row count mismatch: images has {n} rows, "
+            if arr.shape[0] != rows:
+                raise ValueError(f"row count mismatch: images has {rows} rows, "
                                  f"{name} has {arr.shape[0]}")
         if not np.all(self.exposures[:, 0] == 1.0):
             raise ValueError("exposures column 0 must be identically 1")
         row_sums = self.sites.sum(axis=1)
         if not np.all((self.sites == 0) | (self.sites == 1)) or not np.all(row_sums == 1):
             raise ValueError("sites must be one-hot with exactly one 1 per row")
-        if self.ids is None:
-            self.ids = np.array([f"ind-{i:05d}" for i in range(n)])
-        if self.site_codes is None:
-            self.site_codes = np.arange(1, self.sites.shape[1] + 1)
+        self.ids = np.array([f"ind-{i:05d}" for i in range(rows)]) if ids is None else ids
+        self.site_codes = (np.arange(1, self.sites.shape[1] + 1) if site_codes is None
+                           else site_codes)
+
+    @property
+    def images(self) -> np.ndarray:
+        source = self.image_source
+        return source.read() if isinstance(source, VolumePayload) else source
 
     @property
     def n(self) -> int:
-        return self.images.shape[0]
+        return self.exposures.shape[0]
 
     @property
     def p(self) -> int:
@@ -279,28 +288,21 @@ def load_volume_map(base, lattice: VoxelLattice = None):
     """Read a volume bundle; returns (values, lattice) with values (count, d).
 
     The header and mask are read once; a given `lattice` must have the
-    bundle's dims and mask. The payload is read about `CHUNK` grid cells at
-    a time into a reused buffer, and each chunk's masked cells are gathered
-    straight into the result rows, so neither the count x grid-cells array
-    nor a per-chunk array is ever allocated. A payload of at least
-    `_blas.PARALLEL_CHUNKS` chunks is read on the allowed CPUs
-    (`_blas.deal`), each part through a file handle and buffer of its own;
-    every chunk lands in its own rows, so the values do not depend on the
-    thread count. A payload
-    whose size does not match the header raises ValueError naming the
-    ``.dat`` file. Any value is returned as stored, NaN and infinities
-    included; `load_dataset` reads through the same loop and rejects them.
+    bundle's dims and mask. A payload whose size does not match the header
+    raises ValueError naming the ``.dat`` file. The payload is read by
+    `VolumePayload.read`, about `CHUNK` grid cells at a time, so the count x
+    grid-cells array is never allocated. Any value is returned as stored,
+    NaN and infinities included; `load_dataset` reads through the same loop
+    and rejects them.
     """
-    return _read_volume(base, lattice, finite=False)
+    payload = _open_volume(base, lattice, finite=False)
+    return payload.read(), payload.lattice
 
 
-def _read_volume(base, lattice, finite):
-    """`load_volume_map`; with `finite`, each chunk's gathered rows are
-    checked just after the gather, while they are in cache, and the first
-    map holding a non-finite value raises ValueError naming its index.
-    Cells outside the mask are never gathered, so they are not checked.
-    Each part stops at its first failing chunk, and the error of the lowest
-    failing chunk start is raised: the error a serial loop would raise."""
+def _open_volume(base, lattice, finite):
+    """The `VolumePayload` of the bundle at `base`: header, mask and payload
+    size checked, no value read. A given `lattice` must have the bundle's
+    dims and mask; without one, the bundle's lattice is built."""
     base = str(base)
     header, dims, count = _read_volume_header(base)
     mask = read_mask(base, header["mask"], dims)
@@ -313,40 +315,88 @@ def _read_volume(base, lattice, finite):
     if size != count * lattice.n_cells:
         raise ValueError(f"{path}: payload size {size} does not match "
                          f"count {count} x {lattice.n_cells} cells")
-    values = np.empty((count, lattice.d), dtype=np.float32)
-    cells = np.flatnonzero(lattice.flat_mask)
-    step = max(1, CHUNK // lattice.n_cells)
-    rows_max = min(step, count)
+    return VolumePayload(os.path.abspath(path), lattice, count, finite)
 
-    with contextlib.ExitStack() as files:
-        def buffers():
-            return (files.enter_context(open(path, "rb")),
-                    np.empty((rows_max, lattice.n_cells), dtype="<f4"),
-                    np.empty((rows_max, lattice.d), dtype=bool) if finite else None)
 
-        def read(starts, fh, buffer, isfinite):
-            """(first failing start, its message) of this part, or None."""
-            for start in starts:
-                rows = values[start:start + step]
-                m = rows.shape[0]
-                grid = buffer[:m]
-                fh.seek(start * grid.strides[0])
-                if fh.readinto(grid) != grid.nbytes:
-                    return start, f"{path}: payload ends before map {start + m}"
-                # cells come from flatnonzero(mask), so "clip" never clips; unlike
-                # mode="raise", it lets take write into `rows` without a buffer
-                np.take(grid, cells, axis=1, out=rows, mode="clip")
-                if finite:
-                    np.isfinite(rows, out=isfinite[:m])
-                    if not (ok := isfinite[:m].all(axis=1)).all():
-                        i = start + int(np.argmin(ok))
-                        return start, f"non-finite image value for individual index {i}"
-            return None
+@dataclass(frozen=True, eq=False)
+class VolumePayload:
+    """The ``.dat`` payload of a volume bundle, opened but not read: `count`
+    maps of `lattice.n_cells` float32 grid cells in the file `path`. With
+    `finite`, every read rejects a map holding a non-finite value at a
+    masked voxel."""
 
-        failures = [f for f in _blas.deal(read, range(0, count, step), buffers=buffers) if f]
-    if failures:
-        raise ValueError(min(failures)[1])
-    return values, lattice
+    path: str
+    lattice: VoxelLattice
+    count: int
+    finite: bool
+
+    @property
+    def shape(self) -> tuple:
+        """(count, d): the shape of the masked values."""
+        return self.count, self.lattice.d
+
+    def stream(self, step, consume, buffers=tuple) -> None:
+        """Read the maps `step` at a time and call ``consume(start, rows,
+        *part)`` on each chunk, `rows` being maps start, start+1, ... as
+        (m, d) float32 masked values, valid only during the call.
+
+        Each chunk is read into a reused grid buffer and its masked cells
+        are gathered into a reused row buffer; with `finite` the gathered
+        rows are then checked, while they are in cache, and the first map
+        holding a non-finite value raises ValueError naming its index. Cells
+        outside the mask are never gathered, so they are not checked. A pass
+        of at least `_blas.PARALLEL_CHUNKS` chunks is dealt to the allowed
+        CPUs (`_blas.deal`), each part reading through a file handle and
+        buffers of its own, plus the ``part = buffers()`` it hands to
+        `consume`. Each part stops at its first failing chunk, and the error
+        of the lowest failing chunk start is raised once every part has
+        finished: the error a serial loop would raise.
+        """
+        lattice, count, finite = self.lattice, self.count, self.finite
+        cells = np.flatnonzero(lattice.flat_mask)
+        rows_max = min(step, count)
+
+        with contextlib.ExitStack() as files:
+            def part():
+                return (files.enter_context(open(self.path, "rb")),
+                        np.empty((rows_max, lattice.n_cells), dtype="<f4"),
+                        np.empty((rows_max, lattice.d), dtype=np.float32),
+                        np.empty((rows_max, lattice.d), dtype=bool) if finite else None,
+                        *buffers())
+
+            def read(starts, fh, buffer, gathered, isfinite, *extra):
+                """(first failing start, its message) of this part, or None."""
+                for start in starts:
+                    m = min(step, count - start)
+                    grid, rows = buffer[:m], gathered[:m]
+                    fh.seek(start * grid.strides[0])
+                    if fh.readinto(grid) != grid.nbytes:
+                        return start, f"{self.path}: payload ends before map {start + m}"
+                    # cells come from flatnonzero(mask), so "clip" never clips; unlike
+                    # mode="raise", it lets take write into `rows` without a buffer
+                    np.take(grid, cells, axis=1, out=rows, mode="clip")
+                    if finite:
+                        np.isfinite(rows, out=isfinite[:m])
+                        if not (ok := isfinite[:m].all(axis=1)).all():
+                            i = start + int(np.argmin(ok))
+                            return start, f"non-finite image value for individual index {i}"
+                    consume(start, rows, *extra)
+                return None
+
+            failures = [f for f in _blas.deal(read, range(0, count, step), buffers=part) if f]
+        if failures:
+            raise ValueError(min(failures)[1])
+
+    def read(self) -> np.ndarray:
+        """The masked values (count, d) float32, streamed about `CHUNK` grid
+        cells at a time (`stream`) and copied into a new array."""
+        values = np.empty(self.shape, dtype=np.float32)
+
+        def copy(start, rows):
+            values[start:start + rows.shape[0]] = rows
+
+        self.stream(max(1, CHUNK // self.lattice.n_cells), copy)
+        return values
 
 
 def save_dataset(dataset: Dataset, lattice: VoxelLattice, volume_base, covariate_path) -> None:
@@ -374,9 +424,16 @@ def load_dataset(volume_base, covariate_path, lattice: VoxelLattice) -> Dataset:
     Site one-hot columns are ordered by distinct site code: by value, with
     equal values ("01", "1") in text order, when every code is a number,
     else in text order. Raises ValueError naming the offending record on
-    dimension mismatches, malformed headers, or non-finite values.
+    dimension mismatches, malformed headers or non-finite covariates.
+
+    The header, the mask, the payload's size and the covariate table are
+    read and checked here; the image payload is not read. The dataset holds
+    it as a `VolumePayload` and streams it on each read (see `Dataset`), so
+    no n x d image array is formed: a non-finite image value raises at the
+    first read, the first projection or the first use of `Dataset.images`,
+    naming the individual.
     """
-    images, lattice = _read_volume(volume_base, lattice, finite=True)
+    payload = _open_volume(volume_base, lattice, finite=True)
 
     with open(covariate_path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
@@ -389,9 +446,9 @@ def load_dataset(volume_base, covariate_path, lattice: VoxelLattice) -> Dataset:
     x_names = [c for c in names if c.startswith("x_")]
     z_names = [c for c in names if c.startswith("z_")]
     records = rows[1:]
-    if len(records) != images.shape[0]:
+    if len(records) != payload.count:
         raise ValueError(f"row count mismatch: covariate table has {len(records)} rows, "
-                         f"volume has {images.shape[0]} individuals")
+                         f"volume has {payload.count} individuals")
     col = {name: j for j, name in enumerate(names)}
     ids, site_raw = [], []
     exposures = np.ones((len(records), len(x_names) + 1))
@@ -424,7 +481,7 @@ def load_dataset(volume_base, covariate_path, lattice: VoxelLattice) -> Dataset:
     index = {code: j for j, code in enumerate(site_codes)}
     for i, code in enumerate(site_raw):
         sites[i, index[code]] = 1.0
-    return Dataset(images=images, exposures=exposures, controls=controls, sites=sites,
+    return Dataset(images=payload, exposures=exposures, controls=controls, sites=sites,
                    ids=np.array(ids), site_codes=np.array(site_codes),
                    exposure_names=x_names, control_names=z_names)
 

@@ -15,13 +15,16 @@
   constants. A stack of labelings (the EM replicates of one stack) is
   fitted in one batched Newton iteration, each replicate with its own step
   halving and its own stop, and products taken per replicate, so each gets
-  the weights it gets alone.
+  the weights it gets alone. It returns the weights with the gating log
+  probabilities its last iteration formed at them (`GatingFit`), which the
+  M-step keeps as its log prior.
 * `row_max` -- the maximum over a short last axis, column by column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -131,11 +134,12 @@ def _mnlogit_newton(features, onehot, n_classes, init=None):
     penalty `MNLOGIT_RIDGE`, at most `MNLOGIT_MAX_ITER` steps and the
     gradient tolerance `MNLOGIT_TOL`. The class probabilities come from
     `log_gating` on the weights with the pinned zero row appended. Returns
-    (w, objective trace).
+    (w, objective trace, log_p), log_p (n, K) being those log probabilities
+    at the returned w.
 
     `onehot` (A, n, K) and `init` (A, K-1, q+1) may instead be a stack of A
-    labelings of the same features; then w is (A, K-1, q+1) and the trace a
-    list of A traces. The stack is fitted together, each replicate with its
+    labelings of the same features; then w is (A, K-1, q+1), the trace a
+    list of A traces and log_p (A, n, K). The stack is fitted together, each replicate with its
     own step halving and its own stop, and every product is taken per
     replicate, so each replicate's bits are those of the fit on it alone.
 
@@ -182,7 +186,7 @@ def _mnlogit_newton(features, onehot, n_classes, init=None):
     P = np.exp(log_p)
     start = np.sum(onehot * log_p, axis=(1, 2)) - 0.5 * MNLOGIT_RIDGE * np.sum(W * W, axis=(1, 2))
     traces = [[value] for value in start]
-    final = np.empty_like(W)
+    final, final_log_p = np.empty_like(W), np.empty_like(log_p)
     rows = np.arange(stack)  # the replicate of each row still iterating
     for _ in range(MNLOGIT_MAX_ITER):
         grad_lin = class_sums - MNLOGIT_RIDGE * W
@@ -191,9 +195,9 @@ def _mnlogit_newton(features, onehot, n_classes, init=None):
             raise ValueError("separation or bad scaling")
         going = np.abs(grad).max(axis=(1, 2)) >= MNLOGIT_TOL
         if not going.all():
-            final[rows[~going]] = W[~going]
-            rows, W, P, class_sums, grad_lin, grad = (
-                a[going] for a in (rows, W, P, class_sums, grad_lin, grad))
+            final[rows[~going]], final_log_p[rows[~going]] = W[~going], log_p[~going]
+            rows, W, P, log_p, class_sums, grad_lin, grad = (
+                a[going] for a in (rows, W, P, log_p, class_sums, grad_lin, grad))
             if not rows.size:
                 break
         # Negative Hessian block (k, c): sum_i p_ik (delta_kc - p_ic) f_i f_i^T,
@@ -215,25 +219,34 @@ def _mnlogit_newton(features, onehot, n_classes, init=None):
             change[halving[ok]] = tried[ok]
             halving = halving[~ok]
         if halving.size:  # no ascent after 30 tries: these replicates stop
-            final[rows[halving]] = W[halving]
+            final[rows[halving]], final_log_p[rows[halving]] = W[halving], log_p[halving]
             kept = np.ones(rows.size, dtype=bool)
             kept[halving] = False
-            rows, W, P, class_sums, step, change = (
-                a[kept] for a in (rows, W, P, class_sums, step, change))
+            rows, W, P, log_p, class_sums, step, change = (
+                a[kept] for a in (rows, W, P, log_p, class_sums, step, change))
             if not rows.size:
                 break
         W = W + step
-        P = np.exp(log_probs(W))
+        log_p = log_probs(W)
+        P = np.exp(log_p)
         for r, value in zip(rows, change):
             traces[r].append(traces[r][-1] + value)
-    final[rows] = W
+    final[rows], final_log_p[rows] = W, log_p
     if not all(np.isfinite(trace[-1]) for trace in traces):
         raise ValueError("separation or bad scaling")
-    return (final[0], traces[0]) if single else (final, traces)
+    return (final[0], traces[0], final_log_p[0]) if single else (final, traces, final_log_p)
+
+
+class GatingFit(NamedTuple):
+    """`mnlogit_fit`'s result: the weights `w` and the gating log
+    probabilities `log_prior`, ``log_gating(w, features)``, bit for bit."""
+
+    w: np.ndarray
+    log_prior: np.ndarray
 
 
 def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
-                init: np.ndarray = None) -> np.ndarray:
+                init: np.ndarray = None) -> GatingFit:
     """Fit gating weights by penalized maximum likelihood.
 
     Parameters
@@ -253,8 +266,11 @@ def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
 
     Returns
     -------
-    ndarray, shape (K, q+1) or (A, K, q+1)
-        Gating weights with the last row identically zero. The objective is
+    GatingFit
+        `w`, shape (K, q+1) or (A, K, q+1): gating weights with the last
+        row identically zero; `log_prior`, shape (n, K) or (A, n, K): the
+        class log probabilities at `w`, as the last Newton iteration formed
+        them, equal to ``log_gating(w, features)`` bit for bit. The objective is
         penalized by `MNLOGIT_RIDGE` times half the squared weights, which
         keeps the optimum finite under separation; it is non-decreasing
         across Newton steps (step halving on decrease), and iteration stops
@@ -269,8 +285,9 @@ def mnlogit_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     if labels.min() < 1 or labels.max() > n_classes:
         raise ValueError(f"labels must lie in 1..{n_classes}")
     if n_classes == 1:
-        return np.zeros((*labels.shape[:-1], 1, m))
+        w = np.zeros((*labels.shape[:-1], 1, m))
+        return GatingFit(w, log_gating(w, features))
     onehot = (labels[..., None] == np.arange(1, n_classes + 1)).astype(np.float64)
     start = None if init is None else np.asarray(init, dtype=np.float64)[..., :-1, :]
-    W, _ = _mnlogit_newton(features, onehot, n_classes, start)
-    return np.concatenate([W, np.zeros((*W.shape[:-2], 1, m))], axis=-2)
+    W, _, log_p = _mnlogit_newton(features, onehot, n_classes, start)
+    return GatingFit(np.concatenate([W, np.zeros((*W.shape[:-2], 1, m))], axis=-2), log_p)

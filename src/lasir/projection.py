@@ -24,6 +24,13 @@ on every later one, so the fits, the baselines, `select_k` and the holdout
 validation of one dataset on one basis project its images once. The key is
 the content of the basis, not the object, so a basis reloaded from its
 bundle finds the record too.
+
+The images of a loaded dataset are a `lattice.VolumePayload`, which
+`project` streams: each chunk of rows is read, gathered through the mask,
+checked for non-finite values and contracted while it is in cache, so load
+plus projection is one pass over the ``.dat`` file and no n x d array is
+formed. The chunks are the rows an in-memory array would be cut into, and
+one contraction serves both, so the record has the same bits either way.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import numpy as np
 from . import _blas
 from .basis import BasisSystem
 from .lattice import CHUNK as IMAGE_CHUNK
+from .lattice import VolumePayload
 
 CHUNK = 1 << 19  # plane-grid cells (float64) held at a time by the contractions
 _RECORDS = threading.Lock()  # held while `projected` looks up or makes a record
@@ -46,27 +54,49 @@ def _rows(fx, fy, fz) -> int:
     return max(1, CHUNK // (fx.shape[0] * fy.shape[0] * fz.shape[0]))
 
 
-def project(images: np.ndarray, basis: BasisSystem) -> np.ndarray:
+def _chunks(images, step, consume, buffers=tuple) -> None:
+    """Call ``consume(start, rows, *part)`` on each `step`-row chunk of
+    `images`, an (n, d) array or a `VolumePayload` (read and checked by
+    `VolumePayload.stream`). A pass of at least `_blas.PARALLEL_CHUNKS`
+    chunks is dealt to the allowed CPUs (`_blas.deal`), each part with the
+    ``part = buffers()`` of its own."""
+    if isinstance(images, VolumePayload):
+        images.stream(step, consume, buffers)
+        return
+
+    def work(starts, *part):
+        for start in starts:
+            consume(start, images[start:start + step], *part)
+
+    _blas.deal(work, range(0, images.shape[0], step), buffers=buffers)
+
+
+def project(images, basis: BasisSystem) -> np.ndarray:
     """Project images (n, d) onto the basis, returning coefficients (n, L).
 
-    A factored basis upcasts float32 images one row at a time, as they are
-    scattered into the plane grid; an explicit psi upcasts all rows at once.
-    A factored pass of at least `_blas.PARALLEL_CHUNKS` chunks runs its
-    chunks on the allowed CPUs (`_blas.deal`), each part with buffers of its
-    own; every chunk is contracted as in a serial loop, so the result does
-    not depend on the thread count.
+    `images` is an array or a `VolumePayload`, which a factored basis
+    streams chunk by chunk (see the module docstring) and an explicit psi
+    reads whole. A factored basis upcasts float32 images one row at a time,
+    as they are scattered into the plane grid; an explicit psi upcasts all
+    rows at once. A factored pass of at least `_blas.PARALLEL_CHUNKS` chunks
+    runs its chunks on the allowed CPUs (`_blas.deal`), each part with
+    buffers of its own; every chunk is contracted as in a serial loop, so
+    the result does not depend on the thread count.
     """
-    images = np.atleast_2d(images)
-    if images.shape[1] != basis.d:
-        raise ValueError(f"image column count {images.shape[1]} does not match "
-                         f"basis d={basis.d}")
+    if not isinstance(images, VolumePayload):
+        images = np.atleast_2d(images)
+    n, d = images.shape
+    if d != basis.d:
+        raise ValueError(f"image column count {d} does not match basis d={basis.d}")
     if basis.factors is None:
+        if isinstance(images, VolumePayload):
+            images = images.read()
         return np.asarray(images, dtype=np.float64) @ basis.psi
     layout = basis.layout
     fx, fy, fz = layout.factors
     mx, my, mz = fx.shape[0], fy.shape[0], fz.shape[0]
     H = basis.h + 1
-    n, step = images.shape[0], _rows(fx, fy, fz)
+    step = _rows(fx, fy, fz)
     out = np.empty((n, basis.L))
 
     def buffers():
@@ -75,29 +105,31 @@ def project(images: np.ndarray, basis: BasisSystem) -> np.ndarray:
         return (np.zeros((rows, mz * my * mx)), np.empty((rows * mz * my, H)),
                 np.empty((rows * mz, H, H)), np.empty((rows, H, H * H)))
 
-    def contract(starts, grid, tx, ty, tz):
-        for start in starts:
-            m = min(step, n - start)
-            for j in range(m):  # per row: 1-D boolean assignment is far faster than 2-D
-                grid[j][layout.inside] = images[start + j]
-            t = np.matmul(grid[:m].reshape(m * mz * my, mx), fx,
-                          out=tx[:m * mz * my])                             # (m z y, a)
-            t = np.matmul(fy.T, t.reshape(m * mz, my, H), out=ty[:m * mz])  # (m z, b, a)
-            t = np.matmul(fz.T, t.reshape(m, mz, H * H), out=tz[:m])        # (m, c, b a)
-            # slots are in range, so "clip" never clips; it takes without a buffer
-            np.take(t.reshape(m, H ** 3), layout.slots, axis=1, out=out[start:start + m],
-                    mode="clip")
+    def contract(start, rows, grid, tx, ty, tz):
+        m = rows.shape[0]
+        for j in range(m):  # per row: 1-D boolean assignment is far faster than 2-D
+            grid[j][layout.inside] = rows[j]
+        t = np.matmul(grid[:m].reshape(m * mz * my, mx), fx,
+                      out=tx[:m * mz * my])                             # (m z y, a)
+        t = np.matmul(fy.T, t.reshape(m * mz, my, H), out=ty[:m * mz])  # (m z, b, a)
+        t = np.matmul(fz.T, t.reshape(m, mz, H * H), out=tz[:m])        # (m, c, b a)
+        # slots are in range, so "clip" never clips; it takes without a buffer
+        np.take(t.reshape(m, H ** 3), layout.slots, axis=1, out=out[start:start + m],
+                mode="clip")
 
-    _blas.deal(contract, range(0, n, step), buffers=buffers)
+    _chunks(images, step, contract, buffers)
     return basis.from_tensor(out)
 
 
 class Projected:
     """One dataset's images projected on one basis: `ytilde` (n, L), read
     only, and, computed on first use, `sq_norms` (n,), each image's squared
-    norm summed in float64 about `lattice.CHUNK` values at a time."""
+    norm summed in float64 one row at a time, over chunks of about
+    `lattice.CHUNK` values (a payload's: grid cells). Images
+    held as a `VolumePayload` are streamed for each: once for `ytilde`, and
+    once more on the first use of `sq_norms`."""
 
-    def __init__(self, images: np.ndarray, basis: BasisSystem):
+    def __init__(self, images, basis: BasisSystem):
         self._images = images
         self.ytilde = project(images, basis)
         self.ytilde.flags.writeable = False
@@ -105,9 +137,16 @@ class Projected:
     @cached_property
     def sq_norms(self) -> np.ndarray:
         images = self._images
-        step = max(1, IMAGE_CHUNK // images.shape[1])
-        return np.concatenate([np.square(images[i:i + step], dtype=np.float64).sum(axis=1)
-                               for i in range(0, images.shape[0], step)])
+        # a payload is read, and held, a chunk of whole grids at a time
+        width = images.lattice.n_cells if isinstance(images, VolumePayload) else images.shape[1]
+        out = np.empty(images.shape[0])
+
+        def add(start, rows):
+            for j, row in enumerate(rows):  # per row: no chunk-sized float64 copy
+                out[start + j] = np.square(row, dtype=np.float64).sum()
+
+        _chunks(images, max(1, IMAGE_CHUNK // width), add)
+        return out
 
 
 def projected(dataset, basis: BasisSystem) -> Projected:
@@ -116,13 +155,16 @@ def projected(dataset, basis: BasisSystem) -> Projected:
     computed with the bundled BLAS pools pinned to one thread, so its bits
     do not depend on which caller asks first, and records are made one at a
     time, so callers on several threads share one. The record keeps n x L
-    floats alive as long as the dataset."""
+    floats alive as long as the dataset. A dataset loaded from a volume
+    bundle streams its payload into the record (`project`); a read that
+    fails, on a non-finite value or a short payload, leaves no record, so
+    the next request reads again and raises again."""
     key = basis.key
     with _RECORDS:
         record = dataset.projections.get(key)
         if record is None:
             with _blas.single_thread:
-                record = dataset.projections[key] = Projected(dataset.images, basis)
+                record = dataset.projections[key] = Projected(dataset.image_source, basis)
     return record
 
 

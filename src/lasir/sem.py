@@ -137,8 +137,9 @@ class ModelParams:
                   M-step was given, or None; `q_value` on a prepared
                   `Problem` reads its Gaussian term from them
     log_prior   : (n, K) gating log probabilities `log_gating(w, F)` of the
-                  Problem the M-step was given, or None; `q_value` and
-                  `e_step` on that Problem read them
+                  Problem the M-step was given, as the gating fit formed
+                  them (`mnlogit_fit`), or None; `q_value` and `e_step` on
+                  that Problem read them
 
     The M-step on a stack of A labelings returns stacked parameters:
     theta_alpha, lam, w, rss and log_prior gain a leading axis A, while
@@ -551,11 +552,11 @@ def m_step(ytilde, dataset: Dataset, labels: np.ndarray, n_groups: int,
     labels = np.asarray(labels, dtype=int)
     theta_alpha, rss = stage2(problem, labels, n_groups)
     lam = np.maximum(rss / problem.n, LAMBDA_FLOOR)
-    w = mnlogit_fit(problem.gating, labels, n_groups, init=w_init)
+    w, log_prior = mnlogit_fit(problem.gating, labels, n_groups, init=w_init)
     S = problem.coef.shape[0] - (problem.gating.shape[1] - 1)
     return ModelParams(theta_alpha=theta_alpha, theta_eta=problem.coef[S:],
                        theta_gamma=problem.coef[:S], lam=lam, w=w, rss=rss,
-                       log_prior=log_gating(w, problem.gating))
+                       log_prior=log_prior)
 
 
 def q_value(ytilde, dataset: Dataset, labels: np.ndarray, params: ModelParams) -> float:
@@ -608,7 +609,9 @@ def _run_stack(problem, n_groups, config, seeds):
     labels, its redraws after a DegenerateGroupError (at most `MAX_REDRAWS`
     per iteration, then it fails with a "replicate failed" warning) and its
     S-steps. Each failing `m_step` call redraws or drops the one replicate
-    its error names. A replicate leaves the stack when it converges or fails.
+    its error names; a replicate whose every responsibility row puts 1 on
+    one group (one-hot rows, say), so that every redraw would return its
+    labels unchanged, is dropped at once, with the same warning. A replicate leaves the stack when it converges or fails.
     Returns one FitResult, or None for a failed replicate, per seed.
     """
     n = problem.n
@@ -630,7 +633,10 @@ def _run_stack(problem, n_groups, config, seeds):
                 break
             except DegenerateGroupError as exc:
                 row, rng = exc.row, rngs[ids[exc.row]]
-                if redraws[row] < MAX_REDRAWS:
+                # rows whose top responsibility is 1 (one-hot rows among them)
+                # draw their top group whatever the variate: no redraw can help
+                fixed = resp is not None and np.all(resp[row].max(axis=-1) == 1.0)
+                if redraws[row] < MAX_REDRAWS and not fixed:
                     redraws[row] += 1
                     labels[row] = (rng.integers(1, n_groups + 1, size=n) if resp is None
                                    else s_step(resp[row], rng))

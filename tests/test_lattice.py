@@ -234,8 +234,9 @@ class TestDatasetIO:
         save_volume_map(images, lat, tmp_path / "img")
         with open(tmp_path / "cov.csv", "w") as fh:
             fh.write("id,site,x_1\na,1,0.1\nb,1,0.2\n")
+        loaded = load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)  # reads no image
         with pytest.raises(ValueError, match="individual index 1"):
-            load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+            loaded.images
 
 
     def test_chunked_reads_match_and_name_the_individual(self, tmp_path, monkeypatch):
@@ -254,7 +255,7 @@ class TestDatasetIO:
             fh.write("id,site\n" + "".join(f"i{i},1\n" for i in range(5)))
         monkeypatch.setattr("lasir.lattice.CHUNK", 2 * lat.d)
         with pytest.raises(ValueError, match="individual index 3"):
-            load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+            load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat).images
 
 
     def test_threaded_read_names_the_first_bad_individual(self, tmp_path, monkeypatch,
@@ -284,7 +285,7 @@ class TestDatasetIO:
         for count in (1, 2, 3):
             allow_cpus(count)
             with pytest.raises(ValueError, match="individual index 3$"):
-                load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+                load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat).images
 
     @pytest.mark.parametrize("bad", [None, 4])
     def test_non_finite_check_reads_gathered_cells_only(self, tmp_path, monkeypatch, bad):
@@ -306,7 +307,7 @@ class TestDatasetIO:
             assert np.array_equal(ds.images, images)
         else:
             with pytest.raises(ValueError, match=f"individual index {bad}$"):
-                load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+                load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat).images
         # the volume itself loads as stored, NaN included
         assert np.array_equal(load_volume_map(tmp_path / "img", lat)[0], images, equal_nan=True)
 

@@ -138,20 +138,21 @@ class TestLogGating:
 
 class TestMnlogit:
     def test_single_class_is_zero(self):
-        w = mnlogit_fit(np.ones((5, 2)), np.ones(5, dtype=int), 1)
+        w, log_prior = mnlogit_fit(np.ones((5, 2)), np.ones(5, dtype=int), 1)
         assert np.array_equal(w, np.zeros((1, 2)))
+        assert np.array_equal(log_prior, np.zeros((5, 1)))
 
     def test_degenerate_all_reference_class(self):
         rng = np.random.default_rng(6)
         feats = augment(rng.standard_normal((40, 1)))
-        w = mnlogit_fit(feats, np.full(40, 3), 3)
+        w = mnlogit_fit(feats, np.full(40, 3), 3).w
         assert np.all(np.isfinite(w))
         probs = gating_probs(w, feats)
         assert np.all(probs.argmax(axis=1) == 2)
 
     def test_balanced_symmetric_two_class(self):
         labels = np.array([1, 2] * 30)
-        w = mnlogit_fit(np.ones((60, 1)), labels, 2)
+        w = mnlogit_fit(np.ones((60, 1)), labels, 2).w
         assert abs(w[0, 0]) < 1e-6
         probs = gating_probs(w, np.ones((1, 1)))
         assert np.allclose(probs, 0.5, atol=1e-6)
@@ -167,7 +168,7 @@ class TestMnlogit:
         u = rng.random(200)
         labels = 1 + (u[:, None] > probs.cumsum(axis=1)).sum(axis=1)
         labels = np.minimum(labels, 3)
-        w_hat = mnlogit_fit(feats, labels, 3)
+        w_hat = mnlogit_fit(feats, labels, 3).w
 
         def loglik(w):
             return float(np.log(gating_probs(w, feats)[np.arange(200), labels - 1]).sum())
@@ -181,8 +182,21 @@ class TestMnlogit:
         labels = rng.integers(1, 4, size=80)
         onehot = np.zeros((80, 3))
         onehot[np.arange(80), labels - 1] = 1.0
-        _, trace = _mnlogit_newton(feats, onehot, 3)
+        _, trace, _ = _mnlogit_newton(feats, onehot, 3)
         assert all(b >= a for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("n_classes", [1, 2, 4])
+    def test_log_prior_is_log_gating_at_the_weights(self, n_classes):
+        # the log probabilities the last Newton iteration formed, bit for bit,
+        # alone and in a stack whose replicates stop at different iterations
+        rng = np.random.default_rng(9)
+        feats = augment(rng.standard_normal((50, 2)))
+        labels = rng.integers(1, n_classes + 1, size=(3, 50))
+        labels[1] = 1 + (feats[:, 1] > 0) * (n_classes - 1)  # nearly separated
+        for lab in (labels[0], labels):
+            w, log_prior = mnlogit_fit(feats, lab, n_classes)
+            assert np.array_equal(log_prior.view(np.uint64),
+                                  log_gating(w, feats).view(np.uint64))
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):

@@ -1,5 +1,6 @@
 import copy
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from lasir import (Dataset, KernelParams, SemConfig, SimConfig, _blas, backproject, build_basis,
-                   build_lattice, fit_sem, kmlr_fit, project, projection, save_dataset,
-                   simulate_cube, svcm_fit, validate_projection)
+                   build_lattice, fit_sem, infer_maps, kmlr_fit, load_dataset, project,
+                   projection, save_dataset, simulate_cube, svcm_fit, validate_projection)
+from lasir import lattice as lattice_module
 from lasir.basis import BasisSystem, _masked_gram
 from lasir.bundles import load_basis, save_basis, save_fit
 from lasir.cli import main as cli_main
@@ -324,3 +326,97 @@ def test_dataset_images_are_read_only(simulated):
         dataset.images[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         dataset.images += 1.0
+
+
+def _saved(dataset, lattice, base):
+    """`dataset` written as a volume bundle plus covariate table at `base`,
+    and loaded back: a Dataset over the unread payload."""
+    save_dataset(dataset, lattice, base, str(base) + ".csv")
+    return load_dataset(base, str(base) + ".csv", lattice)
+
+
+class TestStreamedRecord:
+    """A loaded dataset streams its payload into the projection record."""
+
+    @pytest.mark.parametrize("name", ["full", "ellipsoid"])
+    @pytest.mark.parametrize("rows", [1, 2, None])
+    def test_streamed_record_equals_the_record_in_memory(self, name, rows, tmp_path,
+                                                         monkeypatch, allow_cpus):
+        lattice = build_lattice((5, 6, 4)) if name == "full" else _ellipsoid()
+        basis = build_basis(lattice, KernelParams(0.05, 1.0), 3)
+        n = 2 * _blas.PARALLEL_CHUNKS + 1
+        rng = np.random.default_rng(6)
+        dataset = Dataset(images=rng.standard_normal((n, basis.d)).astype(np.float32),
+                          exposures=np.ones((n, 1)), controls=np.zeros((n, 0)),
+                          sites=np.ones((n, 1)))
+        allow_cpus(1)
+        memory = projected(dataset, basis)
+        loaded = _saved(dataset, lattice, tmp_path / "img")
+        assert isinstance(loaded.image_source, lattice_module.VolumePayload)
+        step = n if rows is None else rows  # projection and squared-norm chunks
+        monkeypatch.setattr(projection, "CHUNK", step * basis.layout.inside.size)
+        monkeypatch.setattr(projection, "IMAGE_CHUNK", step * lattice.n_cells)
+        for count in (1, 2, 3):
+            pools = allow_cpus(count)
+            loaded.projections.clear()
+            record = projected(loaded, basis)
+            assert np.array_equal(record.ytilde.view(np.uint64), memory.ytilde.view(np.uint64))
+            assert np.array_equal(record.sq_norms.view(np.uint64),
+                                  memory.sq_norms.view(np.uint64))
+            dealt = count > 1 and -(-n // step) >= _blas.PARALLEL_CHUNKS
+            assert pools == ([count] * 2 if dealt else [])  # ytilde, then sq_norms
+
+    def test_a_non_finite_value_names_the_first_bad_row_and_leaves_no_record(
+            self, tmp_path, monkeypatch, allow_cpus):
+        # 12 one-row chunks dealt to threads; the part holding the lower bad
+        # row (3) may finish after the one holding the higher (10)
+        dataset, basis = simulate_cube(SimConfig(dims=(5, 5, 5), n=12, n_groups=2, n_sites=2,
+                                                 seed=4))[::3]
+        images = dataset.images.copy()
+        images[10, 0], images[3, -1] = np.nan, -np.inf
+        bad = Dataset(images=images, exposures=dataset.exposures, controls=dataset.controls,
+                      sites=dataset.sites)
+        lattice = build_lattice((5, 5, 5))
+        monkeypatch.setattr(projection, "CHUNK", basis.layout.inside.size)
+        monkeypatch.setattr(lattice_module, "CHUNK", lattice.n_cells)
+        for count in (1, 2, 3):
+            allow_cpus(count)
+            loaded = _saved(bad, lattice, tmp_path / f"img{count}")  # the load reads no image
+            for request in (lambda: projected(loaded, basis), lambda: projected(loaded, basis),
+                            lambda: fit_sem(loaded, basis, 2, SemConfig(restarts=2, seed=1)),
+                            lambda: loaded.images):
+                with pytest.raises(ValueError, match="individual index 3$"):
+                    request()
+                assert loaded.projections == {}
+
+    def test_infer_needs_no_payload(self, simulated, tmp_path):
+        dataset, basis = simulated
+        loaded = _saved(dataset, build_lattice((5, 5, 5)), tmp_path / "img")
+        fit = fit_sem(loaded, basis, 2, SemConfig(restarts=2, seed=1))
+        (tmp_path / "img.dat").unlink()
+        maps = infer_maps(fit, loaded, basis)
+        expected = infer_maps(fit_sem(dataset, basis, 2, SemConfig(restarts=2, seed=1)),
+                              dataset, basis)
+        for got, want in zip(maps, expected):
+            assert np.array_equal(got.wald, want.wald)
+        with pytest.raises(FileNotFoundError):
+            loaded.images
+
+    def test_load_and_project_hold_no_image_array(self, tmp_path):
+        lattice = build_lattice((30, 30, 30))
+        basis = build_basis(lattice, KernelParams(0.05, 1.0), 2)
+        n = 120
+        images = np.random.default_rng(8).standard_normal((n, lattice.d)).astype(np.float32)
+        save_dataset(Dataset(images=images, exposures=np.ones((n, 1)),
+                             controls=np.zeros((n, 0)), sites=np.ones((n, 1))),
+                     lattice, tmp_path / "img", tmp_path / "img.csv")
+        del images
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(tmp_path / "img", tmp_path / "img.csv", lattice)
+            record = projected(loaded, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.ytilde.shape == (n, basis.L)
+        assert peak < n * lattice.d * 4

@@ -534,11 +534,11 @@ class TestPreparedProblemKernels:
         moved = labels.copy()
         flip = rng.random(n) < 0.2
         moved[flip] = rng.integers(1, n_classes + 1, size=int(flip.sum()))
-        init = mnlogit_fit(features, moved, n_classes)
+        init = mnlogit_fit(features, moved, n_classes).w
         fits = [_mnlogit_newton(features, onehot, n_classes),
                 _mnlogit_newton(features, onehot, n_classes, init=init[:-1])]
         objectives = []
-        for W, trace in fits:
+        for W, trace, _ in fits:
             w = np.vstack([W, np.zeros(q + 1)])
             probs = gating_probs(w, features)
             grad = (onehot - probs)[:, :-1].T @ features - MNLOGIT_RIDGE * W
@@ -549,7 +549,7 @@ class TestPreparedProblemKernels:
             # the trace accumulates the accepted steps' gains from the start value
             assert trace[-1] == pytest.approx(objectives[-1], rel=1e-9, abs=1e-9)
         assert objectives[1] == pytest.approx(objectives[0], rel=1e-12, abs=1e-12)
-        assert np.array_equal(mnlogit_fit(features, labels, n_classes, init=init),
+        assert np.array_equal(mnlogit_fit(features, labels, n_classes, init=init).w,
                               np.vstack([fits[1][0], np.zeros(q + 1)]))
 
 
@@ -759,9 +759,10 @@ class TestStackedReplicates:
         if n_groups > 1:
             assert all(_full_newton_step_falls(features, row, w) for row, w in zip(labels, far))
         for init in (None, warm, far):
-            together = mnlogit_fit(features, labels, n_groups, init=init)
+            together = mnlogit_fit(features, labels, n_groups, init=init).w
             for a, row in enumerate(labels):
-                alone = mnlogit_fit(features, row, n_groups, init=None if init is None else init[a])
+                alone = mnlogit_fit(features, row, n_groups,
+                                    init=None if init is None else init[a]).w
                 assert _same(together[a], alone)
             stacked = m_step(problem, None, labels, n_groups, w_init=init)
             rows = [m_step(problem, None, row, n_groups, w_init=None if init is None else init[a])
@@ -828,6 +829,39 @@ class TestStackedReplicates:
         raised = sum(row is not None for _, row in calls)
         assert redrawn > dropped > 0
         assert raised == redrawn + dropped
+
+    def test_a_replicate_that_no_redraw_can_change_is_dropped_at_once(self, monkeypatch,
+                                                                       caplog):
+        # after iteration 1, replicate 0's responsibilities put everyone in
+        # group 1: every S-step redraw gives the same degenerate labels
+        dataset, _, _, basis = simulate_cube(SimConfig(dims=(5, 5, 5), n=60, n_groups=2,
+                                                       n_sites=2, seed=3))
+        e_step_alone, m_step_alone = sem_module.e_step, sem_module.m_step
+        raised, stacks = [], []
+
+        def one_hot(problem, dataset, params):
+            resp = e_step_alone(problem, dataset, params)
+            if not stacks:
+                resp[0] = 0.0
+                resp[0, :, 0] = 1.0
+            stacks.append(resp.shape[0])
+            return resp
+
+        def recorded(problem, dataset, labels, n_groups, w_init=None):
+            try:
+                return m_step_alone(problem, dataset, labels, n_groups, w_init=w_init)
+            except DegenerateGroupError as exc:
+                raised.append((labels.shape[0], exc.row))
+                raise
+
+        monkeypatch.setattr(sem_module, "e_step", one_hot)
+        monkeypatch.setattr(sem_module, "m_step", recorded)
+        with caplog.at_level(logging.WARNING, logger="lasir.sem"):
+            fit = fit_sem(dataset, basis, 2, SemConfig(restarts=3, seed=0, threads=1))
+        assert raised == [(3, 0)]
+        assert stacks[:2] == [3, 2]
+        assert sum("replicate failed" in r.getMessage() for r in caplog.records) == 1
+        assert fit.replicate != 0
 
     @pytest.mark.parametrize("spread, accepted", [(1e-5, True), (0.0, False)])
     def test_ill_conditioned_groups_take_the_svd_rule(self, spread, accepted):

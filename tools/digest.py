@@ -6,12 +6,14 @@ gives the same answers.
 prints one SHA-256 digest (its first 16 hex digits) per output and seed:
 
 * `simulate` -- `simulate_cube`'s images, design, true labels and basis;
-* `project` -- the images and their projection on the basis
-  (`projection.projected`);
-* `load` -- the same two after a round trip through a volume bundle
-  (`save_dataset`, `load_dataset`), read and projected one row per chunk so
-  that both passes deal their chunks to threads on a machine that allows
-  two CPUs or more; it must equal `project`;
+* `project` -- the images, their projection on the basis and their squared
+  norms (`projection.projected`);
+* `load` -- the same three after a round trip through a volume bundle
+  (`save_dataset`, `load_dataset`): the projection record is streamed from
+  the payload before anything reads the images, and the payload is read,
+  projected and squared one row per chunk, so that every pass deals its
+  chunks to threads on a machine that allows two CPUs or more; it must
+  equal `project`;
 * `fit.labels`, `fit.theta` (theta_alpha, theta_eta, theta_gamma),
   `fit.lam`, `fit.w`, `fit.q` (the Q trace) and `fit.iterations`
   (iterations, converged, winning replicate) -- `fit_sem`;
@@ -75,7 +77,7 @@ SEEDS = (9101, 9202, 9303)
 MODES = ("within", "without", "shuffled")
 FIT_PARTS = ("labels", "theta", "lam", "w", "q", "iterations")
 # output -> (the outputs whose arrays, in order, it must equal; what it is)
-SAME = {"load": (["project"], "the images and projection in memory"),
+SAME = {"load": (["project"], "the images, projection and squared norms in memory"),
         "fit.threads": ([f"fit.{part}" for part in FIT_PARTS], "fit.* at threads=1"),
         "validate.fresh": ([f"validate.{mode}" for mode in MODES],
                            "validate.* on a rebuilt dataset")}
@@ -109,17 +111,21 @@ def outputs(seed: int, shape: dict) -> dict:
     dataset, truth, lattice, basis = simulate(shape["dims"], shape["n"], shape["K"], 0)
     out["simulate"] = [dataset.images, dataset.exposures, dataset.controls, dataset.sites,
                        truth.labels, basis.psi]
-    out["project"] = [dataset.images, projection.projected(dataset, basis).ytilde]
-    chunks = lattice_module.CHUNK, projection.CHUNK
+    record = projection.projected(dataset, basis)
+    out["project"] = [dataset.images, record.ytilde, record.sq_norms]
+    chunks = lattice_module.CHUNK, projection.CHUNK, projection.IMAGE_CHUNK
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "images")
         lasir.save_dataset(dataset, lattice, base, base + ".csv")
-        lattice_module.CHUNK, projection.CHUNK = lattice.n_cells, 1  # one row per chunk
+        # one row per chunk
+        lattice_module.CHUNK = projection.IMAGE_CHUNK = lattice.n_cells
+        projection.CHUNK = 1
         try:
             loaded = lasir.load_dataset(base, base + ".csv", lattice)
-            out["load"] = [loaded.images, projection.projected(loaded, basis).ytilde]
+            streamed = projection.projected(loaded, basis)
+            out["load"] = [loaded.images, streamed.ytilde, streamed.sq_norms]
         finally:
-            lattice_module.CHUNK, projection.CHUNK = chunks
+            lattice_module.CHUNK, projection.CHUNK, projection.IMAGE_CHUNK = chunks
     fit = lasir.fit_sem(dataset, basis, shape["K"],
                         lasir.SemConfig(restarts=shape["restarts"], seed=seed))
     add_fit("fit", fit)

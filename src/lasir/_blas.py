@@ -10,12 +10,13 @@ so `single_thread` pins both pools to one thread around a fit.
 
 Parallelism comes from Python threads instead, each running its own BLAS
 calls: `deal` splits work into parts, one thread each. It runs the replicate
-stacks of a fit, and the chunk loops of the volume read
-(`lattice.VolumePayload.stream`, which feeds `projection.project` as well)
-and of `projection.project` on images in memory when a pass has at least
-`PARALLEL_CHUNKS` chunks, on as many threads as the process may use CPUs. Each chunk is computed exactly as a serial loop would
-compute it, into rows of its own, so the bits do not depend on the thread
-count.
+stacks of a fit, and the chunk loops of the image sources
+(`lattice.VolumePayload.stream`, which reads a volume payload straight into
+its rows, and `lattice.ImageArray.stream`, which slices images in memory),
+which feed `projection.project` and the squared image norms, when a pass
+has at least `PARALLEL_CHUNKS` chunks, on as many threads as the process
+may use CPUs. Each chunk is computed exactly as a serial loop would compute
+it, into rows of its own, so the bits do not depend on the thread count.
 
 The libraries are located and opened on first use; a copy that is missing or
 does not export the functions is skipped, and with none found the limiter

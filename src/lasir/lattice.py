@@ -4,15 +4,20 @@ A lattice is a 3-D grid with an inclusion mask. Masked-in voxels are
 enumerated x-fastest (linear index ``ix + nx*(iy + ny*iz)``) and each
 carries normalized coordinates on [-1, 1]^3, affine in the grid index and
 symmetric about the grid center. All downstream computation works with the
-``d`` masked voxels only; masked-out grid cells are carried as NaN in files.
+``d`` masked voxels only, and files hold only their values.
 
 Volume bundle format (one bundle = header + payload + mask):
 
-* ``<base>.hdr``  key-value text: format, dims, voxel_order "x-fastest",
-  dtype "float32-le" (little endian), count, payload filename, mask filename.
-* ``<base>.dat``  count x (nx*ny*nz) float32 little-endian, C-order rows,
-  voxels x-fastest within each row; NaN outside the mask.
+* ``<base>.hdr``  key-value text: format "volume-bundle-v2", dims,
+  voxel_order "x-fastest", dtype "float32-le" (little endian), count,
+  payload filename, mask filename.
+* ``<base>.dat``  count x d float32 little-endian, C-order rows, the
+  masked voxels of each row in mask order (x-fastest).
 * ``<base>.mask`` one byte (0/1) per grid cell, x-fastest.
+
+A "volume-bundle-v1" payload, whose rows hold every grid cell with NaN
+outside the mask, is still read: its rows are read whole and their masked
+cells kept (`VolumePayload.stream`).
 
 Covariate table: delimited text (comma), header row, required columns
 ``id`` and ``site``; exposure columns prefixed ``x_``; control columns
@@ -31,8 +36,9 @@ import numpy as np
 from . import _blas
 from .io import read_kv, write_kv
 
-VOLUME_FORMAT = "volume-bundle-v1"
-CHUNK = 1 << 22  # grid cells read, or image values checked, at a time
+VOLUME_FORMAT = "volume-bundle-v2"
+PADDED_FORMAT = "volume-bundle-v1"  # read only: whole grid rows, NaN off the mask
+CHUNK = 1 << 22  # image values read, checked or squared at a time
 
 
 @dataclass
@@ -127,15 +133,17 @@ class Dataset:
         ``site_codes[s]``.
     exposure_names, control_names : list of str
         Column names without the leading intercept.
-    image_source : ndarray or VolumePayload
+    image_source : ImageArray or VolumePayload
         The images as held: the read-only array, or the unread payload of
-        the volume bundle a loaded dataset streams them from.
+        the volume bundle a loaded dataset streams them from. Both have the
+        same `shape`, `stream` and `read`.
     projections : dict
         The projection records of the images (`projection.projected`), one
         per basis key (`BasisSystem.key`), made on first request.
 
-    `images` may be given as an (n, d) array or as a `VolumePayload`
-    (`load_dataset`). An array is kept as a read-only view, so that its
+    `images` may be given as an (n, d) array or as an image source
+    (`image_source`), such as the `VolumePayload` of `load_dataset`. An
+    array is kept as an `ImageArray`, a read-only view, so that its
     projection records cannot go stale: writing into it raises ValueError.
     To change images, build a new Dataset. (The array the view was taken of
     stays writable; writing into it changes the images under the records.)
@@ -149,10 +157,7 @@ class Dataset:
 
     def __init__(self, images, exposures, controls, sites, ids=None, site_codes=None,
                  exposure_names=(), control_names=()):
-        if not isinstance(images, VolumePayload):
-            images = np.asarray(images).view()
-            images.flags.writeable = False
-        self.image_source = images
+        self.image_source = images = image_source(images)
         self.exposures, self.controls, self.sites = exposures, controls, sites
         self.exposure_names, self.control_names = list(exposure_names), list(control_names)
         self.projections = {}
@@ -173,8 +178,7 @@ class Dataset:
 
     @property
     def images(self) -> np.ndarray:
-        source = self.image_source
-        return source.read() if isinstance(source, VolumePayload) else source
+        return self.image_source.read()
 
     @property
     def n(self) -> int:
@@ -219,8 +223,9 @@ def save_volume_map(values, lattice: VoxelLattice, base) -> None:
     Parameters
     ----------
     values : ndarray, shape (d,) or (count, d)
-        One value per masked voxel (per map). Stored as float32; grid cells
-        outside the mask are filled with NaN.
+        One value per masked voxel (per map), stored as float32 in mask
+        order; the payload holds nothing for the grid cells outside the
+        mask. Little-endian float32 values are written without a copy.
     lattice : VoxelLattice
     base : str or Path
         Output path without extension.
@@ -230,16 +235,13 @@ def save_volume_map(values, lattice: VoxelLattice, base) -> None:
         raise ValueError(f"value length {values.shape[1]} does not match "
                          f"lattice d={lattice.d}")
     base = str(base)
-    count = values.shape[0]
-    full = np.full((count, lattice.n_cells), np.nan, dtype="<f4")
-    full[:, lattice.flat_mask] = values.astype("<f4")
-    full.tofile(base + ".dat")
+    np.asarray(values, dtype="<f4").tofile(base + ".dat")
     write_kv(base + ".hdr", [
         ("format", VOLUME_FORMAT),
         ("dims", " ".join(str(m) for m in lattice.dims)),
         ("voxel_order", "x-fastest"),
         ("dtype", "float32-le"),
-        ("count", count),
+        ("count", values.shape[0]),
         ("payload", os.path.basename(base) + ".dat"),
         ("mask", write_mask(lattice.mask, base)),
     ])
@@ -247,7 +249,7 @@ def save_volume_map(values, lattice: VoxelLattice, base) -> None:
 
 def _read_volume_header(base):
     header = read_kv(str(base) + ".hdr")
-    if header.get("format") != VOLUME_FORMAT:
+    if header.get("format") not in (VOLUME_FORMAT, PADDED_FORMAT):
         raise ValueError(f"{base}.hdr: expected format {VOLUME_FORMAT!r}, "
                          f"got {header.get('format')!r}")
     for key, expect in (("voxel_order", "x-fastest"), ("dtype", "float32-le")):
@@ -290,10 +292,9 @@ def load_volume_map(base, lattice: VoxelLattice = None):
     The header and mask are read once; a given `lattice` must have the
     bundle's dims and mask. A payload whose size does not match the header
     raises ValueError naming the ``.dat`` file. The payload is read by
-    `VolumePayload.read`, about `CHUNK` grid cells at a time, so the count x
-    grid-cells array is never allocated. Any value is returned as stored,
-    NaN and infinities included; `load_dataset` reads through the same loop
-    and rejects them.
+    `VolumePayload.read`, about `CHUNK` values at a time. Any value is
+    returned as stored, NaN and infinities included; `load_dataset` reads
+    through the same loop and rejects them.
     """
     payload = _open_volume(base, lattice, finite=False)
     return payload.read(), payload.lattice
@@ -311,24 +312,27 @@ def _open_volume(base, lattice, finite):
     elif lattice.dims != dims or not np.array_equal(lattice.mask, mask):
         raise ValueError(f"{base}: volume dims/mask do not match the given lattice")
     path = base + ".dat"
+    width = lattice.n_cells if header["format"] == PADDED_FORMAT else lattice.d
     size = os.path.getsize(path) // 4
-    if size != count * lattice.n_cells:
+    if size != count * width:
         raise ValueError(f"{path}: payload size {size} does not match "
-                         f"count {count} x {lattice.n_cells} cells")
-    return VolumePayload(os.path.abspath(path), lattice, count, finite)
+                         f"count {count} x {width} values")
+    return VolumePayload(os.path.abspath(path), lattice, count, finite, width)
 
 
 @dataclass(frozen=True, eq=False)
 class VolumePayload:
     """The ``.dat`` payload of a volume bundle, opened but not read: `count`
-    maps of `lattice.n_cells` float32 grid cells in the file `path`. With
-    `finite`, every read rejects a map holding a non-finite value at a
-    masked voxel."""
+    maps of `width` float32 values in the file `path`, `width` being
+    `lattice.d`, or `lattice.n_cells` for the whole grid rows of format
+    "volume-bundle-v1". With `finite`, every read rejects a map holding a
+    non-finite value at a masked voxel."""
 
     path: str
     lattice: VoxelLattice
     count: int
     finite: bool
+    width: int
 
     @property
     def shape(self) -> tuple:
@@ -340,41 +344,41 @@ class VolumePayload:
         *part)`` on each chunk, `rows` being maps start, start+1, ... as
         (m, d) float32 masked values, valid only during the call.
 
-        Each chunk is read into a reused grid buffer and its masked cells
-        are gathered into a reused row buffer; with `finite` the gathered
-        rows are then checked, while they are in cache, and the first map
-        holding a non-finite value raises ValueError naming its index. Cells
-        outside the mask are never gathered, so they are not checked. A pass
-        of at least `_blas.PARALLEL_CHUNKS` chunks is dealt to the allowed
-        CPUs (`_blas.deal`), each part reading through a file handle and
-        buffers of its own, plus the ``part = buffers()`` it hands to
+        Each chunk is read straight into a reused row buffer; with `finite`
+        the rows are then checked, while they are in cache, and the first
+        map holding a non-finite value raises ValueError naming its index.
+        A chunk of whole grid rows (v1) is read into a buffer of its own,
+        and only its masked cells are kept, so the NaN off the mask is never
+        checked. (A v1 payload on a full lattice is read as a v2 one.)
+        A pass of at least `_blas.PARALLEL_CHUNKS` chunks is dealt to the
+        allowed CPUs (`_blas.deal`), each part reading through a file handle
+        and buffers of its own, plus the ``part = buffers()`` it hands to
         `consume`. Each part stops at its first failing chunk, and the error
         of the lowest failing chunk start is raised once every part has
         finished: the error a serial loop would raise.
         """
-        lattice, count, finite = self.lattice, self.count, self.finite
-        cells = np.flatnonzero(lattice.flat_mask)
+        lattice, count, finite, width = self.lattice, self.count, self.finite, self.width
         rows_max = min(step, count)
 
         with contextlib.ExitStack() as files:
             def part():
                 return (files.enter_context(open(self.path, "rb")),
-                        np.empty((rows_max, lattice.n_cells), dtype="<f4"),
-                        np.empty((rows_max, lattice.d), dtype=np.float32),
+                        np.empty((rows_max, lattice.d), dtype="<f4"),
                         np.empty((rows_max, lattice.d), dtype=bool) if finite else None,
                         *buffers())
 
-            def read(starts, fh, buffer, gathered, isfinite, *extra):
+            def read(starts, fh, buffer, isfinite, *extra):
                 """(first failing start, its message) of this part, or None."""
                 for start in starts:
                     m = min(step, count - start)
-                    grid, rows = buffer[:m], gathered[:m]
-                    fh.seek(start * grid.strides[0])
-                    if fh.readinto(grid) != grid.nbytes:
+                    rows = buffer[:m]
+                    fh.seek(start * width * 4)
+                    raw = rows if width == lattice.d else np.empty((m, width), dtype="<f4")
+                    whole = fh.readinto(raw) == raw.nbytes
+                    if raw is not rows:  # the one reader of whole grid rows
+                        rows[:] = raw[:, lattice.flat_mask]
+                    if not whole:
                         return start, f"{self.path}: payload ends before map {start + m}"
-                    # cells come from flatnonzero(mask), so "clip" never clips; unlike
-                    # mode="raise", it lets take write into `rows` without a buffer
-                    np.take(grid, cells, axis=1, out=rows, mode="clip")
                     if finite:
                         np.isfinite(rows, out=isfinite[:m])
                         if not (ok := isfinite[:m].all(axis=1)).all():
@@ -388,15 +392,45 @@ class VolumePayload:
             raise ValueError(min(failures)[1])
 
     def read(self) -> np.ndarray:
-        """The masked values (count, d) float32, streamed about `CHUNK` grid
-        cells at a time (`stream`) and copied into a new array."""
+        """The masked values (count, d) float32, streamed about `CHUNK`
+        values at a time (`stream`) and copied into a new array."""
         values = np.empty(self.shape, dtype=np.float32)
 
         def copy(start, rows):
             values[start:start + rows.shape[0]] = rows
 
-        self.stream(max(1, CHUNK // self.lattice.n_cells), copy)
+        self.stream(max(1, CHUNK // self.lattice.d), copy)
         return values
+
+
+class ImageArray:
+    """Images held in memory as a read-only (n, d) view, with the `shape`,
+    `stream` and `read` of a `VolumePayload`: a chunk of a payload has the
+    layout of a slice of the array."""
+
+    def __init__(self, images):
+        self.values = np.atleast_2d(images).view()
+        self.values.flags.writeable = False
+        self.shape = self.values.shape
+
+    def stream(self, step, consume, buffers=tuple) -> None:
+        """Call ``consume(start, rows, *part)`` on each `step`-row slice of
+        the values, dealt as `VolumePayload.stream` deals its chunks."""
+        def work(starts, *part):
+            for start in starts:
+                consume(start, self.values[start:start + step], *part)
+
+        _blas.deal(work, range(0, self.shape[0], step), buffers=buffers)
+
+    def read(self) -> np.ndarray:
+        """The read-only view itself, not a copy."""
+        return self.values
+
+
+def image_source(images):
+    """`images` as an image source: a `VolumePayload` or `ImageArray` as it
+    is, an array as an `ImageArray`."""
+    return images if isinstance(images, (VolumePayload, ImageArray)) else ImageArray(images)
 
 
 def save_dataset(dataset: Dataset, lattice: VoxelLattice, volume_base, covariate_path) -> None:

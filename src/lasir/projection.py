@@ -25,12 +25,14 @@ validation of one dataset on one basis project its images once. The key is
 the content of the basis, not the object, so a basis reloaded from its
 bundle finds the record too.
 
-The images of a loaded dataset are a `lattice.VolumePayload`, which
-`project` streams: each chunk of rows is read, gathered through the mask,
-checked for non-finite values and contracted while it is in cache, so load
-plus projection is one pass over the ``.dat`` file and no n x d array is
-formed. The chunks are the rows an in-memory array would be cut into, and
-one contraction serves both, so the record has the same bits either way.
+`project` reads its images through the one interface of an image source
+(`lattice.image_source`): a `lattice.ImageArray` in memory, or the
+`lattice.VolumePayload` of a loaded dataset, whose chunks of rows are read
+straight from the ``.dat`` file, checked for non-finite values and
+contracted while they are in cache, so load plus projection is one pass
+over the file and no n x d array is formed. A payload chunk has the layout
+of the slice of an array, and one contraction serves both, so the record
+has the same bits either way.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ import numpy as np
 
 from . import _blas
 from .basis import BasisSystem
-from .lattice import CHUNK as IMAGE_CHUNK
-from .lattice import VolumePayload
+from .lattice import CHUNK as IMAGE_CHUNK, image_source
 
 CHUNK = 1 << 19  # plane-grid cells (float64) held at a time by the contractions
 _RECORDS = threading.Lock()  # held while `projected` looks up or makes a record
@@ -54,44 +55,25 @@ def _rows(fx, fy, fz) -> int:
     return max(1, CHUNK // (fx.shape[0] * fy.shape[0] * fz.shape[0]))
 
 
-def _chunks(images, step, consume, buffers=tuple) -> None:
-    """Call ``consume(start, rows, *part)`` on each `step`-row chunk of
-    `images`, an (n, d) array or a `VolumePayload` (read and checked by
-    `VolumePayload.stream`). A pass of at least `_blas.PARALLEL_CHUNKS`
-    chunks is dealt to the allowed CPUs (`_blas.deal`), each part with the
-    ``part = buffers()`` of its own."""
-    if isinstance(images, VolumePayload):
-        images.stream(step, consume, buffers)
-        return
-
-    def work(starts, *part):
-        for start in starts:
-            consume(start, images[start:start + step], *part)
-
-    _blas.deal(work, range(0, images.shape[0], step), buffers=buffers)
-
-
 def project(images, basis: BasisSystem) -> np.ndarray:
     """Project images (n, d) onto the basis, returning coefficients (n, L).
 
-    `images` is an array or a `VolumePayload`, which a factored basis
-    streams chunk by chunk (see the module docstring) and an explicit psi
-    reads whole. A factored basis upcasts float32 images one row at a time,
-    as they are scattered into the plane grid; an explicit psi upcasts all
-    rows at once. A factored pass of at least `_blas.PARALLEL_CHUNKS` chunks
-    runs its chunks on the allowed CPUs (`_blas.deal`), each part with
-    buffers of its own; every chunk is contracted as in a serial loop, so
-    the result does not depend on the thread count.
+    `images` is an array or an image source (`lattice.image_source`), which
+    a factored basis streams chunk by chunk (see the module docstring) and
+    an explicit psi reads whole. A factored basis upcasts float32 images
+    one row at a time, as they are scattered into the plane grid; an
+    explicit psi upcasts all rows at once. A factored pass of at least
+    `_blas.PARALLEL_CHUNKS` chunks runs its chunks on the allowed CPUs
+    (`_blas.deal`), each part with buffers of its own; every chunk is
+    contracted as in a serial loop, so the result does not depend on the
+    thread count.
     """
-    if not isinstance(images, VolumePayload):
-        images = np.atleast_2d(images)
+    images = image_source(images)
     n, d = images.shape
     if d != basis.d:
         raise ValueError(f"image column count {d} does not match basis d={basis.d}")
     if basis.factors is None:
-        if isinstance(images, VolumePayload):
-            images = images.read()
-        return np.asarray(images, dtype=np.float64) @ basis.psi
+        return np.asarray(images.read(), dtype=np.float64) @ basis.psi
     layout = basis.layout
     fx, fy, fz = layout.factors
     mx, my, mz = fx.shape[0], fy.shape[0], fz.shape[0]
@@ -117,7 +99,7 @@ def project(images, basis: BasisSystem) -> np.ndarray:
         np.take(t.reshape(m, H ** 3), layout.slots, axis=1, out=out[start:start + m],
                 mode="clip")
 
-    _chunks(images, step, contract, buffers)
+    images.stream(step, contract, buffers)
     return basis.from_tensor(out)
 
 
@@ -125,27 +107,25 @@ class Projected:
     """One dataset's images projected on one basis: `ytilde` (n, L), read
     only, and, computed on first use, `sq_norms` (n,), each image's squared
     norm summed in float64 one row at a time, over chunks of about
-    `lattice.CHUNK` values (a payload's: grid cells). Images
-    held as a `VolumePayload` are streamed for each: once for `ytilde`, and
-    once more on the first use of `sq_norms`."""
+    `lattice.CHUNK` values. Images held as a `VolumePayload` are streamed
+    for each: once for `ytilde`, and once more on the first use of
+    `sq_norms`."""
 
     def __init__(self, images, basis: BasisSystem):
-        self._images = images
+        self._images = images = image_source(images)
         self.ytilde = project(images, basis)
         self.ytilde.flags.writeable = False
 
     @cached_property
     def sq_norms(self) -> np.ndarray:
         images = self._images
-        # a payload is read, and held, a chunk of whole grids at a time
-        width = images.lattice.n_cells if isinstance(images, VolumePayload) else images.shape[1]
         out = np.empty(images.shape[0])
 
         def add(start, rows):
             for j, row in enumerate(rows):  # per row: no chunk-sized float64 copy
                 out[start + j] = np.square(row, dtype=np.float64).sum()
 
-        _chunks(images, max(1, IMAGE_CHUNK // width), add)
+        images.stream(max(1, IMAGE_CHUNK // images.shape[1]), add)
         return out
 
 

@@ -44,11 +44,12 @@ stacks, run at once on a thread each (a lone stack on the calling thread),
 and each iteration of a stack makes one call each to `m_step` (stage 2 and
 the gating Newton fit, both batched), `q_value`, `e_step` and `s_step` for
 all of its live replicates; the M-step's log prior is read by both Q and
-the E-step. A replicate leaves its stack when it converges or fails. Every product is taken per replicate
-(`np.matmul` over the stack axis, with the operand shapes and layouts of a
-lone replicate), and each replicate draws from its own Generator, so a
-replicate's bits do not depend on its stack: the result does not depend on
-`threads`, and the step functions' one-replicate forms are stacks of one.
+the E-step. A replicate leaves its stack when it converges or fails. Every
+product is taken per replicate (`np.matmul` over the stack axis, with the
+operand shapes and layouts of a lone replicate), and each replicate draws
+from its own Generator, so a replicate's bits do not depend on its stack:
+the result does not depend on `threads`, and the step functions'
+one-replicate forms are stacks of one.
 
 `predict_from_sums` solves the same two stages, without subgroups, from the
 Gram and cross sums of the design rows: the holdout validation's fits, whose
@@ -325,7 +326,9 @@ def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
     `check_group`, the first one's error is raised, with its row as `row`.
     """
     X, R = problem.exposures, problem.resid
-    stack = labels.reshape(-1, labels.shape[-1])
+    stack = np.atleast_2d(labels)
+    if not stack.shape[1]:  # no individuals: group 1 is the first to fail
+        check_group(X, 1)
     p1 = X.shape[1]
     order = np.argsort((stack[:, :, None] == np.arange(1, n_groups + 1)).argmax(axis=1), axis=1)
     inverse = np.argsort(order, axis=1)
@@ -393,10 +396,11 @@ def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
     (pred (B, m, L), errors), where `errors` maps each item whose fit cannot
     be solved to the error the item alone raises; its rows of `pred` are
     left unset. When a batched solve meets a singular Gram block, that
-    group's items are solved one at a time, so only the singular ones fail. The items are grouped by the sites their training rows
-    contain, and each group is solved by batched solves and by products
-    taken per item (`np.matmul` over the stack axis) with the operand shapes
-    and transpositions of a lone fit, so every item's predictions are
+    group's items are solved one at a time, so only the singular ones fail.
+    The items are grouped by the sites their training rows contain, and
+    each group is solved by batched solves and by products taken per item
+    (`np.matmul` over the stack axis) with the operand shapes and
+    transpositions of a lone fit, so every item's predictions are
     bit-identical to the 2-D call on it.
     """
     if gram.ndim == 2:
@@ -611,7 +615,8 @@ def _run_stack(problem, n_groups, config, seeds):
     S-steps. Each failing `m_step` call redraws or drops the one replicate
     its error names; a replicate whose every responsibility row puts 1 on
     one group (one-hot rows, say), so that every redraw would return its
-    labels unchanged, is dropped at once, with the same warning. A replicate leaves the stack when it converges or fails.
+    labels unchanged, is dropped at once, with the same warning. A
+    replicate leaves the stack when it converges or fails.
     Returns one FitResult, or None for a failed replicate, per seed.
     """
     n = problem.n

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from hypothesis.extra.numpy import arrays
 
 import lasir
 from lasir import lattice as lattice_module
-from lasir import (Dataset, build_lattice, lattice_from_volume, load_dataset,
-                   load_volume_map, save_dataset, save_volume_map)
+from lasir import projection as projection_module
+from lasir import (Dataset, KernelParams, build_basis, build_lattice, lattice_from_volume,
+                   load_dataset, load_volume_map, save_dataset, save_volume_map)
+from lasir.io import read_kv, write_kv
+from lasir.projection import projected
 
 
 def test_axis_coords_symmetric_affine():
@@ -98,14 +102,36 @@ class TestVolumeBundle:
         with pytest.raises(ValueError, match="does not match"):
             save_volume_map(np.zeros(lat.d - 1), lat, tmp_path / "bad")
 
-    def test_masked_cells_are_nan(self, tmp_path):
+    def test_payload_holds_the_masked_values_in_mask_order(self, tmp_path):
         mask = np.ones((2, 2, 1), dtype=bool)
         mask[0, 0, 0] = False
         lat = build_lattice((2, 2, 1), mask)
-        save_volume_map(np.zeros(lat.d), lat, tmp_path / "z")
+        values = np.arange(1, 2 * lat.d + 1, dtype=np.float64).reshape(2, lat.d)
+        save_volume_map(values, lat, tmp_path / "z")
+        assert read_kv(tmp_path / "z.hdr")["format"] == "volume-bundle-v2"
         raw = np.fromfile(tmp_path / "z.dat", dtype="<f4")
-        assert np.isnan(raw[0])
-        assert np.all(raw[1:] == 0.0)
+        assert np.array_equal(raw, values.ravel())  # nothing for the cell off the mask
+        # a map expanded to the grid, as the README shows: NaN at the cell off the mask
+        grid = np.full(lat.n_cells, np.nan, "<f4")
+        grid[lat.flat_mask] = raw[:lat.d]
+        assert np.isnan(grid[0]) and np.array_equal(grid[1:], values[0])
+
+    def test_writer_stores_the_values_only_and_builds_no_grid(self, tmp_path):
+        mask = np.random.default_rng(11).random((20, 20, 20)) < 0.5
+        lat = build_lattice((20, 20, 20), mask)
+        n = 6
+        save_dataset(_toy_dataset(n, lattice=lat), lat, tmp_path / "img", tmp_path / "cov.csv")
+        assert os.path.getsize(tmp_path / "img.dat") == n * lat.d * 4
+        m = 10
+        values = np.random.default_rng(12).standard_normal((m, lat.d)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            save_volume_map(values, lat, tmp_path / "maps")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * lat.n_cells * 4  # the bytes of the maps padded to the grid
+        assert np.array_equal(load_volume_map(tmp_path / "maps", lat)[0], values)
 
     def test_malformed_header(self, tmp_path):
         lat = build_lattice((2, 2, 1))
@@ -246,7 +272,7 @@ class TestDatasetIO:
         lat = build_lattice((3, 4, 5), mask)
         images = np.random.default_rng(5).standard_normal((5, lat.d)).astype(np.float32)
         save_volume_map(images, lat, tmp_path / "img")
-        for chunk in (lat.n_cells, 2 * lat.n_cells):
+        for chunk in (lat.d, 2 * lat.d):
             monkeypatch.setattr("lasir.lattice.CHUNK", chunk)
             assert np.array_equal(load_volume_map(tmp_path / "img")[0], images)
         images[3, 7] = np.inf
@@ -268,7 +294,7 @@ class TestDatasetIO:
         n = 12
         assert n >= lasir._blas.PARALLEL_CHUNKS
         save_dataset(_toy_dataset(n, lattice=lat), lat, tmp_path / "img", tmp_path / "cov.csv")
-        monkeypatch.setattr(lattice_module, "CHUNK", lat.n_cells)
+        monkeypatch.setattr(lattice_module, "CHUNK", lat.d)
         images = np.random.default_rng(9).standard_normal((n, lat.d)).astype(np.float32)
         save_volume_map(images, lat, tmp_path / "img")
         pools = allow_cpus(1)
@@ -290,8 +316,8 @@ class TestDatasetIO:
     @pytest.mark.parametrize("bad", [None, 4])
     def test_non_finite_check_reads_gathered_cells_only(self, tmp_path, monkeypatch, bad):
         # chunks of 2, 2 and 1 maps: a NaN in the last row of the ragged final
-        # chunk names that row; the NaN save_volume_map writes into every
-        # off-mask cell is never gathered, so it never fails a load
+        # chunk names that row; the payload holds the masked values only, so
+        # the check reads exactly them (a v1 payload's off-mask NaN: below)
         mask = np.random.default_rng(6).random((3, 4, 5)) < 0.6
         lat = build_lattice((3, 4, 5), mask)
         images = np.random.default_rng(7).standard_normal((5, lat.d)).astype(np.float32)
@@ -299,9 +325,9 @@ class TestDatasetIO:
             images[bad, -1] = np.nan
         save_dataset(_toy_dataset(5, lattice=lat), lat, tmp_path / "img", tmp_path / "cov.csv")
         save_volume_map(images, lat, tmp_path / "img")
-        raw = np.fromfile(tmp_path / "img.dat", dtype="<f4").reshape(5, lat.n_cells)
-        assert np.isnan(raw[:, ~lat.flat_mask]).all()
-        monkeypatch.setattr(lattice_module, "CHUNK", 2 * lat.n_cells + 1)
+        raw = np.fromfile(tmp_path / "img.dat", dtype="<f4").reshape(5, lat.d)
+        assert np.array_equal(raw, images, equal_nan=True)
+        monkeypatch.setattr(lattice_module, "CHUNK", 2 * lat.d + 1)
         if bad is None:
             ds = load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
             assert np.array_equal(ds.images, images)
@@ -310,6 +336,85 @@ class TestDatasetIO:
                 load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat).images
         # the volume itself loads as stored, NaN included
         assert np.array_equal(load_volume_map(tmp_path / "img", lat)[0], images, equal_nan=True)
+
+
+def _save_v1(values, lat, base):
+    """`values` (count, d) written as a bundle of the earlier format
+    "volume-bundle-v1": whole grid rows, NaN off the mask."""
+    save_volume_map(values, lat, base)
+    grid = np.full((len(values), lat.n_cells), np.nan, dtype="<f4")
+    grid[:, lat.flat_mask] = values
+    grid.tofile(f"{base}.dat")
+    header = read_kv(f"{base}.hdr")
+    header["format"] = "volume-bundle-v1"
+    write_kv(f"{base}.hdr", header)
+
+
+class TestPaddedBundle:
+    """A "volume-bundle-v1" bundle still loads, through the one branch of
+    `VolumePayload.stream` that reads whole grid rows."""
+
+    @staticmethod
+    def _saved(tmp_path, images, lat):
+        n = len(images)
+        with open(tmp_path / "cov.csv", "w") as fh:
+            fh.write("id,site\n" + "".join(f"i{i},1\n" for i in range(n)))
+        save_volume_map(images, lat, tmp_path / "v2")
+        _save_v1(images, lat, tmp_path / "v1")
+        raw = np.fromfile(tmp_path / "v1.dat", dtype="<f4").reshape(n, lat.n_cells)
+        assert np.isnan(raw[:, ~lat.flat_mask]).all()
+
+    @pytest.mark.parametrize("rows", [1, 2, None])
+    def test_loads_bit_identical_to_v2(self, tmp_path, monkeypatch, allow_cpus, rows):
+        # off-mask NaN in every row of the v1 payload never fails a load
+        mask = np.random.default_rng(10).random((4, 5, 6)) < 0.6
+        lat = build_lattice((4, 5, 6), mask)
+        n = 2 * lasir._blas.PARALLEL_CHUNKS + 1
+        images = np.random.default_rng(11).standard_normal((n, lat.d)).astype(np.float32)
+        self._saved(tmp_path, images, lat)
+        basis = build_basis(lat, KernelParams(0.05, 1.0), 2)
+        step = rows or n  # rows per chunk of every read
+        monkeypatch.setattr(lattice_module, "CHUNK", step * lat.d)
+        monkeypatch.setattr(projection_module, "IMAGE_CHUNK", step * lat.d)
+        monkeypatch.setattr(projection_module, "CHUNK", step * basis.layout.inside.size)
+        for count in (1, 2):
+            allow_cpus(count)
+            v1, v2 = (load_dataset(tmp_path / name, tmp_path / "cov.csv", lat)
+                      for name in ("v1", "v2"))
+            assert (v1.image_source.width, v2.image_source.width) == (lat.n_cells, lat.d)
+            assert np.array_equal(v1.images.view(np.uint32), images.view(np.uint32))
+            assert np.array_equal(load_volume_map(tmp_path / "v1", lat)[0], images)
+            got, want = (projected(ds, basis) for ds in (v1, v2))
+            assert np.array_equal(got.ytilde.view(np.uint64), want.ytilde.view(np.uint64))
+            assert np.array_equal(got.sq_norms.view(np.uint64), want.sq_norms.view(np.uint64))
+
+    def test_a_non_finite_masked_value_names_the_first_bad_individual(
+            self, tmp_path, monkeypatch, allow_cpus):
+        # 12 one-row chunks dealt to threads; the part holding the lower bad
+        # row (3) may finish after the one holding the higher (10)
+        mask = np.random.default_rng(12).random((3, 4, 5)) < 0.6
+        lat = build_lattice((3, 4, 5), mask)
+        images = np.random.default_rng(13).standard_normal((12, lat.d)).astype(np.float32)
+        images[10, 0], images[3, -1] = np.nan, -np.inf
+        self._saved(tmp_path, images, lat)
+        monkeypatch.setattr(lattice_module, "CHUNK", lat.d)
+        for count in (1, 2, 3):
+            allow_cpus(count)
+            with pytest.raises(ValueError, match="individual index 3$"):
+                load_dataset(tmp_path / "v1", tmp_path / "cov.csv", lat).images
+
+    def test_a_short_payload_names_the_file(self, tmp_path, monkeypatch):
+        lat = build_lattice((3, 4, 5), np.random.default_rng(14).random((3, 4, 5)) < 0.6)
+        self._saved(tmp_path, np.zeros((3, lat.d), dtype=np.float32), lat)
+        path = str(tmp_path / "v1.dat")
+        with open(path, "r+b") as fh:
+            fh.truncate(4 * (3 * lat.n_cells - 1))
+        with pytest.raises(ValueError, match=re.escape(path)):
+            load_volume_map(tmp_path / "v1", lat)
+        # a payload that ends early while being read still names the file
+        monkeypatch.setattr(lattice_module.os.path, "getsize", lambda _: 4 * 3 * lat.n_cells)
+        with pytest.raises(ValueError, match=re.escape(path) + ": payload ends before map"):
+            load_volume_map(tmp_path / "v1", lat)
 
 
 class TestDatasetInvariants:
@@ -351,20 +456,21 @@ def test_volume_round_trip_in_small_chunks(data):
     values = data.draw(arrays(np.float32, (count, lat.d), elements=st.floats(width=32)))
     step = data.draw(st.integers(1, 4))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice_module, "CHUNK", step * lat.n_cells + data.draw(st.integers(0, 3)))
+        mp.setattr(lattice_module, "CHUNK", step * lat.d + data.draw(st.integers(0, 3)))
         base = os.path.join(tmp, "vol")
         save_volume_map(values, lat, base)
         back, same = load_volume_map(base, lat)
         assert same is lat and back.dtype == np.float32
         assert np.array_equal(back.view(np.uint32), values.view(np.uint32))
-        cut = data.draw(st.integers(1, 4 * count * lat.n_cells))
+        assert os.path.getsize(base + ".dat") == 4 * count * lat.d
+        cut = data.draw(st.integers(1, 4 * count * lat.d))
         with open(base + ".dat", "r+b") as fh:
-            fh.truncate(4 * count * lat.n_cells - cut)
+            fh.truncate(4 * count * lat.d - cut)
         named = re.escape(base + ".dat")
         with pytest.raises(ValueError, match=named):
             load_volume_map(base, lat)
         # a payload that ends early while being read still names the file
-        mp.setattr(lattice_module.os.path, "getsize", lambda path: 4 * count * lat.n_cells)
+        mp.setattr(lattice_module.os.path, "getsize", lambda path: 4 * count * lat.d)
         with pytest.raises(ValueError, match=named):
             load_volume_map(base, lat)
 

@@ -355,7 +355,7 @@ class TestStreamedRecord:
         assert isinstance(loaded.image_source, lattice_module.VolumePayload)
         step = n if rows is None else rows  # projection and squared-norm chunks
         monkeypatch.setattr(projection, "CHUNK", step * basis.layout.inside.size)
-        monkeypatch.setattr(projection, "IMAGE_CHUNK", step * lattice.n_cells)
+        monkeypatch.setattr(projection, "IMAGE_CHUNK", step * lattice.d)
         for count in (1, 2, 3):
             pools = allow_cpus(count)
             loaded.projections.clear()
@@ -378,7 +378,7 @@ class TestStreamedRecord:
                       sites=dataset.sites)
         lattice = build_lattice((5, 5, 5))
         monkeypatch.setattr(projection, "CHUNK", basis.layout.inside.size)
-        monkeypatch.setattr(lattice_module, "CHUNK", lattice.n_cells)
+        monkeypatch.setattr(lattice_module, "CHUNK", lattice.d)
         for count in (1, 2, 3):
             allow_cpus(count)
             loaded = _saved(bad, lattice, tmp_path / f"img{count}")  # the load reads no image

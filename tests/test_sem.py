@@ -597,6 +597,7 @@ split_shapes = dict(seed=seeds, p=st.integers(0, 2), q=st.integers(0, 2),
 
 class TestPredictFromSums:
     @given(drop_site=st.booleans(), **split_shapes)
+    @example(drop_site=True, seed=29099, p=0, q=0, n_sites=2, L=2, extra=0, n_test=1)
     def test_matches_two_stage_fit(self, drop_site, seed, p, q, n_sites, L, extra, n_test):
         ytilde, dataset, train, test = _holdout_split(seed, p, q, n_sites, L,
                                                       n_sites + q + p + 2 + extra, n_test)

@@ -118,7 +118,7 @@ def outputs(seed: int, shape: dict) -> dict:
         base = os.path.join(tmp, "images")
         lasir.save_dataset(dataset, lattice, base, base + ".csv")
         # one row per chunk
-        lattice_module.CHUNK = projection.IMAGE_CHUNK = lattice.n_cells
+        lattice_module.CHUNK = projection.IMAGE_CHUNK = lattice.d
         projection.CHUNK = 1
         try:
             loaded = lasir.load_dataset(base, base + ".csv", lattice)

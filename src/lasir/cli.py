@@ -301,7 +301,8 @@ DATA = [Option("images", required=True), Option("covariates", required=True),
         Option("basis", required=True)]
 SEM = [Option("restarts", int, SemConfig.restarts), Option("seed", int, SemConfig.seed),
        Option("tol", float, SemConfig.tol), Option("max_iter", int, SemConfig.max_iter),
-       Option("threads", int, SemConfig.threads)]
+       Option("threads", int, SemConfig.threads, help="replicate stacks run at once by fit; "
+              "select runs each candidate as one stack and only records this")]
 CUBE = [Option("n", int, SimConfig.n), Option("dims", _parse_dims, SimConfig.dims),
         Option("sigma", float, SimConfig.sigma)]
 TABLE2 = inspect.signature(run_table2).parameters  # reproduce's defaults

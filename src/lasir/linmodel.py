@@ -56,7 +56,7 @@ def mvls_fit(design: np.ndarray, targets: np.ndarray) -> DiagGaussianFit:
     Raises
     ------
     ValueError
-        If n < c or the design is numerically rank deficient (relative
+        If n = 0, n < c or the design is numerically rank deficient (relative
         singular value below 1e-10); the message reports the smallest
         singular value rather than falling back to a pseudo-inverse.
     """
@@ -71,10 +71,12 @@ def mvls_fit(design: np.ndarray, targets: np.ndarray) -> DiagGaussianFit:
 
 
 def check_design(design: np.ndarray) -> None:
-    """Raise ValueError unless the design (n, c) has n >= c and full column
-    rank (relative smallest singular value above `RANK_TOL`); a design with
-    no columns passes."""
+    """Raise ValueError unless the design (n, c) has n >= 1 rows, n >= c and
+    full column rank (relative smallest singular value above `RANK_TOL`); a
+    design with rows but no columns passes."""
     n, c = design.shape
+    if not n:
+        raise ValueError(f"empty design: no rows (c={c})")
     if n < c:
         raise ValueError(f"under-determined least squares: n={n} < c={c}")
     s = np.linalg.svd(design, compute_uv=False)

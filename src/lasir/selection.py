@@ -54,9 +54,13 @@ def select_k(dataset: Dataset, basis: BasisSystem, k_candidates,
     deterministic seed derived from the config seed, and BIC(K) =
     M log(nL) - 2Q uses the winning replicate's final Q. Candidates whose
     replicates all fail are excluded with a warning; ties break toward
-    smaller K. BLAS is pinned to one thread, as in `fit_sem`. Every
-    candidate must be an integer >= 1, checked before the projection is
-    read, else ValueError naming it.
+    smaller K. Each candidate's replicates run as one stack on the calling
+    thread, so `select_k` starts no thread and `config.threads` has no
+    effect: the EM steps are small numpy calls that hold the GIL, and
+    replicate threads would only contend for it. The results are the same
+    for any `threads`, as `fit_sem`'s are. BLAS is pinned to one thread, as
+    in `fit_sem`. Every candidate must be an integer >= 1 and listed once,
+    checked before the projection is read, else ValueError naming it.
 
     Returns
     -------
@@ -66,15 +70,17 @@ def select_k(dataset: Dataset, basis: BasisSystem, k_candidates,
     k_candidates = list(k_candidates)
     if not k_candidates:
         raise ValueError("no candidate group counts")
-    for K in k_candidates:
+    for i, K in enumerate(k_candidates):
         if not isinstance(K, numbers.Integral) or K < 1:
             raise ValueError(f"candidate group counts must be integers >= 1, got {K!r}")
+        if K in k_candidates[:i]:
+            raise ValueError("candidate group counts must be integers >= 1, each listed once, "
+                             f"got {K!r} twice")
     problem = prepare(projected(dataset, basis).ytilde, dataset)
     records, fits = [], {}
     for K in k_candidates:
-        cand_config = replace(config, seed=config.seed * 1000 + K)
         try:
-            fit = fit_problem(problem, K, cand_config)
+            fit = fit_problem(problem, K, replace(config, seed=config.seed * 1000 + K, threads=1))
         except RuntimeError as exc:
             logger.warning("candidate K=%d excluded: %s", K, exc)
             continue

@@ -40,10 +40,11 @@ independent random label initializations and the replicate with the highest
 final Q wins.
 
 The restarts run in stacks: `fit_problem` deals them into `SemConfig.threads`
-stacks, run at once on a thread each (a lone stack on the calling thread),
-and each iteration of a stack makes one call each to `m_step` (stage 2 and
-the gating Newton fit, both batched), `q_value`, `e_step` and `s_step` for
-all of its live replicates; the M-step's log prior is read by both Q and
+stacks, run at once on a thread each (a lone stack on the calling thread;
+`select_k` runs each candidate as one stack, whatever `threads`), and each
+iteration of a stack makes one call each to `m_step` (stage 2 and the
+gating Newton fit, both batched), `q_value`, `e_step` and `s_step` for all
+of its live replicates; the M-step's log prior is read by both Q and
 the E-step. A replicate leaves its stack when it converges or fails. Every
 product is taken per replicate (`np.matmul` over the stack axis, with the
 operand shapes and layouts of a lone replicate), and each replicate draws
@@ -169,12 +170,14 @@ class SemConfig:
         below `tol`, or at `max_iter`.
     restarts : number of independent replicates; the highest final Q wins.
     seed : master seed; replicate streams are spawned deterministically.
-    threads : number of replicate stacks run at once (>= 1). The
-        replicates are dealt into this many stacks, each advanced by one
+    threads : number of replicate stacks run at once by `fit_sem` (>= 1).
+        The replicates are dealt into this many stacks, each advanced by one
         call per EM step on a thread of its own; a lone stack runs on the
-        calling thread. `fit_sem` pins the process-wide BLAS pools to one
-        thread, so besides these threads the fit's only parallelism is the
-        projection of its images: a pass of at least
+        calling thread. `select_k` runs each candidate's replicates as one
+        stack on the calling thread and so does not read `threads`, which
+        manifests still record. `fit_sem` pins the process-wide BLAS pools
+        to one thread, so besides these threads the fit's only parallelism
+        is the projection of its images: a pass of at least
         `_blas.PARALLEL_CHUNKS` chunks runs on the allowed CPUs, with bits
         that do not depend on the thread count. Every product is taken per
         replicate, so results do not depend on `threads`, on how the
@@ -383,9 +386,9 @@ def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
     with G and C split into the D and X blocks: solves of the size of the
     design, no residual matrix. Returns (m, L).
 
-    Raises ValueError when the stage-1 training design is rank deficient (as
-    `prepare` does), then DegenerateGroupError naming `group` when `train`'s
-    exposure rows fail `check_group` (as `stage2` does). Both rules are
+    Raises ValueError when the stage-1 training design is empty or rank
+    deficient (as `prepare` does), then DegenerateGroupError naming `group`
+    when `train`'s exposure rows fail `check_group` (as `stage2` does). Both rules are
     screened by `rank_clear` on the Gram blocks; `check_design`'s and
     `check_group`'s SVDs run only where it is not clear. A design that
     passes them can still have a Gram block that is singular in floating
@@ -421,7 +424,7 @@ def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
         d_cols = np.concatenate([np.flatnonzero(pattern), np.arange(n_sites, width - n_exposures)])
         g = gram[items]
         g_dd = g[:, d_cols][:, :, d_cols]
-        d_clear = rank_clear(g_dd, count, d_cols.size)
+        d_clear = rank_clear(g_dd, count, max(1, d_cols.size))
         solved = []
         for j, item in enumerate(items):
             try:

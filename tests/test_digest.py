@@ -35,7 +35,7 @@ def test_against_a_revision_names_only_the_outputs_that_differ(tmp_path, monkeyp
     assert [line.split() for line in lines[:-1]] == [
         ["1", f"validate.{mode}", "differs,", "max", "relative", "difference", "0.5"]
         for mode in ("within", "without", "shuffled", "fresh")]
-    assert lines[-1] == "4 of 32 outputs differ from HEAD"
+    assert lines[-1] == "4 of 33 outputs differ from HEAD"
 
 
 def test_prints_one_digest_per_output(tmp_path, monkeypatch, capsys):
@@ -100,3 +100,18 @@ def test_a_fresh_validation_that_differs_exits_1(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert ("7  validate.fresh differs from validate.* on a rebuilt dataset" in err) \
             == bool(code)
+
+
+def test_a_threaded_selection_that_differs_exits_1(tmp_path, monkeypatch, capsys):
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    monkeypatch.chdir(tmp_path)
+    parts = {(7, f"select.{part}"): [np.full(2, float(i))]
+             for i, part in enumerate(digest.SELECT_PARTS)}
+    same = [a for part in digest.SELECT_PARTS for a in parts[(7, f"select.{part}")]]
+    moved = same[:-1] + [same[-1] + 1.0]
+    for threaded, code in ((same, 0), (moved, 1)):
+        computed = {**parts, (7, "select.threads"): threaded}
+        monkeypatch.setattr(digest, "_run", lambda *args: computed)
+        assert digest.main(["--seeds", "7"]) == code
+        err = capsys.readouterr().err
+        assert ("7  select.threads differs from select.* at threads=1" in err) == bool(code)

@@ -44,6 +44,10 @@ class TestMvls:
         with pytest.raises(ValueError, match="under-determined"):
             mvls_fit(np.ones((2, 3)), np.zeros((2, 1)))
 
+    def test_empty_design_raises(self):
+        with pytest.raises(ValueError, match="empty design"):
+            mvls_fit(np.zeros((0, 0)), np.zeros((0, 2)))
+
     def test_variance_is_mean_squared_residual(self):
         rng = np.random.default_rng(3)
         design = np.ones((30, 1))

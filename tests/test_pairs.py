@@ -1,0 +1,86 @@
+import importlib.util
+import json
+import os
+import subprocess
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+spec = importlib.util.spec_from_file_location("pairs", os.path.join(ROOT, "tools", "pairs.py"))
+pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pairs)
+
+# A stand-in for benchmarks/run.py: SIDE is 2 in the committed tree and 1 in
+# the working tree; `wall_s` rises with the run's index, so it tells the order.
+FAKE_RUN = """import json, os
+SIDE = {side}
+log = os.environ["PAIRS_LOG"]
+index = len(open(log).read().split()) if os.path.exists(log) else 0
+with open(log, "a") as fh:
+    fh.write(f"{{SIDE}}\\n")
+print("a line of the run's report")
+values = {{"cpu_s": SIDE, "wall_s": 1.0 + 0.5 * index, "setup_s": 3.0 - SIDE,
+           "ok_ratio": 1.0 / SIDE, "peak_rss_mb": None}}
+print(json.dumps({{"correct": True, "metrics": {{
+    name: {{"value": value, "unit": "s"}} for name, value in values.items()}}}}))
+"""
+SPEC = {"end_to_end": [{"name": name, "better": "lower"}
+                       for name in ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")]
+        + [{"name": "ok_ratio", "better": "higher"}], "per_layer": []}
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    (tmp_path / "benchmarks" / "run.py").write_text(FAKE_RUN.format(side=2))
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "parent")
+    (tmp_path / "benchmarks" / "run.py").write_text(FAKE_RUN.format(side=1))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PAIRS_LOG", str(tmp_path / "runs.log"))
+    return tmp_path
+
+
+def test_alternates_the_sides_and_reports_wins_medians_and_verdicts(repo, capsys):
+    assert pairs.main(["--against", "HEAD", "--workload", "desk", "--seed", "1",
+                       "--pairs", "4"]) == 0
+    # the parent (2) first in pairs 1 and 3, the change (1) first in 2 and 4
+    assert (repo / "runs.log").read_text().split() == ["2", "1", "1", "2", "2", "1", "1", "2"]
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:6]}
+    assert rows["cpu_s"] == ["2/2/2", "1/1/1", "4/4", "+1", "0", "gain"]
+    # the runs' indexes: parent 0, 3, 4, 7; change 1, 2, 5, 6
+    assert rows["wall_s"] == ["2.125/2.75/3.375", "1.875/2.75/3.625", "2/4", "+0", "1.25", "-"]
+    assert rows["setup_s"] == ["1/1/1", "2/2/2", "0/4", "-1", "0", "loss"]
+    assert rows["ok_ratio"] == ["0.5/0.5/0.5", "1/1/1", "4/4", "+0.5", "0", "gain"]
+    assert "peak_rss_mb" not in rows  # no value: not compared
+    assert "wall_s parent: 1 2.5 3 4.5" in lines
+    assert "wall_s change: 1.5 2 3.5 4" in lines
+
+
+def test_the_verdict_needs_the_wins_and_a_gap_wider_than_the_iqr():
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    # nine wins of ten, median 0.3 lower against an IQR of 0.45: no gain
+    change = [v - 0.3 for v in parent[:9]] + [2.0]
+    assert pairs.compare(parent, change, False)[0] == 9
+    assert pairs.compare(parent, change, False)[3] == "-"
+    assert pairs.compare(parent, [v - 0.5 for v in parent], False)[3] == "gain"
+    assert pairs.compare(parent, [v - 0.5 for v in parent], True)[3] == "loss"
+    # eight wins of ten fall short, however large the gap
+    wins, gap, _, verdict = pairs.compare(parent, [v - 5.0 for v in parent[:8]] + [9.0, 9.0],
+                                          False)
+    assert (wins, verdict) == (8, "-") and gap > 4.0
+
+
+def test_a_failing_run_exits_1(repo, capsys):
+    (repo / "benchmarks" / "run.py").write_text("import sys\nsys.exit('no inputs')\n")
+    assert pairs.main(["--against", "HEAD", "--workload", "desk", "--seed", "1",
+                       "--pairs", "1"]) == 1
+    assert "the change run of pair 1 failed" in capsys.readouterr().err

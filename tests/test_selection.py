@@ -1,8 +1,12 @@
+import pickle
+import threading
+
 import numpy as np
 import pytest
 
 from lasir import SemConfig, SimConfig, m_step, param_count, project, select_k, simulate_cube
 from lasir import selection as selection_module
+from lasir import sem as sem_module
 from lasir.selection import BicRecord, _choose
 
 
@@ -83,7 +87,7 @@ class TestSelectK:
 
     @pytest.mark.parametrize("candidates, named", [
         ([1, 0], "got 0"), ([-2, 1], "got -2"), ([1, 2.5], "got 2.5"), ([2.0], "got 2.0"),
-        (["2"], "got '2'")])
+        (["2"], "got '2'"), ([2, 1, 2], "each listed once, got 2 twice")])
     def test_candidates_checked_before_projecting(self, candidates, named, monkeypatch):
         cfg = SimConfig(dims=(5, 5, 5), n=50, n_groups=1, sigma=1.0, seed=0, n_sites=2)
         dataset, truth, lattice, basis = simulate_cube(cfg)
@@ -95,3 +99,25 @@ class TestSelectK:
         with pytest.raises(ValueError, match="candidate group counts must be integers >= 1, "
                                              + named):
             select_k(dataset, basis, candidates, SemConfig())
+
+    def test_candidates_run_on_the_calling_thread(self, monkeypatch):
+        # each candidate's restarts are one stack: no replicate threads
+        cfg = SimConfig(dims=(4, 4, 4), n=60, n_groups=2, sigma=1.0, seed=3, n_sites=2)
+        dataset, truth, lattice, basis = simulate_cube(cfg)
+        seen, m_step_now = [], sem_module.m_step
+
+        def recorded(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return m_step_now(*args, **kwargs)
+
+        monkeypatch.setattr(sem_module, "m_step", recorded)
+        select_k(dataset, basis, [1, 2, 3], SemConfig(restarts=4, seed=1, threads=2))
+        assert len(seen) > 3 and set(seen) == {threading.get_ident()}
+
+    def test_results_do_not_depend_on_threads(self):
+        cfg = SimConfig(dims=(4, 4, 4), n=60, n_groups=2, sigma=1.0, seed=4, n_sites=2)
+        dataset, truth, lattice, basis = simulate_cube(cfg)
+        runs = [pickle.dumps(select_k(dataset, basis, [1, 2, 3],
+                                      SemConfig(restarts=3, seed=8, threads=threads)))
+                for threads in (1, 2, 3)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]

@@ -26,6 +26,8 @@ prints one SHA-256 digest (its first 16 hex digits) per output and seed:
   equal them;
 * `select.choice`, `select.bic` (each candidate's Q and BIC) and
   `select.labels` -- `select_k`;
+* `select.threads` -- the same three parts of `select_k` with `threads=2`,
+  which must equal them;
 * `kmlr.*` (the six parts of a fit, as for `fit_sem`) and `svcm` -- the two
   baselines;
 * `ellipsoid.basis` and `ellipsoid.fit.*` -- `build_basis` and `fit_sem` on
@@ -38,14 +40,16 @@ K=3, 6 restarts, 50 splits; selection and baselines at 10^3, n=300) plus a
     python tools/digest.py --against REF [--seeds S ...] [--shapes ...]
 
 computes the same outputs with the package source at the git revision REF
-as well (`git archive REF src`, unpacked into a temporary directory and
-imported by a subprocess), prints each output that differs with the largest
-relative difference of its values, |now - REF| / |REF|, and exits 1 if any
-output differs. Both sides run in subprocesses importing `src` of the
-repository that holds the current directory, or of the archive.
+as well (`git archive REF src`, unpacked into a temporary directory by
+`revision.py` and imported by a subprocess), prints each output that
+differs with the largest relative difference of its values,
+|now - REF| / |REF|, and exits 1 if any output differs. Both sides run in
+subprocesses importing `src` of the repository that holds the current
+directory, or of the archive.
 
 Either way, the tool also exits 1, naming the seed, when `load` differs
-from `project`, `fit.threads` from the `fit.*` parts at one thread, or
+from `project`, `fit.threads` from the `fit.*` parts at one thread,
+`select.threads` from the `select.*` parts at one thread, or
 `validate.fresh` from the `validate.*` outputs.
 """
 
@@ -53,32 +57,36 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from revision import archive, toplevel, unpack  # noqa: E402
+
 SHAPES = {
     "desk": {"dims": (15, 15, 15), "n": 500, "sites": 21, "K": 3, "restarts": 6, "splits": 50,
              "select_dims": (10, 10, 10), "select_n": 300, "select_K": (1, 2, 3),
-             "select_restarts": 4, "select_threads": 2,
+             "select_restarts": 4,
              "ellipsoid": (14, 13, 12), "ellipsoid_n": 120, "ellipsoid_h": 4},
     "tiny": {"dims": (5, 5, 5), "n": 40, "sites": 3, "K": 2, "restarts": 2, "splits": 3,
              "select_dims": (4, 4, 4), "select_n": 60, "select_K": (1, 2),
-             "select_restarts": 2, "select_threads": 2,
+             "select_restarts": 2,
              "ellipsoid": (6, 6, 5), "ellipsoid_n": 30, "ellipsoid_h": 2},
 }
 SEEDS = (9101, 9202, 9303)
 MODES = ("within", "without", "shuffled")
 FIT_PARTS = ("labels", "theta", "lam", "w", "q", "iterations")
+SELECT_PARTS = ("choice", "bic", "labels")
 # output -> (the outputs whose arrays, in order, it must equal; what it is)
 SAME = {"load": (["project"], "the images, projection and squared norms in memory"),
         "fit.threads": ([f"fit.{part}" for part in FIT_PARTS], "fit.* at threads=1"),
+        "select.threads": ([f"select.{part}" for part in SELECT_PARTS],
+                           "select.* at threads=1"),
         "validate.fresh": ([f"validate.{mode}" for mode in MODES],
                            "validate.* on a rebuilt dataset")}
 
@@ -146,13 +154,17 @@ def outputs(seed: int, shape: dict) -> dict:
     out["validate.fresh"] = [a for mode in MODES for a in validate(fresh, mode)]
 
     single, _, _, basis1 = simulate(shape["select_dims"], shape["select_n"], 1, 1)
-    best, records, fits = lasir.select_k(
-        single, basis1, list(shape["select_K"]),
-        lasir.SemConfig(restarts=shape["select_restarts"], seed=seed + 1,
-                        threads=shape["select_threads"]))
-    out["select.choice"] = [np.array([best] + [r.n_groups for r in records])]
-    out["select.bic"] = [np.array([[r.q, r.bic] for r in records])]
-    out["select.labels"] = [fits[r.n_groups].labels for r in records]
+
+    def select(threads):
+        best, records, fits = lasir.select_k(
+            single, basis1, list(shape["select_K"]),
+            lasir.SemConfig(restarts=shape["select_restarts"], seed=seed + 1, threads=threads))
+        return [[np.array([best] + [r.n_groups for r in records])],
+                [np.array([[r.q, r.bic] for r in records])],
+                [fits[r.n_groups].labels for r in records]]
+
+    out.update({f"select.{part}": arrays for part, arrays in zip(SELECT_PARTS, select(1))})
+    out["select.threads"] = [a for arrays in select(2) for a in arrays]
     three, _, _, _ = simulate(shape["select_dims"], shape["select_n"], 3, 2)
     add_fit("kmlr", lasir.kmlr_fit(three, basis1, 3, lasir.SemConfig(seed=seed + 2)))
     svcm = lasir.svcm_fit(three, basis1)
@@ -218,10 +230,6 @@ def mismatches(outputs: dict) -> list:
                                           for a in outputs[(seed, part)]])]
 
 
-def _git(*args, cwd=None) -> bytes:
-    return subprocess.run(["git", *args], cwd=cwd, capture_output=True, check=True).stdout
-
-
 def _run(src: Path, seeds, shapes, path) -> dict:
     """The outputs computed in a subprocess that imports lasir from `src`."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -241,8 +249,8 @@ def main(argv=None) -> int:
         _dump(args.dump, args.seeds, args.shapes)
         return 0
     try:
-        top = Path(_git("rev-parse", "--show-toplevel").decode().strip())
-        archive = None if args.against is None else _git("archive", args.against, "src", cwd=top)
+        top = toplevel()
+        tar = None if args.against is None else archive(args.against, "src")
     except subprocess.CalledProcessError as exc:
         print(f"error: {exc.stderr.decode().strip()}", file=sys.stderr)
         return 1
@@ -250,17 +258,16 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         try:
             now = _run(top / "src", args.seeds, args.shapes, tmp / "now.npz")
-            if archive is not None:
-                with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-                    tar.extractall(tmp / "ref", filter="data")
-                ref = _run(tmp / "ref" / "src", args.seeds, args.shapes, tmp / "ref.npz")
+            if tar is not None:
+                ref = _run(unpack(tar, tmp / "ref") / "src", args.seeds, args.shapes,
+                           tmp / "ref.npz")
         except subprocess.CalledProcessError as exc:
             print(f"error: computing the outputs failed ({exc})", file=sys.stderr)
             return 1
     mismatched = mismatches(now)
     for seed, name in mismatched:
         print(f"{seed}  {name} differs from {SAME[name][1]}", file=sys.stderr)
-    if archive is None:
+    if tar is None:
         for (seed, name), arrays in now.items():
             print(f"{seed}  {name:<22}  {digest(arrays)}")
         return 1 if mismatched else 0

@@ -10,9 +10,9 @@ so `single_thread` pins both pools to one thread around a fit.
 
 Parallelism comes from Python threads instead, each running its own BLAS
 calls: `deal` splits work into parts, one thread each. It runs the replicate
-stacks of a `fit_sem` (`select_k` runs each candidate as one stack on the
-calling thread: small steps that hold the GIL gain nothing from threads),
-and the chunk loops of the image sources
+stacks of a fit (`select_k` runs each candidate as one stack on the calling
+thread below `selection.THREADED_N` subjects, where small steps that hold the
+GIL gain nothing from threads), and the chunk loops of the image sources
 (`lattice.VolumePayload.stream`, which reads a volume payload straight into
 its rows, and `lattice.ImageArray.stream`, which slices images in memory),
 which feed `projection.project` and the squared image norms, when a pass

@@ -36,7 +36,7 @@ from .io import config_hash, read_kv, write_kv
 from .lattice import (build_lattice, lattice_from_volume, load_dataset,
                       save_dataset, save_volume_map)
 from .metrics import match_groups, nmi, power_type1, validate_projection
-from .selection import select_k
+from .selection import THREADED_N, select_k
 from .sem import SemConfig, check_basis, fit_sem
 from .simulate import KERNEL, SimConfig, simulate_cube
 from .study import evaluate_fit, run_table2
@@ -301,8 +301,8 @@ DATA = [Option("images", required=True), Option("covariates", required=True),
         Option("basis", required=True)]
 SEM = [Option("restarts", int, SemConfig.restarts), Option("seed", int, SemConfig.seed),
        Option("tol", float, SemConfig.tol), Option("max_iter", int, SemConfig.max_iter),
-       Option("threads", int, SemConfig.threads, help="replicate stacks run at once by fit; "
-              "select runs each candidate as one stack and only records this")]
+       Option("threads", int, SemConfig.threads, help="replicate stacks run at once "
+              f"(select: one stack per candidate below {THREADED_N} subjects)")]
 CUBE = [Option("n", int, SimConfig.n), Option("dims", _parse_dims, SimConfig.dims),
         Option("sigma", float, SimConfig.sigma)]
 TABLE2 = inspect.signature(run_table2).parameters  # reproduce's defaults

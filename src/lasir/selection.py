@@ -15,6 +15,14 @@ from .sem import SemConfig, fit_problem, prepare
 
 logger = logging.getLogger(__name__)
 
+# Below this many subjects a candidate's restarts run as one stack whatever
+# `threads`: the EM steps are small numpy calls that hold the GIL, and stacks
+# on threads only take turns. Wall time of K=1..3, 4 restarts, on 2 CPUs: two
+# stacks broke even with one near n=1000 at L=220 (0.11 s against 0.07 s at
+# n=300, 0.63 s against 1.18 s at n=12000), near n=600 at L=455, and between
+# n=1200 and n=3000 at L=56.
+THREADED_N = 1000
+
 
 @dataclass
 class BicRecord:
@@ -54,13 +62,13 @@ def select_k(dataset: Dataset, basis: BasisSystem, k_candidates,
     deterministic seed derived from the config seed, and BIC(K) =
     M log(nL) - 2Q uses the winning replicate's final Q. Candidates whose
     replicates all fail are excluded with a warning; ties break toward
-    smaller K. Each candidate's replicates run as one stack on the calling
-    thread, so `select_k` starts no thread and `config.threads` has no
-    effect: the EM steps are small numpy calls that hold the GIL, and
-    replicate threads would only contend for it. The results are the same
-    for any `threads`, as `fit_sem`'s are. BLAS is pinned to one thread, as
-    in `fit_sem`. Every candidate must be an integer >= 1 and listed once,
-    checked before the projection is read, else ValueError naming it.
+    smaller K. With at least `THREADED_N` subjects each candidate's
+    replicates run in `config.threads` stacks, as in `fit_sem`; with fewer
+    they run as one stack on the calling thread, where threads would only
+    contend for the GIL. The results are the same for any `threads`. BLAS
+    is pinned to one thread, as in `fit_sem`. Every candidate must be an
+    integer >= 1 and listed once, checked before the projection is read,
+    else ValueError naming it.
 
     Returns
     -------
@@ -77,19 +85,18 @@ def select_k(dataset: Dataset, basis: BasisSystem, k_candidates,
             raise ValueError("candidate group counts must be integers >= 1, each listed once, "
                              f"got {K!r} twice")
     problem = prepare(projected(dataset, basis).ytilde, dataset)
+    stacked = replace(config, threads=config.threads if dataset.n >= THREADED_N else 1)
     records, fits = [], {}
     for K in k_candidates:
         try:
-            fit = fit_problem(problem, K, replace(config, seed=config.seed * 1000 + K, threads=1))
+            fit = fit_problem(problem, K, replace(stacked, seed=config.seed * 1000 + K))
         except RuntimeError as exc:
             logger.warning("candidate K=%d excluded: %s", K, exc)
             continue
         M = param_count(K, basis.L, dataset.p, dataset.q, dataset.n_sites)
-        q_final = float(fit.q_trace[-1])
-        bic = M * math.log(dataset.n * basis.L) - 2.0 * q_final
-        records.append(BicRecord(n_groups=K, n_params=M, q=q_final, bic=bic))
+        q = float(fit.q_trace[-1])
+        records.append(BicRecord(K, M, q, bic=M * math.log(dataset.n * basis.L) - 2.0 * q))
         fits[K] = fit
     if not records:
         raise RuntimeError("no viable fit for any candidate K")
-    best = _choose(records)
-    return best.n_groups, records, fits
+    return _choose(records).n_groups, records, fits

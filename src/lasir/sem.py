@@ -41,16 +41,16 @@ final Q wins.
 
 The restarts run in stacks: `fit_problem` deals them into `SemConfig.threads`
 stacks, run at once on a thread each (a lone stack on the calling thread;
-`select_k` runs each candidate as one stack, whatever `threads`), and each
-iteration of a stack makes one call each to `m_step` (stage 2 and the
-gating Newton fit, both batched), `q_value`, `e_step` and `s_step` for all
-of its live replicates; the M-step's log prior is read by both Q and
-the E-step. A replicate leaves its stack when it converges or fails. Every
-product is taken per replicate (`np.matmul` over the stack axis, with the
-operand shapes and layouts of a lone replicate), and each replicate draws
-from its own Generator, so a replicate's bits do not depend on its stack:
-the result does not depend on `threads`, and the step functions'
-one-replicate forms are stacks of one.
+`select_k` runs each candidate as one stack below `selection.THREADED_N`
+subjects, whatever `threads`), and each iteration of a stack makes one call
+each to `m_step` (stage 2 and the gating Newton fit, both batched),
+`q_value`, `e_step` and `s_step` for all of its live replicates; the
+M-step's log prior is read by both Q and the E-step. A replicate leaves
+its stack when it converges or fails. Every product is taken per replicate
+(`np.matmul` over the stack axis, with the operand shapes and layouts of a
+lone replicate), and each replicate draws from its own Generator, so a
+replicate's bits do not depend on its stack: the result does not depend on
+`threads`, and the step functions' one-replicate forms are stacks of one.
 
 `predict_from_sums` solves the same two stages, without subgroups, from the
 Gram and cross sums of the design rows: the holdout validation's fits, whose
@@ -170,15 +170,15 @@ class SemConfig:
         below `tol`, or at `max_iter`.
     restarts : number of independent replicates; the highest final Q wins.
     seed : master seed; replicate streams are spawned deterministically.
-    threads : number of replicate stacks run at once by `fit_sem` (>= 1).
-        The replicates are dealt into this many stacks, each advanced by one
+    threads : number of replicate stacks run at once (>= 1). The
+        replicates are dealt into this many stacks, each advanced by one
         call per EM step on a thread of its own; a lone stack runs on the
-        calling thread. `select_k` runs each candidate's replicates as one
-        stack on the calling thread and so does not read `threads`, which
-        manifests still record. `fit_sem` pins the process-wide BLAS pools
-        to one thread, so besides these threads the fit's only parallelism
-        is the projection of its images: a pass of at least
-        `_blas.PARALLEL_CHUNKS` chunks runs on the allowed CPUs, with bits
+        calling thread. `select_k` reads `threads` only for datasets of at
+        least `selection.THREADED_N` subjects and otherwise runs each
+        candidate's replicates as one stack on the calling thread. `fit_sem`
+        pins the process-wide BLAS pools to one thread, so besides these
+        threads the fit's only parallelism is the projection of its images:
+        a pass of at least `_blas.PARALLEL_CHUNKS` chunks runs on the allowed CPUs, with bits
         that do not depend on the thread count. Every product is taken per
         replicate, so results do not depend on `threads`, on how the
         replicates are stacked, or on OPENBLAS_NUM_THREADS.

@@ -96,8 +96,8 @@ def run_k_selection(n=300, dims=(10, 10, 10), sigma=1.0, reps=10, seed=0,
                     candidates=(1, 2, 3), restarts=4):
     """Repeatedly simulate single-group data and record the BIC choice of K.
 
-    Each candidate fit runs its restarts as one stack on the calling thread,
-    as every `select_k` candidate does."""
+    Each replicate's candidate fits run their restarts in `SemConfig`'s
+    default single stack, on the calling thread."""
     chosen = []
     for r in range(reps):
         cfg = SimConfig(dims=tuple(dims), n=n, n_groups=1, sigma=sigma, seed=seed + r)

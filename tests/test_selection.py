@@ -100,8 +100,10 @@ class TestSelectK:
                                              + named):
             select_k(dataset, basis, candidates, SemConfig())
 
-    def test_candidates_run_on_the_calling_thread(self, monkeypatch):
-        # each candidate's restarts are one stack: no replicate threads
+    @pytest.mark.parametrize("threaded_n, stacks", [(61, 1), (60, 2)])
+    def test_few_subjects_run_on_the_calling_thread(self, threaded_n, stacks, monkeypatch):
+        # below THREADED_N subjects each candidate's restarts are one stack on
+        # the calling thread; from it on they are dealt to `threads` stacks
         cfg = SimConfig(dims=(4, 4, 4), n=60, n_groups=2, sigma=1.0, seed=3, n_sites=2)
         dataset, truth, lattice, basis = simulate_cube(cfg)
         seen, m_step_now = [], sem_module.m_step
@@ -111,10 +113,14 @@ class TestSelectK:
             return m_step_now(*args, **kwargs)
 
         monkeypatch.setattr(sem_module, "m_step", recorded)
+        monkeypatch.setattr(selection_module, "THREADED_N", threaded_n)
         select_k(dataset, basis, [1, 2, 3], SemConfig(restarts=4, seed=1, threads=2))
-        assert len(seen) > 3 and set(seen) == {threading.get_ident()}
+        workers = set(seen) - {threading.get_ident()}
+        assert len(seen) > 3 and len(workers) == (stacks if stacks > 1 else 0)
 
-    def test_results_do_not_depend_on_threads(self):
+    @pytest.mark.parametrize("threaded_n", [1000, 0])
+    def test_results_do_not_depend_on_threads(self, threaded_n, monkeypatch):
+        monkeypatch.setattr(selection_module, "THREADED_N", threaded_n)
         cfg = SimConfig(dims=(4, 4, 4), n=60, n_groups=2, sigma=1.0, seed=4, n_sites=2)
         dataset, truth, lattice, basis = simulate_cube(cfg)
         runs = [pickle.dumps(select_k(dataset, basis, [1, 2, 3],

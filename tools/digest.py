@@ -27,7 +27,9 @@ prints one SHA-256 digest (its first 16 hex digits) per output and seed:
 * `select.choice`, `select.bic` (each candidate's Q and BIC) and
   `select.labels` -- `select_k`;
 * `select.threads` -- the same three parts of `select_k` with `threads=2`,
-  which must equal them;
+  which must equal them (below `selection.THREADED_N` subjects, as here,
+  `select_k` runs one stack per candidate whatever `threads`;
+  `tests/test_selection.py` covers the threaded path);
 * `kmlr.*` (the six parts of a fit, as for `fit_sem`) and `svcm` -- the two
   baselines;
 * `ellipsoid.basis` and `ellipsoid.fit.*` -- `build_basis` and `fit_sem` on

@@ -2,13 +2,14 @@
 alternating pairs of runs.
 
     python tools/pairs.py --against REF --workload desk|masked --seed S --pairs N
-                          [--seconds 50] [--trace 0|1]
+                          [--trace 0|1]
 
 unpacks `git archive REF` into a temporary directory (`revision.py`) and
 runs `benchmarks/run.py` of that tree (the parent) and of the working tree
-(the change) N times each, with the same options. The parent goes first in
-pairs 1, 3, 5, ... and the change in pairs 2, 4, 6, ..., so that a drift of
-the machine's speed falls on both sides alike. Each run's metrics are read
+(the change) N times each, with the same options and at each tree's own
+default run length. The parent goes first in pairs 1, 3, 5, ... and the
+change in pairs 2, 4, 6, ..., so that a drift of the machine's speed falls
+on both sides alike. Each run's metrics are read
 from its final stdout line, the JSON result; every run must exit 0.
 
 It then prints, per metric: the parent's and the change's q1/median/q3, the
@@ -70,11 +71,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=("desk", "masked"), required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
-    options = ["--workload", args.workload, "--seed", str(args.seed),
-               "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    options = ["--workload", args.workload, "--seed", str(args.seed), "--trace", str(args.trace)]
     try:
         top = toplevel()
         tar = archive(args.against)

@@ -148,8 +148,8 @@ def _sem_config(res):
 
 
 def _load_inputs(res):
-    lattice = lattice_from_volume(res["images"])
-    dataset = load_dataset(res["images"], res["covariates"], lattice)
+    dataset = load_dataset(res["images"], res["covariates"])
+    lattice = dataset.image_source.lattice
     basis = load_basis(res["basis"])
     basis.check_lattice(lattice)
     return lattice, dataset, basis
@@ -247,16 +247,14 @@ def cmd_metrics(res):
     fit = _load_fit(res, basis)
     truth = load_truth(res["truth"])
     rows = [("nmi", "", "", nmi(fit.labels, truth.labels))]
-    n_groups = fit.params.n_groups
-    if n_groups == truth.alpha.shape[0]:
+    n_groups, n_true = fit.params.n_groups, truth.alpha.shape[0]
+    if n_groups == n_true:
         alpha_mse, beta_mse = evaluate_fit(fit.params, fit.labels, truth, basis)
         rows += [("alpha_mse", "", "", alpha_mse), ("beta_mse", "", "", beta_mse)]
-        perm = match_groups(fit.labels, truth.labels, n_groups)
-    else:
-        perm = np.minimum(np.arange(1, n_groups + 1), truth.alpha.shape[0])
+    perm = match_groups(fit.labels, truth.labels, n_groups)
     maps = infer_maps(fit, dataset, basis, alpha=res["alpha"])
     for m in maps:
-        if m.exposure == 0:
+        if m.exposure == 0 or perm[m.group - 1] > n_true:  # no true group to score against
             continue
         truth_map = truth.alpha[perm[m.group - 1] - 1, m.exposure]
         power, type1 = power_type1(m.reject, truth_map != 0.0)

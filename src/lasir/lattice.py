@@ -15,6 +15,11 @@ Volume bundle format (one bundle = header + payload + mask):
   masked voxels of each row in mask order (x-fastest).
 * ``<base>.mask`` one byte (0/1) per grid cell, x-fastest.
 
+A bundle is opened (`_open_volume`) by reading its header and mask only.
+The payload is sized and read where its values are needed
+(`VolumePayload.stream`), so a payload of the wrong size is reported at the
+first read, and work that needs no image values runs without the ``.dat``.
+
 A "volume-bundle-v1" payload, whose rows hold every grid cell with NaN
 outside the mask, is still read: its rows are read whole and their masked
 cells kept (`VolumePayload.stream`).
@@ -150,9 +155,11 @@ class Dataset:
     A payload is read only when the images are needed: each projection
     record streams it (`projection.projected`), and each read of `images`
     returns a new array, which the dataset does not keep. Either read
-    raises ValueError naming the first individual whose image holds a
-    non-finite value, so the payload must stay in place and unchanged while
-    the dataset is in use. `n` comes from the covariates.
+    raises ValueError on a payload of the wrong size, naming the file, and
+    names the first individual whose image holds a non-finite value, so the
+    payload must stay in place and unchanged while the dataset is in use.
+    Work that needs no image values (Wald maps, metrics) never opens it.
+    `n` comes from the covariates.
     """
 
     def __init__(self, images, exposures, controls, sites, ids=None, site_codes=None,
@@ -247,22 +254,6 @@ def save_volume_map(values, lattice: VoxelLattice, base) -> None:
     ])
 
 
-def _read_volume_header(base):
-    header = read_kv(str(base) + ".hdr")
-    if header.get("format") not in (VOLUME_FORMAT, PADDED_FORMAT):
-        raise ValueError(f"{base}.hdr: expected format {VOLUME_FORMAT!r}, "
-                         f"got {header.get('format')!r}")
-    for key, expect in (("voxel_order", "x-fastest"), ("dtype", "float32-le")):
-        if header.get(key) != expect:
-            raise ValueError(f"{base}.hdr: unsupported {key} {header.get(key)!r}")
-    try:
-        dims = tuple(int(t) for t in header["dims"].split())
-        count = int(header["count"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{base}.hdr: malformed dims/count") from exc
-    return header, dims, count
-
-
 def write_mask(mask: np.ndarray, base) -> str:
     """Write the boolean volume `mask` as ``<base>.mask``, one byte (0/1) per
     grid cell, x-fastest; returns the file name that headers record."""
@@ -281,52 +272,60 @@ def read_mask(base, name, dims) -> np.ndarray:
 
 
 def lattice_from_volume(base) -> VoxelLattice:
-    """Rebuild the lattice recorded in a volume bundle."""
-    header, dims, _ = _read_volume_header(base)
-    return build_lattice(dims, read_mask(base, header["mask"], dims))
+    """Rebuild the lattice recorded in a volume bundle (its header and mask;
+    the payload is not opened)."""
+    return _open_volume(base).lattice
 
 
 def load_volume_map(base, lattice: VoxelLattice = None):
     """Read a volume bundle; returns (values, lattice) with values (count, d).
 
     The header and mask are read once; a given `lattice` must have the
-    bundle's dims and mask. A payload whose size does not match the header
-    raises ValueError naming the ``.dat`` file. The payload is read by
-    `VolumePayload.read`, about `CHUNK` values at a time. Any value is
-    returned as stored, NaN and infinities included; `load_dataset` reads
-    through the same loop and rejects them.
+    bundle's dims and mask. The payload is read by `VolumePayload.read`,
+    about `CHUNK` values at a time; a payload of the wrong size raises
+    ValueError naming the ``.dat`` file. Any value is returned as stored,
+    NaN and infinities included; `load_dataset` reads through the same loop
+    and rejects them.
     """
-    payload = _open_volume(base, lattice, finite=False)
+    payload = _open_volume(base, lattice)
     return payload.read(), payload.lattice
 
 
-def _open_volume(base, lattice, finite):
-    """The `VolumePayload` of the bundle at `base`: header, mask and payload
-    size checked, no value read. A given `lattice` must have the bundle's
-    dims and mask; without one, the bundle's lattice is built."""
+def _open_volume(base, lattice=None, finite=False):
+    """The `VolumePayload` of the bundle at `base`: the one reader of volume
+    headers. The header and mask are read and checked; the ``.dat`` is not
+    touched (`VolumePayload.stream` sizes it). A given `lattice` must have
+    the bundle's dims and mask; without one, the bundle's lattice is built."""
     base = str(base)
-    header, dims, count = _read_volume_header(base)
+    header = read_kv(base + ".hdr")
+    if header.get("format") not in (VOLUME_FORMAT, PADDED_FORMAT):
+        raise ValueError(f"{base}.hdr: expected format {VOLUME_FORMAT!r}, "
+                         f"got {header.get('format')!r}")
+    for key, expect in (("voxel_order", "x-fastest"), ("dtype", "float32-le")):
+        if header.get(key) != expect:
+            raise ValueError(f"{base}.hdr: unsupported {key} {header.get(key)!r}")
+    try:
+        dims = tuple(int(t) for t in header["dims"].split())
+        count = int(header["count"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{base}.hdr: malformed dims/count") from exc
     mask = read_mask(base, header["mask"], dims)
     if lattice is None:
         lattice = build_lattice(dims, mask)
     elif lattice.dims != dims or not np.array_equal(lattice.mask, mask):
         raise ValueError(f"{base}: volume dims/mask do not match the given lattice")
-    path = base + ".dat"
     width = lattice.n_cells if header["format"] == PADDED_FORMAT else lattice.d
-    size = os.path.getsize(path) // 4
-    if size != count * width:
-        raise ValueError(f"{path}: payload size {size} does not match "
-                         f"count {count} x {width} values")
-    return VolumePayload(os.path.abspath(path), lattice, count, finite, width)
+    return VolumePayload(os.path.abspath(base + ".dat"), lattice, count, finite, width)
 
 
 @dataclass(frozen=True, eq=False)
 class VolumePayload:
-    """The ``.dat`` payload of a volume bundle, opened but not read: `count`
-    maps of `width` float32 values in the file `path`, `width` being
+    """The ``.dat`` payload of a volume bundle, named but not yet opened:
+    `count` maps of `width` float32 values in the file `path`, `width` being
     `lattice.d`, or `lattice.n_cells` for the whole grid rows of format
-    "volume-bundle-v1". With `finite`, every read rejects a map holding a
-    non-finite value at a masked voxel."""
+    "volume-bundle-v1". Every read checks the file's size first. With
+    `finite`, every read rejects a map holding a non-finite value at a
+    masked voxel."""
 
     path: str
     lattice: VoxelLattice
@@ -344,9 +343,12 @@ class VolumePayload:
         *part)`` on each chunk, `rows` being maps start, start+1, ... as
         (m, d) float32 masked values, valid only during the call.
 
-        Each chunk is read straight into a reused row buffer; with `finite`
-        the rows are then checked, while they are in cache, and the first
-        map holding a non-finite value raises ValueError naming its index.
+        The file's size is checked first: a payload of the wrong size (not
+        `count` x `width` values) raises ValueError naming the file, before
+        any value is read. Each chunk is read straight into a reused row
+        buffer; with `finite` the rows are then checked, while they are in
+        cache, and the first map holding a non-finite value raises
+        ValueError naming its index.
         A chunk of whole grid rows (v1) is read into a buffer of its own,
         and only its masked cells are kept, so the NaN off the mask is never
         checked. (A v1 payload on a full lattice is read as a v2 one.)
@@ -358,6 +360,10 @@ class VolumePayload:
         finished: the error a serial loop would raise.
         """
         lattice, count, finite, width = self.lattice, self.count, self.finite, self.width
+        size = os.path.getsize(self.path) // 4
+        if size != count * width:
+            raise ValueError(f"{self.path}: payload size {size} does not match "
+                             f"count {count} x {width} values")
         rows_max = min(step, count)
 
         with contextlib.ExitStack() as files:
@@ -449,7 +455,7 @@ def save_dataset(dataset: Dataset, lattice: VoxelLattice, volume_base, covariate
             writer.writerow([str(dataset.ids[i]), str(site_col[i])] + vals)
 
 
-def load_dataset(volume_base, covariate_path, lattice: VoxelLattice) -> Dataset:
+def load_dataset(volume_base, covariate_path, lattice: VoxelLattice = None) -> Dataset:
     """Load a Dataset from a volume bundle and a covariate table.
 
     The table is read as CSV (the `csv` module's default dialect), so a
@@ -460,12 +466,14 @@ def load_dataset(volume_base, covariate_path, lattice: VoxelLattice) -> Dataset:
     else in text order. Raises ValueError naming the offending record on
     dimension mismatches, malformed headers or non-finite covariates.
 
-    The header, the mask, the payload's size and the covariate table are
-    read and checked here; the image payload is not read. The dataset holds
-    it as a `VolumePayload` and streams it on each read (see `Dataset`), so
-    no n x d image array is formed: a non-finite image value raises at the
-    first read, the first projection or the first use of `Dataset.images`,
-    naming the individual.
+    The header, the mask and the covariate table are read and checked
+    here; the image payload is not opened. A given `lattice` must have the
+    bundle's dims and mask; without one, the bundle's lattice is built
+    (``dataset.image_source.lattice``). The dataset holds the payload as a
+    `VolumePayload` and streams it on each read (see `Dataset`), so no
+    n x d image array is formed: a payload of the wrong size, naming the
+    file, or a non-finite image value, naming the individual, raises at the
+    first read, the first projection or the first use of `Dataset.images`.
     """
     payload = _open_volume(volume_base, lattice, finite=True)
 

@@ -59,16 +59,16 @@ def match_groups(labels_est, labels_true, n_groups: int) -> np.ndarray:
 
     Mixture labels are identifiable only up to permutation; this solves the
     assignment maximizing label agreement (Hungarian on the contingency
-    table). Returns `perm` with ``perm[k_est - 1] = k_true``.
+    table of the `n_groups` estimated groups against max(`n_groups`,
+    largest true label) true ones). Returns `perm` with ``perm[k_est - 1] =
+    k_true``; with fewer true groups than estimated ones, some estimated
+    groups are matched to a true index beyond the largest true label.
     """
     est = np.asarray(labels_est, dtype=int)
     true = np.asarray(labels_true, dtype=int)
-    table = np.zeros((n_groups, n_groups))
+    table = np.zeros((n_groups, max(n_groups, true.max())))
     np.add.at(table, (est - 1, true - 1), 1.0)
-    rows, cols = linear_sum_assignment(-table)
-    perm = np.empty(n_groups, dtype=int)
-    perm[rows] = cols + 1
-    return perm
+    return linear_sum_assignment(-table)[1] + 1  # no more rows than columns: all, in order
 
 
 def mse_svc(estimate: np.ndarray, truth: np.ndarray) -> float:

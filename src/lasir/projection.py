@@ -137,8 +137,8 @@ def projected(dataset, basis: BasisSystem) -> Projected:
     time, so callers on several threads share one. The record keeps n x L
     floats alive as long as the dataset. A dataset loaded from a volume
     bundle streams its payload into the record (`project`); a read that
-    fails, on a non-finite value or a short payload, leaves no record, so
-    the next request reads again and raises again."""
+    fails, on a non-finite value or a payload of the wrong size, leaves no
+    record, so the next request reads again and raises again."""
     key = basis.key
     with _RECORDS:
         record = dataset.projections.get(key)

@@ -109,6 +109,53 @@ def test_metrics_table(workdir, capsys):
     assert (workdir / "metrics.csv").exists()
 
 
+def test_infer_and_metrics_run_without_the_image_payload(workdir, tmp_path, capsys):
+    # they read the covariates, the lattice and the fit, never an image value
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for name in ("images.hdr", "images.mask", "covariates.csv"):
+        (bare / name).write_bytes((workdir / "sim" / name).read_bytes())
+    for side, images in (("with", workdir / "sim"), ("without", bare)):
+        (tmp_path / side).mkdir()
+        data = ["--images", str(images / "images"), "--covariates",
+                str(images / "covariates.csv"), "--basis", str(workdir / "basis")]
+        assert main(["infer", "--fit", str(workdir / "fit"), *data,
+                     "--out-prefix", str(tmp_path / side / "inf")]) == 0
+        assert main(["metrics", "--fit", str(workdir / "fit"),
+                     "--truth", str(workdir / "sim" / "truth"), *data,
+                     "--out", str(tmp_path / side / "metrics.csv")]) == 0
+    written = sorted(p.name for p in (tmp_path / "with").iterdir()
+                     if p.suffix != ".manifest")
+    assert "inf_g1_x1_effect.dat" in written and "metrics.csv" in written
+    assert written == sorted(p.name for p in (tmp_path / "without").iterdir()
+                             if p.suffix != ".manifest")
+    for name in written:
+        assert (tmp_path / "with" / name).read_bytes() == \
+            (tmp_path / "without" / name).read_bytes(), name
+    capsys.readouterr()
+    assert main(["validate", "--fit", str(workdir / "fit"), "--images", str(bare / "images"),
+                 "--covariates", str(bare / "covariates.csv"),
+                 "--basis", str(workdir / "basis")]) == 1
+    assert str(bare / "images.dat") in capsys.readouterr().err
+
+
+def test_metrics_scores_only_fitted_groups_matched_to_a_true_group(workdir, tmp_path,
+                                                                   capsys):
+    # a K=3 fit of K=2 truth: one fitted group has no true map to score against
+    assert main(["fit", *_data_flags(workdir), "--k", "3", "--method", "kmlr",
+                 "--seed", "5", "--out", str(tmp_path / "fit3")]) == 0
+    fit = lasir.bundles.load_fit(tmp_path / "fit3")
+    truth = lasir.bundles.load_truth(workdir / "sim" / "truth")
+    perm = lasir.match_groups(fit.labels, truth.labels, 3)
+    capsys.readouterr()
+    assert main(["metrics", "--fit", str(tmp_path / "fit3"),
+                 "--truth", str(workdir / "sim" / "truth"), *_data_flags(workdir)]) == 0
+    scored = {int(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()
+              if line.startswith("power,")}
+    assert scored == {k for k in (1, 2, 3) if perm[k - 1] <= 2}
+    assert len(scored) == 2
+
+
 def test_validate_table(workdir, capsys):
     assert main(["validate", "--fit", str(workdir / "fit")] + _data_flags(workdir)
                 + ["--mode", "all", "--splits", "2", "--seed", "1"]) == 0

@@ -212,6 +212,39 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="row count mismatch"):
             load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
 
+    def test_without_a_lattice_the_bundle_supplies_it(self, tmp_path):
+        mask = np.random.default_rng(15).random((3, 4, 5)) < 0.6
+        lat = build_lattice((3, 4, 5), mask)
+        save_dataset(_toy_dataset(lattice=lat), lat, tmp_path / "img", tmp_path / "cov.csv")
+        given = load_dataset(tmp_path / "img", tmp_path / "cov.csv",
+                             lattice_from_volume(tmp_path / "img"))
+        built = load_dataset(tmp_path / "img", tmp_path / "cov.csv")
+        for name in ("images", "exposures", "controls", "sites", "ids", "site_codes"):
+            assert np.array_equal(getattr(built, name), getattr(given, name))
+        assert built.exposure_names == given.exposure_names
+        assert built.control_names == given.control_names
+        for field in ("dims", "mask", "coords"):
+            assert np.array_equal(getattr(built.image_source.lattice, field),
+                                  getattr(given.image_source.lattice, field))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_a_payload_of_the_wrong_size_raises_at_the_first_projection(self, tmp_path,
+                                                                        extra):
+        # the load does not open the payload; its first read sizes it
+        lat = build_lattice((3, 3, 3))
+        save_dataset(_toy_dataset(lattice=lat), lat, tmp_path / "img", tmp_path / "cov.csv")
+        path = str(tmp_path / "img.dat")
+        values = np.fromfile(path, dtype="<f4")
+        np.resize(values, values.size + extra).tofile(path)
+        loaded = load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+        basis = build_basis(lat, KernelParams(0.05, 1.0), 2)
+        message = (f"{path}: payload size {values.size + extra} does not match "
+                   f"count {loaded.n} x {lat.d} values")
+        for _ in range(2):  # a failed read leaves no record, so it raises again
+            with pytest.raises(ValueError, match=re.escape(message)):
+                projected(loaded, basis)
+            assert loaded.projections == {}
+
     def test_site_columns_sorted_by_value(self, tmp_path):
         lat = build_lattice((2, 2, 1))
         n = 5

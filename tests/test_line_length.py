@@ -6,7 +6,7 @@ LIMIT = 100  # characters per line, the width the code is written to
 
 def test_no_line_is_longer_than_the_limit():
     long = []
-    for folder in ("src/lasir", "tools", "tests"):
+    for folder in ("src/lasir", "tools", "tests", "demos"):
         for dirpath, _, names in os.walk(os.path.join(ROOT, folder)):
             for name in sorted(n for n in names if n.endswith(".py")):
                 path = os.path.join(dirpath, name)

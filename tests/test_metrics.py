@@ -81,6 +81,16 @@ class TestMseSvc:
             aligned[matched[k_est] - 1] = est_maps[k_est]
         assert mse_svc(aligned, truth_maps) == 0.0
 
+    def test_fewer_estimated_groups_than_true_ones(self):
+        # a K=2 fit that merges true groups 1 and 2 into its group 2: its
+        # group 1 is true group 3
+        truth_labels = np.repeat([1, 2, 3], 4)
+        est_labels = np.repeat([2, 2, 1], 4)
+        assert match_groups(est_labels, truth_labels, 2)[0] == 3
+        # more estimated groups than true ones: one is matched beyond them
+        perm = match_groups(np.repeat([3, 1, 2], 4), np.repeat([1, 1, 2], 4), 3)
+        assert perm[1] == 2 and sorted(perm) == [1, 2, 3]
+
 
 class TestPowerType1:
     def test_perfect_detection(self):

@@ -28,6 +28,9 @@ import sys
 import tokenize
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from revision import git  # noqa: E402
+
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -54,15 +57,11 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def _git(*args) -> str:
-    return subprocess.run(["git", *args], capture_output=True, text=True, check=True).stdout
-
-
 def counts_at(ref: str, targets) -> dict:
     """Code lines of each module under `targets` at the git revision `ref`."""
-    names = _git("ls-tree", "-r", "--name-only", ref, "--", *map(str, targets)).splitlines()
-    return {Path(name): code_lines(_git("show", f"{ref}:./{name}"))
-            for name in names if name.endswith(".py")}
+    names = git("ls-tree", "-r", "--name-only", ref, "--", *map(str, targets)).decode()
+    return {Path(name): code_lines(git("show", f"{ref}:./{name}").decode())
+            for name in names.splitlines() if name.endswith(".py")}
 
 
 def main(argv=None) -> int:
@@ -80,7 +79,7 @@ def main(argv=None) -> int:
     try:
         before = counts_at(args.against, args.targets)
     except subprocess.CalledProcessError as exc:
-        print(f"error: {exc.stderr.strip()}", file=sys.stderr)
+        print(f"error: {exc.stderr.decode().strip()}", file=sys.stderr)
         return 1
     rows = [(before.get(p, 0), now.get(p, 0), str(p)) for p in sorted(before.keys() | now.keys())]
     rows.append((sum(before.values()), sum(now.values()), "total"))

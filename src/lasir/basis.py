@@ -43,7 +43,7 @@ from numpy.polynomial.hermite import hermvander
 from scipy.linalg import solve_triangular
 
 from . import _blas
-from .lattice import VoxelLattice
+from .lattice import VoxelLattice, axis_coords
 
 RANK_TOL = 1e-10
 REFINE_TOL = 1e-11  # first-pass correction above which the second Gram is summed from rows
@@ -74,30 +74,29 @@ class Layout(NamedTuple):
 
     factors : the three per-axis factors restricted to the grid planes the
         mask meets, each (m_axis, h+1).
-    voxels : per axis, each voxel's row in that restricted factor, (d,).
     inside : bool over the (m_z, m_y, m_x) plane grid, x fastest: the cells
         the mask holds. Voxel order is increasing cell order, so a boolean
-        assignment or index through it scatters or gathers the d voxels.
+        assignment or index through it scatters or gathers the d voxels, and
+        its nonzero indices are each voxel's rows in the restricted factors.
     slots : each column's index ``(c*(h+1) + b)*(h+1) + a`` in the cube of
         per-axis degrees (a, b, c).
     """
 
     factors: tuple
-    voxels: tuple
     inside: np.ndarray
     slots: np.ndarray
 
 
+def _planes(mask: np.ndarray) -> list:
+    """Per axis, the bool vector of the grid planes the mask meets."""
+    return [mask.any(axis=tuple(o for o in range(3) if o != ax)) for ax in range(3)]
+
+
 def _layout(factors, mask: np.ndarray, h: int) -> Layout:
-    present = [np.flatnonzero(mask.any(axis=tuple(o for o in range(3) if o != ax)))
-               for ax in range(3)]
-    flat = np.flatnonzero(mask.ravel(order="F"))
-    nx, ny, _ = mask.shape
-    index = (flat % nx, flat // nx % ny, flat // (nx * ny))
-    voxels = tuple(np.searchsorted(p, i) for p, i in zip(present, index))
+    present = _planes(mask)
     H = h + 1
     a, b, c = tensor_degrees(h).T
-    return Layout(factors=tuple(f[p] for f, p in zip(factors, present)), voxels=voxels,
+    return Layout(factors=tuple(f[p] for f, p in zip(factors, present)),
                   inside=mask[np.ix_(*present)].ravel(order="F"),
                   slots=(c * H + b) * H + a)
 
@@ -225,8 +224,11 @@ class BasisSystem:
 
     def tensor_blocks(self):
         """Yield (rows, tensor products at those voxels) of a factored basis
-        over `_row_blocks`."""
-        (fx, fy, fz), (vx, vy, vz) = self.layout.factors, self.layout.voxels
+        over `_row_blocks`. Each voxel's rows in the restricted factors come
+        from one `np.nonzero` of `Layout.inside`, formed when the first block
+        is asked for and dropped with the iterator."""
+        fx, fy, fz = self.layout.factors
+        vz, vy, vx = np.nonzero(self.layout.inside.reshape(fz.shape[0], fy.shape[0], -1))
         a, b, c = tensor_degrees(self.h).T
         for rows in self._row_blocks():
             yield rows, fx[np.ix_(vx[rows], a)] * fy[np.ix_(vy[rows], b)] * fz[np.ix_(vz[rows], c)]
@@ -355,16 +357,15 @@ def build_basis(lattice: VoxelLattice, params: KernelParams, h: int) -> BasisSys
     # QR diagonal. On a full grid, the QR factors make the tensor products
     # exactly orthonormal, since the grid inner product factorizes.
     factors = []
-    for ax in range(3):
-        values = np.unique(lattice.coords[:, ax])
+    for m, present in zip(lattice.dims, _planes(lattice.mask)):
+        values = axis_coords(m)[present]
         if values.size < h + 1:
             raise ValueError("degenerate basis")
         Q, R = np.linalg.qr(evaluate(values))
         diag = np.abs(np.diag(R))
         if diag.min() <= RANK_TOL * diag.max():
             raise ValueError("degenerate basis")
-        present = lattice.mask.any(axis=tuple(o for o in range(3) if o != ax))
-        factor = np.zeros((lattice.dims[ax], h + 1))
+        factor = np.zeros((m, h + 1))
         factor[present] = Q
         factors.append(factor)
 

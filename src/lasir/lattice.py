@@ -1,10 +1,12 @@
 """Voxel lattices, dataset containers, and their on-disk formats.
 
-A lattice is a 3-D grid with an inclusion mask. Masked-in voxels are
-enumerated x-fastest (linear index ``ix + nx*(iy + ny*iz)``) and each
-carries normalized coordinates on [-1, 1]^3, affine in the grid index and
-symmetric about the grid center. All downstream computation works with the
-``d`` masked voxels only, and files hold only their values.
+A lattice is a 3-D grid with an inclusion mask, and nothing else.
+Masked-in voxels are enumerated x-fastest (linear index
+``ix + nx*(iy + ny*iz)``) and each has normalized coordinates on
+[-1, 1]^3, affine in the grid index and symmetric about the grid center
+(`axis_coords`), formed only when `VoxelLattice.coords` is first read.
+All downstream computation works with the ``d`` masked voxels only, and
+files hold only their values.
 
 Volume bundle format (one bundle = header + payload + mask):
 
@@ -35,6 +37,7 @@ import contextlib
 import csv
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +51,7 @@ CHUNK = 1 << 22  # image values read, checked or squared at a time
 
 @dataclass
 class VoxelLattice:
-    """A masked 3-D voxel grid with normalized coordinates.
+    """A masked 3-D voxel grid.
 
     Attributes
     ----------
@@ -56,17 +59,26 @@ class VoxelLattice:
         Grid extents (nx, ny, nz).
     mask : ndarray of bool, shape dims
         Inclusion mask.
-    coords : ndarray, shape (d, 3)
-        Normalized coordinates of the masked voxels, x-fastest order.
+
+    `d` is the mask's count. `coords`, the (d, 3) normalized coordinates of
+    the masked voxels in x-fastest order, is computed from the mask on its
+    first read and kept: the masked set-up (load, basis, fit, maps) never
+    reads it, so it is never formed there.
     """
 
     dims: tuple
     mask: np.ndarray
-    coords: np.ndarray
 
-    @property
+    @cached_property
     def d(self) -> int:
-        return self.coords.shape[0]
+        return int(np.count_nonzero(self.mask))
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """(d, 3) coordinates of the masked voxels, gathered per axis at the
+        mask's nonzero indices (x fastest)."""
+        index = np.nonzero(self.mask.T)[::-1]  # (ix, iy, iz), x fastest
+        return np.column_stack([axis_coords(m)[i] for m, i in zip(self.dims, index)])
 
     @property
     def n_cells(self) -> int:
@@ -78,8 +90,9 @@ class VoxelLattice:
         return self.mask.ravel(order="F")
 
 
-def _axis_coords(m: int) -> np.ndarray:
-    # Affine symmetric map onto [-1, 1]; a degenerate axis collapses to 0.
+def axis_coords(m: int) -> np.ndarray:
+    """Normalized coordinates of an axis of `m` planes: the affine symmetric
+    map onto [-1, 1]; a degenerate axis collapses to 0."""
     if m == 1:
         return np.zeros(1)
     return -1.0 + 2.0 * np.arange(m) / (m - 1)
@@ -112,11 +125,7 @@ def build_lattice(dims, mask_spec="full") -> VoxelLattice:
             raise ValueError(f"mask shape {mask.shape} does not match dims {dims}")
     if not mask.any():
         raise ValueError("empty lattice")
-    axes = [_axis_coords(m) for m in dims]
-    grids = np.meshgrid(*axes, indexing="ij")
-    keep = mask.ravel(order="F")
-    coords = np.column_stack([g.ravel(order="F")[keep] for g in grids])
-    return VoxelLattice(dims=dims, mask=mask, coords=coords)
+    return VoxelLattice(dims=dims, mask=mask)
 
 
 class Dataset:
@@ -263,12 +272,16 @@ def write_mask(mask: np.ndarray, base) -> str:
 
 def read_mask(base, name, dims) -> np.ndarray:
     """The mask file `name`, in the directory of `base`, as a boolean volume
-    of shape `dims`: one byte (0/1) per grid cell, x-fastest."""
+    of shape `dims`: one byte (0/1) per grid cell, x-fastest. Raises
+    ValueError naming the file for a file of the wrong size or a byte other
+    than 0 and 1."""
     path = os.path.join(os.path.dirname(str(base)) or ".", name)
     flat = np.fromfile(path, dtype=np.uint8)
     if flat.size != int(np.prod(dims)):
         raise ValueError(f"{path}: mask size {flat.size} does not match dims {dims}")
-    return flat.astype(bool).reshape(dims, order="F")
+    if (top := flat.max(initial=0)) > 1:
+        raise ValueError(f"{path}: mask byte {top} is neither 0 nor 1")
+    return flat.view(bool).reshape(dims, order="F")
 
 
 def lattice_from_volume(base) -> VoxelLattice:
@@ -365,6 +378,7 @@ class VolumePayload:
             raise ValueError(f"{self.path}: payload size {size} does not match "
                              f"count {count} x {width} values")
         rows_max = min(step, count)
+        keep = None if width == lattice.d else lattice.flat_mask  # v1: the masked cells
 
         with contextlib.ExitStack() as files:
             def part():
@@ -379,10 +393,10 @@ class VolumePayload:
                     m = min(step, count - start)
                     rows = buffer[:m]
                     fh.seek(start * width * 4)
-                    raw = rows if width == lattice.d else np.empty((m, width), dtype="<f4")
+                    raw = rows if keep is None else np.empty((m, width), dtype="<f4")
                     whole = fh.readinto(raw) == raw.nbytes
                     if raw is not rows:  # the one reader of whole grid rows
-                        rows[:] = raw[:, lattice.flat_mask]
+                        rows[:] = raw[:, keep]
                     if not whole:
                         return start, f"{self.path}: payload ends before map {start + m}"
                     if finite:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lasir import (KernelParams, backproject, basis_size, build_basis, build_lattice,
-                   eigen_system_1d, kernel_eval, project, select_h, tensor_degrees,
-                   variance_contribution)
+from lasir import (BasisSystem, KernelParams, backproject, basis_size, build_basis,
+                   build_lattice, eigen_system_1d, kernel_eval, project, select_h,
+                   tensor_degrees, variance_contribution)
+from lasir import basis as basis_module
 from lasir.inference import _variance_field
+from lasir.lattice import axis_coords
 
 
 class TestKernel:
@@ -222,6 +224,57 @@ def masked_lattices(draw):
     mask = rng.random(dims) < keep
     assume(mask.any())
     return build_lattice(dims, mask), draw(st.integers(1, 3))
+
+
+@st.composite
+def any_masks(draw):
+    """Random dims of 1 to 7 planes per axis and a random non-empty mask."""
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = rng.random(dims) < draw(st.floats(0.05, 1.0))
+    mask.flat[draw(st.integers(0, mask.size - 1))] = True
+    return mask
+
+
+class TestSetUpFromTheMask:
+    """The lattice's coordinates, the basis's plane coordinates and the
+    tensor products, taken from the mask, against the formulations through
+    a full-box meshgrid and per-voxel plane indices."""
+
+    @given(any_masks())
+    def test_coords_and_planes_match_the_meshgrid_gather(self, mask):
+        lattice = build_lattice(mask.shape, mask)
+        grids = np.meshgrid(*(axis_coords(m) for m in mask.shape), indexing="ij")
+        keep = mask.ravel(order="F")
+        expected = np.column_stack([g.ravel(order="F")[keep] for g in grids])
+        assert lattice.d == expected.shape[0]
+        assert np.array_equal(lattice.coords, expected)
+        assert lattice.coords.dtype == expected.dtype
+        for ax, present in enumerate(basis_module._planes(mask)):
+            assert np.array_equal(axis_coords(mask.shape[ax])[present],
+                                  np.unique(expected[:, ax]))
+
+    @given(any_masks(), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+    def test_tensor_blocks_match_products_at_searchsorted_plane_indices(self, mask, h, seed):
+        rng = np.random.default_rng(seed)
+        factors = [rng.standard_normal((m, h + 1)) for m in mask.shape]
+        L = basis_size(h)
+        basis = BasisSystem(np.ones(L), h, KernelParams(0.05, 1.0), factors=factors,
+                            mask=mask, T=np.eye(L))
+        present = [np.flatnonzero(mask.any(axis=tuple(o for o in range(3) if o != ax)))
+                   for ax in range(3)]
+        flat = np.flatnonzero(mask.ravel(order="F"))
+        nx, ny, _ = mask.shape
+        index = (flat % nx, flat // nx % ny, flat // (nx * ny))
+        voxels = [np.searchsorted(p, i) for p, i in zip(present, index)]
+        a, b, c = tensor_degrees(h).T
+        fx, fy, fz = (f[p] for f, p in zip(factors, present))
+        expected = fx[voxels[0]][:, a] * fy[voxels[1]][:, b] * fz[voxels[2]][:, c]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(basis_module, "PSI_BLOCK", 1)  # blocks of 64 rows
+            blocks = list(basis.tensor_blocks())
+        assert [rows.start for rows, _ in blocks] == list(range(0, flat.size, 64))
+        assert np.array_equal(np.concatenate([raw for _, raw in blocks]), expected)
 
 
 class TestFactoredBasis:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lasir
+from lasir import bundles
 from lasir import lattice as lattice_module
 from lasir import projection as projection_module
 from lasir import (Dataset, KernelParams, build_basis, build_lattice, lattice_from_volume,
@@ -63,6 +64,26 @@ def test_rebuild_deterministic():
     a = build_lattice((4, 5, 6))
     b = build_lattice((4, 5, 6))
     assert np.array_equal(a.coords, b.coords)
+
+
+def test_the_masked_path_never_forms_coordinates(tmp_path):
+    # load, basis, bundle round trip, fit and maps of a masked volume bundle
+    grids = np.meshgrid(*(np.linspace(-1.0, 1.0, m) for m in (9, 8, 7)), indexing="ij")
+    mask = sum(g ** 2 for g in grids) <= 1.0
+    written = build_lattice((9, 8, 7), mask)
+    save_dataset(_toy_dataset(40, lattice=written), written, tmp_path / "img",
+                 tmp_path / "cov.csv")
+    lattice = lattice_from_volume(tmp_path / "img")
+    dataset = load_dataset(tmp_path / "img", tmp_path / "cov.csv", lattice)
+    built = build_basis(lattice, KernelParams(0.05, 1.0), 2)
+    bundles.save_basis(built, tmp_path / "basis")
+    basis = bundles.load_basis(tmp_path / "basis")
+    fit = lasir.fit_sem(dataset, basis, 2, lasir.SemConfig(restarts=2, seed=3))
+    maps = lasir.infer_maps(fit, dataset, basis)
+    assert dataset.image_source.lattice is lattice
+    assert maps[0].effect.shape == (lattice.d,)
+    assert "coords" not in lattice.__dict__
+    assert np.array_equal(lattice.coords, written.coords)  # formed on the first read
 
 
 def _toy_dataset(n=7, d=None, lattice=None, rng=None):
@@ -140,6 +161,19 @@ class TestVolumeBundle:
             fh.write("not a key value line\n")
         with pytest.raises(ValueError, match="malformed header"):
             load_volume_map(tmp_path / "v")
+
+    def test_a_mask_byte_other_than_0_and_1_names_the_file(self, tmp_path):
+        mask = np.ones((3, 2, 2), dtype=bool)
+        mask[0, 0, 0] = False
+        lat = build_lattice((3, 2, 2), mask)
+        save_volume_map(np.zeros(lat.d), lat, tmp_path / "v")
+        raw = np.fromfile(tmp_path / "v.mask", dtype=np.uint8)
+        raw[4] = 2
+        raw.tofile(tmp_path / "v.mask")
+        path = re.escape(os.path.join(str(tmp_path), "v.mask"))
+        for read in (lattice_from_volume, load_volume_map):
+            with pytest.raises(ValueError, match=f"{path}: mask byte 2 is neither 0 nor 1"):
+                read(tmp_path / "v")
 
     def test_given_lattice_builds_no_second_lattice(self, tmp_path, monkeypatch):
         mask = np.zeros((4, 3, 2), dtype=bool)

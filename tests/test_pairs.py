@@ -65,6 +65,29 @@ def test_alternates_the_sides_and_reports_wins_medians_and_verdicts(repo, capsys
     assert "wall_s change: 1.5 2 3.5 4" in lines
 
 
+def test_record_writes_every_run_and_the_table_as_json(repo, capsys):
+    record = repo / "pairs.json"
+    assert pairs.main(["--against", "HEAD", "--workload", "masked", "--seed", "3",
+                       "--pairs", "4", "--trace", "1", "--record", str(record)]) == 0
+    data = json.loads(record.read_text())
+    assert {key: data[key] for key in ("against", "workload", "seed", "pairs", "trace")} == {
+        "against": "HEAD", "workload": "masked", "seed": 3, "pairs": 4, "trace": 1}
+    # every run's metrics in run order, the metric without a value left out
+    assert [r["wall_s"] for r in data["runs"]["parent"]] == [1.0, 2.5, 3.0, 4.5]
+    assert [r["wall_s"] for r in data["runs"]["change"]] == [1.5, 2.0, 3.5, 4.0]
+    assert all(r["cpu_s"] == 2 and "peak_rss_mb" not in r for r in data["runs"]["parent"])
+    assert data["metrics"]["cpu_s"] == {"parent": [2, 2, 2], "change": [1, 1, 1], "wins": 4,
+                                        "gap": 1.0, "iqr": 0.0, "verdict": "gain"}
+    assert data["metrics"]["wall_s"] == {
+        "parent": [2.125, 2.75, 3.375], "change": [1.875, 2.75, 3.625], "wins": 2,
+        "gap": 0.0, "iqr": 1.25, "verdict": "-"}
+    assert data["metrics"]["setup_s"]["verdict"] == "loss"
+    assert sorted(data["metrics"]) == ["cpu_s", "ok_ratio", "setup_s", "wall_s"]
+    # the printed table says the same
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[2:6]}
+    assert rows["cpu_s"] == ["2/2/2", "1/1/1", "4/4", "+1", "0", "gain"]
+
+
 def test_the_verdict_needs_the_wins_and_a_gap_wider_than_the_iqr():
     parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
     # nine wins of ten, median 0.3 lower against an IQR of 0.45: no gain

@@ -108,8 +108,7 @@ class TestMaskedLattices:
 
 def _cells(layout):
     """Each voxel's int64 index in the plane grid, x fastest."""
-    (vx, vy, vz), (fx, fy, _) = layout.voxels, layout.factors
-    return vx + fx.shape[0] * (vy + fy.shape[0] * vz)
+    return np.flatnonzero(layout.inside)
 
 
 def _project_by_cells(images, basis):

@@ -32,8 +32,10 @@ prints one SHA-256 digest (its first 16 hex digits) per output and seed:
   `tests/test_selection.py` covers the threaded path);
 * `kmlr.*` (the six parts of a fit, as for `fit_sem`) and `svcm` -- the two
   baselines;
-* `ellipsoid.basis` and `ellipsoid.fit.*` -- `build_basis` and `fit_sem` on
-  a small ellipsoid mask.
+* `ellipsoid.lattice`, `ellipsoid.basis`, `ellipsoid.project` and
+  `ellipsoid.fit.*` -- on a small ellipsoid mask: the lattice's `coords`,
+  `build_basis`, the images' projection on that basis and their squared
+  norms, and `fit_sem`.
 
 The `desk` shapes are those of the benchmark's desk workload (15^3, n=500,
 K=3, 6 restarts, 50 splits; selection and baselines at 10^3, n=300) plus a
@@ -177,8 +179,11 @@ def outputs(seed: int, shape: dict) -> dict:
     mask = sum((g / s) ** 2 for g, s in zip(grids, (0.9, 0.9, 0.85))) <= 1.0
     blob, _, lattice, _ = simulate(dims, shape["ellipsoid_n"], 2, 3, mask=mask,
                                    basis_degree=shape["ellipsoid_h"])
+    out["ellipsoid.lattice"] = [lattice.coords]
     built = lasir.build_basis(lattice, KERNEL, shape["ellipsoid_h"])
     out["ellipsoid.basis"] = [built.psi]
+    record = projection.projected(blob, built)
+    out["ellipsoid.project"] = [record.ytilde, record.sq_norms]
     add_fit("ellipsoid.fit", lasir.fit_sem(blob, built, 2,
                                            lasir.SemConfig(restarts=2, seed=seed + 3)))
     return {name: [np.asarray(a) for a in arrays] for name, arrays in out.items()}

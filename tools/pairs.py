@@ -2,7 +2,7 @@
 alternating pairs of runs.
 
     python tools/pairs.py --against REF --workload desk|masked --seed S --pairs N
-                          [--trace 0|1]
+                          [--trace 0|1] [--record FILE]
 
 unpacks `git archive REF` into a temporary directory (`revision.py`) and
 runs `benchmarks/run.py` of that tree (the parent) and of the working tree
@@ -18,6 +18,9 @@ from BENCHMARK.json), the gap of the medians (positive where the change is
 better), the parent's IQR, and the verdict: `gain` when the change wins at
 least 9 pairs in 10 and the gap is wider than the parent's IQR, `loss` when
 the parent does both, else `-`. Every run's value follows, in pair order.
+With `--record FILE` it also writes all of it as JSON: the options, every
+run's metrics (`runs`, per side in run order) and, per metric, both sides'
+quartiles, the wins, gap, parent IQR and verdict (`metrics`).
 Exits 1, naming the run, when a run fails.
 """
 
@@ -61,8 +64,12 @@ def compare(parent, change, higher: bool):
     return wins, gap, iqr, verdict
 
 
-def _quartiles(values) -> str:
-    return "/".join(f"{v:.4g}" for v in np.percentile(values, [25, 50, 75]))
+def _quartiles(values) -> list:
+    return [float(v) for v in np.percentile(values, [25, 50, 75])]
+
+
+def _text(quartiles) -> str:
+    return "/".join(f"{v:.4g}" for v in quartiles)
 
 
 def main(argv=None) -> int:
@@ -72,6 +79,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--record", metavar="FILE", help="also write the runs and table as JSON")
     args = parser.parse_args(argv)
     options = ["--workload", args.workload, "--seed", str(args.seed), "--trace", str(args.trace)]
     try:
@@ -99,14 +107,23 @@ def main(argv=None) -> int:
     print(f"{args.pairs} pairs against {args.against}, {args.workload}, seed {args.seed}")
     print(f"{'metric':<28} {'parent q1/med/q3':>26} {'change q1/med/q3':>26} "
           f"{'wins':>6} {'gap':>10} {'IQR':>10}  verdict")
+    table = {}
     for name in names:
         parent, change = ([r[name] for r in runs[side]] for side in ("parent", "change"))
         wins, gap, iqr, verdict = compare(parent, change, higher.get(name, False))
-        print(f"{name:<28} {_quartiles(parent):>26} {_quartiles(change):>26} "
+        row = table[name] = {"parent": _quartiles(parent), "change": _quartiles(change),
+                             "wins": wins, "gap": float(gap), "iqr": float(iqr),
+                             "verdict": verdict}
+        print(f"{name:<28} {_text(row['parent']):>26} {_text(row['change']):>26} "
               f"{f'{wins}/{args.pairs}':>6} {gap:>+10.4g} {iqr:>10.4g}  {verdict}")
     for name in names:
         for side in ("parent", "change"):
             print(f"{name} {side}: " + " ".join(f"{r[name]:.6g}" for r in runs[side]))
+    if args.record:
+        Path(args.record).write_text(json.dumps(
+            {"against": args.against, "workload": args.workload, "seed": args.seed,
+             "pairs": args.pairs, "trace": args.trace, "runs": runs, "metrics": table},
+            indent=1) + "\n", encoding="utf-8")
     return 0
 
 

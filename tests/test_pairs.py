@@ -65,11 +65,11 @@ def test_alternates_the_sides_and_reports_wins_medians_and_verdicts(repo, capsys
     assert "wall_s change: 1.5 2 3.5 4" in lines
 
 
-def test_record_writes_every_run_and_the_table_as_json(repo, capsys):
-    record = repo / "pairs.json"
+def test_the_last_line_is_the_record_of_every_run_and_the_table(repo, capsys):
     assert pairs.main(["--against", "HEAD", "--workload", "masked", "--seed", "3",
-                       "--pairs", "4", "--trace", "1", "--record", str(record)]) == 0
-    data = json.loads(record.read_text())
+                       "--pairs", "4", "--trace", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    data = json.loads(lines[-1])
     assert {key: data[key] for key in ("against", "workload", "seed", "pairs", "trace")} == {
         "against": "HEAD", "workload": "masked", "seed": 3, "pairs": 4, "trace": 1}
     # every run's metrics in run order, the metric without a value left out
@@ -84,7 +84,7 @@ def test_record_writes_every_run_and_the_table_as_json(repo, capsys):
     assert data["metrics"]["setup_s"]["verdict"] == "loss"
     assert sorted(data["metrics"]) == ["cpu_s", "ok_ratio", "setup_s", "wall_s"]
     # the printed table says the same
-    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[2:6]}
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:6]}
     assert rows["cpu_s"] == ["2/2/2", "1/1/1", "4/4", "+1", "0", "gain"]
 
 

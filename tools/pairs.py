@@ -2,7 +2,7 @@
 alternating pairs of runs.
 
     python tools/pairs.py --against REF --workload desk|masked --seed S --pairs N
-                          [--trace 0|1] [--record FILE]
+                          [--trace 0|1]
 
 unpacks `git archive REF` into a temporary directory (`revision.py`) and
 runs `benchmarks/run.py` of that tree (the parent) and of the working tree
@@ -18,9 +18,9 @@ from BENCHMARK.json), the gap of the medians (positive where the change is
 better), the parent's IQR, and the verdict: `gain` when the change wins at
 least 9 pairs in 10 and the gap is wider than the parent's IQR, `loss` when
 the parent does both, else `-`. Every run's value follows, in pair order.
-With `--record FILE` it also writes all of it as JSON: the options, every
-run's metrics (`runs`, per side in run order) and, per metric, both sides'
-quartiles, the wins, gap, parent IQR and verdict (`metrics`).
+The final stdout line is the record of all of it as JSON: the options,
+every run's metrics (`runs`, per side in run order) and, per metric, both
+sides' quartiles, the wins, gap, parent IQR and verdict (`metrics`).
 Exits 1, naming the run, when a run fails.
 """
 
@@ -65,11 +65,7 @@ def compare(parent, change, higher: bool):
 
 
 def _quartiles(values) -> list:
-    return [float(v) for v in np.percentile(values, [25, 50, 75])]
-
-
-def _text(quartiles) -> str:
-    return "/".join(f"{v:.4g}" for v in quartiles)
+    return np.percentile(values, [25, 50, 75]).tolist()
 
 
 def main(argv=None) -> int:
@@ -79,7 +75,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--record", metavar="FILE", help="also write the runs and table as JSON")
     args = parser.parse_args(argv)
     options = ["--workload", args.workload, "--seed", str(args.seed), "--trace", str(args.trace)]
     try:
@@ -114,16 +109,14 @@ def main(argv=None) -> int:
         row = table[name] = {"parent": _quartiles(parent), "change": _quartiles(change),
                              "wins": wins, "gap": float(gap), "iqr": float(iqr),
                              "verdict": verdict}
-        print(f"{name:<28} {_text(row['parent']):>26} {_text(row['change']):>26} "
+        text = ["/".join(f"{v:.4g}" for v in row[side]) for side in ("parent", "change")]
+        print(f"{name:<28} {text[0]:>26} {text[1]:>26} "
               f"{f'{wins}/{args.pairs}':>6} {gap:>+10.4g} {iqr:>10.4g}  {verdict}")
     for name in names:
         for side in ("parent", "change"):
             print(f"{name} {side}: " + " ".join(f"{r[name]:.6g}" for r in runs[side]))
-    if args.record:
-        Path(args.record).write_text(json.dumps(
-            {"against": args.against, "workload": args.workload, "seed": args.seed,
-             "pairs": args.pairs, "trace": args.trace, "runs": runs, "metrics": table},
-            indent=1) + "\n", encoding="utf-8")
+    print(json.dumps({"against": args.against, "workload": args.workload, "seed": args.seed,
+                      "pairs": args.pairs, "trace": args.trace, "runs": runs, "metrics": table}))
     return 0
 
 

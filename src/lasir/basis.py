@@ -47,7 +47,11 @@ from .lattice import VoxelLattice, axis_coords
 
 RANK_TOL = 1e-10
 REFINE_TOL = 1e-11  # first-pass correction above which the second Gram is summed from rows
-PSI_BLOCK = 1 << 20  # basis entries per row block of `BasisSystem.psi_blocks`
+# Basis entries per row block of `BasisSystem.psi_blocks`: 2^18 (2 MB a
+# block) keeps a read of `psi` a few MB above psi itself. It stops there:
+# blocks of 2^16 change psi's bits on a 315k-voxel mask at h=8, the short
+# blocks taking other BLAS paths.
+PSI_BLOCK = 1 << 18
 
 
 @dataclass

@@ -18,7 +18,8 @@
   the weights it gets alone. It returns the weights with the gating log
   probabilities its last iteration formed at them (`GatingFit`), which the
   M-step keeps as its log prior.
-* `row_max` -- the maximum over a short last axis, column by column.
+* `row_max`, `row_sum` and `row_cumsum` -- the maximum, sum and running
+  sum over a short last axis, column by column.
 """
 
 from __future__ import annotations
@@ -100,6 +101,29 @@ def row_max(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)`` with its bits. Over a last axis of
+    1 to 7 entries numpy adds the entries in order to a zero start, so this
+    starts from ``x[..., :1] + 0.0`` and adds the columns in order, many
+    times faster on a last axis as short as a group count; from 8 entries
+    numpy sums in pairs, and so does this, by calling it."""
+    if not 0 < x.shape[-1] < 8:
+        return x.sum(axis=-1, keepdims=True)
+    out = x[..., :1] + 0.0
+    for k in range(1, x.shape[-1]):
+        out += x[..., k:k + 1]
+    return out
+
+
+def row_cumsum(x: np.ndarray) -> np.ndarray:
+    """``np.cumsum(x, axis=-1)``, column by column: cumsum adds in sequence
+    at every length, so the bits are the same."""
+    out = np.array(x, dtype=np.float64)
+    for k in range(1, out.shape[-1]):
+        out[..., k] += out[..., k - 1]
+    return out
+
+
 def log_gating(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Log class probabilities (n, K) of the gating model with weights
     w (K, q+1) at the augmented controls `features` (n, q+1): the
@@ -108,7 +132,7 @@ def log_gating(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     (A, K, q+1) gives a stack (A, n, K), one product per replicate."""
     logits = features @ np.swapaxes(w, -1, -2)
     logits -= row_max(logits)
-    return logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits - np.log(row_sum(np.exp(logits)))
 
 
 def gating_probs(w: np.ndarray, z_aug: np.ndarray) -> np.ndarray:
@@ -175,7 +199,7 @@ def _mnlogit_newton(features, onehot, n_classes, init=None):
         """Objective change of W + step, given the probabilities P at W."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             moved = features @ np.swapaxes(step, 1, 2)
-            rel = np.sum(P[:, :, :free] * np.expm1(moved), axis=2)
+            rel = row_sum(P[:, :, :free] * np.expm1(moved))[..., 0]
             lse = np.log1p(rel)
             low = rel < -0.5
             if low.any():

@@ -4,10 +4,10 @@ and the projected-prediction validation protocol."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import _blas
 from .basis import BasisSystem
@@ -54,21 +54,79 @@ def nmi(labels_a, labels_b) -> float:
     return float(min(1.0, max(0.0, 2.0 * info / (ha + hb))))
 
 
+def _assign(cost) -> list:
+    """Column of each row in the assignment of least total `cost`, a list of
+    rows of finite floats, no more rows than columns.
+
+    A port of the shortest augmenting path solver that
+    `scipy.optimize.linear_sum_assignment` runs (Crouse 2016) for this case:
+    each row in turn is joined by the shortest augmenting path in reduced
+    costs, then the duals are updated and the path is flipped. The columns
+    left to scan start from the last one down, a column taken being
+    replaced by the last in the list; among columns tied at the lowest path
+    cost the last unassigned one scanned is taken, else the first one. The
+    same operations in the same order give scipy's assignment, ties
+    included.
+    """
+    rows, cols = len(cost), len(cost[0])
+    u, v = [0.0] * rows, [0.0] * cols
+    path, col4row, row4col = [-1] * cols, [-1] * rows, [-1] * cols
+    for cur in range(rows):
+        short, in_rows, in_cols = [math.inf] * cols, [False] * rows, [False] * cols
+        remaining = list(range(cols - 1, -1, -1))
+        i, low, sink = cur, 0.0, -1
+        while sink < 0:
+            in_rows[i] = True
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                reduced = low + cost[i][j] - u[i] - v[j]
+                if reduced < short[j]:
+                    path[j], short[j] = i, reduced
+                if short[j] < lowest or (short[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, short[j]
+            low, j = lowest, remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += low
+        for r in range(rows):
+            if in_rows[r] and r != cur:
+                u[r] += low - short[col4row[r]]
+        for c in range(cols):
+            if in_cols[c]:
+                v[c] -= low - short[c]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def match_groups(labels_est, labels_true, n_groups: int) -> np.ndarray:
     """Permutation aligning estimated group indices to truth.
 
     Mixture labels are identifiable only up to permutation; this solves the
-    assignment maximizing label agreement (Hungarian on the contingency
-    table of the `n_groups` estimated groups against max(`n_groups`,
-    largest true label) true ones). Returns `perm` with ``perm[k_est - 1] =
-    k_true``; with fewer true groups than estimated ones, some estimated
-    groups are matched to a true index beyond the largest true label.
+    assignment maximizing label agreement on the contingency table of the
+    `n_groups` estimated groups against max(`n_groups`, largest true label)
+    true ones, by the shortest augmenting path algorithm of Crouse (2016) as
+    `scipy.optimize.linear_sum_assignment` implements it (`_assign`), with
+    its tie rule, so ties resolve as they do there. Returns `perm` with
+    ``perm[k_est - 1] = k_true``; with fewer true groups than estimated
+    ones, some estimated groups are matched to a true index beyond the
+    largest true label.
     """
     est = np.asarray(labels_est, dtype=int)
     true = np.asarray(labels_true, dtype=int)
     table = np.zeros((n_groups, max(n_groups, true.max())))
     np.add.at(table, (est - 1, true - 1), 1.0)
-    return linear_sum_assignment(-table)[1] + 1  # no more rows than columns: all, in order
+    return np.array(_assign((-table).tolist())) + 1
 
 
 def mse_svc(estimate: np.ndarray, truth: np.ndarray) -> float:

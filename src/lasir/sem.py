@@ -77,7 +77,7 @@ from . import _blas
 from .basis import BasisSystem
 from .lattice import Dataset
 from .linmodel import (LAMBDA_FLOOR, augment, check_design, log_gating, mnlogit_fit, mvls_fit,
-                       row_max)
+                       row_cumsum, row_max, row_sum)
 from .projection import projected
 
 logger = logging.getLogger(__name__)
@@ -513,7 +513,7 @@ def e_step(ytilde, dataset: Dataset, params: ModelParams) -> np.ndarray:
                          f"group {int(k) + 1}, coordinate {coord}")
     lp -= row_max(lp)
     resp = np.exp(lp)
-    resp /= resp.sum(axis=-1, keepdims=True)
+    resp /= row_sum(resp)
     return resp
 
 
@@ -533,10 +533,11 @@ def s_step(responsibilities: np.ndarray, rng) -> np.ndarray:
     n = resp.shape[-2]
     u = rng.random(n) if resp.ndim == 2 else np.stack([gen.random(n) for gen in rng])
     order = np.argsort(-resp, axis=-1, kind="stable")
-    sorted_resp = np.take_along_axis(resp, order, axis=-1)
-    cdf = np.cumsum(sorted_resp, axis=-1)
+    cdf = row_cumsum(np.take_along_axis(resp, order, axis=-1))
     cdf[..., -1] = np.maximum(cdf[..., -1], 1.0)
-    pos = (u[..., None] > cdf).sum(axis=-1)
+    pos = np.zeros(u.shape, dtype=np.intp)
+    for k in range(cdf.shape[-1]):
+        pos += u > cdf[..., k]
     return np.take_along_axis(order, pos[..., None], axis=-1)[..., 0] + 1
 
 

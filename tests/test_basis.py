@@ -277,6 +277,19 @@ class TestSetUpFromTheMask:
         assert np.array_equal(np.concatenate([raw for _, raw in blocks]), expected)
 
 
+def test_psi_blocks_keep_the_bits_of_the_larger_blocks():
+    # d * L above 2^20 entries: psi is read in several blocks of either size
+    dims = (30, 30, 30)
+    grids = np.meshgrid(*[np.linspace(-1, 1, m) for m in dims], indexing="ij")
+    lattice = build_lattice(dims, sum((g / s) ** 2 for g, s in zip(grids, (0.9, 0.9, 0.85))) <= 1)
+    basis = build_basis(lattice, KernelParams(0.05, 1.0), 8)
+    assert basis.d * basis.L > 1 << 20 and basis_module.PSI_BLOCK == 1 << 18
+    psi = basis.psi
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basis_module, "PSI_BLOCK", 1 << 20)
+        assert np.array_equal(psi.view(np.uint64), basis.psi.view(np.uint64))
+
+
 class TestFactoredBasis:
     @given(masked_lattices())
     def test_matches_dense_reference_on_random_masks(self, case):

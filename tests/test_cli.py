@@ -421,6 +421,18 @@ def test_import_leaves_scipy_stats_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize holds about 17 MB of every process that imports it
+    src = os.path.dirname(os.path.dirname(lasir.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lasir, lasir.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_config_with_retired_sem_keys_still_runs(workdir, tmp_path):
     # manifests written before the variance floor and the convergence window
     # became constants hold these keys; they are read as unused config keys

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from lasir import augment, gating_probs, mnlogit_fit, mvls_fit
-from lasir.linmodel import LAMBDA_FLOOR, _mnlogit_newton, log_gating
+from lasir.linmodel import LAMBDA_FLOOR, _mnlogit_newton, log_gating, row_cumsum, row_sum
 
 
 class TestMvls:
@@ -205,3 +205,34 @@ class TestMnlogit:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             mnlogit_fit(np.ones((3, 1)), np.array([0, 1, 2]), 2)
+
+
+def _short_rows(seed, shape):
+    """Floats of wide magnitudes, with zeros of both signs, of the given shape."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 17, shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    x[rng.random(shape) < 0.2] = -0.0
+    return x
+
+
+class TestShortAxisSums:
+    @given(seed=st.integers(0, 2**32 - 1), stack=st.integers(1, 3), n=st.integers(1, 40))
+    def test_row_sum_has_the_bits_of_numpys_sum(self, seed, stack, n):
+        for K in range(1, 13):
+            x = _short_rows([seed, K], (stack, n, K))
+            assert np.array_equal(row_sum(x).view(np.uint64),
+                                  x.sum(axis=-1, keepdims=True).view(np.uint64)), K
+
+    @given(seed=st.integers(0, 2**32 - 1), stack=st.integers(1, 3), n=st.integers(1, 40))
+    def test_row_cumsum_has_the_bits_of_cumsum(self, seed, stack, n):
+        for K in range(1, 13):
+            x = _short_rows([seed, K], (stack, n, K))
+            assert np.array_equal(row_cumsum(x).view(np.uint64),
+                                  np.cumsum(x, axis=-1).view(np.uint64)), K
+
+    def test_row_sum_keeps_the_signs_of_zero(self):
+        for x in ([[-0.0]], [[-0.0, -0.0]], [[0.0, -0.0]], [[-0.0] * 9]):
+            x = np.array(x)
+            assert np.array_equal(row_sum(x).view(np.uint64),
+                                  x.sum(axis=-1, keepdims=True).view(np.uint64))

@@ -3,8 +3,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from lasir import (Dataset, KernelParams, SemConfig, SimConfig, _blas, backproject,
                    build_basis, build_lattice, fit_sem, match_groups, mse_svc, nmi, power_type1,
@@ -12,7 +13,7 @@ from lasir import (Dataset, KernelParams, SemConfig, SimConfig, _blas, backproje
 from lasir import metrics as metrics_module
 from lasir import sem as sem_module
 from lasir.linmodel import check_design
-from lasir.metrics import _holdout_mse
+from lasir.metrics import _assign, _holdout_mse
 from lasir.basis import BasisSystem
 from lasir.sem import (DegenerateGroupError, FitResult, ModelParams, check_group,
                        predict_from_sums)
@@ -90,6 +91,51 @@ class TestMseSvc:
         # more estimated groups than true ones: one is matched beyond them
         perm = match_groups(np.repeat([3, 1, 2], 4), np.repeat([1, 1, 2], 4), 3)
         assert perm[1] == 2 and sorted(perm) == [1, 2, 3]
+
+
+@st.composite
+def cost_tables(draw):
+    """Tables of no more rows than columns, of the kinds that tie: constant,
+    small integers, repeated rows and columns, counts of two labelings (as
+    `match_groups` builds them), or continuous values."""
+    rows = draw(st.integers(1, 7))
+    cols = rows + draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["constant", "small", "repeated", "counts", "normal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "constant":
+        return np.full((rows, cols), float(rng.integers(0, 3)))
+    if kind == "small":
+        return rng.integers(0, 3, (rows, cols)).astype(float)
+    if kind == "repeated":
+        base = rng.integers(0, 4, (rows, cols)).astype(float)
+        return base[rng.integers(0, rows, rows)][:, rng.integers(0, cols, cols)]
+    if kind == "counts":
+        n = int(rng.integers(1, 60))
+        table = np.zeros((rows, cols))
+        np.add.at(table, (rng.integers(0, rows, n), rng.integers(0, cols, n)), 1.0)
+        return table
+    return rng.standard_normal((rows, cols))
+
+
+class TestAssign:
+    @settings(max_examples=300)
+    @given(cost_tables())
+    @example(np.zeros((1, 1)))
+    @example(np.ones((3, 3)))
+    @example(np.full((2, 4), 5.0))
+    def test_matches_scipy(self, table):
+        for cost in (-table, table):
+            assert _assign(cost.tolist()) == linear_sum_assignment(cost)[1].tolist()
+
+    @given(seed=st.integers(0, 2**32 - 1), n_groups=st.integers(1, 6),
+           n_true=st.integers(1, 8), n=st.integers(1, 80))
+    def test_match_groups_is_scipy_on_the_count_table(self, seed, n_groups, n_true, n):
+        rng = np.random.default_rng(seed)
+        est, true = rng.integers(1, n_groups + 1, n), rng.integers(1, n_true + 1, n)
+        table = np.zeros((n_groups, max(n_groups, true.max())))
+        np.add.at(table, (est - 1, true - 1), 1.0)
+        perm = match_groups(est, true, n_groups)
+        assert np.array_equal(perm, linear_sum_assignment(-table)[1] + 1)
 
 
 class TestPowerType1:

@@ -1,12 +1,12 @@
-"""Thread control for the OpenBLAS copies bundled with numpy and scipy.
+"""Thread control for the OpenBLAS bundled with numpy.
 
-The numpy and scipy wheels each ship their own OpenBLAS, with its own
-process-wide thread pool: numpy's ``numpy.libs/libscipy_openblas64_*.so``
-exports ``scipy_openblas_{get,set}_num_threads64_`` and scipy's
-``scipy.libs/libscipy_openblas-*.so`` the same names without the suffix.
-The EM core makes thousands of small regressions, for which the pool's
-workers cost more than they save and whose sums change with the pool size,
-so `single_thread` pins both pools to one thread around a fit.
+The numpy wheel ships its own OpenBLAS, ``numpy.libs/libscipy_openblas64_*.so``,
+with a process-wide thread pool that it sizes through
+``scipy_openblas_{get,set}_num_threads64_``; every BLAS and LAPACK call of
+lasir, the triangular solves included, runs on it. The EM core makes
+thousands of small regressions, for which the pool's workers cost more than
+they save and whose sums change with the pool size, so `single_thread` pins
+the pool to one thread around a fit.
 
 Parallelism comes from Python threads instead, each running its own BLAS
 calls: `deal` splits work into parts, one thread each. It runs the replicate
@@ -20,9 +20,8 @@ has at least `PARALLEL_CHUNKS` chunks, on as many threads as the process
 may use CPUs. Each chunk is computed exactly as a serial loop would compute
 it, into rows of its own, so the bits do not depend on the thread count.
 
-The libraries are located and opened on first use; a copy that is missing or
-does not export the functions is skipped, and with none found the limiter
-does nothing.
+The library is located and opened on first use; where it is missing or does
+not export the functions, the limiter does nothing.
 """
 
 from __future__ import annotations
@@ -31,87 +30,75 @@ import contextlib
 import ctypes
 import functools
 import glob
-import importlib.util
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-# (package, library glob inside <package>.libs, symbol suffix)
-_BUNDLED = (("numpy", "libscipy_openblas64_*.so", "64_"),
-            ("scipy", "libscipy_openblas-*.so", ""))
+import numpy as np
 
 
 class _Pool:
-    """The get/set thread-count functions of one bundled OpenBLAS."""
+    """The get/set thread-count functions of numpy's OpenBLAS."""
 
-    def __init__(self, package, path, suffix):
+    def __init__(self, path):
         lib = ctypes.CDLL(path)
-        self.package = package
-        self.get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        self.get = lib.scipy_openblas_get_num_threads64_
         self.get.argtypes, self.get.restype = [], ctypes.c_int
-        self.set = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        self.set = lib.scipy_openblas_set_num_threads64_
         self.set.argtypes, self.set.restype = [ctypes.c_int], None
 
 
 @functools.cache
-def pools() -> tuple:
-    """The bundled OpenBLAS pools found, opened once per process."""
-    found = []
-    for package, pattern, suffix in _BUNDLED:
-        spec = importlib.util.find_spec(package)
-        if spec is None or not spec.submodule_search_locations:
-            continue
-        libdir = os.path.join(os.path.dirname(spec.submodule_search_locations[0]),
-                              package + ".libs")
-        paths = sorted(glob.glob(os.path.join(libdir, pattern)))
-        if not paths:
-            continue
-        try:
-            found.append(_Pool(package, paths[0], suffix))
-        except (OSError, AttributeError):
-            continue
-    return tuple(found)
+def pool():
+    """numpy's OpenBLAS pool, opened once per process, or None where it is
+    not found."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")))
+    try:
+        return _Pool(paths[0]) if paths else None
+    except (OSError, AttributeError):
+        return None
 
 
-def pool_sizes() -> dict:
-    """Current thread count of each bundled OpenBLAS pool, keyed by package."""
-    return {pool.package: pool.get() for pool in pools()}
+def pool_size():
+    """The current thread count of numpy's OpenBLAS pool, or None."""
+    found = pool()
+    return None if found is None else found.get()
 
 
 class _SingleThread(contextlib.ContextDecorator):
-    """Reentrant, thread-safe pin of every bundled pool to one thread.
+    """Reentrant, thread-safe pin of numpy's OpenBLAS pool to one thread.
 
-    The outermost entry saves the pool sizes and sets them to 1; the
-    outermost exit, normal or by exception, restores the saved sizes. Entries
-    from several threads share one depth count, so the pools stay pinned
-    until the last of them exits.
+    The outermost entry saves the pool size and sets it to 1; the outermost
+    exit, normal or by exception, restores the saved size. Entries from
+    several threads share one depth count, so the pool stays pinned until
+    the last of them exits.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
-        self._saved = ()
+        self._saved = None  # (pool, size) while pinned
 
     def __enter__(self):
         with self._lock:
-            if self._depth == 0:
-                self._saved = tuple((pool, pool.get()) for pool in pools())
-                for pool, _ in self._saved:
-                    pool.set(1)
+            if self._depth == 0 and (found := pool()) is not None:
+                self._saved = (found, found.get())
+                found.set(1)
             self._depth += 1
         return self
 
     def __exit__(self, *exc_info):
         with self._lock:
             self._depth -= 1
-            if self._depth == 0:
-                for pool, size in self._saved:
-                    pool.set(size)
-                self._saved = ()
+            if self._depth == 0 and self._saved is not None:
+                found, size = self._saved
+                found.set(size)
+                self._saved = None
         return False
 
 
-# The pools are process-wide, so there is exactly one limiter per process.
+# The pool is process-wide, so there is exactly one limiter per process.
 single_thread = _SingleThread()
 
 

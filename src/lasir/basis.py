@@ -40,10 +40,10 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermvander
-from scipy.linalg import solve_triangular
 
 from . import _blas
 from .lattice import VoxelLattice, axis_coords
+from .linmodel import solve_upper
 
 RANK_TOL = 1e-10
 REFINE_TOL = 1e-11  # first-pass correction above which the second Gram is summed from rows
@@ -444,7 +444,7 @@ def _cholesky_qr2(gram: np.ndarray, tensor_blocks) -> np.ndarray:
         diag = np.diag(r1)
         if diag.min() <= RANK_TOL * diag.max():
             raise ValueError("degenerate basis")
-        t1 = solve_triangular(r1, eye)
+        t1 = solve_upper(r1, eye)
         gram2 = t1.T @ gram @ t1
         if np.abs(gram2 - eye).max() > REFINE_TOL:
             gram2 = np.zeros_like(gram)
@@ -454,4 +454,4 @@ def _cholesky_qr2(gram: np.ndarray, tensor_blocks) -> np.ndarray:
         r2 = np.linalg.cholesky(gram2).T
     except np.linalg.LinAlgError:
         raise ValueError("degenerate basis") from None
-    return np.triu(t1 @ solve_triangular(r2, eye))
+    return np.triu(t1 @ solve_upper(r2, eye))

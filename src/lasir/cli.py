@@ -25,7 +25,6 @@ import time
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__, _blas
 from .basis import KernelParams, build_basis, select_h
@@ -119,12 +118,11 @@ def _write_manifest(primary_out, command, resolved):
         ("config_hash", config_hash(options)),
         ("lasir_version", __version__),
         ("numpy_version", np.__version__),
-        ("scipy_version", scipy.__version__),
         ("python_version", platform.python_version()),
     ]
-    # the caller's pools: fits pin them to one thread and restore them on return
-    entries += [(f"openblas_threads_{package}", size)
-                for package, size in _blas.pool_sizes().items()]
+    # the caller's pool: fits pin it to one thread and restore it on return
+    if (size := _blas.pool_size()) is not None:
+        entries.append(("openblas_threads_numpy", size))
     # the threads that long volume reads and projections are dealt to
     entries.append(("cpus_allowed", _blas.allowed_cpus()))
     entries += [

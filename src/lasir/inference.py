@@ -19,10 +19,10 @@ same images, null simulations on a 10^3 grid gave uncorrected rates of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import _blas
 from .basis import BasisSystem, pair_products, tensor_degrees
@@ -30,6 +30,126 @@ from .lattice import Dataset
 from .linmodel import check_design
 from .projection import backproject
 from .sem import FitResult, check_basis, check_fit
+
+# Cephes's rational approximations (Moshier 1989, after Cody 1969) for
+# erf(x) = x T(x^2) / U(x^2) below |x| = 1 and erfc(x) = exp(-x^2) P(x) / Q(x)
+# below 8, R(x) / S(x) from 8 on. Each pair is padded to one length for a
+# stacked Horner rule: a monic denominator's leading 1 and a shorter
+# numerator's leading 0 leave every sum as Cephes forms it, since 1 * x + c
+# and 0 * x + c are exact.
+def _horner_pair(num, den):
+    size = max(len(num), len(den) + 1)
+    return np.array([[0.0] * (size - len(num)) + num,
+                     [0.0] * (size - len(den) - 1) + [1.0] + den]).T
+
+
+_ERF = _horner_pair(
+    [9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+     7.00332514112805075473E3, 5.55923013010394962768E4],
+    [3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+     2.26290000613890934246E4, 4.92673942608635921086E4])
+_ERFC_BELOW_8 = _horner_pair(
+    [2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+     4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+     9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2],
+    [1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+     9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+     1.65666309194161350182E3, 5.57535340817727675546E2])
+_ERFC_FROM_8 = _horner_pair(
+    [5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+     6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0],
+    [2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+     1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0])
+_MAXLOG = 7.09782712893383996843E2  # log(2^1024): erfc is 0 once x^2 exceeds it
+# z * z <= _MAXLOG exactly when z <= _SQRT_MAXLOG: the rounded square is
+# monotone in z, and the root's square rounds to at most _MAXLOG while its
+# successor's does not
+_SQRT_MAXLOG = math.sqrt(_MAXLOG)
+# Values per pass of `ndtr`. On a 2-core x86-64 machine, the four Wald maps
+# of the masked benchmark (315,481 voxels each) took 30-34 ms in passes of
+# 2^16, 34-35 ms in passes of 2^14 and 66-72 ms whole (scipy: 19 ms).
+NDTR_CHUNK = 1 << 16
+
+
+def ndtr(a) -> np.ndarray:
+    """The standard normal distribution function, bit for bit as Cephes's
+    `ndtr` (Moshier 1989), which `scipy.special.ndtr` runs.
+
+    With x = a / sqrt(2): 0.5 + 0.5 erf(x) for |x| < 1, else 0.5 erfc(|x|),
+    subtracted from 1 for x > 0, where erfc is 0 once x^2 exceeds `_MAXLOG`;
+    NaN stays NaN. (Cephes takes the erfc side from |x| = 1/sqrt(2), whose
+    erfc is 1 - erf there; both sides give the same bits.) The exponential
+    is libm's (`_libm_exp_neg_square`). The values are taken `NDTR_CHUNK` at
+    a time, and each branch is evaluated on its own members only.
+    """
+    a = np.asarray(a, dtype=float)
+    out = np.empty(a.shape)
+    flat, flat_out = a.reshape(-1), out.reshape(-1)
+    size = min(NDTR_CHUNK, flat.size)
+    scratch, acc = np.empty(size + 2), np.empty((2, size))
+    with np.errstate(over="ignore", under="ignore"):  # as Cephes's C arithmetic
+        for start in range(0, flat.size, NDTR_CHUNK):
+            stop = start + NDTR_CHUNK
+            _ndtr_chunk(flat[start:stop], flat_out[start:stop], scratch, acc)
+    return out
+
+
+def _ndtr_chunk(a, out, scratch, acc):
+    """`ndtr` of one pass: a into out, through the buffers of `ndtr`."""
+    x = a * 0.70710678118654752440  # Cephes's M_SQRT1_2
+    z = np.abs(x)
+    np.minimum(z, 0.0, out=out)  # 0 where erfc underflows, NaN for NaN
+    below_1, below_8, below_cut = z < 1.0, z < 8.0, z <= _SQRT_MAXLOG
+    below_cut ^= below_8
+    below_8 ^= below_1
+    near, mid, tail = (np.flatnonzero(b) for b in (below_1, below_8, below_cut))
+    if near.size:
+        xn = x[near]
+        t, u = _horner(xn * xn, _ERF, acc[:, :near.size])
+        xn *= t
+        xn /= u
+        out[near] = 0.5 + 0.5 * xn
+    far = np.concatenate([mid, tail])
+    if far.size:
+        zf = z[far]
+        y = _libm_exp_neg_square(zf, scratch)
+        p, q = acc[:, :far.size]
+        _horner(zf[:mid.size], _ERFC_BELOW_8, acc[:, :mid.size])
+        _horner(zf[mid.size:], _ERFC_FROM_8, acc[:, mid.size:far.size])
+        y *= p
+        y /= q
+        y *= 0.5
+        out[far] = y
+    flip = np.flatnonzero(x >= 1.0)
+    out[flip] = 1.0 - out[flip]
+
+
+def _horner(x, coefs, acc):
+    """The numerator and denominator of a `_horner_pair` at x, into acc."""
+    np.multiply(coefs[0][:, None], x, out=acc)
+    acc += coefs[1][:, None]
+    for c in coefs[2:]:
+        acc *= x
+        acc += c[:, None]
+    return acc
+
+
+def _libm_exp_neg_square(z, scratch):
+    """exp(-z * z) in scratch, with libm's exponential.
+
+    numpy's float64 exp runs a SIMD kernel where the CPU has one, and on an
+    AVX-512 machine its results differed from libm's in 14,722 of 315,481
+    values. When the output overlaps the input one element back, numpy runs
+    its scalar loop instead, which calls libm; one trailing element is added
+    so that even a single value overlaps.
+    """
+    m = z.size
+    e = scratch[1:m + 2]
+    np.multiply(z, z, out=e[:m])
+    e[m] = 0.0
+    np.negative(e, out=e)
+    np.exp(e, out=scratch[:m + 1])
+    return scratch[:m]
 
 
 @dataclass
@@ -146,9 +266,9 @@ def wald_map(fit: FitResult, dataset: Dataset, basis: BasisSystem,
 def _wald(fit, basis, group, exposure, variance) -> InferenceMap:
     """The InferenceMap of one (group, exposure) pair from its voxel variance.
 
-    The two-sided p-value 2 * ndtr(-|wald|) is the standard normal tail that
-    `scipy.stats.norm.sf` computes, without its argument-checking wrapper
-    (and without importing `scipy.stats`).
+    The two-sided p-value is 2 * ndtr(-|wald|), the standard normal tail,
+    with `ndtr` the port of Cephes's that `scipy.special.ndtr` runs, so the
+    p-values are scipy's to the bit.
     """
     effect = backproject(fit.params.theta_alpha[group - 1, exposure], basis)[0]
     se = np.sqrt(variance)
@@ -169,14 +289,24 @@ def fdr_bh(pvals: np.ndarray, alpha: float) -> np.ndarray:
     Sort the m p-values ascending (NaN last), find the largest k with
     ``p_(k) <= k * alpha / m`` and reject every p-value <= p_(k), ties
     included; nothing is rejected when no such k exists, and NaN never is.
+    Since k * alpha / m <= alpha, only the c p-values <= alpha, which hold
+    the first c ranks, need sorting. They are selected and sorted when they
+    are at most half of the m; above that, selecting them costs more than
+    sorting the rest (most of a map with strong signal), and the first c of
+    the full sort are taken.
     """
     pvals = np.asarray(pvals, dtype=float)
     if pvals.ndim != 1:
         raise ValueError("pvals must be a vector")
     _check_alpha(alpha)
     m = pvals.size
-    ranked = np.sort(pvals)
-    passing = np.flatnonzero(ranked <= alpha * np.arange(1, m + 1) / m)
+    below = pvals <= alpha
+    count = np.count_nonzero(below)
+    ranked = np.sort(pvals[below]) if 2 * count <= m else np.sort(pvals)[:count]
+    bound = np.arange(1.0, count + 1.0)
+    bound *= alpha
+    bound /= m
+    passing = np.flatnonzero(ranked <= bound)
     if passing.size == 0:
         return np.zeros(m, dtype=bool)
     return pvals <= ranked[passing[-1]]

@@ -3,6 +3,8 @@
 * `mvls_fit` -- multivariate least squares with a shared design and many
   target columns, plus per-column residual variances (a diagonal Gaussian
   model); the label-free stage 1 of the M-step.
+* `solve_upper` -- the solve with an upper-triangular factor that stage 1
+  and the basis's CholeskyQR2 share.
 * `check_design` -- the size and rank test that `mvls_fit` and the M-step's
   per-group stage 2 apply to a design before solving.
 * `log_gating` -- log class probabilities of the multinomial-logit gating
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 LAMBDA_FLOOR = 1e-10
 RANK_TOL = 1e-10
@@ -65,10 +66,23 @@ def mvls_fit(design: np.ndarray, targets: np.ndarray) -> DiagGaussianFit:
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     check_design(design)
     Q, R = np.linalg.qr(design)
-    coef = solve_triangular(R, Q.T @ targets, lower=False)
+    coef = solve_upper(R, Q.T @ targets)
     resid = targets - design @ coef
     lam = np.maximum(np.mean(resid ** 2, axis=0), LAMBDA_FLOOR)
     return DiagGaussianFit(coef=coef, lam=lam, resid=resid)
+
+
+def solve_upper(R: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """R^-1 B for an upper-triangular R (c, c) with nonzero diagonal.
+
+    LAPACK's LU of a triangular R pivots nowhere and leaves R as its U, so
+    `np.linalg.solve` runs the same triangular back substitution as
+    `scipy.linalg.solve_triangular`, with the same bits for two or more
+    right-hand sides (one may differ). The result is returned in Fortran
+    order, as scipy returns it: the products that read it take other BLAS
+    paths, with other bits, for a C-ordered operand.
+    """
+    return np.asfortranarray(np.linalg.solve(R, B))
 
 
 def check_design(design: np.ndarray) -> None:

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import _blas
 from .basis import BasisSystem, KernelParams, basis_size, build_basis
+from .inference import ndtr
 from .lattice import Dataset, GroundTruth, VoxelLattice, build_lattice
 from .linmodel import augment, gating_probs
 from .sem import s_step

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from lasir import (BasisSystem, KernelParams, backproject, basis_size, build_basis,
                    build_lattice, eigen_system_1d, kernel_eval, project, select_h,
@@ -360,3 +361,17 @@ class TestFactoredBasis:
             basis.check_lattice(build_lattice((5, 5, 5), other))
         with pytest.raises(ValueError, match="basis grid"):
             basis.check_lattice(build_lattice((5, 5, 6)))
+
+    def test_ellipsoid_basis_is_scipys_to_the_bit(self, monkeypatch):
+        # the triangular solves return Fortran order, as scipy's do: with a
+        # C-ordered solve, 101 of this basis's 1,225 T entries move
+        dims = (14, 13, 12)
+        grids = np.meshgrid(*(np.linspace(-1.0, 1.0, m) for m in dims), indexing="ij")
+        mask = sum((g / s) ** 2 for g, s in zip(grids, (0.9, 0.9, 0.85))) <= 1.0
+        lattice = build_lattice(dims, mask)
+        params = KernelParams(0.01, 2.0)
+        ours = build_basis(lattice, params, 4)
+        monkeypatch.setattr(basis_module, "solve_upper", lambda R, B: solve_triangular(R, B))
+        scipys = build_basis(lattice, params, 4)
+        assert np.array_equal(ours.T, scipys.T)
+        assert np.array_equal(ours.psi, scipys.psi)

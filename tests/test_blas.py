@@ -8,67 +8,64 @@ from lasir import _blas
 
 
 @pytest.fixture
-def pools_at_two():
-    """Both bundled pools set to 2 threads for the test, then put back."""
-    pools = _blas.pools()
-    if not pools:
-        pytest.skip("no bundled OpenBLAS found")
-    before = [pool.get() for pool in pools]
-    for pool in pools:
-        pool.set(2)
-    yield pools
-    for pool, size in zip(pools, before):
-        pool.set(size)
+def pool_at_two():
+    """numpy's OpenBLAS pool set to 2 threads for the test, then put back."""
+    pool = _blas.pool()
+    if pool is None:
+        pytest.skip("numpy's OpenBLAS not found")
+    before = pool.get()
+    pool.set(2)
+    yield pool
+    pool.set(before)
 
 
-def _sizes(pools):
-    return [pool.get() for pool in pools]
+def test_numpy_pool_found(pool_at_two):
+    assert _blas.pool() is pool_at_two
+    assert _blas.pool_size() == 2
+    pool_at_two.set(1)
+    assert _blas.pool_size() == 1
 
 
-def test_both_bundled_pools_found():
-    assert {pool.package for pool in _blas.pools()} == {"numpy", "scipy"}
-
-
-def test_pins_and_restores_on_normal_exit(pools_at_two):
+def test_pins_and_restores_on_normal_exit(pool_at_two):
     with _blas.single_thread:
-        assert _sizes(pools_at_two) == [1, 1]
-    assert _sizes(pools_at_two) == [2, 2]
+        assert pool_at_two.get() == 1
+    assert pool_at_two.get() == 2
 
 
-def test_restores_after_exception(pools_at_two):
+def test_restores_after_exception(pool_at_two):
     with pytest.raises(KeyError):
         with _blas.single_thread:
             raise KeyError("boom")
-    assert _sizes(pools_at_two) == [2, 2]
+    assert pool_at_two.get() == 2
 
     @_blas.single_thread
     def failing():
-        assert _sizes(pools_at_two) == [1, 1]
+        assert pool_at_two.get() == 1
         raise KeyError("boom")
 
     with pytest.raises(KeyError):
         failing()
-    assert _sizes(pools_at_two) == [2, 2]
+    assert pool_at_two.get() == 2
 
 
-def test_nested_entry_keeps_pin_until_outermost_exit(pools_at_two):
+def test_nested_entry_keeps_pin_until_outermost_exit(pool_at_two):
     with _blas.single_thread:
         with _blas.single_thread:
-            assert _sizes(pools_at_two) == [1, 1]
-        assert _sizes(pools_at_two) == [1, 1]
-    assert _sizes(pools_at_two) == [2, 2]
+            assert pool_at_two.get() == 1
+        assert pool_at_two.get() == 1
+    assert pool_at_two.get() == 2
 
 
-def test_concurrent_entries_restore_initial_sizes(pools_at_two):
+def test_concurrent_entries_restore_initial_sizes(pool_at_two):
     stop = time.monotonic() + 1.0
     unpinned = []
 
     def worker():
         while time.monotonic() < stop:
             with _blas.single_thread:
-                sizes = _sizes(pools_at_two)
-                if sizes != [1, 1]:
-                    unpinned.append(sizes)
+                size = pool_at_two.get()
+                if size != 1:
+                    unpinned.append(size)
             time.sleep(0)  # let the other threads' entries and exits interleave
 
     interval = sys.getswitchinterval()
@@ -83,12 +80,12 @@ def test_concurrent_entries_restore_initial_sizes(pools_at_two):
     finally:
         sys.setswitchinterval(interval)
     assert unpinned == []
-    assert _sizes(pools_at_two) == [2, 2]
+    assert pool_at_two.get() == 2
 
 
-def test_no_libraries_means_no_effect(pools_at_two, monkeypatch):
-    monkeypatch.setattr(_blas, "pools", lambda: ())
-    assert _blas.pool_sizes() == {}
+def test_no_libraries_means_no_effect(pool_at_two, monkeypatch):
+    monkeypatch.setattr(_blas, "pool", lambda: None)
+    assert _blas.pool_size() is None
     with _blas.single_thread:
-        assert _sizes(pools_at_two) == [2, 2]
-    assert _sizes(pools_at_two) == [2, 2]
+        assert pool_at_two.get() == 2
+    assert pool_at_two.get() == 2

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr as scipy_ndtr
 
 from lasir import (Dataset, KernelParams, SemConfig, SimConfig, coef_covariance,
                    fdr_bh, fit_sem, infer_maps, simulate_cube, svc_variance,
                    wald_map)
 from lasir import inference as inference_module
 from lasir.basis import BasisSystem
-from lasir.inference import CoefCovariance
+from lasir.inference import CoefCovariance, ndtr
 from lasir.linmodel import check_design
 from lasir.sem import FitResult, ModelParams
 
@@ -197,7 +197,33 @@ def _pvalue_vectors(draw):
     return np.array(pool)[picks], alpha
 
 
+def _bh_by_full_sort(pvals, alpha):
+    """The step-up rule with every p-value sorted, NaN last."""
+    m = pvals.size
+    ranked = np.sort(pvals)
+    passing = np.flatnonzero(ranked <= alpha * np.arange(1, m + 1) / m)
+    if passing.size == 0:
+        return np.zeros(m, dtype=bool)
+    return pvals <= ranked[passing[-1]]
+
+
+@st.composite
+def _null_vectors(draw):
+    """(pvals, alpha): uniform null p-values, rounded so that some tie, with
+    NaN mixed in."""
+    m = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pvals = np.round(rng.random(m), draw(st.integers(1, 6)))
+    pvals[rng.random(m) < draw(st.floats(0.0, 0.5))] = np.nan
+    return pvals, draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
 class TestFdrBH:
+    @given(st.one_of(_pvalue_vectors(), _null_vectors()))
+    def test_matches_the_full_sort(self, case):
+        pvals, alpha = case
+        assert np.array_equal(fdr_bh(pvals, alpha), _bh_by_full_sort(pvals, alpha))
+
     @given(_pvalue_vectors())
     def test_matches_the_counting_oracle(self, case):
         pvals, alpha = case
@@ -216,7 +242,7 @@ class TestFdrBH:
         m = 200_003
         z = rng.standard_normal(m)
         z[: m // 4] += 3.0
-        pvals = np.round(2.0 * ndtr(-np.abs(z)), 6)  # rounding makes ties
+        pvals = np.round(2.0 * scipy_ndtr(-np.abs(z)), 6)  # rounding makes ties
         pvals[rng.integers(0, m, 50)] = np.nan
         bound = 0.05 * np.arange(1, m + 1) / m
         on = rng.integers(0, m, 500)
@@ -265,6 +291,33 @@ class TestFdrBH:
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             fdr_bh(np.array([0.5]), 1.5)
+
+
+class TestNdtr:
+    def test_is_scipys_to_the_bit(self):
+        rng = np.random.default_rng(3)
+        # |a| = 1: Cephes's erf/erfc switch; sqrt(2): erf's ratio ends;
+        # 8 sqrt(2): erfc's P/Q gives way to R/S; about 37.7: erfc underflows
+        edges = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0),
+                          np.sqrt(2.0 * inference_module._MAXLOG)])
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        tiny = np.finfo(float).tiny
+        special = [np.inf, np.nan, 0.0, 5e-324, tiny, np.nextafter(tiny, 0.0), 1e-300,
+                   1e300, np.finfo(float).max]
+        a = np.concatenate([np.linspace(-45.0, 45.0, 300_001), 4.0 * rng.standard_normal(100_000),
+                            rng.uniform(-40.0, 40.0, 100_000), edges, special])
+        a = np.concatenate([a, -a])
+        ours, scipys = ndtr(a), scipy_ndtr(a)
+        assert np.array_equal(ours, scipys, equal_nan=True)
+        assert np.array_equal(np.signbit(ours), np.signbit(scipys))
+
+    def test_short_vectors_and_shapes(self):
+        # one value alone takes another path through numpy's exp
+        a = np.random.default_rng(4).uniform(-12.0, 12.0, 600)
+        singles = np.array([ndtr(a[i:i + 1])[0] for i in range(a.size)])
+        assert np.array_equal(singles, scipy_ndtr(a))
+        assert np.array_equal(ndtr(a.reshape(20, 30)), scipy_ndtr(a).reshape(20, 30))
+        assert ndtr(np.array([])).shape == (0,)
 
 
 def test_infer_maps_reject_consistent_with_cutoff():

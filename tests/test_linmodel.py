@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from lasir import augment, gating_probs, mnlogit_fit, mvls_fit
+from lasir import linmodel as linmodel_module
 from lasir.linmodel import LAMBDA_FLOOR, _mnlogit_newton, log_gating, row_cumsum, row_sum
 
 
@@ -84,6 +86,23 @@ class TestMvls:
         design[:, -1] = design[:, :-1] @ rng.standard_normal(c - 1)
         with pytest.raises(ValueError, match="rank-deficient"):
             mvls_fit(design, rng.standard_normal((n, 3)))
+
+    @given(n=st.integers(30, 120), c=st.integers(2, 25), L=st.integers(2, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_is_scipys_solve_to_the_bit(self, n, c, L, seed):
+        # two or more target columns: the scipy-free solve keeps scipy's bits
+        rng = np.random.default_rng(seed)
+        design = np.column_stack([np.ones(n), rng.standard_normal((n, c - 1))])
+        targets = rng.standard_normal((n, L))
+        ours = mvls_fit(design, targets)
+        solve_upper = linmodel_module.solve_upper
+        try:
+            linmodel_module.solve_upper = lambda R, B: solve_triangular(R, B)
+            scipys = mvls_fit(design, targets)
+        finally:
+            linmodel_module.solve_upper = solve_upper
+        for part in ("coef", "lam", "resid"):
+            assert np.array_equal(getattr(ours, part), getattr(scipys, part))
 
 
 class TestGatingProbs:

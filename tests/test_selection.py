@@ -103,20 +103,25 @@ class TestSelectK:
     @pytest.mark.parametrize("threaded_n, stacks", [(61, 1), (60, 2)])
     def test_few_subjects_run_on_the_calling_thread(self, threaded_n, stacks, monkeypatch):
         # below THREADED_N subjects each candidate's restarts are one stack on
-        # the calling thread; from it on they are dealt to `threads` stacks
+        # the calling thread; from it on they are dealt to `threads` stacks,
+        # each on a worker thread
         cfg = SimConfig(dims=(4, 4, 4), n=60, n_groups=2, sigma=1.0, seed=3, n_sites=2)
         dataset, truth, lattice, basis = simulate_cube(cfg)
-        seen, m_step_now = [], sem_module.m_step
+        seen, run_stack = [], sem_module._run_stack
 
-        def recorded(*args, **kwargs):
-            seen.append(threading.get_ident())
-            return m_step_now(*args, **kwargs)
+        def recorded(problem, n_groups, config, seeds):
+            on_main = threading.current_thread() is threading.main_thread()
+            seen.append((n_groups, on_main, tuple(seed.spawn_key[-1] for seed in seeds)))
+            return run_stack(problem, n_groups, config, seeds)
 
-        monkeypatch.setattr(sem_module, "m_step", recorded)
+        monkeypatch.setattr(sem_module, "_run_stack", recorded)
         monkeypatch.setattr(selection_module, "THREADED_N", threaded_n)
         select_k(dataset, basis, [1, 2, 3], SemConfig(restarts=4, seed=1, threads=2))
-        workers = set(seen) - {threading.get_ident()}
-        assert len(seen) > 3 and len(workers) == (stacks if stacks > 1 else 0)
+        if stacks == 1:
+            expected = [(k, True, (0, 1, 2, 3)) for k in (2, 3)]
+        else:
+            expected = [(k, False, stack) for k in (2, 3) for stack in ((0, 2), (1, 3))]
+        assert sorted(seen) == expected
 
     @pytest.mark.parametrize("threaded_n", [1000, 0])
     def test_results_do_not_depend_on_threads(self, threaded_n, monkeypatch):

@@ -912,13 +912,14 @@ class TestStackedReplicates:
                                                        n_sites=2, seed=5))
         seen, run_stack = [], sem_module._run_stack
 
-        def recorded(*args):
-            seen.append(threading.get_ident())
-            return run_stack(*args)
+        def recorded(problem, n_groups, config, seeds):
+            on_main = threading.current_thread() is threading.main_thread()
+            seen.append((on_main, tuple(seed.spawn_key[-1] for seed in seeds)))
+            return run_stack(problem, n_groups, config, seeds)
 
         monkeypatch.setattr(sem_module, "_run_stack", recorded)
         fit_sem(dataset, basis, 2, SemConfig(restarts=3, seed=2, threads=threads))
         if threads == 1:
-            assert seen == [threading.get_ident()]
+            assert seen == [(True, (0, 1, 2))]
         else:
-            assert len(set(seen)) == 2 and threading.get_ident() not in seen
+            assert sorted(seen) == [(False, (0, 2)), (False, (1,))]

@@ -407,22 +407,37 @@ def test_fit_of_another_dataset_exits_1(workdir, tmp_path, capsys, command):
     assert captured.out == ""
 
 
+def _run_after_lasir_import(code):
+    # runs `code` in a fresh interpreter that has just imported lasir and its CLI
+    src = os.path.dirname(os.path.dirname(lasir.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "import sys, lasir, lasir.cli; " + code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_leaves_scipy_stats_out():
+    # every CLI start imports lasir; scipy.stats alone takes about 0.4 s to import
+    assert _run_after_lasir_import("print('scipy.stats' in sys.modules)").strip() == "False"
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize holds about 17 MB of every process that imports it
+    assert _run_after_lasir_import("print('scipy.optimize' in sys.modules)").strip() == "False"
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
 def test_import_leaves_scipy_out():
     # scipy's modules and its own OpenBLAS once took about half of every
     # process that imports lasir: 61 MB peak RSS, against 27 MB for numpy.
     # The peak is VmHWM, the child's own: its ru_maxrss would also count
     # the RSS of this process, which started it.
-    src = os.path.dirname(os.path.dirname(lasir.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, lasir, lasir.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy'))); "
-            "print(open('/proc/self/status').read())")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    modules, status = proc.stdout.split("\n", 1)
+    out = _run_after_lasir_import(
+        "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy'))); "
+        "print(open('/proc/self/status').read())")
+    modules, status = out.split("\n", 1)
     assert modules == "[]"
     peak_kb = int(status.split("VmHWM:")[1].split()[0])
     assert peak_kb < 40 * 1024

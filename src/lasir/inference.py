@@ -65,13 +65,16 @@ _MAXLOG = 7.09782712893383996843E2  # log(2^1024): erfc is 0 once x^2 exceeds it
 # monotone in z, and the root's square rounds to at most _MAXLOG while its
 # successor's does not
 _SQRT_MAXLOG = math.sqrt(_MAXLOG)
-# Values per pass of `ndtr`. On a 2-core x86-64 machine, the four Wald maps
-# of the masked benchmark (315,481 voxels each) took 30-34 ms in passes of
-# 2^16, 34-35 ms in passes of 2^14 and 66-72 ms whole (scipy: 19 ms).
+# Values per pass of `ndtr`: each buffer and index array stays within 0.5 MB.
+# On a 2-core x86-64 machine, the four Wald maps of the masked benchmark
+# (315,481 voxels each, in place; medians of 15 interleaved runs) took 36-37
+# ms in passes of 2^15-2^16, 41 ms in passes of 2^14, 43 ms in passes of
+# 2^17, 49 ms in passes of 2^13 and 63-67 ms in passes of 2^18-2^19 (scipy's
+# ndtr: 27-31 ms).
 NDTR_CHUNK = 1 << 16
 
 
-def ndtr(a) -> np.ndarray:
+def ndtr(a, out=None) -> np.ndarray:
     """The standard normal distribution function, bit for bit as Cephes's
     `ndtr` (Moshier 1989), which `scipy.special.ndtr` runs.
 
@@ -80,48 +83,73 @@ def ndtr(a) -> np.ndarray:
     NaN stays NaN. (Cephes takes the erfc side from |x| = 1/sqrt(2), whose
     erfc is 1 - erf there; both sides give the same bits.) The exponential
     is libm's (`_libm_exp_neg_square`). The values are taken `NDTR_CHUNK` at
-    a time, and each branch is evaluated on its own members only.
+    a time, through buffers allocated once, and each branch is evaluated on
+    its own members only.
+
+    `out`, when given, must be a C-contiguous float64 array of a's shape; it
+    may be `a` itself. The values are written there and it is returned.
     """
     a = np.asarray(a, dtype=float)
-    out = np.empty(a.shape)
+    if out is None:
+        out = np.empty(a.shape)
+    elif out.shape != a.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {a.shape}")
     flat, flat_out = a.reshape(-1), out.reshape(-1)
     size = min(NDTR_CHUNK, flat.size)
-    scratch, acc = np.empty(size + 2), np.empty((2, size))
+    work, scratch = np.empty((3, size)), np.empty(size + 2)
+    acc, masks = np.empty((2, size)), np.empty((2, size), dtype=bool)
     with np.errstate(over="ignore", under="ignore"):  # as Cephes's C arithmetic
         for start in range(0, flat.size, NDTR_CHUNK):
             stop = start + NDTR_CHUNK
-            _ndtr_chunk(flat[start:stop], flat_out[start:stop], scratch, acc)
+            _ndtr_chunk(flat[start:stop], flat_out[start:stop], work, scratch, acc, masks)
     return out
 
 
-def _ndtr_chunk(a, out, scratch, acc):
-    """`ndtr` of one pass: a into out, through the buffers of `ndtr`."""
-    x = a * 0.70710678118654752440  # Cephes's M_SQRT1_2
-    z = np.abs(x)
-    np.minimum(z, 0.0, out=out)  # 0 where erfc underflows, NaN for NaN
-    below_1, below_8, below_cut = z < 1.0, z < 8.0, z <= _SQRT_MAXLOG
-    below_cut ^= below_8
-    below_8 ^= below_1
-    near, mid, tail = (np.flatnonzero(b) for b in (below_1, below_8, below_cut))
-    if near.size:
-        xn = x[near]
-        t, u = _horner(xn * xn, _ERF, acc[:, :near.size])
+def _ndtr_chunk(a, out, work, scratch, acc, masks):
+    """`ndtr` of one pass: a into out, through the buffers of `ndtr`. a is
+    read whole before out is written, so the two may share memory."""
+    n = a.size
+    x, z, gathered = work[:, :n]
+    low, high = masks[:, :n]
+    np.multiply(a, 0.70710678118654752440, out=x)  # Cephes's M_SQRT1_2
+    np.abs(x, out=z)
+    np.less(z, 1.0, out=low)
+    near = np.flatnonzero(low)
+    np.less(z, 8.0, out=high)
+    low ^= high
+    mid = np.flatnonzero(low)  # 1 <= |x| < 8
+    np.less_equal(z, _SQRT_MAXLOG, out=low)
+    low ^= high
+    tail = np.flatnonzero(low)  # 8 <= |x| where erfc does not underflow
+    if near.size + mid.size + tail.size < n:
+        np.minimum(z, 0.0, out=out)  # 0 where erfc underflows, NaN for NaN
+    if near.size:  # mode="clip": the default mode buffers a take with out
+        xn = np.take(x, near, out=gathered[:near.size], mode="clip")
+        t, u = _horner(np.multiply(xn, xn, out=scratch[:near.size]), _ERF,
+                       acc[:, :near.size])
         xn *= t
         xn /= u
-        out[near] = 0.5 + 0.5 * xn
-    far = np.concatenate([mid, tail])
-    if far.size:
-        zf = z[far]
+        xn *= 0.5
+        xn += 0.5
+        out[near] = xn
+    k, far = mid.size, mid.size + tail.size
+    if far:
+        zf = gathered[:far]
+        np.take(z, mid, out=zf[:k], mode="clip")
+        np.take(z, tail, out=zf[k:], mode="clip")
         y = _libm_exp_neg_square(zf, scratch)
-        p, q = acc[:, :far.size]
-        _horner(zf[:mid.size], _ERFC_BELOW_8, acc[:, :mid.size])
-        _horner(zf[mid.size:], _ERFC_FROM_8, acc[:, mid.size:far.size])
+        p, q = acc[:, :far]
+        _horner(zf[:k], _ERFC_BELOW_8, acc[:, :k])
+        _horner(zf[k:], _ERFC_FROM_8, acc[:, k:far])
         y *= p
         y /= q
         y *= 0.5
-        out[far] = y
-    flip = np.flatnonzero(x >= 1.0)
-    out[flip] = 1.0 - out[flip]
+        out[mid] = y[:k]
+        out[tail] = y[k:]
+    np.greater_equal(x, 1.0, out=low)
+    flip = np.flatnonzero(low)
+    if flip.size:
+        out[flip] = 1.0 - out[flip]
 
 
 def _horner(x, coefs, acc):
@@ -141,7 +169,11 @@ def _libm_exp_neg_square(z, scratch):
     AVX-512 machine its results differed from libm's in 14,722 of 315,481
     values. When the output overlaps the input one element back, numpy runs
     its scalar loop instead, which calls libm; one trailing element is added
-    so that even a single value overlaps.
+    so that even a single value overlaps. That fallback is how numpy's loop
+    dispatch works, not a documented contract: it was verified with numpy
+    2.4.6 (glibc's libm) on an x86-64 Intel Xeon with AVX-512F, and
+    `tests/test_inference.py::TestNdtr::test_is_scipys_to_the_bit` is the
+    check to run after a numpy upgrade or on another CPU.
     """
     m = z.size
     e = scratch[1:m + 2]
@@ -268,12 +300,18 @@ def _wald(fit, basis, group, exposure, variance) -> InferenceMap:
 
     The two-sided p-value is 2 * ndtr(-|wald|), the standard normal tail,
     with `ndtr` the port of Cephes's that `scipy.special.ndtr` runs, so the
-    p-values are scipy's to the bit.
+    p-values are scipy's to the bit. Each map is computed in place in the
+    array it is returned in: the same operations in the same order, without
+    a fresh map-sized temporary for every step. `variance` becomes the se
+    map, so callers pass an array of their own.
     """
     effect = backproject(fit.params.theta_alpha[group - 1, exposure], basis)[0]
-    se = np.sqrt(variance)
-    wald = np.abs(effect) / se
-    pval = 2.0 * ndtr(-wald)
+    se = np.sqrt(variance, out=variance)
+    wald = np.abs(effect)
+    wald /= se
+    pval = np.negative(wald)
+    ndtr(pval, out=pval)
+    pval *= 2.0
     return InferenceMap(group=group, exposure=exposure, effect=effect,
                         se=se, wald=wald, pval=pval)
 
@@ -283,33 +321,40 @@ def _check_alpha(alpha) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+# Ranks per block of `fdr_bh`'s downward search for its cutoff. On the four
+# Wald maps of the masked benchmark (315,481 voxels each), the cutoff lay
+# 150-1,722 ranks below the count of p-values <= 0.05, so the first block
+# holds it and the bounds of the other 266,000-300,000 ranks are never formed.
+BH_BLOCK = 1 << 13
+
+
 def fdr_bh(pvals: np.ndarray, alpha: float) -> np.ndarray:
     """Benjamini-Hochberg step-up decisions.
 
     Sort the m p-values ascending (NaN last), find the largest k with
     ``p_(k) <= k * alpha / m`` and reject every p-value <= p_(k), ties
     included; nothing is rejected when no such k exists, and NaN never is.
-    Since k * alpha / m <= alpha, only the c p-values <= alpha, which hold
-    the first c ranks, need sorting. They are selected and sorted when they
-    are at most half of the m; above that, selecting them costs more than
-    sorting the rest (most of a map with strong signal), and the first c of
-    the full sort are taken.
+    Since k * alpha / m <= alpha, the search starts at the rank c of the
+    last p-value <= alpha and goes down `BH_BLOCK` ranks at a time, and
+    stops in the first block that holds a passing rank.
     """
     pvals = np.asarray(pvals, dtype=float)
     if pvals.ndim != 1:
         raise ValueError("pvals must be a vector")
     _check_alpha(alpha)
     m = pvals.size
-    below = pvals <= alpha
-    count = np.count_nonzero(below)
-    ranked = np.sort(pvals[below]) if 2 * count <= m else np.sort(pvals)[:count]
-    bound = np.arange(1.0, count + 1.0)
-    bound *= alpha
-    bound /= m
-    passing = np.flatnonzero(ranked <= bound)
-    if passing.size == 0:
-        return np.zeros(m, dtype=bool)
-    return pvals <= ranked[passing[-1]]
+    ranked = np.sort(pvals)
+    count = np.searchsorted(ranked, alpha, side="right")
+    for stop in range(count, 0, -BH_BLOCK):
+        start = max(stop - BH_BLOCK, 0)
+        bound = np.arange(start + 1.0, stop + 1.0)
+        bound *= alpha
+        bound /= m
+        passing = ranked[start:stop] <= bound
+        if passing.any():
+            k = stop - np.argmax(passing[::-1])  # the largest passing rank
+            return pvals <= ranked[k - 1]
+    return np.zeros(m, dtype=bool)
 
 
 @_blas.single_thread

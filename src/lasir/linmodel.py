@@ -78,9 +78,14 @@ def solve_upper(R: np.ndarray, B: np.ndarray) -> np.ndarray:
     LAPACK's LU of a triangular R pivots nowhere and leaves R as its U, so
     `np.linalg.solve` runs the same triangular back substitution as
     `scipy.linalg.solve_triangular`, with the same bits for two or more
-    right-hand sides (one may differ). The result is returned in Fortran
-    order, as scipy returns it: the products that read it take other BLAS
-    paths, with other bits, for a C-ordered operand.
+    right-hand sides. A single right-hand side takes a one-column path that
+    differs between OpenBLAS builds: numpy 2.4.6's (OpenBLAS 0.3.31) and
+    scipy 1.17.1's (0.3.30) rounded apart in most draws, by up to 3.4e-14
+    relative, so `mvls_fit` on one target column (stage 1 on a one-function
+    basis) is not scipy's to the bit. A 1 x 1 system is: both divide by R.
+    The result is returned in Fortran order, as scipy returns it: the
+    products that read it take other BLAS paths, with other bits, for a
+    C-ordered operand.
     """
     return np.asfortranarray(np.linalg.solve(R, B))
 

@@ -362,16 +362,18 @@ class TestFactoredBasis:
         with pytest.raises(ValueError, match="basis grid"):
             basis.check_lattice(build_lattice((5, 5, 6)))
 
-    def test_ellipsoid_basis_is_scipys_to_the_bit(self, monkeypatch):
+    @pytest.mark.parametrize("h", [0, 4])
+    def test_ellipsoid_basis_is_scipys_to_the_bit(self, monkeypatch, h):
         # the triangular solves return Fortran order, as scipy's do: with a
-        # C-ordered solve, 101 of this basis's 1,225 T entries move
+        # C-ordered solve, 101 of the h=4 basis's 1,225 T entries move; at
+        # h=0 the solves are of 1 x 1 systems
         dims = (14, 13, 12)
         grids = np.meshgrid(*(np.linspace(-1.0, 1.0, m) for m in dims), indexing="ij")
         mask = sum((g / s) ** 2 for g, s in zip(grids, (0.9, 0.9, 0.85))) <= 1.0
         lattice = build_lattice(dims, mask)
         params = KernelParams(0.01, 2.0)
-        ours = build_basis(lattice, params, 4)
+        ours = build_basis(lattice, params, h)
         monkeypatch.setattr(basis_module, "solve_upper", lambda R, B: solve_triangular(R, B))
-        scipys = build_basis(lattice, params, 4)
+        scipys = build_basis(lattice, params, h)
         assert np.array_equal(ours.T, scipys.T)
         assert np.array_equal(ours.psi, scipys.psi)

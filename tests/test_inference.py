@@ -219,10 +219,18 @@ def _null_vectors(draw):
 
 
 class TestFdrBH:
-    @given(st.one_of(_pvalue_vectors(), _null_vectors()))
-    def test_matches_the_full_sort(self, case):
+    @given(st.one_of(_pvalue_vectors(), _null_vectors()), st.sampled_from([1, 3, 64]))
+    def test_matches_the_full_sort(self, case, block):
+        # small blocks make the downward search for the cutoff cross blocks
         pvals, alpha = case
-        assert np.array_equal(fdr_bh(pvals, alpha), _bh_by_full_sort(pvals, alpha))
+        expected = _bh_by_full_sort(pvals, alpha)
+        assert np.array_equal(fdr_bh(pvals, alpha), expected)
+        saved = inference_module.BH_BLOCK
+        try:
+            inference_module.BH_BLOCK = block
+            assert np.array_equal(fdr_bh(pvals, alpha), expected)
+        finally:
+            inference_module.BH_BLOCK = saved
 
     @given(_pvalue_vectors())
     def test_matches_the_counting_oracle(self, case):
@@ -318,6 +326,20 @@ class TestNdtr:
         assert np.array_equal(singles, scipy_ndtr(a))
         assert np.array_equal(ndtr(a.reshape(20, 30)), scipy_ndtr(a).reshape(20, 30))
         assert ndtr(np.array([])).shape == (0,)
+
+    def test_in_place_and_out(self):
+        # more values than one pass takes, so that later passes read input
+        # that earlier passes have not overwritten
+        a = np.random.default_rng(5).uniform(-30.0, 30.0, inference_module.NDTR_CHUNK + 777)
+        expected = scipy_ndtr(a)
+        out = np.empty_like(a)
+        assert ndtr(a, out=out) is out
+        assert np.array_equal(out, expected)
+        assert ndtr(a, out=a) is a
+        assert np.array_equal(a, expected)
+        for bad in (np.empty(5), np.empty(a.size, dtype=np.float32), np.empty((a.size, 2))[:, 0]):
+            with pytest.raises(ValueError, match="out must be"):
+                ndtr(a, out=bad)
 
 
 def test_infer_maps_reject_consistent_with_cutoff():

@@ -65,7 +65,8 @@ _MAXLOG = 7.09782712893383996843E2  # log(2^1024): erfc is 0 once x^2 exceeds it
 # monotone in z, and the root's square rounds to at most _MAXLOG while its
 # successor's does not
 _SQRT_MAXLOG = math.sqrt(_MAXLOG)
-# Values per pass of `ndtr`: each buffer and index array stays within 0.5 MB.
+# Values per pass of `ndtr`: each buffer row and index array holds at most
+# this many (0.5 MB).
 # On a 2-core x86-64 machine, the four Wald maps of the masked benchmark
 # (315,481 voxels each, in place; medians of 15 interleaved runs) took 36-37
 # ms in passes of 2^15-2^16, 41 ms in passes of 2^14, 43 ms in passes of
@@ -83,8 +84,8 @@ def ndtr(a, out=None) -> np.ndarray:
     NaN stays NaN. (Cephes takes the erfc side from |x| = 1/sqrt(2), whose
     erfc is 1 - erf there; both sides give the same bits.) The exponential
     is libm's (`_libm_exp_neg_square`). The values are taken `NDTR_CHUNK` at
-    a time, through buffers allocated once, and each branch is evaluated on
-    its own members only.
+    a time, through buffers allocated once per call, and each branch is
+    evaluated on its own members only.
 
     `out`, when given, must be a C-contiguous float64 array of a's shape; it
     may be `a` itself. The values are written there and it is returned.

@@ -24,8 +24,8 @@ from .metrics import (ValidationResult, match_groups, mse_svc, nmi, power_type1,
                       validate_projection)
 from .projection import backproject, project
 from .selection import BicRecord, param_count, select_k
-from .sem import (DegenerateGroupError, FitResult, ModelParams, SemConfig,
-                  e_step, fit_sem, m_step, q_value, s_step)
+from .sem import (DegenerateGroupError, FitResult, ModelParams, Problem, SemConfig,
+                  e_step, fit_sem, m_step, prepare, q_value, s_step)
 from .simulate import (SimConfig, draw_labels, field_scale, make_group_svcs,
                        sample_gp, simulate_cube, smoothed_center_cube, trig_map)
 

@@ -243,13 +243,13 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     and basis and with every other validation call, and no prediction is
     back-projected.
 
-    Like `fit_sem`, the whole validation, projection included, runs with the
-    bundled OpenBLAS pools pinned to one thread, so the MSEs are bit-identical
-    whatever OPENBLAS_NUM_THREADS; the caller's pool sizes are restored on
-    return. The pools are process-wide: other threads' BLAS calls meanwhile
+    Like `fit_sem`, the whole validation, projection included, runs with
+    numpy's OpenBLAS pool pinned to one thread, so the MSEs are bit-identical
+    whatever OPENBLAS_NUM_THREADS; the caller's pool size is restored on
+    return. The pool is process-wide: other threads' BLAS calls meanwhile
     run single-threaded too. `build_basis`, `infer_maps` and `simulate_cube`
-    pin the pools the same way; only a bare `project`, `backproject` or read
-    of a factored basis's `.psi` keeps the caller's pool.
+    pin the pool the same way; only a bare `project`, `backproject` or read
+    of a factored basis's `.psi` keeps the caller's pool size.
     """
     if mode not in ("within", "without", "shuffled"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -132,7 +132,7 @@ class Projected:
 def projected(dataset, basis: BasisSystem) -> Projected:
     """The `Projected` record of `dataset` on `basis`, made on the first
     request for the basis's `key` and kept on the dataset. It is always
-    computed with the bundled BLAS pools pinned to one thread, so its bits
+    computed with numpy's OpenBLAS pool pinned to one thread, so its bits
     do not depend on which caller asks first, and records are made one at a
     time, so callers on several threads share one. The record keeps n x L
     floats alive as long as the dataset. A dataset loaded from a volume

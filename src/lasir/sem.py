@@ -45,12 +45,16 @@ stacks, run at once on a thread each (a lone stack on the calling thread;
 subjects, whatever `threads`), and each iteration of a stack makes one call
 each to `m_step` (stage 2 and the gating Newton fit, both batched),
 `q_value`, `e_step` and `s_step` for all of its live replicates; the
-M-step's log prior is read by both Q and the E-step. A replicate leaves
-its stack when it converges or fails. Every product is taken per replicate
-(`np.matmul` over the stack axis, with the operand shapes and layouts of a
-lone replicate), and each replicate draws from its own Generator, so a
-replicate's bits do not depend on its stack: the result does not depend on
-`threads`, and the step functions' one-replicate forms are stacks of one.
+M-step's log prior is read by both Q and the E-step. `e_step` and `q_value`
+take the Problem and the M-step's parameters on it, and nothing else: the
+residuals come from stage 1 and the RSS from stage 2, never from a second,
+dense form of the model (the tests keep that form as their reference). A
+replicate leaves its stack when it converges or fails. Every product is
+taken per replicate (`np.matmul` over the stack axis, with the operand
+shapes and layouts of a lone replicate), and each replicate draws from its
+own Generator, so a replicate's bits do not depend on its stack: the result
+does not depend on `threads`, and the step functions' one-replicate forms
+are stacks of one.
 
 `predict_from_sums` solves the same two stages, without subgroups, from the
 Gram and cross sums of the design rows: the holdout validation's fits, whose
@@ -117,6 +121,24 @@ def check_group(design: np.ndarray, group: int) -> None:
         raise DegenerateGroupError(group, str(exc)) from exc
 
 
+def check_labels(labels, n: int, n_groups: int, name: str, stacked: bool = False) -> np.ndarray:
+    """`labels` as an int array; ValueError naming `name` unless they have
+    shape (n,), or (A, n) when `stacked`, and integer values in
+    1..`n_groups`, naming the first value that is not. `fit_problem` checks
+    `SemConfig.init_labels` with it and `m_step` its labels."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,) and not (stacked and labels.ndim == 2 and labels.shape[1] == n):
+        raise ValueError(f"{name} must have shape ({n},){f' or (A, {n})' if stacked else ''}, "
+                         f"got {labels.shape}")
+    if labels.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be integers in 1..{n_groups}, got dtype {labels.dtype}")
+    bad = np.flatnonzero((labels < 1) | (labels > n_groups) | (labels != np.round(labels)))
+    if bad.size:
+        raise ValueError(f"{name} must be integers in 1..{n_groups}, "
+                         f"got {labels.flat[bad[0]].item()!r}")
+    return labels.astype(int, copy=False)
+
+
 def check_count(value, name: str, low: int = 1) -> None:
     """Raise ValueError naming `name` unless `value` is an integer
     (`numbers.Integral`, numpy integers included) of at least `low`."""
@@ -136,12 +158,12 @@ class ModelParams:
     lam         : (L,) diagonal noise variances (> 0)
     w           : (K, q+1) gating weights, last row zero
     rss         : (L,) stage-2 residual sums of squares at the labels the
-                  M-step was given, or None; `q_value` on a prepared
-                  `Problem` reads its Gaussian term from them
+                  M-step was given, or None; `q_value` reads its Gaussian
+                  term from them
     log_prior   : (n, K) gating log probabilities `log_gating(w, F)` of the
                   Problem the M-step was given, as the gating fit formed
-                  them (`mnlogit_fit`), or None; `q_value` and `e_step` on
-                  that Problem read them
+                  them (`mnlogit_fit`), or None; `q_value` and `e_step` read
+                  them when set
 
     The M-step on a stack of A labelings returns stacked parameters:
     theta_alpha, lam, w, rss and log_prior gain a leading axis A, while
@@ -176,7 +198,7 @@ class SemConfig:
         calling thread. `select_k` reads `threads` only for datasets of at
         least `selection.THREADED_N` subjects and otherwise runs each
         candidate's replicates as one stack on the calling thread. `fit_sem`
-        pins the process-wide BLAS pools to one thread, so besides these
+        pins numpy's process-wide OpenBLAS pool to one thread, so besides these
         threads the fit's only parallelism is the projection of its images:
         a pass of at least `_blas.PARALLEL_CHUNKS` chunks runs on the allowed CPUs, with bits
         that do not depend on the thread count. Every product is taken per
@@ -481,28 +503,23 @@ def _log_density(resid, resid_sq, exposures, params) -> np.ndarray:
     return -0.5 * (np.sum(np.log(2.0 * np.pi * lam), axis=-1)[..., None, None] + maha)
 
 
-def e_step(ytilde, dataset: Dataset, params: ModelParams) -> np.ndarray:
-    """Posterior responsibilities (n, K); rows sum to 1.
+def e_step(problem: Problem, params: ModelParams) -> np.ndarray:
+    """Posterior responsibilities (n, K) on `problem`; rows sum to 1.
 
     Computed in log space with per-row max subtraction: log prior from the
     gating model plus the sum of univariate normal log densities with
-    variances `lam`. `ytilde` is the projected outcomes (n, L) or a
-    prepared `Problem` whose stage-1 fit `params` came from (then `dataset`
-    is not read, and the log prior is the M-step's `params.log_prior` when
-    set). Stacked `params` (see `ModelParams`) give a stack (A, n, K).
+    variances `lam`. The residuals of the site and control effects are the
+    Problem's stage-1 residuals, so `params` must share its stage-1 fit, as
+    the M-step's on it do; the log prior is `params.log_prior` when set,
+    else `log_gating` of `params.w`. Stacked `params` (see `ModelParams`)
+    give a stack (A, n, K).
     """
-    log_prior = None
-    if isinstance(ytilde, Problem):
-        resid, resid_sq = ytilde.resid, ytilde.resid_sq
-        exposures, features, log_prior = ytilde.exposures, ytilde.gating, params.log_prior
-    else:
-        resid = ytilde - dataset.controls @ params.theta_eta - dataset.sites @ params.theta_gamma
-        resid_sq = resid * resid
-        exposures, features = dataset.exposures, augment(dataset.controls)
+    resid, exposures = problem.resid, problem.exposures
+    log_prior = params.log_prior
     if log_prior is None:
-        log_prior = log_gating(params.w, features)
+        log_prior = log_gating(params.w, problem.gating)
     with np.errstate(invalid="ignore"):  # inf * 0 in a bad row; reported below
-        lp = log_prior + _log_density(resid, resid_sq, exposures, params)
+        lp = log_prior + _log_density(resid, problem.resid_sq, exposures, params)
     if not np.all(np.isfinite(lp)):
         *row, i, k = np.argwhere(~np.isfinite(lp))[0]
         theta, lam = params.theta_alpha[tuple(row)], params.lam[tuple(row)]
@@ -546,10 +563,13 @@ def m_step(ytilde, dataset: Dataset, labels: np.ndarray, n_groups: int,
     """Maximize the complete-data objective at fixed labels.
 
     `ytilde` is the projected outcomes (n, L), whose stage 1 is then solved
-    here, or a prepared `Problem` (then `dataset` is not read). `w_init`
+    here, or a prepared `Problem` (then `dataset` is not read), which
+    `e_step` and `q_value` then take with the parameters returned. `w_init`
     warm-starts the gating fit. The noise variances are floored at
-    `linmodel.LAMBDA_FLOOR`. Raises DegenerateGroupError when a group fails
-    `check_group`, so the driver can redraw the offending S-step.
+    `linmodel.LAMBDA_FLOOR`. Raises ValueError from `check_labels` unless
+    the labels have shape (n,) or (A, n) and integer values in 1..K, then
+    DegenerateGroupError when a group fails `check_group`, so `_run_stack`
+    can redraw the offending S-step.
 
     `labels` may be a stack (A, n) of labelings, with `w_init` (A, K, q+1);
     the parameters are then stacked (see `ModelParams`), and each
@@ -557,7 +577,7 @@ def m_step(ytilde, dataset: Dataset, labels: np.ndarray, n_groups: int,
     DegenerateGroupError names its first failing row as `row` (see `stage2`).
     """
     problem = ytilde if isinstance(ytilde, Problem) else prepare(ytilde, dataset)
-    labels = np.asarray(labels, dtype=int)
+    labels = check_labels(labels, problem.n, n_groups, "labels", stacked=True)
     theta_alpha, rss = stage2(problem, labels, n_groups)
     lam = np.maximum(rss / problem.n, LAMBDA_FLOOR)
     w, log_prior = mnlogit_fit(problem.gating, labels, n_groups, init=w_init)
@@ -567,31 +587,23 @@ def m_step(ytilde, dataset: Dataset, labels: np.ndarray, n_groups: int,
                        log_prior=log_prior)
 
 
-def q_value(ytilde, dataset: Dataset, labels: np.ndarray, params: ModelParams) -> float:
-    """Complete-data objective at the given labels and parameters.
+def q_value(problem: Problem, labels: np.ndarray, params: ModelParams) -> float:
+    """Complete-data objective on `problem` at the given labels and parameters.
 
-    `ytilde` is the projected outcomes (n, L) or a prepared `Problem`. With
-    a Problem, `params` must be the M-step's on it at these labels: the
-    Gaussian term then comes from their residual sums of squares, the
-    gating term from their `log_prior` when set, and `dataset` is not read.
-    A stack of labelings (A, n) with the stacked `params` of the M-step on
-    them gives the A values as an array.
+    `params` must be the M-step's on `problem` at these labels: the Gaussian
+    term comes from their residual sums of squares `rss` and `lam`, the
+    gating term from their `log_prior` when set, else from `log_gating` of
+    their `w`. A stack of labelings (A, n) with the stacked `params` of the
+    M-step on them gives the A values as an array.
     """
     labels = np.asarray(labels, dtype=int)
-    log_prior = None
-    if isinstance(ytilde, Problem):
-        rss, features, log_prior = params.rss, ytilde.gating, params.log_prior
-    else:
-        chosen = np.take_along_axis(params.theta_alpha, (labels - 1)[..., None, None], axis=-3)
-        mean = (dataset.controls @ params.theta_eta + dataset.sites @ params.theta_gamma
-                + np.einsum("ij,...ijl->...il", dataset.exposures, chosen))
-        rss = ((ytilde - mean) ** 2).sum(axis=-2)
-        features = augment(dataset.controls)
+    log_prior = params.log_prior
     if log_prior is None:
-        log_prior = log_gating(params.w, features)
+        log_prior = log_gating(params.w, problem.gating)
     n = labels.shape[-1]
     lam = params.lam
-    gauss = -0.5 * (n * np.sum(np.log(2.0 * np.pi * lam), axis=-1) + np.sum(rss / lam, axis=-1))
+    gauss = -0.5 * (n * np.sum(np.log(2.0 * np.pi * lam), axis=-1)
+                    + np.sum(params.rss / lam, axis=-1))
     gate = np.take_along_axis(log_prior, (labels - 1)[..., None], axis=-1)[..., 0].sum(axis=-1)
     return float(gauss + gate) if labels.ndim == 1 else gauss + gate
 
@@ -657,8 +669,8 @@ def _run_stack(problem, n_groups, config, seeds):
                 resp = None if resp is None else resp[keep]
                 if not ids.size:
                     return results
-        q = q_value(problem, None, labels, params)
-        resp = e_step(problem, None, params)
+        q = q_value(problem, labels, params)
+        resp = e_step(problem, params)
         labels = s_step(resp, [rngs[i] for i in ids])
         w = params.w
         keep = np.ones(ids.size, dtype=bool)
@@ -707,16 +719,16 @@ def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
 
     Notes
     -----
-    The whole fit, projection included, runs with the bundled OpenBLAS pools
-    pinned to one thread; the caller's pool sizes are restored on return.
+    The whole fit, projection included, runs with numpy's OpenBLAS pool
+    pinned to one thread; the caller's pool size is restored on return.
     Its parallelism is Python threads: the replicate stacks, and a
     projection of at least `_blas.PARALLEL_CHUNKS` chunks, run on the
     allowed CPUs; neither changes the bits.
-    The pools are process-wide, so BLAS calls made by other threads during
+    The pool is process-wide, so BLAS calls made by other threads during
     the fit also run single-threaded. `build_basis`, `infer_maps` and
-    `simulate_cube` pin the pools the same way; only a bare `project`,
+    `simulate_cube` pin the pool the same way; only a bare `project`,
     `backproject` or read of a factored basis's `.psi` keeps the caller's
-    pool.
+    pool size.
     """
     check_count(n_groups, "n_groups")
     problem = prepare(projected(dataset, basis).ytilde, dataset)
@@ -732,7 +744,7 @@ def fit_at_labels(problem: Problem, labels: np.ndarray, n_groups: int,
     resp = np.zeros((problem.n, n_groups))
     resp[np.arange(problem.n), labels - 1] = 1.0
     return FitResult(params=params, responsibilities=resp, labels=labels,
-                     q_trace=np.array([q_value(problem, None, labels, params)]),
+                     q_trace=np.array([q_value(problem, labels, params)]),
                      converged=True, seed=config.seed, iterations=1)
 
 
@@ -752,13 +764,7 @@ def fit_problem(problem: Problem, n_groups: int, config: SemConfig) -> FitResult
     if n_groups == 1:
         return fit_at_labels(problem, np.ones(problem.n, dtype=int), 1, config)
     if config.init_labels is not None:
-        init = np.asarray(config.init_labels)
-        if init.shape != (problem.n,):
-            raise ValueError(f"SemConfig.init_labels must have shape ({problem.n},), "
-                             f"got {init.shape}")
-        if not (init.dtype.kind in "iuf" and np.all(init == np.round(init))
-                and init.min() >= 1 and init.max() <= n_groups):
-            raise ValueError(f"SemConfig.init_labels must be integers in 1..{n_groups}")
+        check_labels(config.init_labels, problem.n, n_groups, "SemConfig.init_labels")
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     count = min(config.threads, config.restarts)

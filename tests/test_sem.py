@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import lasir
+import reference
 from lasir import (Dataset, KernelParams, SemConfig, SimConfig, augment, e_step, fit_sem,
                    gating_probs, m_step, nmi, q_value, s_step, simulate_cube, svcm_fit)
 from lasir.basis import BasisSystem
-from lasir.linmodel import LAMBDA_FLOOR, MNLOGIT_RIDGE, _mnlogit_newton, log_gating, mnlogit_fit
+from lasir.linmodel import LAMBDA_FLOOR, MNLOGIT_RIDGE, _mnlogit_newton, mnlogit_fit
 from lasir.projection import project
 from lasir import sem as sem_module
 from lasir.sem import (DegenerateGroupError, ModelParams, Problem, _log_density, fit_problem,
@@ -63,6 +64,15 @@ def _orthogonal_two_group_data(L=4, per_group=6):
     return ytilde, dataset, labels, theta_gamma, theta_alpha
 
 
+def _problem_at(ytilde, dataset, params):
+    """A Problem whose stage-1 coefficients are the hand-set site and control
+    coefficients of `params`, with the residuals they leave."""
+    coef = np.vstack([params.theta_gamma, params.theta_eta])
+    resid = ytilde - np.hstack([dataset.sites, dataset.controls]) @ coef
+    return Problem(ytilde=ytilde, coef=coef, resid=resid, exposures=dataset.exposures,
+                   gating=augment(dataset.controls))
+
+
 class TestEStep:
     def test_identical_groups_give_gating_priors(self):
         rng = np.random.default_rng(0)
@@ -76,8 +86,7 @@ class TestEStep:
                              theta_eta=rng.standard_normal((1, L)),
                              theta_gamma=rng.standard_normal((1, L)),
                              lam=np.full(L, 0.7), w=w)
-        resp = e_step(ytilde, dataset, params)
-        from lasir import augment, gating_probs
+        resp = e_step(_problem_at(ytilde, dataset, params), params)
         priors = gating_probs(w, augment(dataset.controls))
         assert np.allclose(resp, priors, atol=1e-12)
 
@@ -91,7 +100,7 @@ class TestEStep:
                              theta_gamma=np.zeros((1, 1)),
                              lam=np.array([1.0]),
                              w=np.zeros((2, 1)))
-        resp = e_step(ytilde, dataset, params)
+        resp = e_step(_problem_at(ytilde, dataset, params), params)
         assert resp[0, 0] == pytest.approx(0.8807970779778823, abs=1e-12)
 
     def test_rows_sum_to_one(self):
@@ -103,7 +112,7 @@ class TestEStep:
                              theta_gamma=rng.standard_normal((2, 6)),
                              lam=np.abs(rng.standard_normal(6)) + 0.1,
                              w=np.vstack([rng.standard_normal((2, 3)), np.zeros(3)]))
-        resp = e_step(ytilde, dataset, params)
+        resp = e_step(_problem_at(ytilde, dataset, params), params)
         assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
 
     def test_non_finite_density_reported(self):
@@ -114,7 +123,7 @@ class TestEStep:
                              theta_gamma=np.zeros((1, 2)),
                              lam=np.ones(2), w=np.zeros((2, 1)))
         with pytest.raises(ValueError, match="individual 1"):
-            e_step(ytilde, dataset, params)
+            e_step(_problem_at(ytilde, dataset, params), params)
 
 
 class TestSStep:
@@ -201,6 +210,24 @@ class TestMStep:
         with pytest.raises(DegenerateGroupError, match="group 2"):
             m_step(ytilde, dataset, labels, 2)
 
+    @pytest.mark.parametrize("labels, named", [
+        (np.tile([1.5, 2.0], 10), "integers in 1..2, got 1.5"),
+        (np.full(20, 3), "integers in 1..2, got 3"),
+        (np.r_[np.ones(19, dtype=int), 0], "integers in 1..2, got 0"),
+        (np.r_[np.ones(19), np.nan], "integers in 1..2, got nan"),
+        (np.stack([np.tile([1, 2], 10), np.full(20, 3)]), "integers in 1..2, got 3"),
+        (np.full(20, "1"), "integers in 1..2, got dtype <U1"),
+        (np.tile([1, 2], 10)[:-1], r"shape \(20,\) or \(A, 20\), got \(19,\)"),
+        (np.tile([1, 2], 10)[None, None], r"shape \(20,\) or \(A, 20\), got \(1, 1, 20\)"),
+    ])
+    def test_bad_labels_are_named_before_stage_2(self, labels, named):
+        rng = np.random.default_rng(5)
+        dataset = _plain_dataset(20, 4, rng)
+        ytilde = rng.standard_normal((20, 4))
+        for outcomes in (ytilde, prepare(ytilde, dataset)):
+            with pytest.raises(ValueError, match="labels must .*" + named):
+                m_step(outcomes, dataset, labels, 2)
+
 
 class TestQValue:
     def _setup(self):
@@ -213,17 +240,11 @@ class TestQValue:
 
     def test_doubling_lambda_has_analytic_effect(self):
         ytilde, dataset, labels, params = self._setup()
-        q1 = q_value(ytilde, dataset, labels, params)
-        doubled = ModelParams(theta_alpha=params.theta_alpha, theta_eta=params.theta_eta,
-                              theta_gamma=params.theta_gamma, lam=2.0 * params.lam,
-                              w=params.w)
-        q2 = q_value(ytilde, dataset, labels, doubled)
+        q1 = reference.q_value(ytilde, dataset, labels, params)
+        doubled = dataclasses.replace(params, lam=2.0 * params.lam)
+        q2 = reference.q_value(ytilde, dataset, labels, doubled)
         n, L = ytilde.shape
-        mean = dataset.controls @ params.theta_eta + dataset.sites @ params.theta_gamma
-        for k in (1, 2):
-            rows = labels == k
-            mean[rows] += dataset.exposures[rows] @ params.theta_alpha[k - 1]
-        quad = ((ytilde - mean) ** 2 / params.lam).sum()
+        quad = (reference.residuals(ytilde, dataset, labels, params) ** 2 / params.lam).sum()
         expected_delta = -(n * L / 2.0) * np.log(2.0) + quad / 4.0
         assert q2 - q1 == pytest.approx(expected_delta, rel=1e-10)
 
@@ -235,21 +256,21 @@ class TestQValue:
         ytilde = rng.standard_normal((10, 3))
         labels = np.ones(10, dtype=int)
         params = m_step(ytilde, dataset, labels, 1)
-        q1 = q_value(ytilde, dataset, labels, params)
+        q1 = reference.q_value(ytilde, dataset, labels, params)
 
         new_row = params.theta_gamma[0] + params.theta_alpha[0, 0]
         dataset2 = Dataset(images=np.zeros((11, 3), dtype=np.float32),
                            exposures=np.ones((11, 1)),
                            controls=np.zeros((11, 0)), sites=np.ones((11, 1)))
-        q2 = q_value(np.vstack([ytilde, new_row]), dataset2,
-                     np.ones(11, dtype=int), params)
+        q2 = reference.q_value(np.vstack([ytilde, new_row]), dataset2,
+                               np.ones(11, dtype=int), params)
         log_density = -0.5 * np.sum(np.log(2.0 * np.pi * params.lam))
         assert q2 - q1 == pytest.approx(log_density, rel=1e-12)
 
     def test_bit_identical_reruns(self):
         ytilde, dataset, labels, params = self._setup()
-        assert q_value(ytilde, dataset, labels, params) == \
-            q_value(ytilde, dataset, labels, params)
+        problem = prepare(ytilde, dataset)
+        assert q_value(problem, labels, params) == q_value(problem, labels, params)
 
     def test_group_count_shift_with_shared_parameters(self):
         # identical group parameters and zero gating: Q differs from the
@@ -261,13 +282,13 @@ class TestQValue:
         base = dict(theta_eta=rng.standard_normal((1, 4)),
                     theta_gamma=rng.standard_normal((1, 4)),
                     lam=np.full(4, 0.9))
-        q_one = q_value(ytilde, dataset, np.ones(18, dtype=int),
-                        ModelParams(theta_alpha=shared, w=np.zeros((1, 2)), **base))
+        q_one = reference.q_value(ytilde, dataset, np.ones(18, dtype=int),
+                                  ModelParams(theta_alpha=shared, w=np.zeros((1, 2)), **base))
         for K in (2, 4):
             labels = rng.integers(1, K + 1, size=18)
-            q_k = q_value(ytilde, dataset, labels,
-                          ModelParams(theta_alpha=np.repeat(shared, K, axis=0),
-                                      w=np.zeros((K, 2)), **base))
+            q_k = reference.q_value(ytilde, dataset, labels,
+                                    ModelParams(theta_alpha=np.repeat(shared, K, axis=0),
+                                                w=np.zeros((K, 2)), **base))
             assert q_k - q_one == pytest.approx(18 * np.log(1.0 / K), rel=1e-10)
 
     def test_m_step_weakly_improves_q_at_fixed_labels(self):
@@ -278,8 +299,8 @@ class TestQValue:
         labels_new = rng.integers(1, 3, size=40)
         params_old = m_step(ytilde, dataset, labels_old, 2)
         params_new = m_step(ytilde, dataset, labels_new, 2)
-        q_old = q_value(ytilde, dataset, labels_new, params_old)
-        q_new = q_value(ytilde, dataset, labels_new, params_new)
+        q_old = reference.q_value(ytilde, dataset, labels_new, params_old)
+        q_new = reference.q_value(ytilde, dataset, labels_new, params_new)
         assert q_new >= q_old - 1e-6 * abs(q_old)
 
 
@@ -429,6 +450,65 @@ shapes = dict(seed=seeds, n_groups=st.integers(1, 4), p=st.integers(0, 2), q=st.
               n_sites=st.integers(1, 3), L=st.integers(1, 8), extra=st.integers(0, 6))
 
 
+def _orthogonal_single_group(seed, p, q, n_sites, L, extra):
+    """`_grouped_problem` at K=1 with the exposures other than the intercept
+    made orthogonal to [sites | controls]."""
+    ytilde, dataset, labels = _grouped_problem(seed, 1, p, q, n_sites, L, extra)
+    shared = np.hstack([dataset.sites, dataset.controls])
+    x = dataset.exposures[:, 1:]
+    x -= shared @ np.linalg.lstsq(shared, x, rcond=None)[0]
+    return ytilde, dataset, labels
+
+
+# Checks of lasir against the dense reference; each takes outcomes, a dataset,
+# labels and the group count. `test_checks_fail_on_a_mutated_reference` runs
+# them on a broken reference.
+
+def _check_e_step(ytilde, dataset, labels, n_groups):
+    problem = prepare(ytilde, dataset)
+    params = m_step(problem, None, labels, n_groups)
+    assert np.allclose(e_step(problem, params),
+                       reference.responsibilities(ytilde, dataset, params), rtol=0.0, atol=1e-10)
+
+
+def _check_q_value(ytilde, dataset, labels, n_groups):
+    problem = prepare(ytilde, dataset)
+    params = m_step(problem, None, labels, n_groups)
+    assert q_value(problem, labels, params) == \
+        pytest.approx(reference.q_value(ytilde, dataset, labels, params), rel=1e-10)
+
+
+def _check_q_at_most_reference(ytilde, dataset, labels, n_groups):
+    # the reference M-step maximizes Q at the labels; lasir's two stages can
+    # only fall short of it
+    problem = prepare(ytilde, dataset)
+    got = q_value(problem, labels, m_step(problem, None, labels, n_groups))
+    best = reference.q_value(ytilde, dataset, labels,
+                             reference.m_step(ytilde, dataset, labels, n_groups))
+    assert got <= best + 1e-10 * abs(best)
+
+
+def _check_single_group_fwl(ytilde, dataset, labels, n_groups):
+    # one group, exposures orthogonal to [sites | controls]: by
+    # Frisch-Waugh-Lovell, stage 2 on the stage-1 residuals is the joint fit
+    problem = prepare(ytilde, dataset)
+    got = m_step(problem, None, labels, 1)
+    ref = reference.m_step(ytilde, dataset, labels, 1)
+    cond = np.linalg.cond(np.hstack([dataset.sites, dataset.controls, dataset.exposures[:, 1:]]))
+    tol = 1e-12 * cond ** 2
+    slopes, ref_slopes = got.theta_alpha[0, 1:], ref.theta_alpha[0, 1:]
+    assert np.all(np.abs(slopes - ref_slopes) <= tol * (1.0 + np.abs(ref_slopes).max(initial=0)))
+    scale = (ytilde ** 2).sum(axis=0)
+    assert np.all(np.abs(got.rss - ref.rss) <= tol * scale)
+    fitted = ytilde - reference.residuals(ytilde, dataset, labels, got)
+    ref_fitted = ytilde - reference.residuals(ytilde, dataset, labels, ref)
+    assert np.all(np.abs(fitted - ref_fitted) <= tol * np.sqrt(scale))
+    # an RSS error moves Q by half of it over lam, much when lam is floored
+    best = reference.q_value(ytilde, dataset, labels, ref)
+    q_tol = 1e-10 * abs(best) + 0.5 * np.sum(tol * scale / ref.lam)
+    assert abs(q_value(problem, labels, got) - best) <= q_tol
+
+
 class TestPreparedProblemKernels:
     @given(**shapes)
     def test_stage2_matches_per_group_lstsq(self, seed, n_groups, p, q, n_sites, L, extra):
@@ -498,27 +578,11 @@ class TestPreparedProblemKernels:
     @given(**shapes)
     def test_e_step_on_problem_matches_projected_outcomes(self, seed, n_groups, p, q, n_sites,
                                                           L, extra):
-        ytilde, dataset, labels = _grouped_problem(seed, n_groups, p, q, n_sites, L, extra)
-        problem = prepare(ytilde, dataset)
-        params = m_step(problem, None, labels, n_groups)
-        assert np.allclose(e_step(problem, None, params), e_step(ytilde, dataset, params),
-                           rtol=0.0, atol=1e-10)
+        _check_e_step(*_grouped_problem(seed, n_groups, p, q, n_sites, L, extra), n_groups)
 
     @given(**shapes)
     def test_q_from_rss_matches_direct_residuals(self, seed, n_groups, p, q, n_sites, L, extra):
-        ytilde, dataset, labels = _grouped_problem(seed, n_groups, p, q, n_sites, L, extra)
-        problem = prepare(ytilde, dataset)
-        params = m_step(problem, None, labels, n_groups)
-        mean = dataset.controls @ params.theta_eta + dataset.sites @ params.theta_gamma
-        mean += np.einsum("ij,ijl->il", dataset.exposures, params.theta_alpha[labels - 1])
-        n = ytilde.shape[0]
-        gauss = -0.5 * (n * np.sum(np.log(2.0 * np.pi * params.lam))
-                        + ((ytilde - mean) ** 2 / params.lam).sum())
-        probs = gating_probs(params.w, augment(dataset.controls))
-        gate = np.log(probs[np.arange(n), labels - 1]).sum()
-        direct = gauss + gate
-        assert q_value(problem, None, labels, params) == pytest.approx(direct, rel=1e-10)
-        assert q_value(ytilde, dataset, labels, params) == pytest.approx(direct, rel=1e-10)
+        _check_q_value(*_grouped_problem(seed, n_groups, p, q, n_sites, L, extra), n_groups)
 
     @given(seed=seeds, n_classes=st.integers(2, 4), q=st.integers(0, 2), n=st.integers(20, 300))
     @example(seed=3, n_classes=3, q=2, n=20)  # steps onto the reference class
@@ -544,13 +608,57 @@ class TestPreparedProblemKernels:
             grad = (onehot - probs)[:, :-1].T @ features - MNLOGIT_RIDGE * W
             assert np.abs(grad).max() <= 1e-8
             assert all(b >= a for a, b in zip(trace, trace[1:]))
-            objectives.append(np.log(probs[np.arange(n), labels - 1]).sum()
-                              - 0.5 * MNLOGIT_RIDGE * np.sum(W ** 2))
+            objectives.append(reference.gating_objective(features, labels, w))
             # the trace accumulates the accepted steps' gains from the start value
             assert trace[-1] == pytest.approx(objectives[-1], rel=1e-9, abs=1e-9)
         assert objectives[1] == pytest.approx(objectives[0], rel=1e-12, abs=1e-12)
         assert np.array_equal(mnlogit_fit(features, labels, n_classes, init=init).w,
                               np.vstack([fits[1][0], np.zeros(q + 1)]))
+
+
+# Two breaks of the reference's mean, each applied to its residuals
+_MUTATIONS = {
+    # + sites theta_gamma in place of - sites theta_gamma
+    "wrong sign": lambda resid, dataset, params: resid + 2.0 * dataset.sites @ params.theta_gamma,
+    # the first site's column left out
+    "dropped site column":
+        lambda resid, dataset, params: resid + dataset.sites[:, :1] @ params.theta_gamma[:1],
+}
+
+
+class TestAgainstReference:
+    """lasir against the dense model of `reference`, in what the
+    identification of the site and intercept coefficients leaves unchanged:
+    slopes, fitted values, RSS and Q."""
+
+    @given(**{name: shape for name, shape in shapes.items() if name != "n_groups"})
+    def test_single_group_with_orthogonal_exposures_is_the_joint_fit(self, seed, p, q,
+                                                                       n_sites, L, extra):
+        _check_single_group_fwl(*_orthogonal_single_group(seed, p, q, n_sites, L, extra), 1)
+
+    @given(**shapes)
+    def test_q_at_most_the_reference_q(self, seed, n_groups, p, q, n_sites, L, extra):
+        _check_q_at_most_reference(*_grouped_problem(seed, n_groups, p, q, n_sites, L, extra),
+                                   n_groups)
+
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+    @pytest.mark.parametrize("check", [_check_single_group_fwl, _check_q_at_most_reference,
+                                       _check_e_step, _check_q_value])
+    def test_checks_fail_on_a_mutated_reference(self, check, mutation, monkeypatch):
+        if check is _check_single_group_fwl:
+            n_groups, (ytilde, dataset, labels) = 1, _orthogonal_single_group(1, 1, 1, 3, 4, 6)
+        else:
+            n_groups = 3
+            ytilde, dataset, labels = _grouped_problem(1, n_groups, 1, 1, 3, 4, 6)
+        # site effects well above the noise, which a broken mean cannot hide
+        effects = 10.0 * np.random.default_rng(0).standard_normal((3, ytilde.shape[1]))
+        ytilde = ytilde + dataset.sites @ effects  # three sites in both cases
+        check(ytilde, dataset, labels, n_groups)
+        residuals, mutate = reference.residuals, _MUTATIONS[mutation]
+        monkeypatch.setattr(reference, "residuals", lambda ytilde, dataset, labels, params:
+                            mutate(residuals(ytilde, dataset, labels, params), dataset, params))
+        with pytest.raises(AssertionError):
+            check(ytilde, dataset, labels, n_groups)
 
 
 def _holdout_split(seed, p, q, n_sites, L, n_train, n_test):
@@ -717,12 +825,6 @@ def _gating_start(rng, n_groups, m, saturate):
     return w
 
 
-def _objective(features, labels, w):
-    n = len(labels)
-    return (log_gating(w, features)[np.arange(n), labels - 1].sum()
-            - 0.5 * MNLOGIT_RIDGE * np.sum(w ** 2))
-
-
 def _full_newton_step_falls(features, labels, w):
     """Whether the undamped Newton step from `w` lowers the penalized
     objective, computed without the library's Newton code."""
@@ -739,7 +841,8 @@ def _full_newton_step_falls(features, labels, w):
     step = np.linalg.solve(hess, grad.ravel()).reshape(free, m)
     moved = w.copy()
     moved[:free] += step
-    return _objective(features, labels, moved) < _objective(features, labels, w)
+    return (reference.gating_objective(features, labels, moved)
+            < reference.gating_objective(features, labels, w))
 
 
 class TestStackedReplicates:
@@ -768,16 +871,16 @@ class TestStackedReplicates:
             stacked = m_step(problem, None, labels, n_groups, w_init=init)
             rows = [m_step(problem, None, row, n_groups, w_init=None if init is None else init[a])
                     for a, row in enumerate(labels)]
-            q_values = q_value(problem, None, labels, stacked)
-            q_direct = q_value(ytilde, dataset, labels, stacked)
-            resp = e_step(problem, None, stacked)
-            resp_direct = e_step(ytilde, dataset, stacked)
+            q_values = q_value(problem, labels, stacked)
+            resp = e_step(problem, stacked)
             for a, alone in enumerate(rows):
                 _assert_same_params(sem_module._replicate(stacked, a), alone)
-                assert _same(q_values[a], q_value(problem, None, labels[a], alone))
-                assert _same(q_direct[a], q_value(ytilde, dataset, labels[a], alone))
-                assert _same(resp[a], e_step(problem, None, alone))
-                assert _same(resp_direct[a], e_step(ytilde, dataset, alone))
+                assert _same(q_values[a], q_value(problem, labels[a], alone))
+                assert q_values[a] == pytest.approx(
+                    reference.q_value(ytilde, dataset, labels[a], alone), rel=1e-10)
+                assert _same(resp[a], e_step(problem, alone))
+                assert np.allclose(resp[a], reference.responsibilities(ytilde, dataset, alone),
+                                   rtol=0.0, atol=1e-10)
         drawn = s_step(resp, [np.random.default_rng(seed + a) for a in range(stack)])
         for a in range(stack):
             assert _same(drawn[a], s_step(resp[a], np.random.default_rng(seed + a)))
@@ -840,8 +943,8 @@ class TestStackedReplicates:
         e_step_alone, m_step_alone = sem_module.e_step, sem_module.m_step
         raised, stacks = [], []
 
-        def one_hot(problem, dataset, params):
-            resp = e_step_alone(problem, dataset, params)
+        def one_hot(problem, params):
+            resp = e_step_alone(problem, params)
             if not stacks:
                 resp[0] = 0.0
                 resp[0, :, 0] = 1.0

@@ -1,4 +1,11 @@
-"""Matrix-bundle serialization of basis systems, fits, and simulation truth."""
+"""Matrix-bundle serialization of basis systems, fits, and simulation truth.
+
+Every save and load goes through `io.write_matrix_bundle` and
+`io.read_matrix_bundle`: a save replaces the old bundle only once the new
+one is written in full, and the matrices of a loaded basis, fit or truth are
+copy-on-write views of its mapped payload, read from the file when first
+touched.
+"""
 
 from __future__ import annotations
 
@@ -81,7 +88,9 @@ def save_fit(fit: FitResult, prefix) -> None:
 
 def load_fit(prefix) -> FitResult:
     """Read a fit bundle, with its basis record when it has one; bundles
-    written before fits recorded their basis load with `basis` None."""
+    written before fits recorded their basis load with `basis` None. A
+    bundle stores no M-step sums, so the params have no `rss` or
+    `log_prior`, and `sem.q_value` raises on them."""
     mats, meta = read_matrix_bundle(prefix)
     if meta.get("kind") != "fit":
         raise ValueError(f"{prefix}: not a fit bundle")

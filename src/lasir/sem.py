@@ -594,8 +594,12 @@ def q_value(problem: Problem, labels: np.ndarray, params: ModelParams) -> float:
     term comes from their residual sums of squares `rss` and `lam`, the
     gating term from their `log_prior` when set, else from `log_gating` of
     their `w`. A stack of labelings (A, n) with the stacked `params` of the
-    M-step on them gives the A values as an array.
+    M-step on them gives the A values as an array. Params without `rss`,
+    such as a loaded fit's, raise ValueError.
     """
+    if params.rss is None:
+        raise ValueError("params have no rss: Q needs the residual sums of squares of "
+                         "the M-step on the Problem at these labels")
     labels = np.asarray(labels, dtype=int)
     log_prior = params.log_prior
     if log_prior is None:

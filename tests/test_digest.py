@@ -35,7 +35,7 @@ def test_against_a_revision_names_only_the_outputs_that_differ(tmp_path, monkeyp
     assert [line.split() for line in lines[:-1]] == [
         ["1", f"validate.{mode}", "differs,", "max", "relative", "difference", "0.5"]
         for mode in ("within", "without", "shuffled", "fresh")]
-    assert lines[-1] == "4 of 35 outputs differ from HEAD"
+    assert lines[-1] == "4 of 36 outputs differ from HEAD"
 
 
 def test_prints_one_digest_per_output(tmp_path, monkeypatch, capsys):
@@ -84,6 +84,21 @@ def test_a_threaded_fit_that_differs_exits_1(tmp_path, monkeypatch, capsys):
         assert digest.main(["--seeds", "7"]) == code
         err = capsys.readouterr().err
         assert ("7  fit.threads differs from fit.* at threads=1" in err) == bool(code)
+
+
+def test_a_bundled_fit_that_differs_exits_1(tmp_path, monkeypatch, capsys):
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    monkeypatch.chdir(tmp_path)
+    parts = {(7, f"fit.{part}"): [np.full(2, float(i))] for i, part in enumerate(digest.FIT_PARTS)}
+    same = [a for part in digest.FIT_PARTS for a in parts[(7, f"fit.{part}")]]
+    moved = [same[0].astype(np.int64)] + same[1:]  # labels read back with another dtype
+    for bundled, code in ((same, 0), (moved, 1)):
+        computed = {**parts, (7, "fit.bundle"): bundled}
+        monkeypatch.setattr(digest, "_run", lambda *args: computed)
+        assert digest.main(["--seeds", "7"]) == code
+        err = capsys.readouterr().err
+        assert ("7  fit.bundle differs from fit.* before save_fit and load_fit" in err) \
+            == bool(code)
 
 
 def test_a_fresh_validation_that_differs_exits_1(tmp_path, monkeypatch, capsys):

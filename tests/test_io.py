@@ -60,6 +60,82 @@ class TestMatrixBundle:
         with pytest.raises(ValueError, match="past payload end"):
             read_matrix_bundle(tmp_path / "b")
 
+    def test_failed_write_keeps_the_old_bundle(self, tmp_path):
+        old = np.arange(9.0).reshape(3, 3)
+        write_matrix_bundle(tmp_path / "b", {"m": old}, meta={"kind": "old"})
+        with pytest.raises(ValueError, match="matrix 'bad' must be 1-D or 2-D"):
+            write_matrix_bundle(tmp_path / "b", {"a": np.ones((2, 2)),
+                                                 "bad": np.ones((2, 2, 2))})
+        back, meta = read_matrix_bundle(tmp_path / "b")
+        assert list(back) == ["m"] and np.array_equal(back["m"], old)
+        assert meta == {"kind": "old"}
+        assert sorted(os.listdir(tmp_path)) == ["b.dat", "b.hdr"]
+
+    def test_writes_to_a_loaded_matrix_leave_the_file_unchanged(self, tmp_path):
+        write_matrix_bundle(tmp_path / "b", {"m": np.zeros((2, 3))})
+        before = (tmp_path / "b.dat").read_bytes()
+        back, _ = read_matrix_bundle(tmp_path / "b")
+        assert type(back["m"]) is np.ndarray and back["m"].dtype == np.dtype("<f8")
+        back["m"][1] = 7.0
+        assert np.array_equal(back["m"], [[0.0, 0.0, 0.0], [7.0, 7.0, 7.0]])
+        assert (tmp_path / "b.dat").read_bytes() == before
+        again, _ = read_matrix_bundle(tmp_path / "b")
+        assert not again["m"].any()
+
+    def test_rewriting_a_loaded_bundle_leaves_the_loaded_values(self, tmp_path):
+        # several pages, none touched before the rewrite, over a shorter payload
+        first = {"m": np.arange(3000.0).reshape(3, 1000), "v": -np.ones(5)}
+        write_matrix_bundle(tmp_path / "b", first)
+        loaded, _ = read_matrix_bundle(tmp_path / "b")
+        write_matrix_bundle(tmp_path / "b", {"x": np.full((1, 1), 5.0)})
+        assert np.array_equal(loaded["m"], first["m"])
+        assert np.array_equal(loaded["v"].ravel(), first["v"])
+        again, _ = read_matrix_bundle(tmp_path / "b")
+        assert list(again) == ["x"] and again["x"].tolist() == [[5.0]]
+
+    def test_dropping_the_matrices_closes_the_payload(self, tmp_path):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to list open descriptors")
+        write_matrix_bundle(tmp_path / "b", {"m": np.ones((2, 2)), "v": np.ones(3)})
+        dat = os.path.realpath(tmp_path / "b.dat")
+
+        def open_on_payload():
+            count = 0
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    count += os.readlink(f"/proc/self/fd/{fd}") == dat
+                except OSError:  # the descriptor listdir itself used
+                    pass
+            return count
+
+        mats, _ = read_matrix_bundle(tmp_path / "b")
+        m = mats["m"]
+        del mats
+        assert open_on_payload() == 1  # the map's, held while one matrix is alive
+        del m
+        assert open_on_payload() == 0
+
+    def test_bundle_of_empty_matrices_loads(self, tmp_path):
+        write_matrix_bundle(tmp_path / "b", {"a": np.zeros((0, 3)), "b": np.zeros(0)})
+        assert (tmp_path / "b.dat").stat().st_size == 0
+        back, _ = read_matrix_bundle(tmp_path / "b")
+        assert [m.shape for m in back.values()] == [(0, 3), (0, 1)]
+
+    def test_offset_not_a_multiple_of_8_loads(self, tmp_path):
+        values = np.arange(6.0).reshape(2, 3)
+        (tmp_path / "b.dat").write_bytes(b"abc" + values.astype("<f8").tobytes())
+        write_kv(tmp_path / "b.hdr", [("format", "matrix-bundle-v1"), ("payload", "b.dat"),
+                                      ("dtype", "float64-le"), ("matrix", "m 2 3 3")])
+        back, _ = read_matrix_bundle(tmp_path / "b")
+        assert np.array_equal(back["m"], values)
+
+    def test_negative_shape_is_a_malformed_record(self, tmp_path):
+        write_matrix_bundle(tmp_path / "b", {"m": np.ones((2, 3))})
+        write_kv(tmp_path / "b.hdr", [("format", "matrix-bundle-v1"), ("payload", "b.dat"),
+                                      ("dtype", "float64-le"), ("matrix", "m -1 3 0")])
+        with pytest.raises(ValueError, match="malformed matrix record 'm -1 3 0'"):
+            read_matrix_bundle(tmp_path / "b")
+
     def test_wrong_format_line(self, tmp_path):
         write_kv(tmp_path / "b.hdr", {"format": "something-else"})
         with pytest.raises(ValueError, match="expected format"):

@@ -18,6 +18,7 @@ import reference
 from lasir import (Dataset, KernelParams, SemConfig, SimConfig, augment, e_step, fit_sem,
                    gating_probs, m_step, nmi, q_value, s_step, simulate_cube, svcm_fit)
 from lasir.basis import BasisSystem
+from lasir.bundles import load_fit, save_fit
 from lasir.linmodel import LAMBDA_FLOOR, MNLOGIT_RIDGE, _mnlogit_newton, mnlogit_fit
 from lasir.projection import project
 from lasir import sem as sem_module
@@ -302,6 +303,17 @@ class TestQValue:
         q_old = reference.q_value(ytilde, dataset, labels_new, params_old)
         q_new = reference.q_value(ytilde, dataset, labels_new, params_new)
         assert q_new >= q_old - 1e-6 * abs(q_old)
+
+    def test_q_of_a_loaded_fit_names_the_missing_rss(self, tmp_path):
+        # a fit bundle stores no M-step sums, so its params carry no rss
+        dataset, _, _, basis = simulate_cube(SimConfig(dims=(4, 4, 4), n=40, n_groups=2,
+                                                       seed=3))
+        save_fit(fit_sem(dataset, basis, 2, SemConfig(seed=5)), tmp_path / "fit")
+        loaded = load_fit(tmp_path / "fit")
+        problem = prepare(project(dataset.images, basis), dataset)
+        with pytest.raises(ValueError, match="no rss: Q needs the residual sums of squares "
+                                             "of the M-step on the Problem"):
+            q_value(problem, loaded.labels, loaded.params)
 
 
 class TestSemConfig:

@@ -19,6 +19,9 @@ prints one SHA-256 digest (its first 16 hex digits) per output and seed:
   (iterations, converged, winning replicate) -- `fit_sem`;
 * `fit.threads` -- the same six parts, in that order, of `fit_sem` with
   `threads=4`: its replicates run in other stacks, and it must equal them;
+* `fit.bundle` -- the same six parts, in that order, of that fit after a
+  round trip through a fit bundle (`save_fit`, `load_fit`), whose matrices
+  are views of the mapped payload; it must equal them;
 * `infer` -- every `infer_maps` map: effect, se, wald, pval, reject;
 * `validate.<mode>` -- `validate_projection`'s MSEs and fallbacks per mode;
 * `validate.fresh` -- the three modes, in that order, on a Dataset rebuilt
@@ -53,6 +56,7 @@ directory, or of the archive.
 
 Either way, the tool also exits 1, naming the seed, when `load` differs
 from `project`, `fit.threads` from the `fit.*` parts at one thread,
+`fit.bundle` from the `fit.*` parts before the round trip,
 `select.threads` from the `select.*` parts at one thread, or
 `validate.fresh` from the `validate.*` outputs.
 """
@@ -89,6 +93,8 @@ SELECT_PARTS = ("choice", "bic", "labels")
 # output -> (the outputs whose arrays, in order, it must equal; what it is)
 SAME = {"load": (["project"], "the images, projection and squared norms in memory"),
         "fit.threads": ([f"fit.{part}" for part in FIT_PARTS], "fit.* at threads=1"),
+        "fit.bundle": ([f"fit.{part}" for part in FIT_PARTS],
+                       "fit.* before save_fit and load_fit"),
         "select.threads": ([f"select.{part}" for part in SELECT_PARTS],
                            "select.* at threads=1"),
         "validate.fresh": ([f"validate.{mode}" for mode in MODES],
@@ -106,6 +112,7 @@ def fit_parts(fit) -> dict:
 def outputs(seed: int, shape: dict) -> dict:
     """name -> list of arrays, for one seed at the given shapes."""
     import lasir
+    from lasir import bundles
     from lasir import lattice as lattice_module
     from lasir import projection
     from lasir.simulate import KERNEL
@@ -141,6 +148,10 @@ def outputs(seed: int, shape: dict) -> dict:
     fit = lasir.fit_sem(dataset, basis, shape["K"],
                         lasir.SemConfig(restarts=shape["restarts"], seed=seed))
     add_fit("fit", fit)
+    with tempfile.TemporaryDirectory() as tmp:
+        bundles.save_fit(fit, os.path.join(tmp, "fit"))
+        loaded = bundles.load_fit(os.path.join(tmp, "fit"))
+    out["fit.bundle"] = [a for arrays in fit_parts(loaded).values() for a in arrays]
     threaded = lasir.fit_sem(dataset, basis, shape["K"],
                              lasir.SemConfig(restarts=shape["restarts"], seed=seed, threads=4))
     out["fit.threads"] = [a for arrays in fit_parts(threaded).values() for a in arrays]

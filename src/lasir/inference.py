@@ -73,6 +73,7 @@ _SQRT_MAXLOG = math.sqrt(_MAXLOG)
 # 2^17, 49 ms in passes of 2^13 and 63-67 ms in passes of 2^18-2^19 (scipy's
 # ndtr: 27-31 ms).
 NDTR_CHUNK = 1 << 16
+FIELD_CHUNK = 1 << 17  # float64s of the variance field's spread covariance formed at a time
 
 
 def ndtr(a, out=None) -> np.ndarray:
@@ -238,7 +239,18 @@ def _variance_field(basis: BasisSystem, lam: np.ndarray) -> np.ndarray:
 
     For a factored basis this is the diagonal of Phi S Phi' with
     S = T diag(lam) T', contracted over x, then y, then z on the grid of
-    planes the mask meets. An explicit psi is squared in the row blocks of
+    planes the mask meets. Spread over the (c, b) pairs of its rows and
+    columns, S is an (n, n, H, H) array with n = H (H+1) / 2, mostly zeros
+    (10.7 MB at h=12), and its x-contraction an (H, H, H, H, m_x) cube:
+    neither is formed whole. S is spread and contracted over x in blocks
+    of (c, b) rows of at most `FIELD_CHUNK` float64s (one row at least),
+    and the cube is filled and contracted over y one c at a time. A
+    one-thread OpenBLAS may round a small product with another kernel than
+    a large one, so the blocks are large: blocks of 1 MB, or the whole
+    product where it is smaller, kept every bit of the field at 3^3 to 20^3,
+    on ellipsoids and on the benchmark's masked lattice, where blocks of
+    one (c, b) row changed some at 10^3 and 12^3 (tests/test_inference.py).
+    An explicit psi is squared in the row blocks of
     `BasisSystem.psi_blocks`, so that no d x L temporary is allocated; blocks
     are whole multiples of 64 rows, so a one-thread BLAS groups the rows as
     in the unblocked product and the field matches it bit for bit.
@@ -255,13 +267,22 @@ def _variance_field(basis: BasisSystem, lam: np.ndarray) -> np.ndarray:
     a, b, c = tensor_degrees(basis.h).T
     cb, pair = np.unique(c * H + b, return_inverse=True)  # (c, b) of each column
     n = cb.size
-    s = np.zeros((n, n, H, H))
-    s[pair[:, None], pair, a[:, None], a] = basis.T * lam @ basis.T.T
-    t = (s.reshape(n * n, H * H) @ pair_products(fx).T).reshape(n, n, mx)  # (c b, c' b', x)
-    cube = np.zeros((H, H, H, H, mx))
-    cube[cb[:, None] // H, cb // H, cb[:, None] % H, cb % H] = t           # (c, c', b, b', x)
-    t = pair_products(fy) @ cube.reshape(H * H, H * H, mx)                 # (c c', y, x)
-    t = pair_products(fz) @ t.reshape(H * H, my * mx)                      # (z, y x)
+    cov, px = basis.T * lam @ basis.T.T, pair_products(fx).T
+    t = np.empty((n, n, mx))                                       # (c b, c' b', x)
+    step = max(1, FIELD_CHUNK // (n * H * H))
+    for lo in range(0, n, step):
+        rows = np.flatnonzero((pair >= lo) & (pair < lo + step))
+        s = np.zeros((min(step, n - lo), n, H, H))
+        s[pair[rows, None] - lo, pair, a[rows, None], a] = cov[rows]
+        np.matmul(s.reshape(-1, H * H), px, out=t[lo:lo + s.shape[0]].reshape(-1, mx))
+    py, u = pair_products(fy), np.empty((H, H, my, mx))           # (c, c', y, x)
+    cs, bs = np.divmod(cb, H)
+    for k in range(H):
+        on = cs == k
+        cube = np.zeros((H, H, H, mx))                             # (c', b, b', x)
+        cube[cs, bs[on, None], bs] = t[on]
+        np.matmul(py, cube.reshape(H, H * H, mx), out=u[k])
+    t = pair_products(fz) @ u.reshape(H * H, my * mx)             # (z, y x)
     return t.ravel()[layout.inside]
 
 

@@ -93,7 +93,8 @@ def write_matrix_bundle(prefix, matrices, meta=None) -> None:
         Output path without extension; ``.hdr`` and ``.dat`` are appended.
     matrices : mapping name -> ndarray
         Arrays are stored as float64 little-endian, C-order. 1-D arrays are
-        written as single-column matrices.
+        written as single-column matrices. A C-ordered little-endian float64
+        array is written from its own buffer; any other is copied once.
     meta : mapping, optional
         Scalar metadata, stored in the header as ``meta.<key>`` entries.
     """
@@ -113,7 +114,7 @@ def write_matrix_bundle(prefix, matrices, meta=None) -> None:
                 if arr.ndim != 2:
                     raise ValueError(f"matrix {name!r} must be 1-D or 2-D, got shape {arr.shape}")
                 entries.append(("matrix", f"{name} {arr.shape[0]} {arr.shape[1]} {offset}"))
-                fh.write(np.ascontiguousarray(arr).tobytes())
+                fh.write(np.ascontiguousarray(arr).data)  # a copy only when not C-ordered
                 offset += arr.nbytes
         for key, value in (meta or {}).items():
             entries.append((f"meta.{key}", value))

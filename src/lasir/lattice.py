@@ -46,7 +46,9 @@ from .io import read_kv, write_kv
 
 VOLUME_FORMAT = "volume-bundle-v2"
 PADDED_FORMAT = "volume-bundle-v1"  # read only: whole grid rows, NaN off the mask
-CHUNK = 1 << 22  # image values read, checked or squared at a time
+# Image values read, checked or squared at a time: a chunk's float32 read
+# buffer and its finite mask hold 5 bytes per value, 1.25 MB together.
+CHUNK = 1 << 18
 
 
 @dataclass

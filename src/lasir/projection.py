@@ -9,7 +9,10 @@ equality exactly for images in the basis span.
 For a factored basis, Psi = (Phi_x (x) Phi_y (x) Phi_z) T at the masked
 voxels, both maps are contracted one axis at a time on the grid of planes
 the mask meets, a chunk of rows at a time: about 2 m_cells (h+1) flops per
-image instead of 2 d L, and no d x L or n x d float64 array. Images reach
+image instead of 2 d L, and no d x L or n x d float64 array. A chunk holds
+as many rows as fit in `CHUNK` float64s across the four buffers a pass
+works in, the plane grid and the x-, y- and z-contractions (`_rows`):
+1 MB per part, at least one row. Images reach
 that grid, and maps leave it, one row at a time through the boolean mask
 `Layout.inside`: per image, one scatter (or gather) of d values plus one
 pass over the m_cells of the grid. A projection of at least
@@ -46,13 +49,24 @@ from . import _blas
 from .basis import BasisSystem
 from .lattice import CHUNK as IMAGE_CHUNK, image_source
 
-CHUNK = 1 << 19  # plane-grid cells (float64) held at a time by the contractions
+CHUNK = 1 << 17  # float64s held by one part's four buffers: plane grid, x, y and z
 _RECORDS = threading.Lock()  # held while `projected` looks up or makes a record
 
 
-def _rows(fx, fy, fz) -> int:
-    """Rows per chunk: about `CHUNK` cells of the plane grid, at least one."""
-    return max(1, CHUNK // (fx.shape[0] * fy.shape[0] * fz.shape[0]))
+def _row_floats(basis: BasisSystem) -> int:
+    """float64s one image row takes in the four buffers of a factored pass:
+    its plane grid (z, y, x), then the contractions over x (z, y, a), y
+    (z, b, a) and z (c, b, a). `project` fills them in this order and
+    `backproject` in the reverse one."""
+    mx, my, mz = (f.shape[0] for f in basis.layout.factors)
+    H = basis.h + 1
+    return mz * my * (mx + H) + mz * H * H + H ** 3
+
+
+def _rows(basis: BasisSystem) -> int:
+    """Rows per chunk: as many as `CHUNK` float64s hold (`_row_floats`), at
+    least one."""
+    return max(1, CHUNK // _row_floats(basis))
 
 
 def project(images, basis: BasisSystem) -> np.ndarray:
@@ -78,7 +92,7 @@ def project(images, basis: BasisSystem) -> np.ndarray:
     fx, fy, fz = layout.factors
     mx, my, mz = fx.shape[0], fy.shape[0], fz.shape[0]
     H = basis.h + 1
-    step = _rows(fx, fy, fz)
+    step = _rows(basis)
     out = np.empty((n, basis.L))
 
     def buffers():
@@ -109,7 +123,8 @@ class Projected:
     norm summed in float64 one row at a time, over chunks of about
     `lattice.CHUNK` values. Images held as a `VolumePayload` are streamed
     for each: once for `ytilde`, and once more on the first use of
-    `sq_norms`."""
+    `sq_norms`, whose pass holds one chunk's read buffer and finite mask
+    per part, 5 bytes per value."""
 
     def __init__(self, images, basis: BasisSystem):
         self._images = images = image_source(images)
@@ -162,7 +177,7 @@ def backproject(coefs: np.ndarray, basis: BasisSystem) -> np.ndarray:
     mz, my = fz.shape[0], fy.shape[0]
     H = basis.h + 1
     raw = coefs @ basis.T.T
-    n, step = raw.shape[0], _rows(fx, fy, fz)
+    n, step = raw.shape[0], _rows(basis)
     out = np.empty((n, basis.d))
     for start in range(0, n, step):
         m = min(step, n - start)

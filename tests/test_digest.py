@@ -35,7 +35,7 @@ def test_against_a_revision_names_only_the_outputs_that_differ(tmp_path, monkeyp
     assert [line.split() for line in lines[:-1]] == [
         ["1", f"validate.{mode}", "differs,", "max", "relative", "difference", "0.5"]
         for mode in ("within", "without", "shuffled", "fresh")]
-    assert lines[-1] == "4 of 36 outputs differ from HEAD"
+    assert lines[-1] == "4 of 37 outputs differ from HEAD"
 
 
 def test_prints_one_digest_per_output(tmp_path, monkeypatch, capsys):

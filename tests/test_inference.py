@@ -4,12 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr as scipy_ndtr
 
-from lasir import (Dataset, KernelParams, SemConfig, SimConfig, coef_covariance,
-                   fdr_bh, fit_sem, infer_maps, simulate_cube, svc_variance,
+from lasir import (Dataset, KernelParams, SemConfig, SimConfig, build_basis, build_lattice,
+                   coef_covariance, fdr_bh, fit_sem, infer_maps, simulate_cube, svc_variance,
                    wald_map)
+from lasir import _blas
 from lasir import inference as inference_module
-from lasir.basis import BasisSystem
-from lasir.inference import CoefCovariance, ndtr
+from lasir.basis import BasisSystem, pair_products, tensor_degrees
+from lasir.inference import CoefCovariance, _variance_field, ndtr
 from lasir.linmodel import check_design
 from lasir.sem import FitResult, ModelParams
 
@@ -122,6 +123,48 @@ class TestSvcVariance:
                             params=KernelParams(0.01, 2.0))
         cov = CoefCovariance(gram_inv=np.array([[[1.0]]]), lam=np.full(3, 1e-10))
         assert np.all(svc_variance(cov, basis, 1, 0) > 0)
+
+
+def _dense_variance_field(basis, lam):
+    """The variance field of a factored basis with the spread covariance s
+    and the x-contracted cube formed whole, each contracted by one product:
+    the reference for `_variance_field`'s blocked passes."""
+    layout = basis.layout
+    fx, fy, fz = layout.factors
+    mx, my = fx.shape[0], fy.shape[0]
+    H = basis.h + 1
+    a, b, c = tensor_degrees(basis.h).T
+    cb, pair = np.unique(c * H + b, return_inverse=True)
+    n = cb.size
+    s = np.zeros((n, n, H, H))
+    s[pair[:, None], pair, a[:, None], a] = basis.T * lam @ basis.T.T
+    t = (s.reshape(n * n, H * H) @ pair_products(fx).T).reshape(n, n, mx)
+    cube = np.zeros((H, H, H, H, mx))
+    cube[cb[:, None] // H, cb // H, cb[:, None] % H, cb % H] = t
+    t = pair_products(fy) @ cube.reshape(H * H, H * H, mx)
+    t = pair_products(fz) @ t.reshape(H * H, my * mx)
+    return t.ravel()[layout.inside]
+
+
+def _ellipsoid(dims):
+    grids = np.meshgrid(*(np.linspace(-1.0, 1.0, m) for m in dims), indexing="ij")
+    return build_lattice(dims, sum((g / r) ** 2 for g, r in zip(grids, (0.9, 0.9, 0.85))) <= 1)
+
+
+@pytest.mark.parametrize("lattice, h", [(build_lattice((10, 10, 10)), 9),
+                                        (build_lattice((12, 12, 12)), 10),
+                                        (build_lattice((15, 15, 15)), 12),
+                                        (_ellipsoid((14, 13, 12)), 6)],
+                         ids=["10^3-h9", "12^3-h10", "15^3-h12", "ellipsoid-h6"])
+def test_blocked_variance_field_keeps_the_dense_bits(lattice, h):
+    # On OpenBLAS 0.3.31 (SkylakeX), blocks of one (c, b) row (FIELD_CHUNK = 1)
+    # change the last bits of 231 of 1000, 380 of 1728 and 610 of 612 voxels
+    # of the 10^3, 12^3 and ellipsoid fields
+    basis = build_basis(lattice, KernelParams(0.01, 2.0), h)
+    lam = np.random.default_rng(h).random(basis.L) + 0.1
+    with _blas.single_thread:
+        got, want = _variance_field(basis, lam), _dense_variance_field(basis, lam)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestWaldMap:

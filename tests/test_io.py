@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -70,6 +71,26 @@ class TestMatrixBundle:
         assert list(back) == ["m"] and np.array_equal(back["m"], old)
         assert meta == {"kind": "old"}
         assert sorted(os.listdir(tmp_path)) == ["b.dat", "b.hdr"]
+
+    def test_a_c_ordered_matrix_is_written_without_a_copy(self, tmp_path):
+        big = np.random.default_rng(1).standard_normal((2500, 2500))  # 50 MB
+        tracemalloc.start()
+        try:
+            write_matrix_bundle(tmp_path / "b", {"big": big})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes // 10
+        back, _ = read_matrix_bundle(tmp_path / "b")
+        assert np.array_equal(back["big"], big)
+
+    def test_a_matrix_in_other_orders_is_written_as_c_order(self, tmp_path):
+        m = np.arange(12.0).reshape(3, 4)
+        write_matrix_bundle(tmp_path / "b", {"f": np.asfortranarray(m), "t": m.T,
+                                             "s": m[:, ::2], "be": m.astype(">f8")})
+        back, _ = read_matrix_bundle(tmp_path / "b")
+        for name, want in (("f", m), ("t", m.T), ("s", m[:, ::2]), ("be", m)):
+            assert np.array_equal(back[name], want)
 
     def test_writes_to_a_loaded_matrix_leave_the_file_unchanged(self, tmp_path):
         write_matrix_bundle(tmp_path / "b", {"m": np.zeros((2, 3))})

@@ -443,7 +443,8 @@ class TestPaddedBundle:
         step = rows or n  # rows per chunk of every read
         monkeypatch.setattr(lattice_module, "CHUNK", step * lat.d)
         monkeypatch.setattr(projection_module, "IMAGE_CHUNK", step * lat.d)
-        monkeypatch.setattr(projection_module, "CHUNK", step * basis.layout.inside.size)
+        monkeypatch.setattr(projection_module, "CHUNK", step * projection_module._row_floats(basis))
+        assert projection_module._rows(basis) == step
         for count in (1, 2):
             allow_cpus(count)
             v1, v2 = (load_dataset(tmp_path / name, tmp_path / "cov.csv", lat)

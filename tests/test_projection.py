@@ -113,7 +113,7 @@ def _project_by_cells(images, basis):
     fx, fy, fz = layout.factors
     mx, my, mz = fx.shape[0], fy.shape[0], fz.shape[0]
     H = basis.h + 1
-    n, step = images.shape[0], projection._rows(fx, fy, fz)
+    n, step = images.shape[0], projection._rows(basis)
     out = np.empty((n, basis.L))
     grid = np.zeros((step, mz * my * mx))
     for start in range(0, n, step):
@@ -134,7 +134,7 @@ def _backproject_by_cells(coefs, basis):
     mz, my = fz.shape[0], fy.shape[0]
     H = basis.h + 1
     raw = coefs @ basis.T.T
-    n, step = raw.shape[0], projection._rows(fx, fy, fz)
+    n, step = raw.shape[0], projection._rows(basis)
     out = np.empty((n, basis.d))
     for start in range(0, n, step):
         m = min(step, n - start)
@@ -157,7 +157,8 @@ def _check_moves_match_index_arrays(basis, dtype):
     images = rng.standard_normal((7, basis.d)).astype(dtype)
     coefs = rng.standard_normal((7, basis.L))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(projection, "CHUNK", 3 * layout.inside.size)
+        mp.setattr(projection, "CHUNK", 3 * projection._row_floats(basis))
+        assert projection._rows(basis) == 3
         assert np.array_equal(project(images, basis), _project_by_cells(images, basis))
         assert np.array_equal(backproject(coefs, basis), _backproject_by_cells(coefs, basis))
     by_cells = copy.copy(basis)
@@ -197,7 +198,8 @@ def test_threaded_projection_keeps_the_serial_bits(name, dtype, monkeypatch, all
     # 9 chunks of 2 rows, the last of one: enough to be dealt to threads
     lattice = build_lattice((5, 6, 4)) if name == "full" else _ellipsoid()
     basis = build_basis(lattice, KernelParams(0.05, 1.0), 3)
-    monkeypatch.setattr(projection, "CHUNK", 2 * basis.layout.inside.size)
+    monkeypatch.setattr(projection, "CHUNK", 2 * projection._row_floats(basis))
+    assert projection._rows(basis) == 2
     n = 2 * _blas.PARALLEL_CHUNKS + 1
     images = np.random.default_rng(3).standard_normal((n, basis.d)).astype(dtype)
     pools = allow_cpus(1)
@@ -349,8 +351,9 @@ class TestStreamedRecord:
         loaded = _saved(dataset, lattice, tmp_path / "img")
         assert isinstance(loaded.image_source, lattice_module.VolumePayload)
         step = n if rows is None else rows  # projection and squared-norm chunks
-        monkeypatch.setattr(projection, "CHUNK", step * basis.layout.inside.size)
+        monkeypatch.setattr(projection, "CHUNK", step * projection._row_floats(basis))
         monkeypatch.setattr(projection, "IMAGE_CHUNK", step * lattice.d)
+        assert projection._rows(basis) == step
         for count in (1, 2, 3):
             pools = allow_cpus(count)
             loaded.projections.clear()
@@ -372,8 +375,9 @@ class TestStreamedRecord:
         bad = Dataset(images=images, exposures=dataset.exposures, controls=dataset.controls,
                       sites=dataset.sites)
         lattice = build_lattice((5, 5, 5))
-        monkeypatch.setattr(projection, "CHUNK", basis.layout.inside.size)
+        monkeypatch.setattr(projection, "CHUNK", projection._row_floats(basis))
         monkeypatch.setattr(lattice_module, "CHUNK", lattice.d)
+        assert projection._rows(basis) == 1
         for count in (1, 2, 3):
             allow_cpus(count)
             loaded = _saved(bad, lattice, tmp_path / f"img{count}")  # the load reads no image

@@ -35,6 +35,9 @@ prints one SHA-256 digest (its first 16 hex digits) per output and seed:
   `tests/test_selection.py` covers the threaded path);
 * `kmlr.*` (the six parts of a fit, as for `fit_sem`) and `svcm` -- the two
   baselines;
+* `kmlr.infer` -- the `infer_maps` maps, as for `infer`, of the KMLR fit, on
+  the selection shape's basis, so that the variance field is digested at a
+  second degree (at the desk shapes, 10^3 with h=9 beside 15^3 with h=12);
 * `ellipsoid.lattice`, `ellipsoid.basis`, `ellipsoid.project` and
   `ellipsoid.fit.*` -- on a small ellipsoid mask: the lattice's `coords`,
   `build_basis`, the images' projection on that basis and their squared
@@ -136,7 +139,8 @@ def outputs(seed: int, shape: dict) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "images")
         lasir.save_dataset(dataset, lattice, base, base + ".csv")
-        # one row per chunk
+        # one row per chunk: `projection.CHUNK` (float64s of a part's buffers)
+        # is below what any row takes
         lattice_module.CHUNK = projection.IMAGE_CHUNK = lattice.d
         projection.CHUNK = 1
         try:
@@ -155,8 +159,11 @@ def outputs(seed: int, shape: dict) -> dict:
     threaded = lasir.fit_sem(dataset, basis, shape["K"],
                              lasir.SemConfig(restarts=shape["restarts"], seed=seed, threads=4))
     out["fit.threads"] = [a for arrays in fit_parts(threaded).values() for a in arrays]
-    out["infer"] = [a for m in lasir.infer_maps(fit, dataset, basis)
-                    for a in (m.effect, m.se, m.wald, m.pval, m.reject)]
+    def infer(fit, data, basis):
+        return [a for m in lasir.infer_maps(fit, data, basis)
+                for a in (m.effect, m.se, m.wald, m.pval, m.reject)]
+
+    out["infer"] = infer(fit, dataset, basis)
     def validate(data, mode):
         res = lasir.validate_projection(data, basis, fit, mode, n_splits=shape["splits"],
                                         seed=seed)
@@ -181,7 +188,9 @@ def outputs(seed: int, shape: dict) -> dict:
     out.update({f"select.{part}": arrays for part, arrays in zip(SELECT_PARTS, select(1))})
     out["select.threads"] = [a for arrays in select(2) for a in arrays]
     three, _, _, _ = simulate(shape["select_dims"], shape["select_n"], 3, 2)
-    add_fit("kmlr", lasir.kmlr_fit(three, basis1, 3, lasir.SemConfig(seed=seed + 2)))
+    kmlr = lasir.kmlr_fit(three, basis1, 3, lasir.SemConfig(seed=seed + 2))
+    add_fit("kmlr", kmlr)
+    out["kmlr.infer"] = infer(kmlr, three, basis1)
     svcm = lasir.svcm_fit(three, basis1)
     out["svcm"] = [svcm.theta_alpha, svcm.theta_eta, svcm.theta_gamma, svcm.lam]
 

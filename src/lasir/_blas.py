@@ -16,9 +16,12 @@ GIL gain nothing from threads), and the chunk loops of the image sources
 (`lattice.VolumePayload.stream`, which reads a volume payload straight into
 its rows, and `lattice.ImageArray.stream`, which slices images in memory),
 which feed `projection.project` and the squared image norms, when a pass
-has at least `PARALLEL_CHUNKS` chunks, on as many threads as the process
-may use CPUs. Each chunk is computed exactly as a serial loop would compute
-it, into rows of its own, so the bits do not depend on the thread count.
+streams at least `PARALLEL_VALUES` image values (rows x values per row), on
+as many threads as the process may use CPUs. A smaller pass runs on the
+calling thread, however many chunks it is cut into: its per-row scatter
+holds the GIL, so a second thread mostly waits and adds CPU time. Each
+chunk is computed exactly as a serial loop would compute it, into rows of
+its own, so the bits do not depend on the thread count.
 
 The library is located and opened on first use; where it is missing or does
 not export the functions, the limiter does nothing.
@@ -102,13 +105,22 @@ class _SingleThread(contextlib.ContextDecorator):
 single_thread = _SingleThread()
 
 
-# Chunk passes with fewer chunks run on the calling thread. On a 2-core
-# x86-64 machine, a second thread took the benchmark's desk projection (15^3,
-# n=500: 4 chunks) from 11.6-11.9 ms to 10.6-11.4 ms, while the worker
-# thread's malloc arena raised the desk pass's peak RSS from 116 to 126 MB;
-# it took the masked read (50 chunks) from 0.28 to 0.17 s and the masked
-# projection (200 chunks) from 0.29 to 0.16 s.
-PARALLEL_CHUNKS = 8
+# Chunk passes that stream fewer image values run on the calling thread.
+# Measured on a 2-core x86-64 machine, pool pinned to one thread, median of
+# 7 alternating runs, serial -> two threads (wall ms / CPU ms), for a
+# volume payload's streamed projection (h=12 on cubes), its read and its
+# squared norms:
+#   15^3, n=500 (1.7M values, desk): projection 6.4/6.4 -> 6.7/10.5,
+#     squared norms 3.1/3.1 -> 5.5/7.7;
+#   25^3, n=500 (7.8M): projection 22.2/22.2 -> 16.8/28.6, read 5.9/5.9 ->
+#     5.1/7.1, squared norms 10.7/10.7 -> 9.2/15.3;
+#   32^3, n=500 (16.4M): projection 43.4/43.4 -> 29.7/52.1, read
+#     23.1/23.1 -> 15.5/28.2, squared norms 23.4/23.4 -> 16.5/29.1;
+#   the masked benchmark (315,481 voxels, n=200, h=8; 63M): projection
+#     246/246 -> 131/249, read 106/106 -> 64/117.
+# From about 16M values on, each of the three passes saves more wall time
+# on two threads than it adds CPU time; below about 8M none does.
+PARALLEL_VALUES = 1 << 24
 
 
 def allowed_cpus() -> int:
@@ -120,14 +132,15 @@ def allowed_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def deal(work, items, count=None, buffers=tuple) -> list:
+def deal(work, items, count=None, buffers=tuple, values=0) -> list:
     """Deal `items` into `count` parts, part i being ``items[i::count]``, and
     return ``[work(part, *buffers()) for each part]`` in part order, each part
     run on a thread of its own.
 
     `count` is capped at ``len(items)``; without it, `items` are the chunk
-    starts of a pass, run on ``min(allowed_cpus(), len(items))`` threads when
-    there are at least `PARALLEL_CHUNKS` of them, else on one. A lone part
+    starts of a pass that streams `values` image values in all (rows x
+    values per row), run on ``min(allowed_cpus(), len(items))`` threads when
+    `values` is at least `PARALLEL_VALUES`, else on one. A lone part
     runs on the calling thread. `buffers` is called on the calling thread,
     once per part, so that the buffers it allocates come from that thread's
     heap, not from a malloc arena grown by a worker thread. When parts
@@ -135,7 +148,7 @@ def deal(work, items, count=None, buffers=tuple) -> list:
     part has finished.
     """
     if count is None:
-        count = allowed_cpus() if len(items) >= PARALLEL_CHUNKS else 1
+        count = allowed_cpus() if values >= PARALLEL_VALUES else 1
     count = max(1, min(count, len(items)))
     parts = [(items[i::count], *buffers()) for i in range(count)]
     if count == 1:

@@ -1,5 +1,9 @@
 """Comparison methods: k-means + per-group regression, and the
-no-subgroup spatially varying coefficient fit."""
+no-subgroup spatially varying coefficient fit.
+
+k-means assigns points by one product per Lloyd step, screened by a
+rounding bound so that its labels are those of the exact squared distances
+(`_lloyd`)."""
 
 from __future__ import annotations
 
@@ -19,6 +23,9 @@ logger = logging.getLogger(__name__)
 
 KMEANS_MAX_ITER = 100  # Lloyd iterations per seeding
 KMEANS_INIT = 10       # k-means++ seedings; the lowest inertia wins
+# The screen's margin in rounding bounds (`_lloyd`): 4 is the least that is
+# sound, and the other factor 2 covers the rounding of the margin itself.
+SCREEN = 8.0
 
 
 def _kmeanspp_seed(points, n_clusters, rng):
@@ -38,56 +45,92 @@ def _kmeanspp_seed(points, n_clusters, rng):
     return centroids
 
 
-def _lloyd(points, centroids, max_iter):
-    """Lloyd iterations; returns (labels0, inertia trace). Empty clusters
-    are re-seeded at the point farthest from its assigned centroid. The
-    squared distances are taken one centroid at a time, so the largest
-    temporary is n x L, not n x K x L."""
+def _sq_dist(points, centroids):
+    """Squared distances, row i to centroid i, in the exact form: the
+    differences squared and summed along each row."""
+    return ((points - centroids) ** 2).sum(axis=1)
+
+
+def _lloyd(points, centroids, max_iter, sq_norms=None):
+    """Lloyd iterations from `centroids` (updated in place); returns the
+    labels (0-based) and their inertia, the sum of each point's squared
+    distance to the centroid it was assigned to, in the exact form
+    (`_sq_dist`). The labels are those of the exact form's argmin, the
+    lowest index on a tie; empty clusters are re-seeded at the point
+    farthest from its assigned centroid.
+
+    Each step screens the assignment with one product, h = ||c||^2 -
+    2 X C': the squared distance less the row's ||x||^2, which every
+    centroid shares. This form and the exact form are each within
+    gamma_{L+2} (||x|| + ||c||)^2 of the true squared distance, gamma_m =
+    m u / (1 - m u) with u the unit roundoff, whatever order the product
+    sums in (Higham 2002, sec. 3.1). So where a row's runner-up h exceeds
+    its least h by `SCREEN` times that bound, taken at the largest ||c||,
+    the exact form has the same unique argmin, and the row takes it without
+    the exact form. The other rows take the exact form's distances, as does
+    every row when a cluster empties and, once, the final inertia; so the
+    labels and the inertia are the exact form's at every step, bit for
+    bit, whatever the size of the BLAS pool. `sq_norms` holds the points'
+    squared norms ||x||^2 for the bound (computed when not given). The
+    points must be finite (`kmeans` checks them).
+    """
     n, n_clusters = points.shape[0], centroids.shape[0]
+    if sq_norms is None:
+        sq_norms = np.einsum("ij,ij->i", points, points)
+    rows = np.arange(n)
+    m_u = (points.shape[1] + 2) * np.finfo(np.float64).eps / 2
+    gamma = m_u / (1 - m_u)
     labels = np.full(n, -1)
-    trace = []
-    d2 = np.empty((n, n_clusters))
-    for _ in range(max_iter):
-        for k, centroid in enumerate(centroids):
-            d2[:, k] = ((points - centroid) ** 2).sum(axis=1)
-        new_labels = d2.argmin(axis=1)
-        nearest = d2[np.arange(n), new_labels]
+    for step in range(max_iter):
+        c_sq = np.einsum("ij,ij->i", centroids, centroids)
+        h = c_sq - 2.0 * (points @ centroids.T)
+        new_labels = h.argmin(axis=1)
+        least = h[rows, new_labels]
+        h[rows, new_labels] = np.inf  # a lone centroid has no runner-up: every row is sure
+        bound = SCREEN * gamma * (np.sqrt(sq_norms) + np.sqrt(c_sq.max())) ** 2
+        unsure = np.flatnonzero(~(h.min(axis=1) - least > bound))
+        near = points[unsure]
+        new_labels[unsure] = np.stack([_sq_dist(near, c) for c in centroids], axis=1).argmin(axis=1)
         for k in range(n_clusters):
             if not np.any(new_labels == k):
-                far = int(np.argmax(nearest))
+                far = int(np.argmax(_sq_dist(points, centroids[new_labels])))
                 centroids[k] = points[far]
                 new_labels[far] = k
-                nearest = ((points - centroids[new_labels]) ** 2).sum(axis=1)
-        trace.append(float(nearest.sum()))
-        if np.array_equal(new_labels, labels):
-            break
+        if step == max_iter - 1 or np.array_equal(new_labels, labels):
+            return new_labels, float(_sq_dist(points, centroids[new_labels]).sum())
         labels = new_labels
         for k in range(n_clusters):
             centroids[k] = points[labels == k].mean(axis=0)
-    return labels, trace
 
 
 def kmeans(points: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
     """Cluster rows of `points` into 1..n_clusters labels.
 
-    k-means++ seeding followed by Lloyd iterations until assignments are
-    stable or `KMEANS_MAX_ITER`; `KMEANS_INIT` independent seedings are run
-    and the lowest within-cluster sum of squares wins. Deterministic given
-    `seed`. Raises ValueError unless `n_clusters` is an integer (`sem.check_count`)
-    with 1 <= n_clusters <= number of points.
+    k-means++ seeding followed by Lloyd iterations (`_lloyd`) until
+    assignments are stable or `KMEANS_MAX_ITER`; `KMEANS_INIT` independent
+    seedings are run and the lowest within-cluster sum of squares wins. The
+    squared row norms that `_lloyd`'s screen reads are taken once and shared
+    by the seedings. Deterministic given `seed`. Raises ValueError unless
+    `n_clusters` is an integer (`sem.check_count`) with 1 <= n_clusters <=
+    number of points, or naming the first point that holds a NaN or an
+    infinity.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     check_count(n_clusters, "n_clusters")
     if n_clusters > n:
         raise ValueError(f"n_clusters={n_clusters} exceeds point count {n}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point {int(np.argmin(finite))} holds a non-finite value")
+    sq_norms = np.einsum("ij,ij->i", points, points)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     best_labels, best_inertia = None, np.inf
     for _ in range(KMEANS_INIT):
         centroids = _kmeanspp_seed(points, n_clusters, rng)
-        labels, trace = _lloyd(points, centroids, KMEANS_MAX_ITER)
-        if trace[-1] < best_inertia:
-            best_inertia = trace[-1]
+        labels, inertia = _lloyd(points, centroids, KMEANS_MAX_ITER, sq_norms)
+        if inertia < best_inertia:
+            best_inertia = inertia
             best_labels = labels
     return best_labels + 1
 

@@ -39,7 +39,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite import hermvander
 
 from . import _blas
 from .lattice import VoxelLattice, axis_coords
@@ -190,9 +189,10 @@ class BasisSystem:
 
     @cached_property
     def signs(self):
-        """T's diagonal when T is diagonal (a full grid), else None."""
+        """T's diagonal when T is diagonal (a full grid), else None. The test
+        counts nonzeros, so it forms no L x L array."""
         diag = np.diag(self.T)
-        return diag if np.array_equal(self.T, np.diag(diag)) else None
+        return diag if np.count_nonzero(self.T) == np.count_nonzero(diag) else None
 
     def from_tensor(self, raw: np.ndarray, out=None) -> np.ndarray:
         """raw @ T for rows of tensor-product values or coefficients."""
@@ -287,7 +287,10 @@ def eigen_system_1d(params: KernelParams, max_degree: int):
         ``evaluate(x)`` maps points (m,) to an (m, max_degree+1) matrix of
         unnormalized eigenfunction values
         ``exp(-(c-a) x^2) * H_k(sqrt(2c) x)``, with H_k the physicists'
-        Hermite polynomials (`numpy.polynomial.hermite.hermvander`).
+        Hermite polynomials, by the recurrence H_k(t) = 2t H_{k-1}(t) -
+        2(k-1) H_{k-2}(t) in the order of operations of numpy's
+        `hermvander`, which it replaces: importing `numpy.polynomial` costs
+        a process about 0.8 MB.
     """
     c, A, B = params.derived
     eigvals = math.sqrt(2.0 * params.a / A) * B ** np.arange(max_degree + 1)
@@ -295,7 +298,14 @@ def eigen_system_1d(params: KernelParams, max_degree: int):
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         env = np.exp(-(c - params.a) * x ** 2)
-        return hermvander(math.sqrt(2.0 * c) * x, max_degree) * env[:, None]
+        t2 = math.sqrt(2.0 * c) * x * 2
+        vander = np.empty((max_degree + 1, x.shape[0]))  # (degree, point)
+        vander[0] = 1.0
+        if max_degree > 0:
+            vander[1] = t2
+        for k in range(2, max_degree + 1):
+            vander[k] = vander[k - 1] * t2 - vander[k - 2] * (2 * (k - 1))
+        return vander.T * env[:, None]
 
     return eigvals, evaluate
 

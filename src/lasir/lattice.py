@@ -367,12 +367,13 @@ class VolumePayload:
         A chunk of whole grid rows (v1) is read into a buffer of its own,
         and only its masked cells are kept, so the NaN off the mask is never
         checked. (A v1 payload on a full lattice is read as a v2 one.)
-        A pass of at least `_blas.PARALLEL_CHUNKS` chunks is dealt to the
-        allowed CPUs (`_blas.deal`), each part reading through a file handle
-        and buffers of its own, plus the ``part = buffers()`` it hands to
-        `consume`. Each part stops at its first failing chunk, and the error
-        of the lowest failing chunk start is raised once every part has
-        finished: the error a serial loop would raise.
+        A pass of at least `_blas.PARALLEL_VALUES` masked values (`count`
+        x d) is dealt to the allowed CPUs (`_blas.deal`), each part reading
+        through a file handle and buffers of its own, plus the ``part =
+        buffers()`` it hands to `consume`. Each part stops at its first
+        failing chunk, and the error of the lowest failing chunk start is
+        raised once every part has finished: the error a serial loop would
+        raise.
         """
         lattice, count, finite, width = self.lattice, self.count, self.finite, self.width
         size = os.path.getsize(self.path) // 4
@@ -409,7 +410,8 @@ class VolumePayload:
                     consume(start, rows, *extra)
                 return None
 
-            failures = [f for f in _blas.deal(read, range(0, count, step), buffers=part) if f]
+            failures = [f for f in _blas.deal(read, range(0, count, step), buffers=part,
+                                              values=count * lattice.d) if f]
         if failures:
             raise ValueError(min(failures)[1])
 
@@ -437,12 +439,14 @@ class ImageArray:
 
     def stream(self, step, consume, buffers=tuple) -> None:
         """Call ``consume(start, rows, *part)`` on each `step`-row slice of
-        the values, dealt as `VolumePayload.stream` deals its chunks."""
+        the values, dealt as `VolumePayload.stream` deals its chunks, by the
+        size of the values."""
         def work(starts, *part):
             for start in starts:
                 consume(start, self.values[start:start + step], *part)
 
-        _blas.deal(work, range(0, self.shape[0], step), buffers=buffers)
+        _blas.deal(work, range(0, self.shape[0], step), buffers=buffers,
+                   values=self.values.size)
 
     def read(self) -> np.ndarray:
         """The read-only view itself, not a copy."""

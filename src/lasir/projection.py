@@ -16,7 +16,7 @@ works in, the plane grid and the x-, y- and z-contractions (`_rows`):
 that grid, and maps leave it, one row at a time through the boolean mask
 `Layout.inside`: per image, one scatter (or gather) of d values plus one
 pass over the m_cells of the grid. A projection of at least
-`_blas.PARALLEL_CHUNKS` chunks deals them to the allowed CPUs
+`_blas.PARALLEL_VALUES` image values deals its chunks to the allowed CPUs
 (`_blas.deal`); each chunk is contracted exactly as in a serial loop, into
 rows of its own, so its bits do not depend on the thread count.
 
@@ -77,7 +77,7 @@ def project(images, basis: BasisSystem) -> np.ndarray:
     an explicit psi reads whole. A factored basis upcasts float32 images
     one row at a time, as they are scattered into the plane grid; an
     explicit psi upcasts all rows at once. A factored pass of at least
-    `_blas.PARALLEL_CHUNKS` chunks runs its chunks on the allowed CPUs
+    `_blas.PARALLEL_VALUES` image values runs its chunks on the allowed CPUs
     (`_blas.deal`), each part with buffers of its own; every chunk is
     contracted as in a serial loop, so the result does not depend on the
     thread count.

@@ -200,7 +200,7 @@ class SemConfig:
         candidate's replicates as one stack on the calling thread. `fit_sem`
         pins numpy's process-wide OpenBLAS pool to one thread, so besides these
         threads the fit's only parallelism is the projection of its images:
-        a pass of at least `_blas.PARALLEL_CHUNKS` chunks runs on the allowed CPUs, with bits
+        a pass of at least `_blas.PARALLEL_VALUES` image values runs on the allowed CPUs, with bits
         that do not depend on the thread count. Every product is taken per
         replicate, so results do not depend on `threads`, on how the
         replicates are stacked, or on OPENBLAS_NUM_THREADS.
@@ -726,7 +726,7 @@ def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
     The whole fit, projection included, runs with numpy's OpenBLAS pool
     pinned to one thread; the caller's pool size is restored on return.
     Its parallelism is Python threads: the replicate stacks, and a
-    projection of at least `_blas.PARALLEL_CHUNKS` chunks, run on the
+    projection of at least `_blas.PARALLEL_VALUES` image values, run on the
     allowed CPUs; neither changes the bits.
     The pool is process-wide, so BLAS calls made by other threads during
     the fit also run single-threaded. `build_basis`, `infer_maps` and

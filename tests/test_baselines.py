@@ -1,11 +1,56 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lasir import (SemConfig, SimConfig, _blas, fit_sem, kmeans, kmlr_fit, nmi, project,
                    simulate_cube, svcm_fit)
 from lasir import baselines
 from lasir.baselines import _kmeanspp_seed, _lloyd
 from lasir.sem import fit_at_labels, prepare
+
+
+def _lloyd_broadcast(points, centroids, max_iter):
+    """Lloyd's loop on the (n, K, L) broadcast form of the exact squared
+    distances, as it took them before the one-product screen: the (labels,
+    inertia) of every step."""
+    n, n_clusters = points.shape[0], centroids.shape[0]
+    labels = np.full(n, -1)
+    steps = []
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        nearest = d2[np.arange(n), new_labels]
+        for k in range(n_clusters):
+            if not np.any(new_labels == k):
+                far = int(np.argmax(nearest))
+                centroids[k] = points[far]
+                new_labels[far] = k
+                nearest = ((points - centroids[new_labels]) ** 2).sum(axis=1)
+        steps.append((new_labels.copy(), float(nearest.sum())))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for k in range(n_clusters):
+            centroids[k] = points[labels == k].mean(axis=0)
+    return steps
+
+
+def _truncations(points, start):
+    """`_lloyd` from `start` stopped after t = 1, 2, ... steps, up to one step
+    past convergence: its labels and inertia must be the broadcast loop's at
+    step t (at the last step once converged). Returns the inertias."""
+    steps = _lloyd_broadcast(points, start.copy(), 100)
+    inertias = []
+    for t in range(1, len(steps) + 2):
+        labels, inertia = _lloyd(points, start.copy(), t)
+        ref_labels, ref_inertia = steps[min(t, len(steps)) - 1]
+        assert np.array_equal(labels, ref_labels)
+        assert inertia == ref_inertia
+        inertias.append(inertia)
+    return inertias
 
 
 class TestKmeans:
@@ -28,43 +73,50 @@ class TestKmeans:
         rng = np.random.default_rng(2)
         points = rng.standard_normal((100, 4))
         centroids = _kmeanspp_seed(points, 5, np.random.default_rng(3))
-        _, trace = _lloyd(points, centroids.copy(), 100)
-        assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+        inertias = _truncations(points, centroids)
+        assert len(inertias) > 3
+        assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
 
     @pytest.mark.parametrize("seed, n, L, n_clusters", [
         (5, 300, 455, 3), (6, 40, 3, 5), (7, 12, 2, 6), (8, 200, 20, 8)])
     def test_lloyd_equals_the_broadcast_distances(self, seed, n, L, n_clusters):
-        # the (n, K, L) broadcast form of the distances, as Lloyd's loop took them
-        def lloyd_broadcast(points, centroids, max_iter):
-            n, n_clusters = points.shape[0], centroids.shape[0]
-            labels = np.full(n, -1)
-            trace = []
-            for _ in range(max_iter):
-                d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-                new_labels = d2.argmin(axis=1)
-                nearest = d2[np.arange(n), new_labels]
-                for k in range(n_clusters):
-                    if not np.any(new_labels == k):
-                        far = int(np.argmax(nearest))
-                        centroids[k] = points[far]
-                        new_labels[far] = k
-                        nearest = ((points - centroids[new_labels]) ** 2).sum(axis=1)
-                trace.append(float(nearest.sum()))
-                if np.array_equal(new_labels, labels):
-                    break
-                labels = new_labels
-                for k in range(n_clusters):
-                    centroids[k] = points[labels == k].mean(axis=0)
-            return labels, trace
-
         rng = np.random.default_rng(seed)
         points = rng.standard_normal((n, L)) + rng.integers(0, 3, size=(n, 1))
         for start in (_kmeanspp_seed(points, n_clusters, rng),
                       np.repeat(points[:1], n_clusters, axis=0)):  # empty clusters re-seeded
-            labels, trace = _lloyd(points, start.copy(), 100)
-            ref_labels, ref_trace = lloyd_broadcast(points, start.copy(), 100)
-            assert np.array_equal(labels, ref_labels)
-            assert trace == ref_trace
+            _truncations(points, start)
+
+    @given(st.integers(1, 60), st.integers(1, 6), st.integers(1, 8),
+           st.sampled_from([0.0, 1e4, -3e4]), st.sampled_from([1, 2, 3, 100]),
+           st.integers(0, 2 ** 32 - 1))
+    # a case that `_lloyd` misassigns when the screen's margin is 0
+    @example(n=12, L=4, n_clusters=7, offset=-3e4, max_iter=2, seed=143809)
+    def test_screened_lloyd_equals_the_broadcast_distances_on_ties(self, n, L, n_clusters,
+                                                                   offset, max_iter, seed):
+        # coordinates rounded to tenths, repeated, some far from the origin:
+        # exact ties between centroids, and near ties below what the one-product
+        # form resolves
+        n_clusters = min(n_clusters, n)
+        rng = np.random.default_rng(seed)
+        distinct = np.round(rng.standard_normal((max(1, n // 2), L)), 1) + offset
+        points = distinct[rng.integers(0, distinct.shape[0], n)]
+        start = (_kmeanspp_seed(points, n_clusters, rng) if seed % 2 else
+                 points[rng.integers(0, n, n_clusters)])
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a cluster re-seeding empties another
+            labels, inertia = _lloyd(points, start.copy(), max_iter)
+            ref_labels, ref_inertia = _lloyd_broadcast(points, start.copy(), max_iter)[-1]
+        assert np.array_equal(labels, ref_labels)
+        assert inertia == ref_inertia or (np.isnan(inertia) and np.isnan(ref_inertia))
+
+    def test_non_finite_points_name_the_first(self):
+        points = np.zeros((6, 3))
+        points[4, 1], points[2, 0] = np.inf, np.nan
+        with pytest.raises(ValueError, match="^point 2 holds a non-finite value$"):
+            kmeans(points, 2, seed=0)
+        points[2, 0] = 0.0
+        with pytest.raises(ValueError, match="^point 4 holds a non-finite value$"):
+            kmeans(points, 2, seed=0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

@@ -2,9 +2,11 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from lasir import _blas
+from lasir import _blas, build_lattice, save_volume_map
+from lasir import lattice as lattice_module
 
 
 @pytest.fixture
@@ -89,3 +91,26 @@ def test_no_libraries_means_no_effect(pool_at_two, monkeypatch):
     with _blas.single_thread:
         assert pool_at_two.get() == 2
     assert pool_at_two.get() == 2
+
+
+@pytest.mark.parametrize("source", ["array", "payload"])
+def test_a_pass_is_dealt_from_the_values_it_streams(source, tmp_path, monkeypatch, allow_cpus):
+    # 12 one-row chunks: below `PARALLEL_VALUES` every chunk runs on the
+    # calling thread; at or above it, the chunks are dealt to worker threads
+    lat = build_lattice((3, 4, 5))
+    n = 12
+    images = np.random.default_rng(0).standard_normal((n, lat.d)).astype(np.float32)
+    if source == "payload":
+        save_volume_map(images, lat, tmp_path / "img")
+        images = lattice_module._open_volume(tmp_path / "img", lat)
+    images = lattice_module.image_source(images)
+    allow_cpus(2)
+    for threshold, on_caller in ((n * lat.d + 1, True), (n * lat.d, False), (1, False)):
+        monkeypatch.setattr(_blas, "PARALLEL_VALUES", threshold)
+        ran = {}
+
+        def consume(start, rows):
+            ran[start] = threading.current_thread() is threading.main_thread()
+
+        images.stream(1, consume)
+        assert ran == dict.fromkeys(range(n), on_caller)

@@ -359,7 +359,7 @@ class TestDatasetIO:
         mask = np.random.default_rng(8).random((3, 4, 5)) < 0.6
         lat = build_lattice((3, 4, 5), mask)
         n = 12
-        assert n >= lasir._blas.PARALLEL_CHUNKS
+        monkeypatch.setattr(lasir._blas, "PARALLEL_VALUES", n * lat.d)
         save_dataset(_toy_dataset(n, lattice=lat), lat, tmp_path / "img", tmp_path / "cov.csv")
         monkeypatch.setattr(lattice_module, "CHUNK", lat.d)
         images = np.random.default_rng(9).standard_normal((n, lat.d)).astype(np.float32)
@@ -436,7 +436,8 @@ class TestPaddedBundle:
         # off-mask NaN in every row of the v1 payload never fails a load
         mask = np.random.default_rng(10).random((4, 5, 6)) < 0.6
         lat = build_lattice((4, 5, 6), mask)
-        n = 2 * lasir._blas.PARALLEL_CHUNKS + 1
+        n = 17
+        monkeypatch.setattr(lasir._blas, "PARALLEL_VALUES", n * lat.d)
         images = np.random.default_rng(11).standard_normal((n, lat.d)).astype(np.float32)
         self._saved(tmp_path, images, lat)
         basis = build_basis(lat, KernelParams(0.05, 1.0), 2)
@@ -460,6 +461,7 @@ class TestPaddedBundle:
             self, tmp_path, monkeypatch, allow_cpus):
         # 12 one-row chunks dealt to threads; the part holding the lower bad
         # row (3) may finish after the one holding the higher (10)
+        monkeypatch.setattr(lasir._blas, "PARALLEL_VALUES", 0)
         mask = np.random.default_rng(12).random((3, 4, 5)) < 0.6
         lat = build_lattice((3, 4, 5), mask)
         images = np.random.default_rng(13).standard_normal((12, lat.d)).astype(np.float32)

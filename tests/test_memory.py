@@ -14,7 +14,6 @@ import pytest
 from lasir import (Dataset, KernelParams, build_basis, build_lattice, load_dataset,
                    save_dataset)
 from lasir import _blas, projection
-from lasir import lattice as lattice_module
 from lasir.inference import _variance_field
 from lasir.projection import project, projected
 
@@ -48,13 +47,13 @@ def test_projection_holds_its_parts_budget(case, allow_cpus):
     """`project` holds at most `PART` bytes per part, plus the n x L
     coefficients twice (the rows in tensor order and the returned ones),
     plus `SLACK`. Two CPUs are allowed: the pass has one part below
-    `_blas.PARALLEL_CHUNKS` chunks and two from there on. (At this shape a
+    `_blas.PARALLEL_VALUES` image values and two from there on. (At this shape a
     row takes 67,919 float64s, so a part holds one row per chunk; the
     earlier rule, 2^19 plane-grid cells, took 11 rows, 6 MB.)"""
     lattice, basis, images = case
     allow_cpus(2)
     rows = projection._rows(basis)
-    parts = 2 if -(-N // rows) >= _blas.PARALLEL_CHUNKS else 1
+    parts = 2 if N * lattice.d >= _blas.PARALLEL_VALUES and N > rows else 1
     peak = _peak(lambda: project(images, basis))
     assert peak <= parts * PART + 2 * N * basis.L * 8 + SLACK
 
@@ -62,7 +61,7 @@ def test_projection_holds_its_parts_budget(case, allow_cpus):
 def test_squared_norms_hold_one_read_buffer_and_its_mask(case, tmp_path):
     """The first `sq_norms` of a loaded dataset's record streams its payload
     through one float32 read buffer and its finite mask, `READ` bytes at
-    most (the pass has fewer than `_blas.PARALLEL_CHUNKS` chunks, so one
+    most (the pass streams fewer than `_blas.PARALLEL_VALUES` values, so one
     part), plus one image row squared in float64 and the n norms, plus
     `SLACK`. (The earlier chunk of 2^22 values took all 60 images at once,
     6.4 MB.)"""
@@ -71,7 +70,7 @@ def test_squared_norms_hold_one_read_buffer_and_its_mask(case, tmp_path):
                          sites=np.ones((N, 1))),
                  lattice, tmp_path / "img", tmp_path / "img.csv")
     record = projected(load_dataset(tmp_path / "img", tmp_path / "img.csv", lattice), basis)
-    assert -(-N // (lattice_module.CHUNK // lattice.d)) < _blas.PARALLEL_CHUNKS
+    assert N * lattice.d < _blas.PARALLEL_VALUES
     peak = _peak(lambda: record.sq_norms)
     assert np.array_equal(record.sq_norms, [np.square(r, dtype=np.float64).sum() for r in images])
     assert peak <= READ + lattice.d * 8 + N * 8 + SLACK

@@ -107,3 +107,47 @@ def test_a_failing_run_exits_1(repo, capsys):
     assert pairs.main(["--against", "HEAD", "--workload", "desk", "--seed", "1",
                        "--pairs", "1"]) == 1
     assert "the change run of pair 1 failed" in capsys.readouterr().err
+
+
+# A stand-in for benchmarks/run.py that logs the tree it runs from and the
+# files in it.
+WHERE_RUN = """import json, os
+root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+files = sorted(os.path.relpath(os.path.join(d, f), root)
+               for d, _, names in os.walk(root) for f in names)
+with open(os.environ["PAIRS_LOG"], "a") as fh:
+    fh.write(json.dumps({{"side": {side!r}, "root": root, "cwd": os.getcwd(),
+                         "files": files}}) + "\\n")
+print(json.dumps({{"metrics": {{"wall_s": {{"value": 1.0, "unit": "s"}}}}}}))
+"""
+
+
+def test_each_side_runs_from_a_fresh_copy_of_its_files(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "benchmarks").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    (repo / ".gitignore").write_text("cache/\n")
+    (repo / "benchmarks" / "run.py").write_text(WHERE_RUN.format(side="parent"))
+    (repo / "gone.txt").write_text("tracked, then deleted\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "benchmarks" / "run.py").write_text(WHERE_RUN.format(side="change"))
+    (repo / "gone.txt").unlink()
+    (repo / "notes.txt").write_text("untracked, not ignored\n")
+    (repo / "cache").mkdir()
+    (repo / "cache" / "big.bin").write_bytes(b"ignored")
+    monkeypatch.chdir(repo)
+    monkeypatch.setenv("PAIRS_LOG", str(tmp_path / "runs.log"))
+    assert pairs.main(["--against", "HEAD", "--workload", "desk", "--seed", "1",
+                       "--pairs", "2"]) == 0
+    runs = [json.loads(line) for line in (tmp_path / "runs.log").read_text().splitlines()]
+    assert [r["side"] for r in runs] == ["parent", "change", "change", "parent"]
+    roots = {side: {r["root"] for r in runs if r["side"] == side} for side in ("parent", "change")}
+    assert all(len(found) == 1 for found in roots.values())
+    (parent,), (change,) = roots["parent"], roots["change"]
+    assert len({parent, change, str(repo)}) == 3  # neither side runs in the working tree
+    assert all(r["cwd"] == r["root"] for r in runs)
+    files = {r["side"]: r["files"] for r in runs}
+    assert files["parent"] == [".gitignore", "BENCHMARK.json", "benchmarks/run.py", "gone.txt"]
+    assert files["change"] == [".gitignore", "BENCHMARK.json", "benchmarks/run.py", "notes.txt"]

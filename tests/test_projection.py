@@ -195,12 +195,14 @@ def test_moves_match_index_arrays(name, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name", ["full", "ellipsoid"])
 def test_threaded_projection_keeps_the_serial_bits(name, dtype, monkeypatch, allow_cpus):
-    # 9 chunks of 2 rows, the last of one: enough to be dealt to threads
+    # 9 chunks of 2 rows, the last of one, with the pass's values at the
+    # threshold of dealing
     lattice = build_lattice((5, 6, 4)) if name == "full" else _ellipsoid()
     basis = build_basis(lattice, KernelParams(0.05, 1.0), 3)
     monkeypatch.setattr(projection, "CHUNK", 2 * projection._row_floats(basis))
     assert projection._rows(basis) == 2
-    n = 2 * _blas.PARALLEL_CHUNKS + 1
+    n = 17
+    monkeypatch.setattr(_blas, "PARALLEL_VALUES", n * basis.d)
     images = np.random.default_rng(3).standard_normal((n, basis.d)).astype(dtype)
     pools = allow_cpus(1)
     serial = project(images, basis)
@@ -341,7 +343,8 @@ class TestStreamedRecord:
                                                          monkeypatch, allow_cpus):
         lattice = build_lattice((5, 6, 4)) if name == "full" else _ellipsoid()
         basis = build_basis(lattice, KernelParams(0.05, 1.0), 3)
-        n = 2 * _blas.PARALLEL_CHUNKS + 1
+        n = 17
+        monkeypatch.setattr(_blas, "PARALLEL_VALUES", n * basis.d)  # every pass may be dealt
         rng = np.random.default_rng(6)
         dataset = Dataset(images=rng.standard_normal((n, basis.d)).astype(np.float32),
                           exposures=np.ones((n, 1)), controls=np.zeros((n, 0)),
@@ -361,13 +364,14 @@ class TestStreamedRecord:
             assert np.array_equal(record.ytilde.view(np.uint64), memory.ytilde.view(np.uint64))
             assert np.array_equal(record.sq_norms.view(np.uint64),
                                   memory.sq_norms.view(np.uint64))
-            dealt = count > 1 and -(-n // step) >= _blas.PARALLEL_CHUNKS
+            dealt = count > 1 and step < n  # a lone chunk runs on the calling thread
             assert pools == ([count] * 2 if dealt else [])  # ytilde, then sq_norms
 
     def test_a_non_finite_value_names_the_first_bad_row_and_leaves_no_record(
             self, tmp_path, monkeypatch, allow_cpus):
         # 12 one-row chunks dealt to threads; the part holding the lower bad
         # row (3) may finish after the one holding the higher (10)
+        monkeypatch.setattr(_blas, "PARALLEL_VALUES", 0)
         dataset, basis = simulate_cube(SimConfig(dims=(5, 5, 5), n=12, n_groups=2, n_sites=2,
                                                  seed=4))[::3]
         images = dataset.images.copy()

@@ -11,9 +11,9 @@ prints one SHA-256 digest (its first 16 hex digits) per output and seed:
 * `load` -- the same three after a round trip through a volume bundle
   (`save_dataset`, `load_dataset`): the projection record is streamed from
   the payload before anything reads the images, and the payload is read,
-  projected and squared one row per chunk, so that every pass deals its
-  chunks to threads on a machine that allows two CPUs or more; it must
-  equal `project`;
+  projected and squared one row per chunk, with `_blas.PARALLEL_VALUES` at
+  0, so that every pass deals its chunks to threads on a machine that
+  allows two CPUs or more; it must equal `project`;
 * `fit.labels`, `fit.theta` (theta_alpha, theta_eta, theta_gamma),
   `fit.lam`, `fit.w`, `fit.q` (the Q trace) and `fit.iterations`
   (iterations, converged, winning replicate) -- `fit_sem`;
@@ -115,7 +115,7 @@ def fit_parts(fit) -> dict:
 def outputs(seed: int, shape: dict) -> dict:
     """name -> list of arrays, for one seed at the given shapes."""
     import lasir
-    from lasir import bundles
+    from lasir import _blas, bundles
     from lasir import lattice as lattice_module
     from lasir import projection
     from lasir.simulate import KERNEL
@@ -136,19 +136,23 @@ def outputs(seed: int, shape: dict) -> dict:
     record = projection.projected(dataset, basis)
     out["project"] = [dataset.images, record.ytilde, record.sq_norms]
     chunks = lattice_module.CHUNK, projection.CHUNK, projection.IMAGE_CHUNK
+    parallel = vars(_blas).get("PARALLEL_VALUES")  # absent from older sources
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "images")
         lasir.save_dataset(dataset, lattice, base, base + ".csv")
         # one row per chunk: `projection.CHUNK` (float64s of a part's buffers)
-        # is below what any row takes
+        # is below what any row takes; and every pass is dealt, however few
+        # values it streams
         lattice_module.CHUNK = projection.IMAGE_CHUNK = lattice.d
         projection.CHUNK = 1
+        _blas.PARALLEL_VALUES = 0
         try:
             loaded = lasir.load_dataset(base, base + ".csv", lattice)
             streamed = projection.projected(loaded, basis)
             out["load"] = [loaded.images, streamed.ytilde, streamed.sq_norms]
         finally:
             lattice_module.CHUNK, projection.CHUNK, projection.IMAGE_CHUNK = chunks
+            _blas.PARALLEL_VALUES = parallel
     fit = lasir.fit_sem(dataset, basis, shape["K"],
                         lasir.SemConfig(restarts=shape["restarts"], seed=seed))
     add_fit("fit", fit)

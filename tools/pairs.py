@@ -4,13 +4,18 @@ alternating pairs of runs.
     python tools/pairs.py --against REF --workload desk|masked --seed S --pairs N
                           [--trace 0|1]
 
-unpacks `git archive REF` into a temporary directory (`revision.py`) and
-runs `benchmarks/run.py` of that tree (the parent) and of the working tree
-(the change) N times each, with the same options and at each tree's own
-default run length. The parent goes first in pairs 1, 3, 5, ... and the
-change in pairs 2, 4, 6, ..., so that a drift of the machine's speed falls
-on both sides alike. Each run's metrics are read
-from its final stdout line, the JSON result; every run must exit 0.
+unpacks `git archive REF` into a temporary directory and copies the files
+of the working tree that git tracks or would track (untracked but not
+ignored) into another (`revision.py`), then runs `benchmarks/run.py` of the
+first tree (the parent) and of the copy (the change) N times each, with the
+same options and at each tree's own default run length. Both sides run from
+fresh directories, because the directory a run starts from can move its
+metrics: the masked workload read about 0.37 MB more `peak_rss_mb` from the
+working tree itself than from a copy of it elsewhere. The parent goes
+first in pairs 1, 3, 5, ... and the change in pairs 2, 4, 6, ..., so that
+a drift of the machine's speed falls on both sides alike. Each run's
+metrics are read from its final stdout line, the JSON result; every run
+must exit 0.
 
 It then prints, per metric: the parent's and the change's q1/median/q3, the
 change's wins (pairs where its value is better, in the metric's direction
@@ -36,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from revision import archive, toplevel, unpack  # noqa: E402
+from revision import archive, copy_worktree, toplevel, unpack  # noqa: E402
 
 SHARE = 0.9  # share of the pairs that the better side must win
 
@@ -87,7 +92,8 @@ def main(argv=None) -> int:
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"] + spec["per_layer"]}
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": unpack(tar, Path(tmp)), "change": top}
+        trees = {"parent": unpack(tar, Path(tmp) / "parent"),
+                 "change": copy_worktree(Path(tmp) / "change")}
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 print(f"pair {i + 1}/{args.pairs}: {side}", file=sys.stderr)

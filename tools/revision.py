@@ -5,12 +5,16 @@ with one (`digest.py --against REF`, `pairs.py --against REF`).
 that holds the current directory, and `unpack(tar, dest)` extracts it, so a
 tool can fetch the revision first, failing fast on an unknown one, and
 unpack it where it works. Both raise `subprocess.CalledProcessError` from
-git, whose `stderr` says what went wrong.
+git, whose `stderr` says what went wrong. `copy_worktree(dest)` copies the
+working tree's own files the same way, so that both sides of a comparison
+run from fresh directories.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import shutil
 import subprocess
 import tarfile
 from pathlib import Path
@@ -34,4 +38,18 @@ def unpack(tar: bytes, dest: Path) -> Path:
     """Extract an `archive` into `dest`; returns `dest`."""
     with tarfile.open(fileobj=io.BytesIO(tar)) as bundle:
         bundle.extractall(dest, filter="data")
+    return dest
+
+
+def copy_worktree(dest: Path) -> Path:
+    """Copy the files of the working tree that git tracks, or would track
+    (untracked but not ignored), as they are on disk, into `dest`; returns
+    `dest`. A tracked file deleted from the working tree is left out."""
+    top = toplevel()
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", cwd=top)
+    for name in filter(None, names.split(b"\0")):
+        source, target = top / os.fsdecode(name), dest / os.fsdecode(name)
+        if source.is_file():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
     return dest

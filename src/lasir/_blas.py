@@ -6,7 +6,11 @@ with a process-wide thread pool that it sizes through
 lasir, the triangular solves included, runs on it. The EM core makes
 thousands of small regressions, for which the pool's workers cost more than
 they save and whose sums change with the pool size, so `single_thread` pins
-the pool to one thread around a fit.
+the pool to one thread around a fit, a validation, a basis build, a
+simulation and the Wald maps (`infer_maps`, `wald_map`, `svc_variance`,
+`coef_covariance`, so that a lone map equals its `infer_maps` map); only a
+bare `project`, `backproject` or read of a factored basis's `.psi` keeps
+the caller's pool size.
 
 Parallelism comes from Python threads instead, each running its own BLAS
 calls: `deal` splits work into parts, one thread each. It runs the replicate

@@ -56,8 +56,10 @@ def _lloyd(points, centroids, max_iter, sq_norms=None):
     labels (0-based) and their inertia, the sum of each point's squared
     distance to the centroid it was assigned to, in the exact form
     (`_sq_dist`). The labels are those of the exact form's argmin, the
-    lowest index on a tie; empty clusters are re-seeded at the point
-    farthest from its assigned centroid.
+    lowest index on a tie; an empty cluster is re-seeded at the point
+    farthest from its assigned centroid among the clusters of two or more
+    members (with fewer clusters than points one always exists), so that no
+    re-seed empties another cluster.
 
     Each step screens the assignment with one product, h = ||c||^2 -
     2 X C': the squared distance less the row's ||x||^2, which every
@@ -93,7 +95,9 @@ def _lloyd(points, centroids, max_iter, sq_norms=None):
         new_labels[unsure] = np.stack([_sq_dist(near, c) for c in centroids], axis=1).argmin(axis=1)
         for k in range(n_clusters):
             if not np.any(new_labels == k):
-                far = int(np.argmax(_sq_dist(points, centroids[new_labels])))
+                shared = np.bincount(new_labels, minlength=n_clusters)[new_labels] > 1
+                far = int(np.argmax(np.where(shared, _sq_dist(points, centroids[new_labels]),
+                                             -np.inf)))
                 centroids[k] = points[far]
                 new_labels[far] = k
         if step == max_iter - 1 or np.array_equal(new_labels, labels):

@@ -211,6 +211,7 @@ class InferenceMap:
     reject: np.ndarray = None
 
 
+@_blas.single_thread
 def coef_covariance(fit: FitResult, dataset: Dataset) -> CoefCovariance:
     """Sampling covariance data of the group-specific coefficients.
 
@@ -286,6 +287,7 @@ def _variance_field(basis: BasisSystem, lam: np.ndarray) -> np.ndarray:
     return t.ravel()[layout.inside]
 
 
+@_blas.single_thread
 def svc_variance(cov: CoefCovariance, basis: BasisSystem, group: int,
                  exposure: int) -> np.ndarray:
     """Voxelwise variance of the (group, exposure) coefficient map (d,).
@@ -301,6 +303,7 @@ def svc_variance(cov: CoefCovariance, basis: BasisSystem, group: int,
     return cov.gram_inv[group - 1, exposure, exposure] * _variance_field(basis, cov.lam)
 
 
+@_blas.single_thread
 def wald_map(fit: FitResult, dataset: Dataset, basis: BasisSystem,
              group: int, exposure: int) -> InferenceMap:
     """Effect, standard error, Wald statistic, and two-sided p-value maps of
@@ -356,9 +359,11 @@ def fdr_bh(pvals: np.ndarray, alpha: float) -> np.ndarray:
     Sort the m p-values ascending (NaN last), find the largest k with
     ``p_(k) <= k * alpha / m`` and reject every p-value <= p_(k), ties
     included; nothing is rejected when no such k exists, and NaN never is.
-    Since k * alpha / m <= alpha, the search starts at the rank c of the
-    last p-value <= alpha and goes down `BH_BLOCK` ranks at a time, and
-    stops in the first block that holds a passing rank.
+    The bounds, computed as fl(fl(k * alpha) / m), rise with k, so none
+    exceeds the last, fl(fl(m * alpha) / m), which can round one ulp above
+    alpha. The search starts at the rank of the last p-value <= that bound
+    and goes down `BH_BLOCK` ranks at a time, and stops in the first block
+    that holds a passing rank.
     """
     pvals = np.asarray(pvals, dtype=float)
     if pvals.ndim != 1:
@@ -366,7 +371,8 @@ def fdr_bh(pvals: np.ndarray, alpha: float) -> np.ndarray:
     _check_alpha(alpha)
     m = pvals.size
     ranked = np.sort(pvals)
-    count = np.searchsorted(ranked, alpha, side="right")
+    last = np.float64(m) * alpha / m if m else 0.0  # the bound of rank m, as below
+    count = np.searchsorted(ranked, last, side="right")
     for stop in range(count, 0, -BH_BLOCK):
         start = max(stop - BH_BLOCK, 0)
         bound = np.arange(start + 1.0, stop + 1.0)
@@ -394,6 +400,11 @@ def infer_maps(fit: FitResult, dataset: Dataset, basis: BasisSystem,
     `alpha` must lie in (0, 1), and the fit must belong to `basis`
     (`sem.check_basis`), checked before anything is computed, else
     ValueError.
+
+    Like `fit_sem`, it runs with numpy's OpenBLAS pool pinned to one thread
+    (`_blas.single_thread`), as `wald_map`, `svc_variance` and
+    `coef_covariance` do, so each map equals that pair's `wald_map` bit for
+    bit, whatever the caller's pool size.
     """
     _check_alpha(alpha)
     check_basis(fit, basis)

@@ -229,9 +229,9 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     with solves of the size of the design: its rank rules are decided from
     the stacked Grams by `sem.rank_clear`, stage 2's eigenvalue screen, and
     `check_design`'s and `check_group`'s SVDs run only on the splits it does
-    not clear; the splits are solved in groups that share the sites of their
-    training rows, and each split's predictions are bit-identical to a fit
-    of its own. The error is taken in coefficient space by Parseval: for an
+    not clear; the splits are solved together, a site without training rows
+    in a split taking coefficient 0, and each split's predictions are
+    bit-identical to a fit of its own. The error is taken in coefficient space by Parseval: for an
     image y_i with projection ytilde_i = Psi^T y_i and a predicted
     coefficient row theta_i,
 
@@ -247,9 +247,10 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     numpy's OpenBLAS pool pinned to one thread, so the MSEs are bit-identical
     whatever OPENBLAS_NUM_THREADS; the caller's pool size is restored on
     return. The pool is process-wide: other threads' BLAS calls meanwhile
-    run single-threaded too. `build_basis`, `infer_maps` and `simulate_cube`
-    pin the pool the same way; only a bare `project`, `backproject` or read
-    of a factored basis's `.psi` keeps the caller's pool size.
+    run single-threaded too. `build_basis`, the Wald maps (`infer_maps`,
+    `wald_map`, `svc_variance`, `coef_covariance`) and `simulate_cube` pin
+    the pool the same way; only a bare `project`, `backproject` or read of a
+    factored basis's `.psi` keeps the caller's pool size.
     """
     if mode not in ("within", "without", "shuffled"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -59,7 +59,9 @@ are stacks of one.
 `predict_from_sums` solves the same two stages, without subgroups, from the
 Gram and cross sums of the design rows: the holdout validation's fits, whose
 training sums are totals downdated by the held-out rows, one stack per
-subgroup for all of a block of splits. A fit fails with ValueError for a
+subgroup for all of a block of splits, solved together. A site without
+training rows takes a unit row of the Gram and coefficient 0, so every
+item of a stack has the same columns. A fit fails with ValueError for a
 rank-deficient stage-1 design, then with DegenerateGroupError when the
 exposures fail `check_group`; the validation applies one rule to both: the
 subgroup's held-out individuals are predicted by the fit on all training rows.
@@ -383,11 +385,9 @@ def rank_clear(gram: np.ndarray, count, need: int) -> np.ndarray:
     Its singular values are then within the square root of that factor, far
     inside `linmodel.RANK_TOL`, rounding of the Gram included, so it passes
     `check_design` (with `need` = c) and `check_group` (with `need` = p+2) for
-    certain; where False, their SVD decides. A design with no columns is
-    clear when it has `need` rows. Stage 2 and `predict_from_sums` screen
-    every design with it."""
-    if gram.shape[-1] == 0:
-        return np.broadcast_to(count >= need, gram.shape[:-2])
+    certain; where False, their SVD decides. `count` and `need` may be
+    arrays that broadcast against the stack of Grams, one per item. Stage 2
+    and `predict_from_sums` screen every design with it."""
     eig = np.linalg.eigvalsh(gram)
     return (count >= need) & (eig[..., 0] > CLEAR_CONDITION * eig[..., -1])
 
@@ -397,36 +397,41 @@ def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
 
     The design rows are Z = [sites | controls | exposures] (S, q and p+1
     columns). `train` (t, S+q+p+1) holds the fitted rows, which are read only
-    for the sites they contain and the checks below; `gram` = Z^T Z and
-    `cross` = Z^T ytilde (S+q+p+1, L) are their sums, e.g. totals downdated by
-    the held-out rows. Stage 1 regresses ytilde on D = [sites present in
-    `train` | controls], stage 2 the stage-1 residuals on the exposures X;
-    the predictions for the rows `test` (m, S+q+p+1) are
+    for the checks below; `gram` = Z^T Z and `cross` = Z^T ytilde
+    (S+q+p+1, L) are their sums, e.g. totals downdated by the held-out rows.
+    Stage 1 regresses ytilde on D = [sites | controls], stage 2 the stage-1
+    residuals on the exposures X; the predictions for the rows `test`
+    (m, S+q+p+1) are
 
         [(D_t - X_t G_XX^-1 G_XD) G_DD^-1,  X_t G_XX^-1] [C_D; C_X]
 
     with G and C split into the D and X blocks: solves of the size of the
-    design, no residual matrix. Returns (m, L).
+    design, no residual matrix. Returns (m, L). A site with no training
+    rows, a zero on the Gram's diagonal (a row count, so exact), has its row
+    and column of G and its row of C set to 0 and its diagonal to 1: it
+    gets coefficient 0 and its test rows no site effect, as when its column
+    is dropped from D.
 
-    Raises ValueError when the stage-1 training design is empty or rank
-    deficient (as `prepare` does), then DegenerateGroupError naming `group`
-    when `train`'s exposure rows fail `check_group` (as `stage2` does). Both rules are
-    screened by `rank_clear` on the Gram blocks; `check_design`'s and
-    `check_group`'s SVDs run only where it is not clear. A design that
-    passes them can still have a Gram block that is singular in floating
-    point; the solve then raises numpy's LinAlgError, a ValueError.
+    Raises ValueError when the stage-1 training design of the sites present
+    and the controls is empty or rank deficient (as `prepare` does), then
+    DegenerateGroupError naming `group` when `train`'s exposure rows fail
+    `check_group` (as `stage2` does). Both rules are screened by
+    `rank_clear` on the Gram blocks, whose unit rows leave a clear D block
+    clear without them; `check_design`'s and `check_group`'s SVDs run only
+    where it is not clear. A design that passes them can still have a Gram
+    block that is singular in floating point; the solve then raises numpy's
+    LinAlgError, a ValueError.
 
     Stacked fits -- `gram` (B, c, c), `cross` (B, c, L), `train` (B, t, c)
     and `test` (B, m, c), e.g. every holdout split of one subgroup -- return
     (pred (B, m, L), errors), where `errors` maps each item whose fit cannot
     be solved to the error the item alone raises; its rows of `pred` are
-    left unset. When a batched solve meets a singular Gram block, that
-    group's items are solved one at a time, so only the singular ones fail.
-    The items are grouped by the sites their training rows contain, and
-    each group is solved by batched solves and by products taken per item
-    (`np.matmul` over the stack axis) with the operand shapes and
-    transpositions of a lone fit, so every item's predictions are
-    bit-identical to the 2-D call on it.
+    left unset. The items that pass the checks are solved together, by
+    batched solves and by products taken per item (`np.matmul` over the
+    stack axis) with the operand shapes and transpositions of a lone fit,
+    so every item's predictions are bit-identical to the 2-D call on it.
+    When the batched solve meets a singular Gram block, the items are
+    solved one at a time, so only the singular ones fail.
     """
     if gram.ndim == 2:
         pred, errors = predict_from_sums(gram[None], cross[None], train[None], test[None],
@@ -435,54 +440,55 @@ def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
             raise errors[0]
         return pred[0]
     width = gram.shape[-1]
-    x = slice(width - n_exposures, width)
+    d, x = slice(0, width - n_exposures), slice(width - n_exposures, width)
     count = train.shape[1]
+    # a site without training rows: its Gram and cross-sum rows are sums over
+    # no rows (rounding residue, for a downdated total); a unit row gives it
+    # coefficient 0, as dropping its column would
+    absent = np.diagonal(gram, axis1=1, axis2=2)[:, d] == 0
+    absent[:, n_sites:] = False  # a control without values is left to the rank rule
+    if absent.any():
+        items, sites = np.nonzero(absent)
+        gram, cross = gram.copy(), cross.copy()
+        gram[items, sites], gram[items, :, sites], cross[items, sites] = 0.0, 0.0, 0.0
+        gram[items, sites, sites] = 1.0
+    present = ~absent
+    d_clear = rank_clear(gram[:, d, d], count, np.maximum(present.sum(axis=1), 1))
+    x_clear = rank_clear(gram[:, x, x], count, n_exposures + 1)
     pred = np.empty((len(gram), test.shape[1], cross.shape[-1]))
     errors = {}
-    x_clear = rank_clear(gram[:, x, x], count, n_exposures + 1)
-    patterns, which = np.unique(train[:, :, :n_sites].any(axis=1), axis=0, return_inverse=True)
-    for u, pattern in enumerate(patterns):
-        items = np.flatnonzero(which == u)
-        d_cols = np.concatenate([np.flatnonzero(pattern), np.arange(n_sites, width - n_exposures)])
-        g = gram[items]
-        g_dd = g[:, d_cols][:, :, d_cols]
-        d_clear = rank_clear(g_dd, count, max(1, d_cols.size))
-        solved = []
-        for j, item in enumerate(items):
-            try:
-                if not d_clear[j]:
-                    check_design(train[item][:, d_cols])
-                if not x_clear[item]:
-                    check_group(train[item][:, x], group)
-            except (ValueError, DegenerateGroupError) as exc:
-                errors[int(item)] = exc
-                continue
-            solved.append(j)
-        ok = items[solved]
+    for item in np.flatnonzero(~(d_clear & x_clear)):
         try:
-            pred[ok] = _solve_stack(g[solved], g_dd[solved], test[ok], cross[ok], d_cols, x)
-        except np.linalg.LinAlgError:
-            # a design the rank rule passes can still leave a numerically
-            # singular Gram; such an item fails alone, as a lone fit does
-            for j, item in zip(solved, ok):
-                try:
-                    pred[item] = _solve_stack(g[j:j + 1], g_dd[j:j + 1], test[item:item + 1],
-                                              cross[item:item + 1], d_cols, x)[0]
-                except np.linalg.LinAlgError as exc:
-                    errors[int(item)] = exc
+            if not d_clear[item]:
+                check_design(train[item][:, d][:, present[item]])
+            if not x_clear[item]:
+                check_group(train[item][:, x], group)
+        except (ValueError, DegenerateGroupError) as exc:
+            errors[int(item)] = exc
+    ok = np.setdiff1d(np.arange(len(gram)), list(errors))
+    try:
+        pred[ok] = _solve_stack(gram[ok], test[ok], cross[ok], d, x)
+    except np.linalg.LinAlgError:
+        # a design the rank rule passes can still leave a numerically
+        # singular Gram; such an item fails alone, as a lone fit does
+        for item in ok:
+            one = slice(item, item + 1)
+            try:
+                pred[item] = _solve_stack(gram[one], test[one], cross[one], d, x)[0]
+            except np.linalg.LinAlgError as exc:
+                errors[int(item)] = exc
     return pred, errors
 
 
-def _solve_stack(g, g_dd, test, cross, d_cols, x):
-    """The two-stage predictions of `predict_from_sums` for a stack whose
-    items share the stage-1 columns `d_cols`: Grams `g` (B, c, c), their D
-    blocks `g_dd`, held-out rows `test` (B, m, c) and cross sums `cross`
-    (B, c, L); `x` slices the exposure columns. Raises LinAlgError when a
-    Gram block is singular."""
-    x_part = np.swapaxes(np.linalg.solve(g[:, x, x], np.swapaxes(test[:, :, x], 1, 2)), 1, 2)
-    d_part = test[:, :, d_cols] - x_part @ g[:, x][:, :, d_cols]
-    d_part = np.swapaxes(np.linalg.solve(g_dd, np.swapaxes(d_part, 1, 2)), 1, 2)
-    return d_part @ cross[:, d_cols] + x_part @ cross[:, x]
+def _solve_stack(gram, test, cross, d, x):
+    """The two-stage predictions of `predict_from_sums` for a stack of Grams
+    `gram` (B, c, c), held-out rows `test` (B, m, c) and cross sums `cross`
+    (B, c, L); `d` and `x` slice the stage-1 and exposure columns. Raises
+    LinAlgError when a Gram block is singular."""
+    x_part = np.swapaxes(np.linalg.solve(gram[:, x, x], np.swapaxes(test[:, :, x], 1, 2)), 1, 2)
+    d_part = test[:, :, d] - x_part @ gram[:, x, d]
+    d_part = np.swapaxes(np.linalg.solve(gram[:, d, d], np.swapaxes(d_part, 1, 2)), 1, 2)
+    return d_part @ cross[:, d] + x_part @ cross[:, x]
 
 
 def _log_density(resid, resid_sq, exposures, params) -> np.ndarray:
@@ -729,7 +735,8 @@ def fit_sem(dataset: Dataset, basis: BasisSystem, n_groups: int,
     projection of at least `_blas.PARALLEL_VALUES` image values, run on the
     allowed CPUs; neither changes the bits.
     The pool is process-wide, so BLAS calls made by other threads during
-    the fit also run single-threaded. `build_basis`, `infer_maps` and
+    the fit also run single-threaded. `build_basis`, the Wald maps
+    (`infer_maps`, `wald_map`, `svc_variance`, `coef_covariance`) and
     `simulate_cube` pin the pool the same way; only a bare `project`,
     `backproject` or read of a factored basis's `.psi` keeps the caller's
     pool size.

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -25,7 +23,8 @@ def _lloyd_broadcast(points, centroids, max_iter):
         nearest = d2[np.arange(n), new_labels]
         for k in range(n_clusters):
             if not np.any(new_labels == k):
-                far = int(np.argmax(nearest))
+                shared = np.bincount(new_labels, minlength=n_clusters)[new_labels] > 1
+                far = int(np.argmax(np.where(shared, nearest, -np.inf)))
                 centroids[k] = points[far]
                 new_labels[far] = k
                 nearest = ((points - centroids[new_labels]) ** 2).sum(axis=1)
@@ -102,12 +101,10 @@ class TestKmeans:
         points = distinct[rng.integers(0, distinct.shape[0], n)]
         start = (_kmeanspp_seed(points, n_clusters, rng) if seed % 2 else
                  points[rng.integers(0, n, n_clusters)])
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # a cluster re-seeding empties another
-            labels, inertia = _lloyd(points, start.copy(), max_iter)
-            ref_labels, ref_inertia = _lloyd_broadcast(points, start.copy(), max_iter)[-1]
+        labels, inertia = _lloyd(points, start.copy(), max_iter)
+        ref_labels, ref_inertia = _lloyd_broadcast(points, start.copy(), max_iter)[-1]
         assert np.array_equal(labels, ref_labels)
-        assert inertia == ref_inertia or (np.isnan(inertia) and np.isnan(ref_inertia))
+        assert inertia == ref_inertia
 
     def test_non_finite_points_name_the_first(self):
         points = np.zeros((6, 3))
@@ -122,6 +119,13 @@ class TestKmeans:
         rng = np.random.default_rng(4)
         points = rng.standard_normal((60, 3))
         assert np.array_equal(kmeans(points, 4, seed=9), kmeans(points, 4, seed=9))
+
+    @pytest.mark.parametrize("n_clusters", [4, 5, 6])
+    def test_a_re_seed_never_empties_another_cluster(self, n_clusters):
+        # six points on two places: every seeding leaves clusters empty, and
+        # each must be re-seeded from a cluster that keeps a member
+        labels = kmeans(np.repeat(np.eye(2), 3, axis=0), n_clusters, seed=0)
+        assert sorted(set(labels.tolist())) == list(range(1, n_clusters + 1))
 
     def test_too_many_clusters(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -35,7 +35,7 @@ def test_against_a_revision_names_only_the_outputs_that_differ(tmp_path, monkeyp
     assert [line.split() for line in lines[:-1]] == [
         ["1", f"validate.{mode}", "differs,", "max", "relative", "difference", "0.5"]
         for mode in ("within", "without", "shuffled", "fresh")]
-    assert lines[-1] == "4 of 37 outputs differ from HEAD"
+    assert lines[-1] == "4 of 38 outputs differ from HEAD"
 
 
 def test_prints_one_digest_per_output(tmp_path, monkeypatch, capsys):
@@ -130,3 +130,16 @@ def test_a_threaded_selection_that_differs_exits_1(tmp_path, monkeypatch, capsys
         assert digest.main(["--seeds", "7"]) == code
         err = capsys.readouterr().err
         assert ("7  select.threads differs from select.* at threads=1" in err) == bool(code)
+
+
+def test_a_wald_map_that_differs_from_its_infer_map_exits_1(tmp_path, monkeypatch, capsys):
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    monkeypatch.chdir(tmp_path)
+    maps = [np.full(2, float(i)) for i in range(10)]  # two maps of five arrays
+    for alone, code in ((maps[:4], 0), (maps[:3] + [maps[3] + 1.0], 1)):
+        computed = {(7, "infer"): maps, (7, "infer.wald"): alone}
+        monkeypatch.setattr(digest, "_run", lambda *args: computed)
+        assert digest.main(["--seeds", "7"]) == code
+        err = capsys.readouterr().err
+        assert ("7  infer.wald differs from its map in infer, at one thread" in err) \
+            == bool(code)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import ndtr as scipy_ndtr
 
@@ -261,8 +261,14 @@ def _null_vectors(draw):
     return pvals, draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 
 
+# the last bound, fl(fl(27 alpha) / 27), rounds one ulp above alpha, and
+# every p-value equals it
+_ABOVE_ALPHA = (np.full(27, 0.1502794668948391), 0.15027946689483906)
+
+
 class TestFdrBH:
     @given(st.one_of(_pvalue_vectors(), _null_vectors()), st.sampled_from([1, 3, 64]))
+    @example(_ABOVE_ALPHA, 3)
     def test_matches_the_full_sort(self, case, block):
         # small blocks make the downward search for the cutoff cross blocks
         pvals, alpha = case
@@ -276,6 +282,7 @@ class TestFdrBH:
             inference_module.BH_BLOCK = saved
 
     @given(_pvalue_vectors())
+    @example(_ABOVE_ALPHA)
     def test_matches_the_counting_oracle(self, case):
         pvals, alpha = case
         reject = fdr_bh(pvals, alpha)
@@ -436,3 +443,25 @@ def test_fit_on_another_basis_names_both_counts_before_the_covariance(monkeypatc
     for call in (lambda: infer_maps(fit, ds, basis), lambda: wald_map(fit, ds, basis, 1, 0)):
         with pytest.raises(ValueError, match="the fit has 5 basis coefficients, the basis has 3"):
             call()
+
+
+def test_wald_map_is_the_infer_maps_map_under_a_two_thread_pool():
+    # a two-thread pool rounds the variance field's products differently at
+    # this size (d = 7,064, h = 12), so only maps that pin the pool agree
+    pool = _blas.pool()
+    if pool is None:
+        pytest.skip("numpy's OpenBLAS pool was not found")
+    basis = build_basis(_ellipsoid((30, 28, 26)), KernelParams(0.01, 2.0), 12)
+    rng = np.random.default_rng(5)
+    exposures = np.column_stack([np.ones(150), rng.standard_normal(150)])
+    fit, ds = _fit_with(np.repeat([1, 2], 75), exposures, rng.random(basis.L) + 0.1,
+                        theta_alpha=rng.standard_normal((2, 2, basis.L)))
+    before = pool.get()
+    pool.set(2)
+    try:
+        alone = wald_map(fit, ds, basis, 2, 1)
+        maps = infer_maps(fit, ds, basis)
+    finally:
+        pool.set(before)
+    for name in ("effect", "se", "wald", "pval"):
+        assert getattr(alone, name).tobytes() == getattr(maps[3], name).tobytes(), name

@@ -765,6 +765,80 @@ class TestPredictFromSums:
                 predict(ytilde, dataset, train, test)
 
 
+def _mixed_block():
+    """One stack of five holdout fits with 34 training and 3 test rows each,
+    as (ytilde, dataset, z, gram, cross, train, test): item 0 has every
+    site among its training rows; item 1 has no member of site 3; item 2
+    holds out site 3's only members, and its sums, a total over its rows
+    less the held-out rows summed in reverse order, leave rounding residue
+    in site 3's off-diagonal Gram entries; items 3 and 4, on copies of the
+    design with a control equal to the site indicators' sum and a constant
+    exposure, fail the stage-1 and the exposure rank rules."""
+    rng = np.random.default_rng(8)
+    n, L = 40, 4
+    dataset = _plain_dataset(n, L, rng, n_sites=2, q=1, p=1)
+    dataset.sites = np.zeros((n, 3))
+    dataset.sites[np.arange(n), np.r_[2, 2, 2, np.arange(n - 3) % 2]] = 1.0
+    dataset.controls[:3, 0] = [1.0, 2.0 ** -53, 2.0 ** -53]
+    ytilde = rng.standard_normal((n, L))
+    z = np.hstack([dataset.sites, dataset.controls, dataset.exposures])
+    collinear, constant = z.copy(), z.copy()
+    collinear[:, 3] = 1.0
+    constant[:, 5] = 0.5
+    items = [(z, np.arange(37), [3, 4, 5]), (z, np.arange(3, 40), [6, 7, 8]),
+             (z, np.arange(37), [0, 1, 2]), (collinear, np.arange(37), [3, 4, 5]),
+             (constant, np.arange(37), [3, 4, 5])]
+
+    def summed(rows_z, rows):  # row by row, in the order of `rows`
+        return (sum(np.outer(rows_z[i], rows_z[i]) for i in rows),
+                sum(np.outer(rows_z[i], ytilde[i]) for i in rows))
+
+    gram, cross, train, test = [], [], [], []
+    for rows_z, rows, held in items:
+        (g_all, c_all), (g_out, c_out) = summed(rows_z, rows), summed(rows_z, held[::-1])
+        gram.append(g_all - g_out)
+        cross.append(c_all - c_out)
+        train.append(rows_z[np.setdiff1d(rows, held)])
+        test.append(rows_z[held])
+    return ytilde, dataset, z, *map(np.stack, (gram, cross, train, test))
+
+
+def test_mixed_block_items_equal_their_lone_fits():
+    ytilde, dataset, z, gram, cross, train, test = _mixed_block()
+    assert gram[1][2].tolist() == [0.0] * 6 and gram[2][2, 2] == 0.0
+    assert np.any(gram[2][2, 3:] != 0.0)  # the downdate's residue
+    pred, errors = predict_from_sums(gram, cross, train, test, 3, 2)
+    assert sorted(errors) == [3, 4]
+    for item in range(5):
+        try:
+            alone = predict_from_sums(gram[item], cross[item], train[item], test[item], 3, 2)
+        except (ValueError, DegenerateGroupError) as exc:
+            assert type(errors[item]) is type(exc) and str(errors[item]) == str(exc)
+            continue
+        assert pred[item].tobytes() == alone.tobytes()
+    assert isinstance(errors[3], ValueError) and "rank-deficient" in str(errors[3])
+    assert isinstance(errors[4], DegenerateGroupError)
+    for item, (rows, held) in enumerate([(np.arange(37), [3, 4, 5]),
+                                         (np.arange(3, 40), [6, 7, 8]),
+                                         (np.arange(37), [0, 1, 2])]):
+        train_mask, test_mask = np.zeros(40, dtype=bool), np.zeros(40, dtype=bool)
+        train_mask[np.setdiff1d(rows, held)], test_mask[held] = True, True
+        ref = _two_stage_reference(ytilde, dataset, train_mask, test_mask)
+        kept = dataset.sites[train_mask].any(axis=0)
+        cond = max(np.linalg.cond(np.hstack([dataset.sites[train_mask][:, kept],
+                                             dataset.controls[train_mask]])),
+                   np.linalg.cond(dataset.exposures[train_mask]))
+        assert np.abs(pred[item] - ref).max() <= 1e-10 * cond ** 2 * (1.0 + np.abs(ref).max())
+
+
+def test_rank_clear_takes_a_need_per_item():
+    rng = np.random.default_rng(3)
+    design = rng.standard_normal((5, 3))
+    gram = np.stack([design.T @ design] * 3 + [np.diag([1.0, 1.0, 1e-12])])
+    got = sem_module.rank_clear(gram, 5, np.array([3, 5, 6, 3]))
+    assert got.tolist() == [True, True, False, False]
+
+
 @pytest.mark.parametrize("kwargs, named", [
     ({"max_iter": 2.0}, "SemConfig.max_iter must be an integer, got 2.0"),
     ({"restarts": 1.5}, "SemConfig.restarts must be an integer, got 1.5"),

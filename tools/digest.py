@@ -23,6 +23,11 @@ prints one SHA-256 digest (its first 16 hex digits) per output and seed:
   round trip through a fit bundle (`save_fit`, `load_fit`), whose matrices
   are views of the mapped payload; it must equal them;
 * `infer` -- every `infer_maps` map: effect, se, wald, pval, reject;
+* `infer.wald` -- the effect, se, wald and pval of `wald_map` for group 1,
+  exposure 0, computed with numpy's OpenBLAS pool at two threads (the
+  default pool where `_blas.pool()` finds none); it must equal the first
+  four arrays of `infer`, that pair's map, which holds only while every
+  Wald map pins the pool;
 * `validate.<mode>` -- `validate_projection`'s MSEs and fallbacks per mode;
 * `validate.fresh` -- the three modes, in that order, on a Dataset rebuilt
   over a copy of the images, which holds no projection record yet; it must
@@ -60,8 +65,9 @@ directory, or of the archive.
 Either way, the tool also exits 1, naming the seed, when `load` differs
 from `project`, `fit.threads` from the `fit.*` parts at one thread,
 `fit.bundle` from the `fit.*` parts before the round trip,
-`select.threads` from the `select.*` parts at one thread, or
-`validate.fresh` from the `validate.*` outputs.
+`select.threads` from the `select.*` parts at one thread,
+`validate.fresh` from the `validate.*` outputs, or `infer.wald` from its
+map in `infer`.
 """
 
 from __future__ import annotations
@@ -93,7 +99,8 @@ SEEDS = (9101, 9202, 9303)
 MODES = ("within", "without", "shuffled")
 FIT_PARTS = ("labels", "theta", "lam", "w", "q", "iterations")
 SELECT_PARTS = ("choice", "bic", "labels")
-# output -> (the outputs whose arrays, in order, it must equal; what it is)
+# output -> (the outputs whose arrays, in order, it must equal, each a name
+# or a (name, slice of its arrays) pair; what it is)
 SAME = {"load": (["project"], "the images, projection and squared norms in memory"),
         "fit.threads": ([f"fit.{part}" for part in FIT_PARTS], "fit.* at threads=1"),
         "fit.bundle": ([f"fit.{part}" for part in FIT_PARTS],
@@ -101,7 +108,8 @@ SAME = {"load": (["project"], "the images, projection and squared norms in memor
         "select.threads": ([f"select.{part}" for part in SELECT_PARTS],
                            "select.* at threads=1"),
         "validate.fresh": ([f"validate.{mode}" for mode in MODES],
-                           "validate.* on a rebuilt dataset")}
+                           "validate.* on a rebuilt dataset"),
+        "infer.wald": ([("infer", slice(0, 4))], "its map in infer, at one thread")}
 
 
 def fit_parts(fit) -> dict:
@@ -168,6 +176,16 @@ def outputs(seed: int, shape: dict) -> dict:
                 for a in (m.effect, m.se, m.wald, m.pval, m.reject)]
 
     out["infer"] = infer(fit, dataset, basis)
+    pool = _blas.pool()
+    before = None if pool is None else pool.get()
+    if pool is not None:
+        pool.set(2)
+    try:
+        alone = lasir.wald_map(fit, dataset, basis, 1, 0)
+    finally:
+        if pool is not None:
+            pool.set(before)
+    out["infer.wald"] = [alone.effect, alone.se, alone.wald, alone.pval]
     def validate(data, mode):
         res = lasir.validate_projection(data, basis, fit, mode, n_splits=shape["splits"],
                                         seed=seed)
@@ -256,9 +274,13 @@ def _load(path) -> dict:
 
 def mismatches(outputs: dict) -> list:
     """(seed, name) of each `SAME` output that differs from its parts."""
+    def parts(seed, name):
+        for part in SAME[name][0]:
+            part, rows = part if isinstance(part, tuple) else (part, slice(None))
+            yield from outputs[(seed, part)][rows]
+
     return [(seed, name) for (seed, name), arrays in outputs.items() if name in SAME
-            and digest(arrays) != digest([a for part in SAME[name][0]
-                                          for a in outputs[(seed, part)]])]
+            and digest(arrays) != digest(list(parts(seed, name)))]
 
 
 def _run(src: Path, seeds, shapes, path) -> dict:

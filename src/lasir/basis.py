@@ -42,9 +42,8 @@ import numpy as np
 
 from . import _blas
 from .lattice import VoxelLattice, axis_coords
-from .linmodel import solve_upper
+from .linmodel import RANK_TOL, solve_upper
 
-RANK_TOL = 1e-10
 REFINE_TOL = 1e-11  # first-pass correction above which the second Gram is summed from rows
 # Basis entries per row block of `BasisSystem.psi_blocks`: 2^18 (2 MB a
 # block) keeps a read of `psi` a few MB above psi itself. It stops there:

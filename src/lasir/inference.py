@@ -219,7 +219,8 @@ def coef_covariance(fit: FitResult, dataset: Dataset) -> CoefCovariance:
     the dataset's individuals (`sem.check_fit`), and naming the group when its
     exposure rows fail `linmodel.check_design`, the rank test of stage 2:
     fewer rows than exposure columns (an empty group, say) or a
-    rank-deficient design.
+    rank-deficient design, or when its Gram, which that test can pass, is
+    singular in floating point (numpy's LinAlgError, a ValueError).
     """
     check_fit(fit, dataset)
     K = fit.params.n_groups
@@ -229,9 +230,9 @@ def coef_covariance(fit: FitResult, dataset: Dataset) -> CoefCovariance:
         X = dataset.exposures[fit.labels == k]
         try:
             check_design(X)
+            gram_inv[k - 1] = np.linalg.inv(X.T @ X)
         except ValueError as exc:
             raise ValueError(f"group {k}: {exc}") from exc
-        gram_inv[k - 1] = np.linalg.inv(X.T @ X)
     return CoefCovariance(gram_inv=gram_inv, lam=fit.params.lam.copy())
 
 

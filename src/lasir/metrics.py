@@ -281,8 +281,8 @@ def validate_projection(dataset: Dataset, basis: BasisSystem, fit: FitResult,
     subgroups = np.ones_like(labels) if mode == "without" else labels
     groups = np.unique(subgroups)
     total = sums(slice(None))
-    if mode != "shuffled":
-        group_totals = {g: sums(subgroups == g) for g in groups}
+    if mode != "shuffled":  # "without" has one subgroup, of everyone: its totals are `total`
+        group_totals = {g: total if mode == "without" else sums(subgroups == g) for g in groups}
     step = max(1, BLOCK // (8 * max(width * L, sum(n_hold) * L, n * width)))
     mses = np.empty(n_splits)
     fallbacks = 0

@@ -57,14 +57,19 @@ does not depend on `threads`, and the step functions' one-replicate forms
 are stacks of one.
 
 `predict_from_sums` solves the same two stages, without subgroups, from the
-Gram and cross sums of the design rows: the holdout validation's fits, whose
-training sums are totals downdated by the held-out rows, one stack per
-subgroup for all of a block of splits, solved together. A site without
-training rows takes a unit row of the Gram and coefficient 0, so every
-item of a stack has the same columns. A fit fails with ValueError for a
-rank-deficient stage-1 design, then with DegenerateGroupError when the
-exposures fail `check_group`; the validation applies one rule to both: the
-subgroup's held-out individuals are predicted by the fit on all training rows.
+Gram G and cross sums C of the design rows Z = [D | X], D the sites and
+controls and X the exposures: the holdout validation's fits, whose training
+sums are totals downdated by the held-out rows, one stack per subgroup for
+all of a block of splits, solved together. Stage 1 and stage 2 are the two
+block rows of one block-lower-triangular system, L = [[G_DD, 0], [G_XD,
+G_XX]], so a stack's predictions Z_t L^-1 C take one batched solve. A site
+without training rows takes a unit row of the Gram and coefficient 0, so
+every item of a stack has the same columns. A fit fails with ValueError for
+a rank-deficient stage-1 design, then with DegenerateGroupError when the
+exposures fail `check_group`, then with numpy's LinAlgError (a ValueError)
+when L is singular in floating point; the validation applies one rule to
+all three: the subgroup's held-out individuals are predicted by the fit on
+all training rows.
 Stage 2 and `predict_from_sums` screen every design by the eigenvalues of its
 Gram (`rank_clear`), so the SVD of the rank rule runs only on the few designs
 the screen does not clear.
@@ -94,7 +99,8 @@ WINDOW = 5  # trailing iterations whose Q range decides convergence
 
 
 class DegenerateGroupError(RuntimeError):
-    """Raised by `check_group` when a group is too small or its design collapses.
+    """Raised by `check_group` when a group is too small or its design
+    collapses, and by `stage2` when its exposure Gram is singular.
 
     `row` is the first failing row of a stack of labelings (see `stage2`);
     for one labeling it is 0.
@@ -343,9 +349,12 @@ def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
     member, so renaming the labels permutes theta_alpha's rows and leaves
     every bit of theta and RSS unchanged. Raises DegenerateGroupError, from
     `check_group` applied in label order, when a group has fewer than p+2
-    members or a rank-deficient exposure design. A group that `rank_clear`
-    clears from its Gram passes that rule for certain, so only the other
-    groups take `check_group`'s SVD.
+    members or a rank-deficient exposure design, or when its Gram, which
+    that rule can pass, is singular in floating point: the sign of
+    `np.linalg.slogdet`, from the LU that the solve runs, is 0 exactly
+    where the solve would raise. A group that `rank_clear` clears from its
+    Gram passes both for certain, so only the other groups take
+    `check_group`'s SVD and the LU.
 
     `labels` may be a stack (A, n) of labelings; theta_alpha is then
     (A, K, p+1, L) and RSS (A, L), each replicate's from products of its own,
@@ -368,6 +377,8 @@ def stage2(problem: Problem, labels: np.ndarray, n_groups: int):
         try:
             for k in np.flatnonzero(~clear[row, inverse[row]]) + 1:
                 check_group(X[members == k], int(k))
+                if np.linalg.slogdet(gram[row, inverse[row, k - 1]])[0] == 0:
+                    raise DegenerateGroupError(int(k), "exposure Gram singular in floating point")
         except DegenerateGroupError as exc:
             exc.row = row
             raise
@@ -400,17 +411,18 @@ def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
     for the checks below; `gram` = Z^T Z and `cross` = Z^T ytilde
     (S+q+p+1, L) are their sums, e.g. totals downdated by the held-out rows.
     Stage 1 regresses ytilde on D = [sites | controls], stage 2 the stage-1
-    residuals on the exposures X; the predictions for the rows `test`
-    (m, S+q+p+1) are
+    residuals on the exposures X; with G and C split into the D and X
+    blocks, the two stages are the block rows of
 
-        [(D_t - X_t G_XX^-1 G_XD) G_DD^-1,  X_t G_XX^-1] [C_D; C_X]
+        L = [[G_DD, 0], [G_XD, G_XX]],
 
-    with G and C split into the D and X blocks: solves of the size of the
-    design, no residual matrix. Returns (m, L). A site with no training
-    rows, a zero on the Gram's diagonal (a row count, so exact), has its row
-    and column of G and its row of C set to 0 and its diagonal to 1: it
-    gets coefficient 0 and its test rows no site effect, as when its column
-    is dropped from D.
+    and the predictions for the rows `test` Z_t = [D_t | X_t] (m, S+q+p+1)
+    are Z_t L^-1 C = [(D_t - X_t G_XX^-1 G_XD) G_DD^-1, X_t G_XX^-1] C: one
+    solve of the size of the design, no residual matrix. Returns (m, L).
+    A site with no training rows, a zero on the Gram's diagonal (a row
+    count, so exact), has its row and column of G and its row of C set to
+    0 and its diagonal to 1: it gets coefficient 0 and its test rows no site
+    effect, as when its column is dropped from D.
 
     Raises ValueError when the stage-1 training design of the sites present
     and the controls is empty or rank deficient (as `prepare` does), then
@@ -418,20 +430,20 @@ def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
     `check_group` (as `stage2` does). Both rules are screened by
     `rank_clear` on the Gram blocks, whose unit rows leave a clear D block
     clear without them; `check_design`'s and `check_group`'s SVDs run only
-    where it is not clear. A design that passes them can still have a Gram
-    block that is singular in floating point; the solve then raises numpy's
-    LinAlgError, a ValueError.
+    where it is not clear. A design that passes them can still leave G_DD or
+    G_XX, and so L, singular in floating point; the solve then raises
+    numpy's LinAlgError, a ValueError.
 
     Stacked fits -- `gram` (B, c, c), `cross` (B, c, L), `train` (B, t, c)
     and `test` (B, m, c), e.g. every holdout split of one subgroup -- return
     (pred (B, m, L), errors), where `errors` maps each item whose fit cannot
     be solved to the error the item alone raises; its rows of `pred` are
-    left unset. The items that pass the checks are solved together, by
-    batched solves and by products taken per item (`np.matmul` over the
+    left unset. The items that pass the checks are solved together, by one
+    batched solve and one product taken per item (`np.matmul` over the
     stack axis) with the operand shapes and transpositions of a lone fit,
     so every item's predictions are bit-identical to the 2-D call on it.
-    When the batched solve meets a singular Gram block, the items are
-    solved one at a time, so only the singular ones fail.
+    When the batched solve meets a singular L, the items are solved one at
+    a time, so only the singular ones fail.
     """
     if gram.ndim == 2:
         pred, errors = predict_from_sums(gram[None], cross[None], train[None], test[None],
@@ -481,14 +493,17 @@ def predict_from_sums(gram, cross, train, test, n_sites, n_exposures, group=1):
 
 
 def _solve_stack(gram, test, cross, d, x):
-    """The two-stage predictions of `predict_from_sums` for a stack of Grams
-    `gram` (B, c, c), held-out rows `test` (B, m, c) and cross sums `cross`
-    (B, c, L); `d` and `x` slice the stage-1 and exposure columns. Raises
-    LinAlgError when a Gram block is singular."""
-    x_part = np.swapaxes(np.linalg.solve(gram[:, x, x], np.swapaxes(test[:, :, x], 1, 2)), 1, 2)
-    d_part = test[:, :, d] - x_part @ gram[:, x, d]
-    d_part = np.swapaxes(np.linalg.solve(gram[:, d, d], np.swapaxes(d_part, 1, 2)), 1, 2)
-    return d_part @ cross[:, d] + x_part @ cross[:, x]
+    """The two-stage predictions Z_t L^-1 C of `predict_from_sums` for a
+    stack of Grams G `gram` (B, c, c), held-out rows Z_t `test` (B, m, c)
+    and cross sums C `cross` (B, c, L); `d` and `x` slice the stage-1 and
+    exposure columns. G is symmetric, so G with its (exposure rows, stage-1
+    columns) block zeroed is L^T: one batched solve of L^T against Z_t^T,
+    then one product with C. Raises LinAlgError when L is singular in
+    floating point: the exposure rows of L^T are zero in the stage-1
+    columns, so its LU pivots on G_DD's rows there and on G_XX after."""
+    upper = gram.copy()
+    upper[:, x, d] = 0.0
+    return np.swapaxes(np.linalg.solve(upper, np.swapaxes(test, 1, 2)), 1, 2) @ cross
 
 
 def _log_density(resid, resid_sq, exposures, params) -> np.ndarray:

@@ -66,6 +66,18 @@ class TestCoefCovariance:
         with pytest.raises(ValueError, match="group 1"):
             coef_covariance(fit, ds)
 
+    def test_a_gram_singular_in_floating_point_names_its_group(self):
+        # x = 1 +- 2^-30 passes the rank test, but the Gram rounds to [[6, 6], [6, 6]]
+        x = np.column_stack([np.ones(6), 1.0 + np.tile([1.0, -1.0], 3) * 2.0 ** -30])
+        assert (x.T @ x).tolist() == [[6.0, 6.0], [6.0, 6.0]]
+        check_design(x)
+        fit, ds = _fit_with(np.ones(6, dtype=int), x, np.ones(2))
+        basis = BasisSystem(psi=np.eye(2), eigvals=np.ones(2), h=0,
+                            params=KernelParams(0.01, 2.0))
+        for call in (lambda: coef_covariance(fit, ds), lambda: infer_maps(fit, ds, basis)):
+            with pytest.raises(ValueError, match="group 1: Singular matrix"):
+                call()
+
     def test_accepts_every_design_stage_2_accepts(self):
         # relative smallest singular value about 1e-8: stage 2's rank test
         # passes it, though its Gram's singular values span 1e-16

@@ -22,8 +22,8 @@ from lasir.bundles import load_fit, save_fit
 from lasir.linmodel import LAMBDA_FLOOR, MNLOGIT_RIDGE, _mnlogit_newton, mnlogit_fit
 from lasir.projection import project
 from lasir import sem as sem_module
-from lasir.sem import (DegenerateGroupError, ModelParams, Problem, _log_density, fit_problem,
-                       predict_from_sums, prepare, stage2)
+from lasir.sem import (DegenerateGroupError, ModelParams, Problem, _log_density, check_group,
+                       fit_problem, predict_from_sums, prepare, stage2)
 
 
 def _identity_basis(d):
@@ -41,6 +41,13 @@ def _plain_dataset(n, d, rng, n_sites=1, q=0, p=1):
     sites = np.zeros((n, n_sites))
     sites[np.arange(n), site_idx] = 1.0
     return Dataset(images=images, exposures=exposures, controls=controls, sites=sites)
+
+
+# six exposures x = 1 + s 2^-30 with s = +-1 summing to 0: the design [1, x]
+# has a relative smallest singular value of about 5e-10, above
+# `linmodel.RANK_TOL`, so it passes `check_group`, but its Gram rounds to
+# [[6, 6], [6, 6]], which is singular
+SINGULAR_GRAM_X = 1.0 + np.tile([1.0, -1.0], 3) * 2.0 ** -30
 
 
 def _orthogonal_two_group_data(L=4, per_group=6):
@@ -200,6 +207,24 @@ class TestMStep:
         for k in range(3):
             assert np.array_equal(p1.theta_alpha[k], p2.theta_alpha[perm[k] - 1])
         assert np.array_equal(p1.lam, p2.lam)
+
+    def test_a_gram_singular_in_floating_point_names_its_group(self):
+        rng = np.random.default_rng(5)
+        dataset = _plain_dataset(20, 4, rng)
+        dataset.exposures[14:, 1] = SINGULAR_GRAM_X
+        X = dataset.exposures[14:]
+        assert (X.T @ X).tolist() == [[6.0, 6.0], [6.0, 6.0]]
+        check_group(X, 2)
+        labels = np.r_[np.ones(14, dtype=int), np.full(6, 2)]
+        problem = prepare(rng.standard_normal((20, 4)), dataset)
+        with pytest.raises(DegenerateGroupError, match="group 2: exposure Gram singular"):
+            m_step(problem, None, labels, 2)
+        with pytest.raises(DegenerateGroupError) as caught:
+            m_step(problem, None, np.stack([np.tile([1, 2], 10), labels]), 2)
+        assert caught.value.row == 1
+        # the replicates redraw their first labels, as for any degenerate group
+        fit = fit_problem(problem, 2, SemConfig(max_iter=3, restarts=2, init_labels=labels))
+        assert fit.n_groups == 2
 
     def test_under_populated_group_signals(self):
         from lasir import DegenerateGroupError
@@ -829,6 +854,27 @@ def test_mixed_block_items_equal_their_lone_fits():
                                              dataset.controls[train_mask]])),
                    np.linalg.cond(dataset.exposures[train_mask]))
         assert np.abs(pred[item] - ref).max() <= 1e-10 * cond ** 2 * (1.0 + np.abs(ref).max())
+
+
+def test_a_singular_item_fails_alone_in_its_stack():
+    """Three fits on their own rows, columns [site | control | 1, x]: the
+    middle one's exposures pass `check_group` but leave G_XX singular, so
+    the batched solve raises and the items are solved one at a time."""
+    rng = np.random.default_rng(12)
+    train, test = rng.standard_normal((3, 6, 4)), rng.standard_normal((3, 2, 4))
+    train[:, :, [0, 2]], test[:, :, [0, 2]] = 1.0, 1.0
+    train[1, :, 3] = SINGULAR_GRAM_X
+    gram = np.swapaxes(train, 1, 2) @ train
+    cross = np.swapaxes(train, 1, 2) @ rng.standard_normal((3, 6, 5))
+    assert gram[1, 2:, 2:].tolist() == [[6.0, 6.0], [6.0, 6.0]]
+    check_group(train[1][:, 2:], 1)
+    pred, errors = predict_from_sums(gram, cross, train, test, 1, 2)
+    assert list(errors) == [1] and type(errors[1]) is np.linalg.LinAlgError
+    with pytest.raises(np.linalg.LinAlgError):
+        predict_from_sums(gram[1], cross[1], train[1], test[1], 1, 2)
+    for item in (0, 2):
+        alone = predict_from_sums(gram[item], cross[item], train[item], test[item], 1, 2)
+        assert pred[item].tobytes() == alone.tobytes()
 
 
 def test_rank_clear_takes_a_need_per_item():

@@ -112,8 +112,8 @@ single_thread = _SingleThread()
 # Chunk passes that stream fewer image values run on the calling thread.
 # Measured on a 2-core x86-64 machine, pool pinned to one thread, median of
 # 7 alternating runs, serial -> two threads (wall ms / CPU ms), for a
-# volume payload's streamed projection (h=12 on cubes), its read and its
-# squared norms:
+# volume payload's streamed projection (h=12 on cubes, each one uncropped
+# slab, contracted as before slabs), its read and its squared norms:
 #   15^3, n=500 (1.7M values, desk): projection 6.4/6.4 -> 6.7/10.5,
 #     squared norms 3.1/3.1 -> 5.5/7.7;
 #   25^3, n=500 (7.8M): projection 22.2/22.2 -> 16.8/28.6, read 5.9/5.9 ->
@@ -121,7 +121,10 @@ single_thread = _SingleThread()
 #   32^3, n=500 (16.4M): projection 43.4/43.4 -> 29.7/52.1, read
 #     23.1/23.1 -> 15.5/28.2, squared norms 23.4/23.4 -> 16.5/29.1;
 #   the masked benchmark (315,481 voxels, n=200, h=8; 63M): projection
-#     246/246 -> 131/249, read 106/106 -> 64/117.
+#     through slabs (`basis.Slab`) 275/274 -> 175/297, the medians of nine
+#     measurements while the machine's speed varied by 1.7x (two threads
+#     saved a median 87 ms of wall time for 31 ms of CPU time; before
+#     slabs, 246/246 -> 131/249), read 106/106 -> 64/117.
 # From about 16M values on, each of the three passes saves more wall time
 # on two threads than it adds CPU time; below about 8M none does.
 PARALLEL_VALUES = 1 << 24

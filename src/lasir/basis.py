@@ -82,11 +82,35 @@ class Layout(NamedTuple):
         its nonzero indices are each voxel's rows in the restricted factors.
     slots : each column's index ``(c*(h+1) + b)*(h+1) + a`` in the cube of
         per-axis degrees (a, b, c).
+    slabs : the plane grid cut along z into `Slab` boxes that `project` and
+        `backproject` contract over x one at a time (`_slabs`).
     """
 
     factors: tuple
     inside: np.ndarray
     slots: np.ndarray
+    slabs: tuple
+
+
+class Slab(NamedTuple):
+    """A run of consecutive z-planes of the plane grid, cropped to the y and
+    x extent of its mask cells.
+
+    z, y, x : slices of the plane grid, the slab's box.
+    inside : bool over the box (z, y, x), x fastest: its mask cells.
+    voxels : the slab's voxels, one contiguous range of voxel order (voxels
+        are z-slowest), in the order of the box's cells.
+    """
+
+    z: slice
+    y: slice
+    x: slice
+    inside: np.ndarray
+    voxels: slice
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(s.stop - s.start for s in (self.z, self.y, self.x))
 
 
 def _planes(mask: np.ndarray) -> list:
@@ -94,13 +118,36 @@ def _planes(mask: np.ndarray) -> list:
     return [mask.any(axis=tuple(o for o in range(3) if o != ax)) for ax in range(3)]
 
 
-def _layout(factors, mask: np.ndarray, h: int) -> Layout:
+def _layout(factors, mask: np.ndarray, h: int, budget: int) -> Layout:
     present = _planes(mask)
     H = h + 1
     a, b, c = tensor_degrees(h).T
+    # (z, y, x) in C order, so that the mask of a slab spanning every y and x
+    # plane, a full grid's lone slab for one, is a view of `inside`
+    cells = np.ascontiguousarray(mask[np.ix_(*present)].T)
     return Layout(factors=tuple(f[p] for f, p in zip(factors, present)),
-                  inside=mask[np.ix_(*present)].ravel(order="F"),
-                  slots=(c * H + b) * H + a)
+                  inside=cells.ravel(), slots=(c * H + b) * H + a,
+                  slabs=_slabs(cells, budget))
+
+
+def _slabs(cells: np.ndarray, budget: int) -> tuple:
+    """The plane grid `cells` (z, y, x) cut into slabs of as many whole
+    z-planes as `budget` cells hold, one plane at least, each cropped to the
+    y and x extent of its mask cells. A grid the mask fills is one slab,
+    whatever its size; so is a grid of at most `budget` cells, which, its
+    planes being those the mask meets, no crop shrinks."""
+    mz, my, mx = cells.shape
+    per = mz if cells.all() else max(1, budget // (my * mx))
+    slabs, a = [], 0
+    for z0 in range(0, mz, per):
+        run = cells[z0:z0 + per]
+        y, x = (np.flatnonzero(run.any(axis=axes)) for axes in ((0, 2), (0, 1)))
+        y, x = slice(int(y[0]), int(y[-1]) + 1), slice(int(x[0]), int(x[-1]) + 1)
+        inside = run[:, y, x].ravel()
+        b = a + int(np.count_nonzero(inside))
+        slabs.append(Slab(slice(z0, z0 + run.shape[0]), y, x, inside, slice(a, b)))
+        a = b
+    return tuple(slabs)
 
 
 class BasisSystem:
@@ -183,8 +230,11 @@ class BasisSystem:
 
     @cached_property
     def layout(self) -> Layout:
-        """Contraction layout of a factored basis."""
-        return _layout(self.factors, self.mask, self.h)
+        """Contraction layout of a factored basis, its slabs cut to the part
+        budget `projection.CHUNK` in force at the first read (`build_basis`
+        reads it)."""
+        from . import projection  # which imports this module
+        return _layout(self.factors, self.mask, self.h, projection.CHUNK)
 
     @cached_property
     def signs(self):

@@ -9,13 +9,23 @@ equality exactly for images in the basis span.
 For a factored basis, Psi = (Phi_x (x) Phi_y (x) Phi_z) T at the masked
 voxels, both maps are contracted one axis at a time on the grid of planes
 the mask meets, a chunk of rows at a time: about 2 m_cells (h+1) flops per
-image instead of 2 d L, and no d x L or n x d float64 array. A chunk holds
-as many rows as fit in `CHUNK` float64s across the four buffers a pass
-works in, the plane grid and the x-, y- and z-contractions (`_rows`):
-1 MB per part, at least one row. Images reach
-that grid, and maps leave it, one row at a time through the boolean mask
-`Layout.inside`: per image, one scatter (or gather) of d values plus one
-pass over the m_cells of the grid. A projection of at least
+image instead of 2 d L, and no d x L or n x d float64 array. The grid is
+cut along z into slabs (`basis.Slab`, `Layout.slabs`): runs of as many
+whole z-planes as `CHUNK` cells hold, one at least, each cropped to the y
+and x extent of its mask cells (a grid the mask fills is one slab, and so
+is any grid of at most `CHUNK` cells). Images reach the slab boxes, and
+maps leave them, one row and slab at a time through the slab's boolean
+mask: per image, one scatter (or gather) of d values plus one pass over
+the boxes' cells. Between a box and the (z, y) x-contraction, which spans
+the whole grid and stays zero off the slabs' blocks, each plane takes a
+product of its own, small enough to stay in cache and in OpenBLAS's
+small-matrix kernel; a lone slab takes one product per chunk instead. A
+chunk holds as many rows as fit in `CHUNK` float64s across the four
+buffers a pass works in, the slab boxes and the x-, y- and z-contractions
+(`_row_floats`), at least one row. On the masked benchmark's lattice
+(315,481 voxels on an 81 x 97 x 77 grid of planes, 604,989 cells, h=8)
+five slabs of at most 16 planes hold 497,881 cells, a row takes 572,068
+float64s (4.6 MB), and a part holds one row. A projection of at least
 `_blas.PARALLEL_VALUES` image values deals its chunks to the allowed CPUs
 (`_blas.deal`); each chunk is contracted exactly as in a serial loop, into
 rows of its own, so its bits do not depend on the thread count.
@@ -49,18 +59,19 @@ from . import _blas
 from .basis import BasisSystem
 from .lattice import CHUNK as IMAGE_CHUNK, image_source
 
-CHUNK = 1 << 17  # float64s held by one part's four buffers: plane grid, x, y and z
+CHUNK = 1 << 17  # float64s held by one part's four buffers: slab boxes, x, y and z
 _RECORDS = threading.Lock()  # held while `projected` looks up or makes a record
 
 
 def _row_floats(basis: BasisSystem) -> int:
     """float64s one image row takes in the four buffers of a factored pass:
-    its plane grid (z, y, x), then the contractions over x (z, y, a), y
-    (z, b, a) and z (c, b, a). `project` fills them in this order and
-    `backproject` in the reverse one."""
-    mx, my, mz = (f.shape[0] for f in basis.layout.factors)
+    its slab boxes (`basis.Slab`, the plane grid cropped slab by slab), then
+    the contractions over x (z, y, a), y (z, b, a) and z (c, b, a). `project`
+    fills them in this order."""
+    layout = basis.layout
+    mz, my = layout.factors[2].shape[0], layout.factors[1].shape[0]
     H = basis.h + 1
-    return mz * my * (mx + H) + mz * H * H + H ** 3
+    return sum(s.inside.size for s in layout.slabs) + mz * my * H + mz * H * H + H ** 3
 
 
 def _rows(basis: BasisSystem) -> int:
@@ -75,7 +86,7 @@ def project(images, basis: BasisSystem) -> np.ndarray:
     `images` is an array or an image source (`lattice.image_source`), which
     a factored basis streams chunk by chunk (see the module docstring) and
     an explicit psi reads whole. A factored basis upcasts float32 images
-    one row at a time, as they are scattered into the plane grid; an
+    one row at a time, as they are scattered into the slab boxes; an
     explicit psi upcasts all rows at once. A factored pass of at least
     `_blas.PARALLEL_VALUES` image values runs its chunks on the allowed CPUs
     (`_blas.deal`), each part with buffers of its own; every chunk is
@@ -92,22 +103,27 @@ def project(images, basis: BasisSystem) -> np.ndarray:
     fx, fy, fz = layout.factors
     mx, my, mz = fx.shape[0], fy.shape[0], fz.shape[0]
     H = basis.h + 1
+    slabs = layout.slabs
     step = _rows(basis)
     out = np.empty((n, basis.L))
 
     def buffers():
         rows = min(step, n)
-        # cells off the mask stay zero throughout
-        return (np.zeros((rows, mz * my * mx)), np.empty((rows * mz * my, H)),
+        # box cells off the mask, and x-contractions off the slabs, stay zero throughout
+        return ([np.zeros((rows, s.inside.size)) for s in slabs], np.zeros((rows, mz, my, H)),
                 np.empty((rows * mz, H, H)), np.empty((rows, H, H * H)))
 
-    def contract(start, rows, grid, tx, ty, tz):
+    def contract(start, rows, boxes, tx, ty, tz):
         m = rows.shape[0]
-        for j in range(m):  # per row: 1-D boolean assignment is far faster than 2-D
-            grid[j][layout.inside] = rows[j]
-        t = np.matmul(grid[:m].reshape(m * mz * my, mx), fx,
-                      out=tx[:m * mz * my])                             # (m z y, a)
-        t = np.matmul(fy.T, t.reshape(m * mz, my, H), out=ty[:m * mz])  # (m z, b, a)
+        for slab, box in zip(slabs, boxes):
+            for j in range(m):  # per row: 1-D boolean assignment is far faster than 2-D
+                box[j][slab.inside] = rows[j, slab.voxels]
+            if len(slabs) == 1:  # the whole grid: one product
+                np.matmul(box[:m].reshape(-1, mx), fx, out=tx[:m].reshape(-1, H))
+            else:  # one small product per plane, into the slab's (z, y) block
+                np.matmul(box[:m].reshape(m, *slab.shape), fx[slab.x],
+                          out=tx[:m, slab.z, slab.y])                   # (m, z, y, a)
+        t = np.matmul(fy.T, tx[:m].reshape(m * mz, my, H), out=ty[:m * mz])  # (m z, b, a)
         t = np.matmul(fz.T, t.reshape(m, mz, H * H), out=tz[:m])        # (m, c, b a)
         # slots are in range, so "clip" never clips; it takes without a buffer
         np.take(t.reshape(m, H ** 3), layout.slots, axis=1, out=out[start:start + m],
@@ -164,7 +180,12 @@ def projected(dataset, basis: BasisSystem) -> Projected:
 
 
 def backproject(coefs: np.ndarray, basis: BasisSystem) -> np.ndarray:
-    """Reconstruct voxel maps (m, d) from basis coefficients (m, L)."""
+    """Reconstruct voxel maps (m, d) from basis coefficients (m, L).
+
+    A factored basis contracts z and y over the whole grid of planes, a
+    chunk of `_rows` maps at a time, then x one slab box at a time, and
+    gathers each box's mask cells straight into the slab's voxel columns:
+    besides the maps, a chunk holds its contractions and one slab box."""
     coefs = np.atleast_2d(coefs)
     if coefs.shape[1] != basis.L:
         raise ValueError(f"coefficient column count {coefs.shape[1]} does not match "
@@ -183,9 +204,13 @@ def backproject(coefs: np.ndarray, basis: BasisSystem) -> np.ndarray:
         m = min(step, n - start)
         cube = np.zeros((m, H ** 3))
         cube[:, layout.slots] = raw[start:start + m]
-        t = fz @ cube.reshape(m, H, H * H)           # (m, z, b a)
-        t = fy @ t.reshape(m * mz, H, H)             # (m z, y, a)
-        t = t.reshape(m * mz * my, H) @ fx.T         # (m z y, x)
-        for j, row in enumerate(t.reshape(m, -1)):  # per row, as in `project`
-            out[start + j] = row[layout.inside]
+        t = fz @ cube.reshape(m, H, H * H)                   # (m, z, b a)
+        t = (fy @ t.reshape(m * mz, H, H)).reshape(m, mz, my, H)  # (m, z, y, a)
+        for slab in layout.slabs:
+            if len(layout.slabs) == 1:  # the whole grid: one product
+                box = t.reshape(-1, H) @ fx.T                # (m z y, x)
+            else:  # one small product per plane, over the slab's box
+                box = t[:, slab.z, slab.y] @ fx[slab.x].T
+            for j, row in enumerate(box.reshape(m, -1)):  # per row, as in `project`
+                out[start + j, slab.voxels] = row[slab.inside]
     return out

@@ -3,7 +3,10 @@
 Each test measures one pass's peak under `tracemalloc`, which counts every
 numpy array the pass allocates, on every thread, and bounds it by the
 formula its docstring gives. The lattice is a 40^3 ellipsoid (21,376
-voxels on a 36 x 36 x 34 grid of planes) with a degree-12 basis (L=455), n=60.
+voxels on a 36 x 36 x 34 grid of planes) with a degree-12 basis (L=455), n=60,
+built with the part budget `projection.CHUNK` at one plane of that grid, so
+that its layout cuts 34 one-plane slabs, each cropped to its disc (27,320
+box cells in all, against 44,064 in the grid).
 """
 
 import tracemalloc
@@ -15,12 +18,11 @@ from lasir import (Dataset, KernelParams, build_basis, build_lattice, load_datas
                    save_dataset)
 from lasir import _blas, projection
 from lasir.inference import _variance_field
-from lasir.projection import project, projected
+from lasir.projection import backproject, project, projected
 
 N = 60
-PART = 1 << 20  # bytes of a projection part's four buffers (`projection.CHUNK` float64s)
 READ = 5 << 18  # bytes of a read buffer and its finite mask (`lattice.CHUNK` values)
-SLACK = 256 << 10  # bytes: index arrays, small temporaries and interpreter objects
+SLACK = 160 << 10  # bytes: index arrays, small temporaries and interpreter objects
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +31,10 @@ def case():
     grids = np.meshgrid(*(np.linspace(-1.0, 1.0, m) for m in dims), indexing="ij")
     lattice = build_lattice(dims, sum((g / r) ** 2 for g, r in zip(grids, (0.9, 0.9, 0.85)))
                             <= 1.0)
-    basis = build_basis(lattice, KernelParams(0.01, 2.0), 12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "CHUNK", 36 * 36)
+        basis = build_basis(lattice, KernelParams(0.01, 2.0), 12)
+    assert len(basis.layout.slabs) == 34
     images = np.random.default_rng(40).standard_normal((N, lattice.d)).astype(np.float32)
     return lattice, basis, images
 
@@ -44,18 +49,39 @@ def _peak(run) -> int:
 
 
 def test_projection_holds_its_parts_budget(case, allow_cpus):
-    """`project` holds at most `PART` bytes per part, plus the n x L
-    coefficients twice (the rows in tensor order and the returned ones),
-    plus `SLACK`. Two CPUs are allowed: the pass has one part below
-    `_blas.PARALLEL_VALUES` image values and two from there on. (At this shape a
-    row takes 67,919 float64s, so a part holds one row per chunk; the
-    earlier rule, 2^19 plane-grid cells, took 11 rows, 6 MB.)"""
+    """`project` holds at most one part's buffers per part, 8 bytes x rows
+    per chunk x `projection._row_floats` (the slab boxes and the x-, y- and
+    z-contractions of a row), plus the n x L coefficients, which it fills
+    as it goes, plus `SLACK`; then, its parts freed, the coefficients twice
+    (in tensor order and returned). Two CPUs are allowed: the pass has one
+    part below `_blas.PARALLEL_VALUES` image values and two from there on.
+    (At this shape a row takes 51,175 float64s, so a part holds two rows,
+    819 KB; a part holding the whole plane grid instead of the boxes, as
+    before slabs, took 1.09 MB.)"""
     lattice, basis, images = case
     allow_cpus(2)
     rows = projection._rows(basis)
     parts = 2 if N * lattice.d >= _blas.PARALLEL_VALUES and N > rows else 1
+    part = 8 * rows * projection._row_floats(basis)
     peak = _peak(lambda: project(images, basis))
-    assert peak <= parts * PART + 2 * N * basis.L * 8 + SLACK
+    assert peak <= max(parts * part + N * basis.L * 8, 2 * N * basis.L * 8) + SLACK
+
+
+def test_backprojection_holds_one_slab_box_per_chunk(case):
+    """`backproject` holds the n x d maps it returns and the n x L
+    coefficients in tensor order, plus, per chunk of `projection._rows`
+    maps, their z- and y-contractions, the z-contraction's input cube and
+    one slab box, plus one box's worth of gathered voxels, plus `SLACK`: a
+    part of `project` with its boxes cut to the largest one. (A full plane
+    grid per chunk, as before slabs, took 705 KB more.)"""
+    _, basis, _ = case
+    layout = basis.layout
+    box = max(slab.inside.size for slab in layout.slabs)
+    boxes = sum(slab.inside.size for slab in layout.slabs)
+    part = projection._rows(basis) * (projection._row_floats(basis) - boxes + box)
+    coefs = np.random.default_rng(42).standard_normal((N, basis.L))
+    peak = _peak(lambda: backproject(coefs, basis))
+    assert peak <= 8 * (N * (basis.d + basis.L) + part + box) + SLACK
 
 
 def test_squared_norms_hold_one_read_buffer_and_its_mask(case, tmp_path):

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from lasir import (Dataset, KernelParams, SemConfig, SimConfig, _blas, backproject, build_basis,
                    build_lattice, fit_sem, infer_maps, kmlr_fit, load_dataset, project,
                    projection, save_dataset, simulate_cube, svcm_fit, validate_projection)
+from lasir import basis as basis_module
 from lasir import lattice as lattice_module
 from lasir.basis import BasisSystem, _masked_gram
 from lasir.bundles import load_basis, save_basis, save_fit
 from lasir.cli import main as cli_main
 from lasir.projection import projected
 from lasir.inference import _variance_field
-from test_basis import masked_lattices
+from test_basis import _relative_gap, masked_lattices
 
 
 def _identity_basis(d):
@@ -106,30 +107,40 @@ class TestMaskedLattices:
         assert np.all(backproject(np.zeros((2, basis.L)), basis) == 0.0)
 
 
+def _slab_cells(basis):
+    """Per slab, the int64 indices of its mask cells in its box."""
+    return [np.flatnonzero(slab.inside) for slab in basis.layout.slabs]
+
+
 def _project_by_cells(images, basis):
-    """`project` scattering each chunk through a 2-D int64 index."""
+    """`project` scattering each chunk into each slab box through a 2-D int64
+    index."""
     layout = basis.layout
-    cells = np.flatnonzero(layout.inside)
     fx, fy, fz = layout.factors
     mx, my, mz = fx.shape[0], fy.shape[0], fz.shape[0]
     H = basis.h + 1
     n, step = images.shape[0], projection._rows(basis)
     out = np.empty((n, basis.L))
-    grid = np.zeros((step, mz * my * mx))
+    tx = np.zeros((step, mz, my, H))
     for start in range(0, n, step):
         m = min(step, n - start)
-        grid[:m, cells] = images[start:start + m]
-        t = grid[:m].reshape(m * mz * my, mx) @ fx
-        t = fy.T @ t.reshape(m * mz, my, H)
+        for slab, cells in zip(layout.slabs, _slab_cells(basis)):
+            box = np.zeros((m, slab.inside.size))
+            box[:, cells] = images[start:start + m, slab.voxels]
+            if len(layout.slabs) == 1:
+                tx[:m] = (box.reshape(-1, mx) @ fx).reshape(m, mz, my, H)
+            else:
+                np.matmul(box.reshape(m, *slab.shape), fx[slab.x], out=tx[:m, slab.z, slab.y])
+        t = fy.T @ tx[:m].reshape(m * mz, my, H)
         t = fz.T @ t.reshape(m, mz, H * H)
         out[start:start + m] = t.reshape(m, H ** 3)[:, layout.slots]
     return basis.from_tensor(out)
 
 
 def _backproject_by_cells(coefs, basis):
-    """`backproject` gathering each chunk through a 2-D int64 index."""
+    """`backproject` gathering each chunk from each slab box through a 2-D
+    int64 index."""
     layout = basis.layout
-    cells = np.flatnonzero(layout.inside)
     fx, fy, fz = layout.factors
     mz, my = fz.shape[0], fy.shape[0]
     H = basis.h + 1
@@ -141,16 +152,21 @@ def _backproject_by_cells(coefs, basis):
         cube = np.zeros((m, H ** 3))
         cube[:, layout.slots] = raw[start:start + m]
         t = fz @ cube.reshape(m, H, H * H)
-        t = fy @ t.reshape(m * mz, H, H)
-        t = t.reshape(m * mz * my, H) @ fx.T
-        out[start:start + m] = t.reshape(m, -1)[:, cells]
+        t = (fy @ t.reshape(m * mz, H, H)).reshape(m, mz, my, H)
+        for slab, cells in zip(layout.slabs, _slab_cells(basis)):
+            if len(layout.slabs) == 1:
+                box = t.reshape(-1, H) @ fx.T
+            else:
+                box = t[:, slab.z, slab.y] @ fx[slab.x].T
+            out[start:start + m, slab.voxels] = box.reshape(m, -1)[:, cells]
     return out
 
 
 def _check_moves_match_index_arrays(basis, dtype):
     """The boolean-mask scatter and gathers give the int64 index formulas'
     values bit for bit: `project` and `backproject` in chunks of 3 rows with
-    a ragged last chunk, the variance field's gather and the Gram's weight."""
+    a ragged last chunk, the variance field's gather and the Gram's weight.
+    Both maps also agree with the dense products through psi to 1e-12."""
     layout = basis.layout
     cells = np.flatnonzero(layout.inside)
     rng = np.random.default_rng(basis.d)
@@ -161,6 +177,9 @@ def _check_moves_match_index_arrays(basis, dtype):
         assert projection._rows(basis) == 3
         assert np.array_equal(project(images, basis), _project_by_cells(images, basis))
         assert np.array_equal(backproject(coefs, basis), _backproject_by_cells(coefs, basis))
+    psi = basis.psi
+    assert _relative_gap(project(images, basis), images.astype(float) @ psi) <= 1e-12
+    assert _relative_gap(backproject(coefs, basis), coefs @ psi.T) <= 1e-12
     by_cells = copy.copy(basis)
     by_cells.layout = layout._replace(inside=cells)  # the gather becomes t.ravel()[cells]
     lam = rng.random(basis.L) + 0.1
@@ -171,34 +190,102 @@ def _check_moves_match_index_arrays(basis, dtype):
                           _masked_gram(layout._replace(inside=weight), basis.h))
 
 
-@given(masked_lattices(), st.sampled_from([np.float32, np.float64]))
-def test_masked_moves_match_index_arrays(case, dtype):
+def _slabbed(lattice, h, planes):
+    """A basis on `lattice` built with the part budget, `projection.CHUNK`,
+    at `planes` planes of its plane grid: its layout cuts slabs of `planes`
+    z-planes (the last may be shorter), unless the mask fills the grid."""
+    _, y, x = (int(p.sum()) for p in basis_module._planes(lattice.mask)[::-1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "CHUNK", planes * y * x)
+        return build_basis(lattice, KernelParams(0.05, 1.0), h)
+
+
+def _blobs():
+    """Two boxes apart in y and x, overlapping in z, and a bar on the last
+    z-plane that meets the planes between them: a slab of two planes where
+    both boxes lie holds both, with empty y- and x-planes between them."""
+    mask = np.zeros((11, 10, 8), dtype=bool)
+    mask[0:4, 0:4, 0:6] = True
+    mask[7:11, 6:10, 2:8] = True
+    mask[3:8, 3:7, 7] = True
+    return build_lattice(mask.shape, mask)
+
+
+# name -> (lattice, planes per slab): slabs of one plane on the ellipsoid,
+# of two on the blobs
+LATTICES = {"full": (lambda: build_lattice((5, 6, 4)), None),
+            "ellipsoid": (_ellipsoid, None),
+            "planes": (_ellipsoid, 1),
+            "blobs": (_blobs, 2)}
+
+
+def _basis(name):
+    make, planes = LATTICES[name]
+    lattice = make()
+    if planes is None:
+        return build_basis(lattice, KernelParams(0.05, 1.0), 3)
+    basis = _slabbed(lattice, 3, planes)
+    assert len(basis.layout.slabs) > 1
+    return basis
+
+
+@given(masked_lattices(), st.integers(1, 3), st.sampled_from([np.float32, np.float64]))
+def test_masked_moves_match_index_arrays(case, planes, dtype):
     lattice, h = case
     try:
-        basis = build_basis(lattice, KernelParams(0.05, 1.0), h)
+        basis = _slabbed(lattice, h, planes)
     except ValueError:
         reject()
     _check_moves_match_index_arrays(basis, dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("name", ["full", "ellipsoid"])
+@pytest.mark.parametrize("name", LATTICES)
 def test_moves_match_index_arrays(name, dtype):
-    lattice = build_lattice((5, 6, 4)) if name == "full" else _ellipsoid()
-    basis = build_basis(lattice, KernelParams(0.05, 1.0), 3)
-    mx = basis.layout.factors[0].shape[0]
-    empty_lines = not basis.layout.inside.reshape(-1, mx).any(axis=1).all()
-    assert empty_lines == (name == "ellipsoid")
+    basis = _basis(name)
+    layout = basis.layout
+    mx = layout.factors[0].shape[0]
+    empty_lines = not layout.inside.reshape(-1, mx).any(axis=1).all()
+    assert empty_lines == (name != "full")
+    if name == "planes":
+        assert {slab.shape[0] for slab in layout.slabs} == {1}
+    if name == "blobs":  # a slab holding both boxes has y-planes without a mask cell
+        assert any(not slab.inside.reshape(slab.shape).any(axis=(0, 2)).all()
+                   for slab in layout.slabs)
     _check_moves_match_index_arrays(basis, dtype)
 
 
+@given(masked_lattices(), st.integers(1, 3))
+def test_slabs_tile_the_mask(case, planes):
+    """The slabs cut the plane grid into runs of `planes` z-planes, the last
+    one shorter (one run where the mask fills its grid), each box the
+    tightest around its mask cells (a view of the grid's mask where it spans
+    every y and x plane), and their voxel ranges follow each other in voxel
+    order."""
+    lattice, h = case
+    layout = _slabbed(lattice, 0, planes).layout
+    mz, my, mx = (f.shape[0] for f in layout.factors[::-1])
+    cells = layout.inside.reshape(mz, my, mx)
+    per = mz if cells.all() else planes
+    assert [(s.z.start, s.z.stop) for s in layout.slabs] == [
+        (z, min(z + per, mz)) for z in range(0, mz, per)]
+    rebuilt, start = np.zeros_like(cells), 0
+    for slab in layout.slabs:
+        box = slab.inside.reshape(slab.shape)
+        assert box.any(axis=(0, 2))[[0, -1]].all() and box.any(axis=(0, 1))[[0, -1]].all()
+        assert np.shares_memory(slab.inside, layout.inside) == (slab.shape[1:] == (my, mx))
+        rebuilt[slab.z, slab.y, slab.x] = box
+        assert slab.voxels == slice(start, start + int(box.sum()))
+        start = slab.voxels.stop
+    assert np.array_equal(rebuilt, cells) and start == lattice.d
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("name", ["full", "ellipsoid"])
+@pytest.mark.parametrize("name", LATTICES)
 def test_threaded_projection_keeps_the_serial_bits(name, dtype, monkeypatch, allow_cpus):
     # 9 chunks of 2 rows, the last of one, with the pass's values at the
     # threshold of dealing
-    lattice = build_lattice((5, 6, 4)) if name == "full" else _ellipsoid()
-    basis = build_basis(lattice, KernelParams(0.05, 1.0), 3)
+    basis = _basis(name)
     monkeypatch.setattr(projection, "CHUNK", 2 * projection._row_floats(basis))
     assert projection._rows(basis) == 2
     n = 17

@@ -46,11 +46,15 @@ prints one SHA-256 digest (its first 16 hex digits) per output and seed:
 * `ellipsoid.lattice`, `ellipsoid.basis`, `ellipsoid.project` and
   `ellipsoid.fit.*` -- on a small ellipsoid mask: the lattice's `coords`,
   `build_basis`, the images' projection on that basis and their squared
-  norms, and `fit_sem`.
+  norms, and `fit_sem`;
+* `wide` -- on a thin, wide ellipsoid whose plane grid `project` and
+  `backproject` cut into several slabs, each cropped to its mask cells
+  (`basis.Slab`): the projection of random images and its back-projection.
 
 The `desk` shapes are those of the benchmark's desk workload (15^3, n=500,
 K=3, 6 restarts, 50 splits; selection and baselines at 10^3, n=300) plus a
-14 x 13 x 12 ellipsoid; `tiny` runs in about a second.
+14 x 13 x 12 ellipsoid and a 300 x 300 x 8 one, n=8, cut into six
+one-plane slabs; `tiny` runs in about a second.
 
     python tools/digest.py --against REF [--seeds S ...] [--shapes ...]
 
@@ -89,11 +93,13 @@ SHAPES = {
     "desk": {"dims": (15, 15, 15), "n": 500, "sites": 21, "K": 3, "restarts": 6, "splits": 50,
              "select_dims": (10, 10, 10), "select_n": 300, "select_K": (1, 2, 3),
              "select_restarts": 4,
-             "ellipsoid": (14, 13, 12), "ellipsoid_n": 120, "ellipsoid_h": 4},
+             "ellipsoid": (14, 13, 12), "ellipsoid_n": 120, "ellipsoid_h": 4,
+             "wide": (300, 300, 8), "wide_n": 8},
     "tiny": {"dims": (5, 5, 5), "n": 40, "sites": 3, "K": 2, "restarts": 2, "splits": 3,
              "select_dims": (4, 4, 4), "select_n": 60, "select_K": (1, 2),
              "select_restarts": 2,
-             "ellipsoid": (6, 6, 5), "ellipsoid_n": 30, "ellipsoid_h": 2},
+             "ellipsoid": (6, 6, 5), "ellipsoid_n": 30, "ellipsoid_h": 2,
+             "wide": (240, 240, 6), "wide_n": 8},
 }
 SEEDS = (9101, 9202, 9303)
 MODES = ("within", "without", "shuffled")
@@ -216,10 +222,12 @@ def outputs(seed: int, shape: dict) -> dict:
     svcm = lasir.svcm_fit(three, basis1)
     out["svcm"] = [svcm.theta_alpha, svcm.theta_eta, svcm.theta_gamma, svcm.lam]
 
+    def ellipsoid(dims):
+        grids = np.meshgrid(*(np.linspace(-1.0, 1.0, m) for m in dims), indexing="ij")
+        return sum((g / s) ** 2 for g, s in zip(grids, (0.9, 0.9, 0.85))) <= 1.0
+
     dims = shape["ellipsoid"]
-    grids = np.meshgrid(*(np.linspace(-1.0, 1.0, m) for m in dims), indexing="ij")
-    mask = sum((g / s) ** 2 for g, s in zip(grids, (0.9, 0.9, 0.85))) <= 1.0
-    blob, _, lattice, _ = simulate(dims, shape["ellipsoid_n"], 2, 3, mask=mask,
+    blob, _, lattice, _ = simulate(dims, shape["ellipsoid_n"], 2, 3, mask=ellipsoid(dims),
                                    basis_degree=shape["ellipsoid_h"])
     out["ellipsoid.lattice"] = [lattice.coords]
     built = lasir.build_basis(lattice, KERNEL, shape["ellipsoid_h"])
@@ -228,6 +236,13 @@ def outputs(seed: int, shape: dict) -> dict:
     out["ellipsoid.project"] = [record.ytilde, record.sq_norms]
     add_fit("ellipsoid.fit", lasir.fit_sem(blob, built, 2,
                                            lasir.SemConfig(restarts=2, seed=seed + 3)))
+
+    dims = shape["wide"]
+    built = lasir.build_basis(lasir.build_lattice(dims, ellipsoid(dims)), KERNEL,
+                              shape["ellipsoid_h"])
+    images = np.random.default_rng(seed).standard_normal((shape["wide_n"], built.d))
+    ytilde = lasir.project(images, built)
+    out["wide"] = [ytilde, lasir.backproject(ytilde, built)]
     return {name: [np.asarray(a) for a in arrays] for name, arrays in out.items()}
 
 

@@ -121,10 +121,10 @@ single_thread = _SingleThread()
 #   32^3, n=500 (16.4M): projection 43.4/43.4 -> 29.7/52.1, read
 #     23.1/23.1 -> 15.5/28.2, squared norms 23.4/23.4 -> 16.5/29.1;
 #   the masked benchmark (315,481 voxels, n=200, h=8; 63M): projection
-#     through slabs (`basis.Slab`) 275/274 -> 175/297, the medians of nine
-#     measurements while the machine's speed varied by 1.7x (two threads
-#     saved a median 87 ms of wall time for 31 ms of CPU time; before
-#     slabs, 246/246 -> 131/249), read 106/106 -> 64/117.
+#     through slabs of at most 8 planes (`basis.Slab`), one product per
+#     axis and slab, 346/345 -> 238/415, the medians of 15 alternating
+#     measurements on a loaded machine (two threads saved a median 80 ms of
+#     wall time for 69 ms of CPU time), read 106/106 -> 64/117.
 # From about 16M values on, each of the three passes saves more wall time
 # on two threads than it adds CPU time; below about 8M none does.
 PARALLEL_VALUES = 1 << 24

@@ -82,8 +82,9 @@ class Layout(NamedTuple):
         its nonzero indices are each voxel's rows in the restricted factors.
     slots : each column's index ``(c*(h+1) + b)*(h+1) + a`` in the cube of
         per-axis degrees (a, b, c).
-    slabs : the plane grid cut along z into `Slab` boxes that `project` and
-        `backproject` contract over x one at a time (`_slabs`).
+    slabs : the plane grid cut along z into `Slab` boxes, each of at most
+        half the part budget (`_slabs`), that `project` and `backproject`
+        contract over x and y one at a time, one product per axis and box.
     """
 
     factors: tuple
@@ -122,8 +123,8 @@ def _layout(factors, mask: np.ndarray, h: int, budget: int) -> Layout:
     present = _planes(mask)
     H = h + 1
     a, b, c = tensor_degrees(h).T
-    # (z, y, x) in C order, so that the mask of a slab spanning every y and x
-    # plane, a full grid's lone slab for one, is a view of `inside`
+    # (z, y, x) in C order, so that the mask of a slab whose box is one
+    # contiguous run of the grid, a full grid's slabs for one, is a view of `inside`
     cells = np.ascontiguousarray(mask[np.ix_(*present)].T)
     return Layout(factors=tuple(f[p] for f, p in zip(factors, present)),
                   inside=cells.ravel(), slots=(c * H + b) * H + a,
@@ -133,11 +134,12 @@ def _layout(factors, mask: np.ndarray, h: int, budget: int) -> Layout:
 def _slabs(cells: np.ndarray, budget: int) -> tuple:
     """The plane grid `cells` (z, y, x) cut into slabs of as many whole
     z-planes as `budget` cells hold, one plane at least, each cropped to the
-    y and x extent of its mask cells. A grid the mask fills is one slab,
-    whatever its size; so is a grid of at most `budget` cells, which, its
-    planes being those the mask meets, no crop shrinks."""
+    y and x extent of its mask cells. One rule cuts every grid, full or
+    masked: a grid of at most `budget` cells is one slab (its planes being
+    those the mask meets, no crop shrinks it), and the slabs of a grid the
+    mask fills are uncropped."""
     mz, my, mx = cells.shape
-    per = mz if cells.all() else max(1, budget // (my * mx))
+    per = max(1, budget // (my * mx))
     slabs, a = [], 0
     for z0 in range(0, mz, per):
         run = cells[z0:z0 + per]
@@ -230,11 +232,15 @@ class BasisSystem:
 
     @cached_property
     def layout(self) -> Layout:
-        """Contraction layout of a factored basis, its slabs cut to the part
-        budget `projection.CHUNK` in force at the first read (`build_basis`
-        reads it)."""
+        """Contraction layout of a factored basis, its slabs cut to half the
+        part budget `projection.CHUNK` in force at the first read
+        (`build_basis` reads it). Half, 2^16 cells: on the masked benchmark's
+        lattice that is slabs of at most 8 planes, whose largest x product
+        (776 x 81 x 9) stays in OpenBLAS's small-matrix kernel, where 16
+        planes (about 1.1e6 M N K) measured 12-19% slower per row, serially;
+        a quarter was no faster serially and slower on two threads."""
         from . import projection  # which imports this module
-        return _layout(self.factors, self.mask, self.h, projection.CHUNK)
+        return _layout(self.factors, self.mask, self.h, projection.CHUNK // 2)
 
     @cached_property
     def signs(self):

@@ -484,7 +484,8 @@ def load_dataset(volume_base, covariate_path, lattice: VoxelLattice = None) -> D
     Site one-hot columns are ordered by distinct site code: by value, with
     equal values ("01", "1") in text order, when every code is a number,
     else in text order. Raises ValueError naming the offending record on
-    dimension mismatches, malformed headers or non-finite covariates.
+    dimension mismatches, malformed headers (a required column missing, or
+    any column name repeated) or non-finite covariates.
 
     The header, the mask and the covariate table are read and checked
     here; the image payload is not opened. A given `lattice` must have the
@@ -502,6 +503,9 @@ def load_dataset(volume_base, covariate_path, lattice: VoxelLattice = None) -> D
     if not rows:
         raise ValueError(f"{covariate_path}: empty covariate table")
     names = [c.strip() for c in rows[0]]
+    repeated = [name for j, name in enumerate(names) if name in names[:j]]
+    if repeated:
+        raise ValueError(f"{covariate_path}: repeated column {repeated[0]!r}")
     for required in ("id", "site"):
         if required not in names:
             raise ValueError(f"{covariate_path}: missing required column {required!r}")

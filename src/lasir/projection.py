@@ -10,25 +10,26 @@ For a factored basis, Psi = (Phi_x (x) Phi_y (x) Phi_z) T at the masked
 voxels, both maps are contracted one axis at a time on the grid of planes
 the mask meets, a chunk of rows at a time: about 2 m_cells (h+1) flops per
 image instead of 2 d L, and no d x L or n x d float64 array. The grid is
-cut along z into slabs (`basis.Slab`, `Layout.slabs`): runs of as many
-whole z-planes as `CHUNK` cells hold, one at least, each cropped to the y
-and x extent of its mask cells (a grid the mask fills is one slab, and so
-is any grid of at most `CHUNK` cells). Images reach the slab boxes, and
-maps leave them, one row and slab at a time through the slab's boolean
-mask: per image, one scatter (or gather) of d values plus one pass over
-the boxes' cells. Between a box and the (z, y) x-contraction, which spans
-the whole grid and stays zero off the slabs' blocks, each plane takes a
-product of its own, small enough to stay in cache and in OpenBLAS's
-small-matrix kernel; a lone slab takes one product per chunk instead. A
-chunk holds as many rows as fit in `CHUNK` float64s across the four
-buffers a pass works in, the slab boxes and the x-, y- and z-contractions
-(`_row_floats`), at least one row. On the masked benchmark's lattice
-(315,481 voxels on an 81 x 97 x 77 grid of planes, 604,989 cells, h=8)
-five slabs of at most 16 planes hold 497,881 cells, a row takes 572,068
-float64s (4.6 MB), and a part holds one row. A projection of at least
-`_blas.PARALLEL_VALUES` image values deals its chunks to the allowed CPUs
-(`_blas.deal`); each chunk is contracted exactly as in a serial loop, into
-rows of its own, so its bits do not depend on the thread count.
+cut along z into slabs (`basis.Slab`, `Layout.slabs`) by one rule for
+every lattice: runs of as many whole z-planes as half of `CHUNK` cells
+hold, one at least, each cropped to the y and x extent of its mask cells
+(a grid of at most that many cells is one slab, and a grid the mask fills
+is cut into uncropped slabs). Images reach the slab boxes, and maps leave
+them, one row and slab at a time through the slab's boolean mask: per
+image, one scatter (or gather) of d values plus one pass over the boxes'
+cells. Every slab takes one path: one product over x into an x-block of
+its own, then one over y into its z-rows of the y-contraction, which the
+slabs fill between them; a slab of half the budget keeps each product in
+OpenBLAS's small-matrix kernel (`BasisSystem.layout`). A chunk holds as
+many rows as fit in `CHUNK` float64s across the buffers a pass works in,
+the slab boxes and x-blocks and the y- and z-contractions (`_row_floats`),
+at least one row. On the masked benchmark's lattice (315,481 voxels on an
+81 x 97 x 77 grid of planes, 604,989 cells, h=8) ten slabs of at most 8
+planes hold 449,517 cells, a row takes 513,300 float64s (4.1 MB), and a
+part holds one row. A projection of at least `_blas.PARALLEL_VALUES` image
+values deals its chunks to the allowed CPUs (`_blas.deal`); each chunk is
+contracted exactly as in a serial loop, into rows of its own, so its bits
+do not depend on the thread count.
 
 A `Dataset` keeps the projection of its images on each basis it meets, as a
 `Projected` record keyed by the basis's `BasisSystem.key` (a SHA-256 of
@@ -59,19 +60,18 @@ from . import _blas
 from .basis import BasisSystem
 from .lattice import CHUNK as IMAGE_CHUNK, image_source
 
-CHUNK = 1 << 17  # float64s held by one part's four buffers: slab boxes, x, y and z
+CHUNK = 1 << 17  # float64s held by one part's buffers: slab boxes and x-blocks, y and z
 _RECORDS = threading.Lock()  # held while `projected` looks up or makes a record
 
 
 def _row_floats(basis: BasisSystem) -> int:
-    """float64s one image row takes in the four buffers of a factored pass:
-    its slab boxes (`basis.Slab`, the plane grid cropped slab by slab), then
-    the contractions over x (z, y, a), y (z, b, a) and z (c, b, a). `project`
-    fills them in this order."""
-    layout = basis.layout
-    mz, my = layout.factors[2].shape[0], layout.factors[1].shape[0]
-    H = basis.h + 1
-    return sum(s.inside.size for s in layout.slabs) + mz * my * H + mz * H * H + H ** 3
+    """float64s one image row takes in the buffers of a factored pass: per
+    slab (`basis.Slab`), its box and its contraction over x (z, y, a); then,
+    over the whole grid, the contractions over y (z, b, a) and z (c, b, a).
+    `project` fills them in this order."""
+    layout, H = basis.layout, basis.h + 1
+    boxes = sum(s.inside.size + s.shape[0] * s.shape[1] * H for s in layout.slabs)
+    return boxes + (layout.factors[2].shape[0] + H) * H * H
 
 
 def _rows(basis: BasisSystem) -> int:
@@ -101,7 +101,7 @@ def project(images, basis: BasisSystem) -> np.ndarray:
         return np.asarray(images.read(), dtype=np.float64) @ basis.psi
     layout = basis.layout
     fx, fy, fz = layout.factors
-    mx, my, mz = fx.shape[0], fy.shape[0], fz.shape[0]
+    mz = fz.shape[0]
     H = basis.h + 1
     slabs = layout.slabs
     step = _rows(basis)
@@ -109,22 +109,20 @@ def project(images, basis: BasisSystem) -> np.ndarray:
 
     def buffers():
         rows = min(step, n)
-        # box cells off the mask, and x-contractions off the slabs, stay zero throughout
-        return ([np.zeros((rows, s.inside.size)) for s in slabs], np.zeros((rows, mz, my, H)),
-                np.empty((rows * mz, H, H)), np.empty((rows, H, H * H)))
+        # box cells off the mask stay zero throughout
+        return ([np.zeros((rows, s.inside.size)) for s in slabs],
+                [np.empty((rows, s.shape[0] * s.shape[1], H)) for s in slabs],
+                np.empty((rows, mz, H, H)), np.empty((rows, H, H * H)))
 
-    def contract(start, rows, boxes, tx, ty, tz):
+    def contract(start, rows, boxes, txs, ty, tz):
         m = rows.shape[0]
-        for slab, box in zip(slabs, boxes):
+        for slab, box, tx in zip(slabs, boxes, txs):
             for j in range(m):  # per row: 1-D boolean assignment is far faster than 2-D
                 box[j][slab.inside] = rows[j, slab.voxels]
-            if len(slabs) == 1:  # the whole grid: one product
-                np.matmul(box[:m].reshape(-1, mx), fx, out=tx[:m].reshape(-1, H))
-            else:  # one small product per plane, into the slab's (z, y) block
-                np.matmul(box[:m].reshape(m, *slab.shape), fx[slab.x],
-                          out=tx[:m, slab.z, slab.y])                   # (m, z, y, a)
-        t = np.matmul(fy.T, tx[:m].reshape(m * mz, my, H), out=ty[:m * mz])  # (m z, b, a)
-        t = np.matmul(fz.T, t.reshape(m, mz, H * H), out=tz[:m])        # (m, c, b a)
+            nz, ny, nx = slab.shape
+            t = np.matmul(box[:m].reshape(-1, nx), fx[slab.x], out=tx[:m].reshape(-1, H))
+            np.matmul(fy[slab.y].T, t.reshape(m, nz, ny, H), out=ty[:m, slab.z])  # (m, z, b, a)
+        t = np.matmul(fz.T, ty[:m].reshape(m, mz, H * H), out=tz[:m])  # (m, c, b a)
         # slots are in range, so "clip" never clips; it takes without a buffer
         np.take(t.reshape(m, H ** 3), layout.slots, axis=1, out=out[start:start + m],
                 mode="clip")
@@ -182,10 +180,11 @@ def projected(dataset, basis: BasisSystem) -> Projected:
 def backproject(coefs: np.ndarray, basis: BasisSystem) -> np.ndarray:
     """Reconstruct voxel maps (m, d) from basis coefficients (m, L).
 
-    A factored basis contracts z and y over the whole grid of planes, a
-    chunk of `_rows` maps at a time, then x one slab box at a time, and
-    gathers each box's mask cells straight into the slab's voxel columns:
-    besides the maps, a chunk holds its contractions and one slab box."""
+    A factored basis contracts z over the whole grid of planes, a chunk of
+    `_rows` maps at a time, then y and x one slab at a time, one product
+    each, and gathers each box's mask cells straight into the slab's voxel
+    columns: besides the maps, a chunk holds its z-contraction and one
+    slab's y-contraction and box."""
     coefs = np.atleast_2d(coefs)
     if coefs.shape[1] != basis.L:
         raise ValueError(f"coefficient column count {coefs.shape[1]} does not match "
@@ -195,7 +194,6 @@ def backproject(coefs: np.ndarray, basis: BasisSystem) -> np.ndarray:
         return coefs @ basis.psi.T
     layout = basis.layout
     fx, fy, fz = layout.factors
-    mz, my = fz.shape[0], fy.shape[0]
     H = basis.h + 1
     raw = coefs @ basis.T.T
     n, step = raw.shape[0], _rows(basis)
@@ -204,13 +202,9 @@ def backproject(coefs: np.ndarray, basis: BasisSystem) -> np.ndarray:
         m = min(step, n - start)
         cube = np.zeros((m, H ** 3))
         cube[:, layout.slots] = raw[start:start + m]
-        t = fz @ cube.reshape(m, H, H * H)                   # (m, z, b a)
-        t = (fy @ t.reshape(m * mz, H, H)).reshape(m, mz, my, H)  # (m, z, y, a)
+        t = (fz @ cube.reshape(m, H, H * H)).reshape(m, -1, H, H)  # (m, z, b, a)
         for slab in layout.slabs:
-            if len(layout.slabs) == 1:  # the whole grid: one product
-                box = t.reshape(-1, H) @ fx.T                # (m z y, x)
-            else:  # one small product per plane, over the slab's box
-                box = t[:, slab.z, slab.y] @ fx[slab.x].T
+            box = fy[slab.y] @ t[:, slab.z] @ fx[slab.x].T        # (m, z, y, x)
             for j, row in enumerate(box.reshape(m, -1)):  # per row, as in `project`
                 out[start + j, slab.voxels] = row[slab.inside]
     return out

@@ -236,6 +236,21 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="unparseable value in record id='b'"):
             load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
 
+    @pytest.mark.parametrize("name", ["x_1", "id", "site", "z_1"])
+    def test_a_repeated_column_names_the_file_and_the_column(self, tmp_path, name):
+        # read silently, the later column would stand for both, and a repeated
+        # exposure would fail only later, as a rank-deficient design
+        lat = build_lattice((3, 3, 3))
+        save_dataset(_toy_dataset(lattice=lat), lat, tmp_path / "img", tmp_path / "cov.csv")
+        lines = (tmp_path / "cov.csv").read_text().splitlines()
+        column = lines[0].split(",").index(name)
+        with open(tmp_path / "cov.csv", "w") as fh:
+            fh.write("\n".join(f"{line},{name if i == 0 else line.split(',')[column]}"
+                               for i, line in enumerate(lines)) + "\n")
+        path = re.escape(str(tmp_path / "cov.csv"))
+        with pytest.raises(ValueError, match=f"{path}: repeated column '{name}'"):
+            load_dataset(tmp_path / "img", tmp_path / "cov.csv", lat)
+
     def test_row_count_mismatch(self, tmp_path):
         lat = build_lattice((3, 3, 3))
         ds = _toy_dataset(lattice=lat)

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, reject
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from lasir import (Dataset, KernelParams, SemConfig, SimConfig, _blas, backproject, build_basis,
@@ -117,22 +117,20 @@ def _project_by_cells(images, basis):
     index."""
     layout = basis.layout
     fx, fy, fz = layout.factors
-    mx, my, mz = fx.shape[0], fy.shape[0], fz.shape[0]
+    mz = fz.shape[0]
     H = basis.h + 1
     n, step = images.shape[0], projection._rows(basis)
     out = np.empty((n, basis.L))
-    tx = np.zeros((step, mz, my, H))
     for start in range(0, n, step):
         m = min(step, n - start)
+        ty = np.empty((m, mz, H, H))
         for slab, cells in zip(layout.slabs, _slab_cells(basis)):
+            nz, ny, nx = slab.shape
             box = np.zeros((m, slab.inside.size))
             box[:, cells] = images[start:start + m, slab.voxels]
-            if len(layout.slabs) == 1:
-                tx[:m] = (box.reshape(-1, mx) @ fx).reshape(m, mz, my, H)
-            else:
-                np.matmul(box.reshape(m, *slab.shape), fx[slab.x], out=tx[:m, slab.z, slab.y])
-        t = fy.T @ tx[:m].reshape(m * mz, my, H)
-        t = fz.T @ t.reshape(m, mz, H * H)
+            tx = box.reshape(-1, nx) @ fx[slab.x]
+            ty[:, slab.z] = fy[slab.y].T @ tx.reshape(m, nz, ny, H)
+        t = fz.T @ ty.reshape(m, mz, H * H)
         out[start:start + m] = t.reshape(m, H ** 3)[:, layout.slots]
     return basis.from_tensor(out)
 
@@ -142,7 +140,7 @@ def _backproject_by_cells(coefs, basis):
     int64 index."""
     layout = basis.layout
     fx, fy, fz = layout.factors
-    mz, my = fz.shape[0], fy.shape[0]
+    mz = fz.shape[0]
     H = basis.h + 1
     raw = coefs @ basis.T.T
     n, step = raw.shape[0], projection._rows(basis)
@@ -151,13 +149,9 @@ def _backproject_by_cells(coefs, basis):
         m = min(step, n - start)
         cube = np.zeros((m, H ** 3))
         cube[:, layout.slots] = raw[start:start + m]
-        t = fz @ cube.reshape(m, H, H * H)
-        t = (fy @ t.reshape(m * mz, H, H)).reshape(m, mz, my, H)
+        t = (fz @ cube.reshape(m, H, H * H)).reshape(m, mz, H, H)
         for slab, cells in zip(layout.slabs, _slab_cells(basis)):
-            if len(layout.slabs) == 1:
-                box = t.reshape(-1, H) @ fx.T
-            else:
-                box = t[:, slab.z, slab.y] @ fx[slab.x].T
+            box = fy[slab.y] @ t[:, slab.z] @ fx[slab.x].T
             out[start:start + m, slab.voxels] = box.reshape(m, -1)[:, cells]
     return out
 
@@ -192,11 +186,12 @@ def _check_moves_match_index_arrays(basis, dtype):
 
 def _slabbed(lattice, h, planes):
     """A basis on `lattice` built with the part budget, `projection.CHUNK`,
-    at `planes` planes of its plane grid: its layout cuts slabs of `planes`
-    z-planes (the last may be shorter), unless the mask fills the grid."""
+    at twice `planes` planes of its plane grid: its layout, cut to half the
+    budget (`BasisSystem.layout`), cuts slabs of `planes` z-planes (the last
+    may be shorter)."""
     _, y, x = (int(p.sum()) for p in basis_module._planes(lattice.mask)[::-1])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(projection, "CHUNK", planes * y * x)
+        mp.setattr(projection, "CHUNK", 2 * planes * y * x)
         return build_basis(lattice, KernelParams(0.05, 1.0), h)
 
 
@@ -212,8 +207,9 @@ def _blobs():
 
 
 # name -> (lattice, planes per slab): slabs of one plane on the ellipsoid,
-# of two on the blobs
+# of two on the blobs and on a full grid, whose slabs no crop shrinks
 LATTICES = {"full": (lambda: build_lattice((5, 6, 4)), None),
+            "full_slabs": (lambda: build_lattice((5, 6, 4)), 2),
             "ellipsoid": (_ellipsoid, None),
             "planes": (_ellipsoid, 1),
             "blobs": (_blobs, 2)}
@@ -246,7 +242,9 @@ def test_moves_match_index_arrays(name, dtype):
     layout = basis.layout
     mx = layout.factors[0].shape[0]
     empty_lines = not layout.inside.reshape(-1, mx).any(axis=1).all()
-    assert empty_lines == (name != "full")
+    assert empty_lines == (not name.startswith("full"))
+    if name == "full_slabs":
+        assert [slab.shape for slab in layout.slabs] == [(2, 6, 5)] * 2
     if name == "planes":
         assert {slab.shape[0] for slab in layout.slabs} == {1}
     if name == "blobs":  # a slab holding both boxes has y-planes without a mask cell
@@ -255,25 +253,35 @@ def test_moves_match_index_arrays(name, dtype):
     _check_moves_match_index_arrays(basis, dtype)
 
 
+# a 4^3 mask, as mask[i][j] rows along the last axis, whose second
+# one-plane slab is cropped in y only: a (1, 3, 4) box, one contiguous run of
+# its grid, whose mask is a view
+Y_CROPPED = build_lattice((4, 4, 4), np.array([
+    [[c == "T" for c in row] for row in plane.split()]
+    for plane in ("TTFF TTTT FTTF TFFF", "TFFT TFTT FFTF TFTT", "FFTF TFFT FFFF TFFT",
+                  "FTTT FTFT FTFT TFFF")]))
+
+
 @given(masked_lattices(), st.integers(1, 3))
+@example(case=(Y_CROPPED, 0), planes=1)
 def test_slabs_tile_the_mask(case, planes):
     """The slabs cut the plane grid into runs of `planes` z-planes, the last
-    one shorter (one run where the mask fills its grid), each box the
-    tightest around its mask cells (a view of the grid's mask where it spans
-    every y and x plane), and their voxel ranges follow each other in voxel
-    order."""
+    one shorter, each box the tightest around its mask cells (a view of the
+    grid's mask exactly where the box is one contiguous run of the grid's
+    cells), and their voxel ranges follow each other in voxel order."""
     lattice, h = case
     layout = _slabbed(lattice, 0, planes).layout
     mz, my, mx = (f.shape[0] for f in layout.factors[::-1])
     cells = layout.inside.reshape(mz, my, mx)
-    per = mz if cells.all() else planes
     assert [(s.z.start, s.z.stop) for s in layout.slabs] == [
-        (z, min(z + per, mz)) for z in range(0, mz, per)]
+        (z, min(z + planes, mz)) for z in range(0, mz, planes)]
+    order = np.arange(cells.size).reshape(cells.shape)
     rebuilt, start = np.zeros_like(cells), 0
     for slab in layout.slabs:
         box = slab.inside.reshape(slab.shape)
         assert box.any(axis=(0, 2))[[0, -1]].all() and box.any(axis=(0, 1))[[0, -1]].all()
-        assert np.shares_memory(slab.inside, layout.inside) == (slab.shape[1:] == (my, mx))
+        run = order[slab.z, slab.y, slab.x].ravel()
+        assert np.shares_memory(slab.inside, layout.inside) == (run[-1] - run[0] + 1 == run.size)
         rebuilt[slab.z, slab.y, slab.x] = box
         assert slab.voxels == slice(start, start + int(box.sum()))
         start = slab.voxels.stop

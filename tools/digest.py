@@ -49,12 +49,15 @@ prints one SHA-256 digest (its first 16 hex digits) per output and seed:
   norms, and `fit_sem`;
 * `wide` -- on a thin, wide ellipsoid whose plane grid `project` and
   `backproject` cut into several slabs, each cropped to its mask cells
-  (`basis.Slab`): the projection of random images and its back-projection.
+  (`basis.Slab`): the projection of random images and its back-projection;
+* `full` -- the same on a full grid of more cells than a slab holds, which
+  is cut into uncropped slabs.
 
 The `desk` shapes are those of the benchmark's desk workload (15^3, n=500,
 K=3, 6 restarts, 50 splits; selection and baselines at 10^3, n=300) plus a
-14 x 13 x 12 ellipsoid and a 300 x 300 x 8 one, n=8, cut into six
-one-plane slabs; `tiny` runs in about a second.
+14 x 13 x 12 ellipsoid, a 300 x 300 x 8 one, n=8, cut into six one-plane
+slabs, and a full 42^3 grid, n=8, cut into slabs of 37 and 5 planes; `tiny`
+runs in about a second.
 
     python tools/digest.py --against REF [--seeds S ...] [--shapes ...]
 
@@ -94,12 +97,12 @@ SHAPES = {
              "select_dims": (10, 10, 10), "select_n": 300, "select_K": (1, 2, 3),
              "select_restarts": 4,
              "ellipsoid": (14, 13, 12), "ellipsoid_n": 120, "ellipsoid_h": 4,
-             "wide": (300, 300, 8), "wide_n": 8},
+             "wide": (300, 300, 8), "wide_n": 8, "full": (42, 42, 42), "full_n": 8},
     "tiny": {"dims": (5, 5, 5), "n": 40, "sites": 3, "K": 2, "restarts": 2, "splits": 3,
              "select_dims": (4, 4, 4), "select_n": 60, "select_K": (1, 2),
              "select_restarts": 2,
              "ellipsoid": (6, 6, 5), "ellipsoid_n": 30, "ellipsoid_h": 2,
-             "wide": (240, 240, 6), "wide_n": 8},
+             "wide": (240, 240, 6), "wide_n": 8, "full": (41, 41, 41), "full_n": 8},
 }
 SEEDS = (9101, 9202, 9303)
 MODES = ("within", "without", "shuffled")
@@ -237,12 +240,13 @@ def outputs(seed: int, shape: dict) -> dict:
     add_fit("ellipsoid.fit", lasir.fit_sem(blob, built, 2,
                                            lasir.SemConfig(restarts=2, seed=seed + 3)))
 
-    dims = shape["wide"]
-    built = lasir.build_basis(lasir.build_lattice(dims, ellipsoid(dims)), KERNEL,
-                              shape["ellipsoid_h"])
-    images = np.random.default_rng(seed).standard_normal((shape["wide_n"], built.d))
-    ytilde = lasir.project(images, built)
-    out["wide"] = [ytilde, lasir.backproject(ytilde, built)]
+    for name, mask in (("wide", ellipsoid), ("full", lambda dims: "full")):
+        dims = shape[name]
+        built = lasir.build_basis(lasir.build_lattice(dims, mask(dims)), KERNEL,
+                                  shape["ellipsoid_h"])
+        images = np.random.default_rng(seed).standard_normal((shape[f"{name}_n"], built.d))
+        ytilde = lasir.project(images, built)
+        out[name] = [ytilde, lasir.backproject(ytilde, built)]
     return {name: [np.asarray(a) for a in arrays] for name, arrays in out.items()}
 
 
